@@ -72,7 +72,9 @@ def _build_parser():
     p.add_argument("--recipe", help="path to a recipe document (JSON)")
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--degree-cap", type=int, default=14, help="hard table ceiling")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted; verification runs sequentially"
+    )
     p.add_argument("--output", help="write the JSON report to this path")
     p.add_argument("--no-timings", action="store_true")
     _add_format(p)

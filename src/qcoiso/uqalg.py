@@ -17,7 +17,6 @@ the next degree up.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .qfield import RF_ONE, RatFunc, q_binomial
@@ -200,7 +199,6 @@ class UqBorel:
             for l in range(self.rank)
         ]
         self._tables = {}
-        self._lock = threading.Lock()
         rels = []
         for i in range(self.rank):
             for j in range(self.rank):
@@ -364,8 +362,7 @@ class UqBorel:
                 f"multidegree {mu} exceeds max_degree={self.max_degree}; "
                 f"raise max_degree to verify at this depth"
             )
-        with self._lock:
-            return self._build_down_to(mu)
+        return self._build_down_to(mu)
 
     def _build_down_to(self, mu):
         todo = [()]
@@ -525,9 +522,8 @@ class UqBorel:
             payload = pickle.load(fh)
         if payload.get("word_order") != self.word_order:
             return False
-        with self._lock:
-            for mu, tbl in payload["tables"].items():
-                self._tables.setdefault(mu, tbl)
+        for mu, tbl in payload["tables"].items():
+            self._tables.setdefault(mu, tbl)
         return True
 
     def save_tables(self, path) -> None:

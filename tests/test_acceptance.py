@@ -345,11 +345,21 @@ def test_criterion_7_e6_smoke():
             if c:
                 vadd(cartan, cb.h(i), c * rs.symmetrizers[i])
         assert span.contains(cartan)
-    # deep rows are reported as unverified at the configured degree
+    # deep rows are reported as unverified at the configured degree, exactly
+    # where the generator degrees exceed the cap
     big = parse_root(rs, "a1+2a2+2a3+3a4+2a5+a6")
     report = run_full_verification(rs, big, degree_cap=6)
     assert report.verdict == "inconclusive"
-    assert any(p["verdict"] == "unverified" for p in report.flatness or [])
+    degree = {name: g.degree() for name, g in builtin_recipe(rs, big).evaluate(alg)}
+    unverified = {(p["i"], p["j"]) for p in report.flatness if p["verdict"] == "unverified"}
+    assert (len(report.flatness), len(unverified)) == (231, 195)
+    assert unverified == {
+        (p["i"], p["j"])
+        for p in report.flatness
+        if p["i"] != "K" and degree[p["i"]] + degree[p["j"]] > 6
+    }
+    statuses = [g.status for g in report.coideal]
+    assert (len(statuses), statuses.count("unverified")) == (22, 8)
     # short rows verify fully end to end, including a diagram-flipped variant
     for lit in ["a1", "a1+a3", "a5+a6", "a2+a4", "a1+a3+a4"]:
         report = run_full_verification(rs, parse_root(rs, lit))

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcoiso.classical import build_realization
-from qcoiso.qfield import parse_ratfunc
+from qcoiso.qfield import RatFunc, parse_ratfunc
 from qcoiso.recipes import Gen, QBr, GeneratorRecipe, builtin_recipe
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
 from qcoiso.uqalg import UqBorel, q_bracket
 from qcoiso.verify import (
+    _commutator_provably_nonzero,
     builtin_identity,
     check_flatness,
     check_left_coideal,
@@ -318,3 +321,83 @@ def test_coideal_basis_change_invariance():
         assert all(o.passed for o in outcomes)
         flat = check_flatness(recipe, alg)
         assert all(e["verdict"] == "pass" for e in flat)
+
+
+@pytest.mark.parametrize(
+    "exprs, cap, verdict, note, formed",
+    [
+        # E1 with [E1,E1]_q: leading words commute and the commutator is zero
+        ((Gen(0), QBr(Gen(0), Gen(0), 1)), 2, "pass", None, True),
+        # E1 with E2: the leading words E1E2 != E2E1 decide the pair
+        (
+            (Gen(0), Gen(1)),
+            1,
+            "unverified",
+            "pair degree 2 exceeds the configured degree cap 1",
+            False,
+        ),
+        # both leading words are E2E1, yet the commutator is nonzero
+        (
+            (QBr(Gen(1), Gen(0), 1), QBr(Gen(1), Gen(0), 0)),
+            3,
+            "unverified",
+            "pair degree 4 exceeds the configured degree cap 3",
+            True,
+        ),
+    ],
+    ids=["zero-commutator", "leading-words-decide", "commuting-leading-words"],
+)
+def test_flatness_over_cap_pair(monkeypatch, exprs, cap, verdict, note, formed):
+    rs = rs_of("A", 2)
+    recipe = GeneratorRecipe(
+        cartan_type=rs.type,
+        beta=parse_root(rs, "L1-L3"),
+        k_monomial=(1, 1),
+        generators=[("P", "X", exprs[0]), ("Q", "X", exprs[1])],
+    )
+    alg = UqBorel(rs, max_degree=cap)
+    gens = [g for _, g in recipe.evaluate(alg)]
+    calls = []
+    nc_mul = alg.nc_mul
+
+    def counting(a, b):
+        calls.append((a, b))
+        return nc_mul(a, b)
+
+    monkeypatch.setattr(alg, "nc_mul", counting)
+    entry = next(e for e in check_flatness(recipe, alg) if e["i"] == "P")
+    assert entry["verdict"] == verdict
+    if note is None:
+        assert "note" not in entry
+        assert entry["certificate"]["commutator"] == "zero"
+    else:
+        assert entry["note"] == note
+    pair_calls = [c for c in calls if list(c) in (gens, gens[::-1])]
+    assert bool(pair_calls) == formed
+
+
+@st.composite
+def _multihomogeneous_pair(draw):
+    alg = UqBorel(rs_of(draw(st.sampled_from(["A", "B"])), 2))
+
+    def element():
+        letters = draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=3))
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            kexp = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+            word = draw(st.permutations(letters))
+            coeff = RatFunc.q_power(draw(st.integers(-2, 2))) * RatFunc.from_int(
+                draw(st.sampled_from([-2, -1, 1, 2]))
+            )
+            terms.append((kexp, word, coeff))
+        return alg.from_terms(terms)
+
+    return alg, element(), element()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_multihomogeneous_pair())
+def test_leading_terms_prove_commutator_nonzero(pair):
+    alg, a, b = pair
+    if _commutator_provably_nonzero(alg, a, b):
+        assert not (alg.nc_mul(a, b) - alg.nc_mul(b, a)).is_zero()
