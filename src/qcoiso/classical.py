@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .linalg import SpanSolver, accumulate, vec_add_scaled
 from .rootsys import Root, RootSystem
 
 F0 = Fraction(0)
@@ -25,78 +26,15 @@ class RealizationError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# Small exact linear algebra over Fraction with arbitrary hashable keys.
-# ---------------------------------------------------------------------------
-
-class FractionSpan:
-    """Incremental row echelon over Fraction-coefficient sparse vectors."""
+class FractionSpan(SpanSolver):
+    """Span of Fraction vectors keyed by ints or tuples (matrix cells)."""
 
     def __init__(self):
-        self.rows = {}  # pivot key -> normalized vector
-
-    def reduce(self, vec):
-        vec = dict(vec)
-        while vec:
-            pivot = min(vec, key=_key_order)
-            row = self.rows.get(pivot)
-            if row is None:
-                return vec, pivot
-            c = vec[pivot]
-            for k, v in row.items():
-                w = vec.get(k, F0) - c * v
-                if w:
-                    vec[k] = w
-                else:
-                    vec.pop(k, None)
-        return vec, None
-
-    def add(self, vec) -> bool:
-        vec, pivot = self.reduce(vec)
-        if pivot is None:
-            return False
-        inv = F1 / vec[pivot]
-        self.rows[pivot] = {k: v * inv for k, v in vec.items()}
-        return True
-
-    def contains(self, vec) -> bool:
-        _, pivot = self.reduce(vec)
-        return pivot is None
-
-    def echelon_basis(self):
-        """Fully reduced, deterministically ordered basis of the span."""
-        pivots = sorted(self.rows, key=_key_order)
-        reduced = {}
-        for p in reversed(pivots):
-            vec = dict(self.rows[p])
-            for k in list(vec):
-                if k != p and k in reduced:
-                    c = vec.pop(k)
-                    for kk, vv in reduced[k].items():
-                        w = vec.get(kk, F0) - c * vv
-                        if w:
-                            vec[kk] = w
-                        else:
-                            vec.pop(kk, None)
-            reduced[p] = vec
-        return [reduced[p] for p in pivots]
-
-    def rank(self):
-        return len(self.rows)
+        super().__init__(key_order=_key_order)
 
 
 def _key_order(k):
     return (len(k), k) if isinstance(k, tuple) else (0, k)
-
-
-def vadd(acc, vec, scale=F1):
-    for k, v in vec.items():
-        w = acc.get(k, F0) + scale * v
-        if w:
-            acc[k] = w
-        else:
-            acc.pop(k, None)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +110,7 @@ class ChevalleyBasis:
         out = {}
         for i, xi in x.items():
             for j, yj in y.items():
-                vadd(out, self.bracket_basis(i, j), xi * yj)
+                vec_add_scaled(out, self.bracket_basis(i, j), xi * yj)
         return out
 
     # -- Killing form ----------------------------------------------------------
@@ -249,14 +187,10 @@ def _eu(i, j):
 
 
 def _madd(*mats_scales):
+    """The sum of s * mat over the (mat, s) pairs."""
     out = {}
     for mat, s in mats_scales:
-        for k, v in mat.items():
-            w = out.get(k, F0) + s * v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
+        vec_add_scaled(out, mat, s)
     return out
 
 
@@ -266,13 +200,7 @@ def _mat_mul(a, b):
     for (r, c), v in b.items():
         bt.setdefault(r, []).append((c, v))
     for (r, c), v in a.items():
-        for c2, w in bt.get(c, ()):
-            key = (r, c2)
-            x = out.get(key, F0) + v * w
-            if x:
-                out[key] = x
-            else:
-                out.pop(key, None)
+        accumulate(out, (((r, c2), v * w) for c2, w in bt.get(c, ())))
     return out
 
 
@@ -394,49 +322,18 @@ def _build_matrix_basis(rs: RootSystem) -> ChevalleyBasis:
     cb = ChevalleyBasis(rs=rs, labels=labels, matrices=mats)
     cb._pos_index = {r.decomp: i for i, r in enumerate(rs.positive_roots)}
     cb._trace_cache = {}
-    solver = _MatrixCoordinatizer(mats)
+    solver = FractionSpan()
+    for idx, m in enumerate(mats):
+        if not solver.add(m, {idx: F1}):
+            raise RealizationError("dependent matrix basis")
     dim = cb.dim
     for i in range(dim):
         for j in range(i + 1, dim):
-            br = _mat_bracket(mats[i], mats[j])
-            cb._bracket_table[(i, j)] = solver.express(br)
-    return cb
-
-
-class _MatrixCoordinatizer:
-    """Expresses matrices over a fixed independent list of sparse matrices."""
-
-    def __init__(self, mats):
-        self.rows = {}  # pivot cell -> (normalized matrix, basis combination)
-        for idx, m in enumerate(mats):
-            vec, tag = dict(m), {idx: F1}
-            while vec:
-                pivot = min(vec, key=_key_order)
-                hit = self.rows.get(pivot)
-                if hit is None:
-                    inv = F1 / vec[pivot]
-                    self.rows[pivot] = (
-                        {k: v * inv for k, v in vec.items()},
-                        {k: v * inv for k, v in tag.items()},
-                    )
-                    break
-                c = vec[pivot]
-                vadd(vec, hit[0], -c)
-                vadd(tag, hit[1], -c)
-            else:
-                raise RealizationError("dependent matrix basis")
-
-    def express(self, mat) -> dict:
-        vec, tag = dict(mat), {}
-        while vec:
-            pivot = min(vec, key=_key_order)
-            hit = self.rows.get(pivot)
-            if hit is None:
+            coords = solver.solve(_mat_bracket(mats[i], mats[j]))
+            if coords is None:
                 raise RealizationError("matrix outside the realization span")
-            c = vec[pivot]
-            vadd(vec, hit[0], -c)
-            vadd(tag, hit[1], -c)
-        return {k: -v for k, v in tag.items()}
+            cb._bracket_table[(i, j)] = coords
+    return cb
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +406,7 @@ class _RootVectorTable:
                 # x_{-m} = scale * [x_{-delta}, x_{-s}]
                 t1 = self.bracket(self.bracket_x(g, _neg(delta)), {("x", _neg(_unit(self.n, s))): F1})
                 t2 = self.bracket({("x", _neg(delta)): F1}, self.bracket_x(g, _neg(_unit(self.n, s))))
-                out = {}
-                vadd(out, t1, scale)
-                vadd(out, t2, scale)
-                self._mixed[(g, m)] = out
+                self._mixed[(g, m)] = _madd((t1, scale), (t2, scale))
 
     def _mixed_simple(self, g, s) -> dict:
         ht = sum(g)
@@ -533,10 +427,7 @@ class _RootVectorTable:
         inner2 = self._mixed[(delta, s)]
         t1 = self.bracket({("x", delta): F1}, inner1)
         t2 = self.bracket({("x", sgv): F1}, inner2)
-        out = {}
-        vadd(out, t1, scale)
-        vadd(out, t2, -scale)
-        return out
+        return _madd((t1, scale), (t2, -scale))
 
     def bracket_x(self, g, signed) -> dict:
         """[x_g, x_signed] with g positive, signed any root, from filled data."""
@@ -595,7 +486,7 @@ class _RootVectorTable:
         out = {}
         for s1, c1 in xvec.items():
             for s2, c2 in yvec.items():
-                vadd(out, self.bracket_sym(s1, s2), c1 * c2)
+                vec_add_scaled(out, self.bracket_sym(s1, s2), c1 * c2)
         return out
 
 
@@ -742,18 +633,8 @@ def wedge_canonical(i: int, j: int, c: Fraction):
 
 
 def bivector(terms) -> dict:
-    out = {}
-    for i, j, c in terms:
-        t = wedge_canonical(i, j, c)
-        if t is None:
-            continue
-        a, b, cc = t
-        w = out.get((a, b), F0) + cc
-        if w:
-            out[(a, b)] = w
-        else:
-            out.pop((a, b), None)
-    return out
+    wedges = (wedge_canonical(i, j, c) for i, j, c in terms)
+    return accumulate({}, (((a, b), c) for a, b, c in filter(None, wedges)))
 
 
 def build_r_matrix(cb: ChevalleyBasis) -> dict:
@@ -782,12 +663,11 @@ def coisotropic_generators(cb: ChevalleyBasis, b: dict):
     span = FractionSpan()
     rows = {}
     for (i, j), c in b.items():
-        vadd(rows.setdefault(i, {}), {j: c})
-        vadd(rows.setdefault(j, {}), {i: -c})
+        accumulate(rows.setdefault(i, {}), [(j, c)])
+        accumulate(rows.setdefault(j, {}), [(i, -c)])
     for vec in rows.values():
-        if vec:
-            span.add(vec)
-    return span.echelon_basis()
+        span.add(vec)
+    return [{p: F1, **tail} for p, tail in span.reduced_rows().items()]
 
 
 @dataclass
@@ -821,23 +701,11 @@ def check_coisotropic(cb: ChevalleyBasis, pi: dict, gens: list) -> ClassicalRepo
     # delta(g) lies in span wedge g iff the double projection vanishes
     coideal_ok, failing_generator = True, None
     for gi, g in enumerate(gens):
-        delta = ad_bivector(cb, g, pi)
-        proj = {}
-        for (i, j), c in delta.items():
-            pi_i, _ = span.reduce({i: F1})
-            pi_j, _ = span.reduce({j: F1})
-            for a, va in pi_i.items():
-                for b, vb in pi_j.items():
-                    t = wedge_canonical(a, b, c * va * vb)
-                    if t is None:
-                        continue
-                    x, y, cc = t
-                    w = proj.get((x, y), F0) + cc
-                    if w:
-                        proj[(x, y)] = w
-                    else:
-                        proj.pop((x, y), None)
-        if proj:
+        terms = []
+        for (i, j), c in ad_bivector(cb, g, pi).items():
+            pi_i, pi_j = span.reduce({i: F1})[0], span.reduce({j: F1})[0]
+            terms.extend((a, b, c * va * vb) for a, va in pi_i.items() for b, vb in pi_j.items())
+        if bivector(terms):
             coideal_ok, failing_generator = False, gi
             break
     return ClassicalReport(

@@ -73,7 +73,7 @@ def _build_parser():
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--degree-cap", type=int, default=14, help="hard table ceiling")
     p.add_argument(
-        "--jobs", type=int, default=1, help="accepted; verification runs sequentially"
+        "--jobs", type=int, default=1, help="accepted and ignored; verification runs sequentially"
     )
     p.add_argument("--output", help="write the JSON report to this path")
     p.add_argument("--no-timings", action="store_true")
@@ -188,7 +188,6 @@ def cmd_verify(args) -> int:
         beta,
         maxdeg=args.max_degree,
         recipe=recipe,
-        jobs=args.jobs,
         degree_cap=args.degree_cap,
         cache_path=_cache_path(rs),
     )

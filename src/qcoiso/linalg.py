@@ -1,97 +1,152 @@
-"""Sparse exact linear algebra over Q(q).
+"""Sparse exact linear algebra over any field: the package's one engine.
 
-Vectors are dicts mapping hashable coordinate keys to nonzero RatFunc values.
-The central primitive expresses a target vector as a linear combination of
-template vectors and returns the full affine solution set (particular
-solution plus nullspace), which downstream certificate checks need.
+Vectors are dicts mapping hashable coordinate keys to nonzero field values.
+The engine uses only ``+ - * /`` on the values, so RatFunc (Q(q)) and
+Fraction (Q) vectors go through the same code.  Every elimination in the
+package (normal-form tables, membership solves, the q = 1 fit, classical
+spans and coordinates, root-lattice decompositions) is a `SpanSolver`, and
+every "add into a sparse dict and drop zeros" loop is `accumulate` or
+`vec_add_scaled`.
 """
 
 from __future__ import annotations
 
-from .qfield import RF_ONE, RatFunc
+from .qfield import RF_ONE
 
 
-def vec_add_scaled(acc: dict, vec: dict, scale: RatFunc) -> None:
-    """acc += scale * vec, in place, dropping zeros."""
-    if not scale:
-        return
+def accumulate(acc: dict, items) -> dict:
+    """acc[k] += v for every (k, v) in items, in place, dropping zeros."""
+    for k, v in items:
+        w = acc.get(k)
+        if w is not None:
+            v = w + v
+        if v:
+            acc[k] = v
+        elif w is not None:
+            del acc[k]
+    return acc
+
+
+def vec_add_scaled(acc: dict, vec: dict, scale=None) -> dict:
+    """acc += scale * vec (acc += vec when scale is None), in place, dropping zeros."""
+    if scale is None:
+        return accumulate(acc, vec.items())
+    # written out: this is the innermost loop of normal-form folding
     for k, v in vec.items():
         w = acc.get(k)
-        w = v * scale if w is None else w + v * scale
-        if w:
-            acc[k] = w
-        else:
-            acc.pop(k, None)
-
-
-def vec_scale(vec: dict, scale: RatFunc) -> dict:
-    if scale == RF_ONE:
-        return dict(vec)
-    return {k: v * scale for k, v in vec.items()} if scale else {}
+        v = v * scale if w is None else w + v * scale
+        if v:
+            acc[k] = v
+        elif w is not None:
+            del acc[k]
+    return acc
 
 
 class SpanSolver:
-    """Incremental row-echelon span of tagged vectors.
+    """Incremental row-echelon span of sparse vectors, optionally tagged.
 
-    Rows are added as (vector, tag) pairs; tags live in their own coordinate
-    space and track which combination of the original rows produced each
-    echelon row.  Solving a target yields coefficients over the original tags.
+    The leading key of a vector is its least key under `key_order` (the keys'
+    own order by default).  Each stored row has a leading key (its pivot) that
+    no other stored row leads with; the pivot coefficient is 1 and is kept
+    implicit, so a row is stored as its tail.  A tag is a vector over labels
+    of the added vectors that records which combination of them a row is;
+    solving a target over a tagged span yields its coefficients over those
+    labels.
     """
 
     def __init__(self, key_order=None):
-        # pivot key -> (vector with that pivot scaled to 1, tag vector)
+        # pivot -> (tail with the unit pivot entry left out, tag or None)
         self.rows: dict = {}
-        self.nullrows: list = []  # tag vectors of dependent inputs
-        self._key_order = key_order or (lambda k: k)
+        self.nullrows: list = []  # tags of added vectors that were dependent
+        self._key = key_order
 
-    def _reduce(self, vec: dict, tag: dict):
+    def reduce(self, vec: dict, tag: dict | None = None):
+        """Subtract rows from copies of vec (and tag) until the leading key of
+        vec is not a pivot; returns (vec, tag, that leading key or None when
+        vec reduced to zero)."""
         vec = dict(vec)
-        tag = dict(tag)
+        if tag is not None:
+            tag = dict(tag)
+        rows, key = self.rows, self._key
         while vec:
-            pivot = min(vec, key=self._key_order)
-            hit = self.rows.get(pivot)
+            pivot = min(vec, key=key)
+            hit = rows.get(pivot)
             if hit is None:
                 return vec, tag, pivot
-            c = vec[pivot]
-            vec_add_scaled(vec, hit[0], -c)
-            vec_add_scaled(tag, hit[1], -c)
+            c = -vec.pop(pivot)
+            vec_add_scaled(vec, hit[0], c)
+            if tag is not None:
+                vec_add_scaled(tag, hit[1], c)
         return vec, tag, None
 
-    def add(self, vec: dict, tag: dict) -> bool:
-        """Insert a row; returns True if it increased the rank."""
-        vec, tag, pivot = self._reduce(vec, tag)
+    def add(self, vec: dict, tag: dict | None = None) -> bool:
+        """Insert a vector; returns True if it increased the rank.
+
+        A dependent tagged vector leaves its reduced tag in `nullrows`.
+        """
+        vec, tag, pivot = self.reduce(vec, tag)
         if pivot is None:
             if tag:
                 self.nullrows.append(tag)
             return False
-        inv = vec[pivot].inverse()
-        self.rows[pivot] = (vec_scale(vec, inv), vec_scale(tag, inv))
+        inv = 1 / vec.pop(pivot)
+        vec = {k: v * inv for k, v in vec.items()}
+        if tag is not None:
+            tag = {k: v * inv for k, v in tag.items()}
+        self.rows[pivot] = (vec, tag)
         return True
 
     def solve(self, target: dict):
-        """Express target over the added rows.
-
-        Returns a coefficient dict over tags, or None if the target is not in
-        the span.  Together with `nullrows`, this describes all solutions.
-        """
-        vec, tag, pivot = self._reduce(dict(target), {})
+        """Coefficients over the tags expressing target, or None if target is
+        not in the span.  With `nullrows` this describes every solution."""
+        _, tag, pivot = self.reduce(target, {})
         if pivot is not None:
             return None
         return {k: -v for k, v in tag.items()}
 
     def contains(self, vec: dict) -> bool:
-        reduced, _, pivot = self._reduce(dict(vec), {})
-        return pivot is None
+        return self.reduce(vec)[2] is None
 
     def rank(self) -> int:
         return len(self.rows)
+
+    def reduced_rows(self) -> dict:
+        """The reduced row echelon form: {pivot: tail} in pivot order, each
+        tail free of pivot keys (the pivot's own coefficient is 1)."""
+        out = {}
+        for p in sorted(self.rows, key=self._key, reverse=True):
+            row = dict(self.rows[p][0])
+            for k in [k for k in row if k in out]:
+                vec_add_scaled(row, out[k], -row.pop(k))
+            out[p] = row
+        return dict(reversed(out.items()))
+
+
+def solve_affine(rows, nvars: int):
+    """One solution of the system sum_j coeffs[j] * x_j = rhs over rows
+    [(coeffs, rhs)] with dense coefficient lists of length nvars.
+
+    Returns {j: x_j} for the nonzero x_j, with every free variable 0, or None
+    when the system is inconsistent.  The rhs sits in column nvars, after
+    every variable, so a pivot there is exactly an inconsistency.
+    """
+    solver = SpanSolver()
+    for coeffs, rhs in rows:
+        vec = {j: a for j, a in enumerate(coeffs) if a}
+        if rhs:
+            vec[nvars] = rhs
+        solver.add(vec)
+    reduced = solver.reduced_rows()
+    if nvars in reduced:
+        return None
+    return {p: tail[nvars] for p, tail in reduced.items() if nvars in tail}
 
 
 def solve_linear_combination(templates, target: dict):
     """Solve target = sum_i c_i * templates[i][1].
 
     templates: iterable of (label, vector) pairs.
-    Returns (coeffs: {label: RatFunc}, nullspace: [ {label: RatFunc} ]) or
+    Returns (coeffs: {label: value}, nullspace: [ {label: value} ]) or
     (None, nullspace) when the system is inconsistent.
     """
     solver = SpanSolver()

@@ -341,6 +341,11 @@ class RatFunc:
             return RF_ZERO
         return RatFunc(pmul(self.num, other.den), pmul(self.den, other.num))
 
+    def __rtruediv__(self, other: int) -> "RatFunc":
+        if not isinstance(other, int):
+            return NotImplemented
+        return RatFunc.from_int(other) / self
+
     def inverse(self) -> "RatFunc":
         if not self.num:
             raise QFieldError("division by zero in Q(q)")

@@ -16,6 +16,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import solve_affine
+
 
 class RootSystemError(ValueError):
     pass
@@ -387,32 +389,13 @@ def parse_root(rs: RootSystem, text: str) -> Root:
 def _solve_decomp(simples, target):
     """Express target over the simple-root coordinate vectors, or None."""
     n = len(simples)
-    dim = len(simples[0])
-    rows = [[simples[j][k] for j in range(n)] + [target[k]] for k in range(dim)]
-    piv = 0
-    cols = []
-    for col in range(n):
-        hit = next((r for r in range(piv, dim) if rows[r][col] != 0), None)
-        if hit is None:
-            continue
-        rows[piv], rows[hit] = rows[hit], rows[piv]
-        pr = rows[piv]
-        inv = Fraction(1) / pr[col]
-        rows[piv] = [x * inv for x in pr]
-        for r in range(dim):
-            if r != piv and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[piv])]
-        cols.append(col)
-        piv += 1
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(cols):
-        sol[col] = rows[r][n]
-    for r in range(piv, dim):
-        if rows[r][n] != 0:
-            return None
+    rows = [([s[k] for s in simples], t) for k, t in enumerate(target)]
+    found = solve_affine(rows, n)
+    if found is None:
+        return None
+    sol = [found.get(j, Fraction(0)) for j in range(n)]
     # verify and integrality
-    for k in range(dim):
+    for k in range(len(target)):
         if sum(sol[j] * simples[j][k] for j in range(n)) != target[k]:
             return None
     if any(x.denominator != 1 for x in sol):

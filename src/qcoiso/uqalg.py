@@ -18,7 +18,9 @@ the next degree up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
+from .linalg import SpanSolver, accumulate, vec_add_scaled
 from .qfield import RF_ONE, RatFunc, q_binomial
 from .rootsys import RootSystem
 
@@ -61,15 +63,7 @@ class NCPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return NCPoly(self.alg, out)
+        return NCPoly(self.alg, vec_add_scaled(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -137,37 +131,20 @@ class TensorElem:
         return isinstance(other, TensorElem) and self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TensorElem(self.alg, out)
+        return TensorElem(self.alg, vec_add_scaled(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + TensorElem(self.alg, {k: -c for k, c in other.terms.items()})
 
     def __mul__(self, other):
-        alg = self.alg
-        out = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                lt, lc = alg.term_mul(l1, l2)
-                rt, rc = alg.term_mul(r1, r2)
-                c = c1 * c2 * lc * rc
-                if not c:
-                    continue
-                key = (lt, rt)
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return TensorElem(alg, out)
+        tm = self.alg.term_mul
+        pairs = (
+            (tm(l1, l2), tm(r1, r2), c1 * c2)
+            for (l1, r1), c1 in self.terms.items()
+            for (l2, r2), c2 in other.terms.items()
+        )
+        terms = (((lt, rt), c * lc * rc) for (lt, lc), (rt, rc), c in pairs)
+        return TensorElem(self.alg, accumulate({}, terms))
 
 
 @dataclass
@@ -228,18 +205,9 @@ class UqBorel:
         return NCPoly(self, {(kexp, ()): RF_ONE})
 
     def from_terms(self, terms) -> NCPoly:
-        out = {}
-        for kexp, word, c in terms:
-            if not c:
-                continue
-            key = (tuple(kexp), tuple(word))
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return NCPoly(self, out)
+        return NCPoly(
+            self, accumulate({}, (((tuple(k), tuple(w)), c) for k, w, c in terms))
+        )
 
     def content_of(self, word):
         content = [0] * self.rank
@@ -270,20 +238,9 @@ class UqBorel:
     def nc_mul(self, a: NCPoly, b: NCPoly) -> NCPoly:
         if a.alg is not b.alg:
             raise UqAlgebraError("elements of different algebras")
-        out = {}
-        for t1, c1 in a.terms.items():
-            for t2, c2 in b.terms.items():
-                term, factor = self.term_mul(t1, t2)
-                c = c1 * c2 * factor
-                if not c:
-                    continue
-                s = out.get(term)
-                s = c if s is None else s + c
-                if s:
-                    out[term] = s
-                else:
-                    out.pop(term, None)
-        return NCPoly(self, out)
+        tm = self.term_mul
+        pairs = ((tm(t1, t2), c1 * c2) for t1, c1 in a.terms.items() for t2, c2 in b.terms.items())
+        return NCPoly(self, accumulate({}, ((term, c * f) for (term, f), c in pairs)))
 
     def q_bracket(self, a: NCPoly, b: NCPoly, k: int) -> NCPoly:
         """[a, b]_{q^k} = a b - q^k b a."""
@@ -306,42 +263,23 @@ class UqBorel:
 
     def coproduct(self, x: NCPoly) -> TensorElem:
         out = {}
-        zero_k = (0,) * self.rank
         for (kexp, word), coeff in x.terms.items():
             parts = {((kexp, ()), (kexp, ())): coeff}
             for l in word:
-                nxt = {}
-                kl = tuple(1 if i == l else 0 for i in range(self.rank))
-                for ((lk, lw), (rk, rw)), c in parts.items():
-                    # left := left * E_l, right := right * K_l (crossing)
-                    shift = -sum(
-                        self.cross[m][l] for m in rw
-                    )
-                    t1 = ((lk, lw + (l,)), (tuple(a + b for a, b in zip(rk, kl)), rw))
-                    c1 = c * RatFunc.q_power(shift)
-                    s = nxt.get(t1)
-                    s = c1 if s is None else s + c1
-                    if s:
-                        nxt[t1] = s
-                    else:
-                        nxt.pop(t1, None)
-                    # right := right * E_l
-                    t2 = ((lk, lw), (rk, rw + (l,)))
-                    s = nxt.get(t2)
-                    s = c if s is None else s + c
-                    if s:
-                        nxt[t2] = s
-                    else:
-                        nxt.pop(t2, None)
-                parts = nxt
-            for key, c in parts.items():
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                parts = accumulate({}, self._coproduct_step(parts, l))
+            vec_add_scaled(out, parts)
         return TensorElem(self, out)
+
+    def _coproduct_step(self, parts, l):
+        """Terms of parts * (E_l (x) K_l + 1 (x) E_l)."""
+        kl = tuple(1 if i == l else 0 for i in range(self.rank))
+        for ((lk, lw), (rk, rw)), c in parts.items():
+            # left := left * E_l, right := right * K_l (crossing)
+            shift = -sum(self.cross[m][l] for m in rw)
+            right = (tuple(a + b for a, b in zip(rk, kl)), rw)
+            yield ((lk, lw + (l,)), right), c * RatFunc.q_power(shift)
+            # right := right * E_l
+            yield ((lk, lw), (rk, rw + (l,))), c
 
     # -- the normal-form engine ------------------------------------------------
 
@@ -365,13 +303,7 @@ class UqBorel:
         return self._build_down_to(mu)
 
     def _build_down_to(self, mu):
-        todo = [()]
-        grid = []
-        for i, m in enumerate(mu):
-            grid.append(range(m + 1))
-        from itertools import product
-
-        subs = sorted(product(*grid), key=lambda v: (sum(v), v))
+        subs = sorted(product(*(range(m + 1) for m in mu)), key=lambda v: (sum(v), v))
         for sub in subs:
             if sub not in self._tables:
                 self._tables[sub] = self._build_table(sub)
@@ -392,7 +324,7 @@ class UqBorel:
         candidates.sort(key=self.order_key)
         col = {w: n for n, w in enumerate(candidates)}
         # relation rows: folded images of b . R for every Serre relation R
-        rows = []
+        relations = SpanSolver()
         for (i, j, rel) in self.serre_ideal.relations:
             rel_content = self.content_of(next(iter(rel.terms))[1])
             nu = tuple(m - c for m, c in zip(mu, rel_content))
@@ -403,26 +335,16 @@ class UqBorel:
                 for (_, w), c in rel.terms.items():
                     vec = self._fold_word(b, w[:-1], nu)
                     last = w[-1]
-                    for bw, cc in vec.items():
-                        key = col[bw + (last,)]
-                        s = row.get(key)
-                        s = c * cc if s is None else s + c * cc
-                        if s:
-                            row[key] = s
-                        else:
-                            row.pop(key, None)
-                if row:
-                    rows.append(row)
-        pivots = _rref(rows)
+                    accumulate(row, ((col[bw + (last,)], c * cc) for bw, cc in vec.items()))
+                relations.add(row)
+        pivots = relations.reduced_rows()
         basis = [w for w in candidates if col[w] not in pivots]
         # rewrite map: candidate word -> vector over the new basis
         expand = {}
         for w in candidates:
             n = col[w]
             if n in pivots:
-                expand[w] = {
-                    candidates[m]: -c for m, c in pivots[n].items() if m != n
-                }
+                expand[w] = {candidates[m]: -c for m, c in pivots[n].items()}
             else:
                 expand[w] = {w: RF_ONE}
         raise_map = {}
@@ -445,14 +367,7 @@ class UqBorel:
             rm = tbl.raise_map[l]
             nxt = {}
             for bw, c in vec.items():
-                for w2, c2 in rm[bw].items():
-                    s = nxt.get(w2)
-                    cc = c * c2
-                    s = cc if s is None else s + cc
-                    if s:
-                        nxt[w2] = s
-                    else:
-                        nxt.pop(w2, None)
+                vec_add_scaled(nxt, rm[bw], c)
             vec = nxt
         return vec
 
@@ -473,16 +388,7 @@ class UqBorel:
             if vec is None:
                 vec = self._fold_word((), word, (0,) * self.rank)
                 memo[word] = vec
-            key = (kexp, mu)
-            acc = out.setdefault(key, {})
-            for w2, c2 in vec.items():
-                s = acc.get(w2)
-                cc = c * c2
-                s = cc if s is None else s + cc
-                if s:
-                    acc[w2] = s
-                else:
-                    acc.pop(w2, None)
+            vec_add_scaled(out.setdefault((kexp, mu), {}), vec, c)
         return {k: v for k, v in out.items() if v}
 
     def nf_is_zero(self, x: NCPoly) -> bool:
@@ -500,15 +406,7 @@ class UqBorel:
             if rvec is None:
                 rvec = memo[rw] = self.nf_word(rw)
             for bl, cl in lvec.items():
-                for br, cr in rvec.items():
-                    key = (lk, bl, rk, br)
-                    s = acc.get(key)
-                    cc = c * cl * cr
-                    s = cc if s is None else s + cc
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
+                accumulate(acc, (((lk, bl, rk, br), c * cl * cr) for br, cr in rvec.items()))
         return not acc
 
     def load_tables(self, path) -> bool:
@@ -582,14 +480,7 @@ class UqBorel:
             coeffs, _ = solve_linear_combination(templates, target)
             if coeffs is None:
                 return None
-            for label, c in coeffs.items():
-                key = (kexp, label)
-                s = solution.get(key)
-                s = c if s is None else s + c
-                if s:
-                    solution[key] = s
-                else:
-                    solution.pop(key, None)
+            accumulate(solution, (((kexp, label), c) for label, c in coeffs.items()))
         return solution
 
     # -- membership in generator spans --------------------------------------
@@ -672,13 +563,7 @@ class UqBorel:
             sol, _ = solve_linear_combination(templates, target)
             if sol is None:
                 return None
-            for label, c in sol.items():
-                s = coeffs.get(label)
-                s = c if s is None else s + c
-                if s:
-                    coeffs[label] = s
-                else:
-                    coeffs.pop(label, None)
+            vec_add_scaled(coeffs, sol)
         residual = x
         for label, c in coeffs.items():
             residual = residual - c * used[label]
@@ -701,46 +586,6 @@ class _NFTable:
     raise_map: dict
 
 
-def _rref(rows):
-    """Full row reduction; returns {pivot column: reduced row (pivot 1)}."""
-    pivots = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            p = min(row)
-            hit = pivots.get(p)
-            if hit is None:
-                inv = row[p].inverse()
-                row = {k: v * inv for k, v in row.items()}
-                pivots[p] = row
-                break
-            c = row.pop(p)
-            for k, v in hit.items():
-                if k == p:
-                    continue
-                s = row.get(k)
-                s = -c * v if s is None else s - c * v
-                if s:
-                    row[k] = s
-                else:
-                    row.pop(k, None)
-    # back-substitute so tails only involve non-pivot columns
-    for p in sorted(pivots, reverse=True):
-        row = pivots[p]
-        for k in [k for k in row if k != p and k in pivots]:
-            c = row.pop(k)
-            for kk, vv in pivots[k].items():
-                if kk == k:
-                    continue
-                s = row.get(kk)
-                s = -c * vv if s is None else s - c * vv
-                if s:
-                    row[kk] = s
-                else:
-                    row.pop(kk, None)
-    return pivots
-
-
 def _compositions(total, parts):
     if parts == 1:
         yield (total,)
@@ -751,10 +596,7 @@ def _compositions(total, parts):
 
 
 def _subcontents(content):
-    ranges = [range(c + 1) for c in content]
-    from itertools import product
-
-    return sorted(product(*ranges))
+    return sorted(product(*(range(c + 1) for c in content)))
 
 
 def _words_of_content(content):
@@ -805,15 +647,7 @@ def tensor_coproduct_left(t: TensorElem):
     out = {}
     for ((lk, lw), right), c in t.terms.items():
         inner = alg.coproduct(NCPoly(alg, {(lk, lw): RF_ONE}))
-        for (a, b), c2 in inner.terms.items():
-            key = (a, b, right)
-            s = out.get(key)
-            cc = c * c2
-            s = cc if s is None else s + cc
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        accumulate(out, (((a, b, right), c * c2) for (a, b), c2 in inner.terms.items()))
     return out
 
 
@@ -822,13 +656,5 @@ def tensor_coproduct_right(t: TensorElem):
     out = {}
     for (left, (rk, rw)), c in t.terms.items():
         inner = alg.coproduct(NCPoly(alg, {(rk, rw): RF_ONE}))
-        for (a, b), c2 in inner.terms.items():
-            key = (left, a, b)
-            s = out.get(key)
-            cc = c * c2
-            s = cc if s is None else s + cc
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        accumulate(out, (((left, a, b), c * c2) for (a, b), c2 in inner.terms.items()))
     return out

@@ -16,7 +16,7 @@ Entries above the table degree cap are "unverified": a generator whose degree
 exceeds it, and a pair whose commutator is nonzero and of degree above it,
 which is decided from the generators' leading terms without forming the
 commutator whenever those terms prove it nonzero.  Generators and pairs run
-sequentially; the ``jobs`` argument is accepted and has no effect.
+sequentially.
 """
 
 from __future__ import annotations
@@ -33,9 +33,14 @@ from .classical import (
     check_coisotropic,
     check_master_equation,
     coisotropic_generators,
-    vadd,
 )
-from .linalg import solve_linear_combination
+from .linalg import (
+    SpanSolver,
+    accumulate,
+    solve_affine,
+    solve_linear_combination,
+    vec_add_scaled,
+)
 from .qfield import RF_ONE, RatFunc
 from .recipes import GeneratorRecipe, builtin_recipe, classical_limit_expr
 from .rootsys import Root, RootSystem, is_admissible
@@ -166,7 +171,7 @@ def _adjoined_generators(recipe: GeneratorRecipe, alg: UqBorel):
 
 
 def check_left_coideal(
-    recipe: GeneratorRecipe, alg: UqBorel, maxdeg: int | None = None, jobs: int = 1
+    recipe: GeneratorRecipe, alg: UqBorel, maxdeg: int | None = None
 ) -> list:
     """Per-generator coideal outcomes for Delta(g) in B (x) U_q."""
     if maxdeg is None:
@@ -187,18 +192,8 @@ def check_left_coideal(
         # expand right legs over the quotient basis, bucket by (kexp, word)
         buckets = {}
         for ((lk, lw), (rk, rw)), c in delta.terms.items():
-            nf = alg.nf_word(rw)
-            for bw, c2 in nf.items():
-                key = (rk, bw)
-                acc = buckets.setdefault(key, {})
-                term = (lk, lw)
-                s = acc.get(term)
-                cc = c * c2
-                s = cc if s is None else s + cc
-                if s:
-                    acc[term] = s
-                else:
-                    acc.pop(term, None)
+            for bw, c2 in alg.nf_word(rw).items():
+                accumulate(buckets.setdefault((rk, bw), {}), [((lk, lw), c * c2)])
         certs = []
         for (rk, bw) in sorted(buckets, key=lambda t: (t[0], len(t[1]), t[1])):
             b_alpha = NCPoly(alg, buckets[(rk, bw)])
@@ -279,7 +274,7 @@ def _commutator_provably_nonzero(alg, a: NCPoly, b: NCPoly) -> bool:
 
 
 def check_flatness(
-    recipe: GeneratorRecipe, alg: UqBorel, maxdeg: int | None = None, jobs: int = 1
+    recipe: GeneratorRecipe, alg: UqBorel, maxdeg: int | None = None
 ) -> list:
     """Per-pair flatness outcomes; see the module docstring for the scheme."""
     egens = recipe.evaluate(alg)
@@ -347,14 +342,8 @@ def check_flatness(
 def _nf_vector(alg, poly):
     """Normal-form coordinates of a single-weight element, keyed by word."""
     out = {}
-    for _, nf in alg.nf_components(poly).items():
-        for w, c in nf.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+    for nf in alg.nf_components(poly).values():
+        vec_add_scaled(out, nf)
     return out
 
 
@@ -425,8 +414,9 @@ def _vec_shift(vec, k):
     return {label: c.shift_at_one(k) for label, c in vec.items()}
 
 
-def _vec_value_at_one(vec, labels):
-    return [vec.get(l, RatFunc.from_int(0)).eval_at_one() if l in vec else Fraction(0) for l in labels]
+def _vec_value_at_one(vec):
+    """Values at q = 1 of a vector regular there, zeros dropped."""
+    return {label: x for label, c in vec.items() if (x := c.eval_at_one())}
 
 
 def _fit_q1_constraints(particular, nullspace, degree_one):
@@ -446,25 +436,14 @@ def _fit_q1_constraints(particular, nullspace, degree_one):
     labels = sorted(set(particular).union(*basis) if basis else set(particular))
     # saturate: replace rational dependencies at q=1 by their (q-1) quotients
     for _ in range(200):
-        values = [_vec_value_at_one(vec, labels) for vec in basis]
+        values = [_vec_value_at_one(vec) for vec in basis]
         dep = _rational_dependency(values)
         if dep is None:
             break
         combo = {}
-        pick = None
-        for c, vec in zip(dep, basis):
-            if not c:
-                continue
-            pick = vec if pick is None else pick
-            cc = RatFunc.from_fraction(c)
-            for label, v in vec.items():
-                s = combo.get(label)
-                s = cc * v if s is None else s + cc * v
-                if s:
-                    combo[label] = s
-                else:
-                    combo.pop(label, None)
-        idx = next(i for i, c in enumerate(dep) if c)
+        for idx in sorted(dep):
+            vec_add_scaled(combo, basis[idx], RatFunc.from_fraction(dep[idx]))
+        idx = min(dep)
         if not combo:
             basis.pop(idx)
             continue
@@ -472,7 +451,11 @@ def _fit_q1_constraints(particular, nullspace, degree_one):
         basis[idx] = _vec_shift(combo, -k)
     else:
         return None
-    # clear poles from the particular using the saturated directions
+    # clear poles from the particular using the saturated directions, whose
+    # values at 1 are independent, so each expression below is unique
+    span = SpanSolver()
+    for idx, value in enumerate(values):
+        span.add(value, {idx: Fraction(1)})
     part = dict(particular)
     for _ in range(200):
         if not part:
@@ -480,151 +463,41 @@ def _fit_q1_constraints(particular, nullspace, degree_one):
         k = _vec_order_at_one(part)
         if k >= 0:
             break
-        lead = _vec_value_at_one(_vec_shift(part, -k), labels)
-        coeffs = _express_rational(lead, [_vec_value_at_one(v, labels) for v in basis])
+        coeffs = span.solve(_vec_value_at_one(_vec_shift(part, -k)))
         if coeffs is None:
             return None
-        for c, vec in zip(coeffs, basis):
-            if not c:
-                continue
-            cc = RatFunc.from_fraction(-c).shift_at_one(k)
-            for label, v in vec.items():
-                s = part.get(label)
-                s = cc * v if s is None else s + cc * v
-                if s:
-                    part[label] = s
-                else:
-                    part.pop(label, None)
+        for idx in sorted(coeffs):
+            c = RatFunc.from_fraction(-coeffs[idx]).shift_at_one(k)
+            vec_add_scaled(part, basis[idx], c)
     else:
         return None
     if part and _vec_order_at_one(part) < 0:
         return None
-    constrained = sorted(l for l in labels if l not in degree_one)
-    rows = []
-    for label in constrained:
-        coeffs = [
-            vec.get(label, RatFunc.from_int(0)).eval_at_one() if label in vec else Fraction(0)
-            for vec in basis
-        ]
-        rhs = part.get(label)
-        rhs = -rhs.eval_at_one() if rhs is not None else Fraction(0)
-        rows.append((coeffs, rhs))
-    ts = _solve_rational(rows, len(basis))
+    part_values = _vec_value_at_one(part)
+    zero = Fraction(0)
+    rows = [
+        ([value.get(label, zero) for value in values], -part_values.get(label, zero))
+        for label in labels
+        if label not in degree_one
+    ]
+    ts = solve_affine(rows, len(basis))
     if ts is None:
         return None
     out = dict(part)
-    for t, vec in zip(ts, basis):
-        if not t:
-            continue
-        tc = RatFunc.from_fraction(t)
-        for label, c in vec.items():
-            s = out.get(label)
-            s = tc * c if s is None else s + tc * c
-            if s:
-                out[label] = s
-            else:
-                out.pop(label, None)
+    for idx, t in ts.items():
+        vec_add_scaled(out, basis[idx], RatFunc.from_fraction(t))
     return out
 
 
 def _rational_dependency(values):
-    """A nontrivial rational dependency among the value vectors, or None."""
-    n = len(values)
-    if n == 0:
-        return None
-    cols = sorted({i for v in values for i, x in enumerate(v) if x})
-    rows = [[v[c] for c in cols] + [Fraction(1 if k == j else 0) for j in range(n)] for k, v in enumerate(values)]
-    width = len(cols)
-    r = 0
-    for col in range(width):
-        hit = next((k for k in range(r, n) if rows[k][col]), None)
-        if hit is None:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for k in range(n):
-            if k != r and rows[k][col]:
-                f = rows[k][col]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        r += 1
-        if r == n:
-            return None
-    for k in range(r, n):
-        if not any(rows[k][:width]):
-            return rows[k][width:]
+    """{index: coefficient} of a nontrivial rational dependency among the
+    value vectors, or None when they are independent.  The dependency is the
+    tag of the first vector in the span of the ones before it."""
+    span = SpanSolver()
+    for idx, value in enumerate(values):
+        if not span.add(value, {idx: Fraction(1)}):
+            return span.nullrows[-1]
     return None
-
-
-def _express_rational(target, values):
-    """Coefficients writing target over the value vectors, or None."""
-    n = len(values)
-    cols = sorted(
-        {i for v in values for i, x in enumerate(v) if x}
-        | {i for i, x in enumerate(target) if x}
-    )
-    rows = [([v[c] for c in cols], k) for k, v in enumerate(values)]
-    aug = [list(vec) + [Fraction(1 if j == k else 0) for j in range(n)] for vec, k in rows]
-    t = [target[c] for c in cols]
-    width = len(cols)
-    # eliminate target against the rows
-    pivots = {}
-    r = 0
-    for col in range(width):
-        hit = next((k for k in range(r, n) if aug[k][col]), None)
-        if hit is None:
-            continue
-        aug[r], aug[hit] = aug[hit], aug[r]
-        inv = Fraction(1) / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for k in range(n):
-            if k != r and aug[k][col]:
-                f = aug[k][col]
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[r])]
-        pivots[col] = r
-        r += 1
-    combo = [Fraction(0)] * n
-    for col in range(width):
-        if t[col]:
-            hit = pivots.get(col)
-            if hit is None:
-                return None
-            f = t[col]
-            row = aug[hit]
-            for c2 in range(width):
-                t[c2] -= f * row[c2]
-            for j in range(n):
-                combo[j] += f * row[width + j]
-    if any(t):
-        return None
-    return combo
-
-
-def _solve_rational(rows, nvars):
-    """Solve the affine rational system; returns one solution or None."""
-    aug = [list(coeffs) + [rhs] for coeffs, rhs in rows]
-    piv_cols = []
-    r = 0
-    for col in range(nvars):
-        hit = next((k for k in range(r, len(aug)) if aug[k][col]), None)
-        if hit is None:
-            continue
-        aug[r], aug[hit] = aug[hit], aug[r]
-        inv = Fraction(1) / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for k in range(len(aug)):
-            if k != r and aug[k][col]:
-                f = aug[k][col]
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[r])]
-        piv_cols.append(col)
-        r += 1
-    for k in range(r, len(aug)):
-        if aug[k][nvars]:
-            return None
-    sol = [Fraction(0)] * nvars
-    for row_idx, col in enumerate(piv_cols):
-        sol[col] = aug[row_idx][nvars]
-    return sol
 
 
 def check_semiclassical(recipe: GeneratorRecipe, flatness: list, cb) -> bool:
@@ -650,7 +523,7 @@ def check_semiclassical(recipe: GeneratorRecipe, flatness: list, cb) -> bool:
         for label, c in coeffs.items():
             if "*" in label:
                 continue
-            vadd(expected, limits[label], c.eval_at_one())
+            vec_add_scaled(expected, limits[label], c.eval_at_one())
         if bracket != expected:
             return False
     return True
@@ -660,7 +533,7 @@ def _semiclassical_k(recipe, cb):
     out = {}
     for i, c in enumerate(recipe.k_monomial):
         if c:
-            vadd(out, cb.h(i), Fraction(c * cb.rs.symmetrizers[i]))
+            vec_add_scaled(out, cb.h(i), Fraction(c * cb.rs.symmetrizers[i]))
     return out
 
 
@@ -752,7 +625,6 @@ def run_full_verification(
     beta: Root,
     maxdeg: int | None = None,
     recipe: GeneratorRecipe | None = None,
-    jobs: int = 1,
     degree_cap: int = 14,
     cache_path=None,
 ) -> VerificationReport:
@@ -822,14 +694,14 @@ def run_full_verification(
 
     t0 = time.monotonic()
     try:
-        report.coideal = check_left_coideal(recipe, alg, maxdeg=maxdeg, jobs=jobs)
+        report.coideal = check_left_coideal(recipe, alg, maxdeg=maxdeg)
     except DegreeOverflowError as exc:
         report.stage_error = f"coideal: {exc}"
         return report
     report.timings["coideal"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    report.flatness = check_flatness(recipe, alg, maxdeg=maxdeg, jobs=jobs)
+    report.flatness = check_flatness(recipe, alg, maxdeg=maxdeg)
     report.timings["flatness"] = time.monotonic() - t0
 
     t0 = time.monotonic()

@@ -329,7 +329,8 @@ def test_criterion_7_e6_smoke():
     # classical-limit consistency for the shortest rows
     cb = build_realization(rs)
     pi = build_r_matrix(cb)
-    from qcoiso.classical import FractionSpan, vadd
+    from qcoiso.classical import FractionSpan
+    from qcoiso.linalg import vec_add_scaled
 
     rows = sorted(table.values(), key=lambda r: (sum(r.beta.decomp), r.beta.decomp))
     for recipe in rows[:9]:
@@ -343,7 +344,7 @@ def test_criterion_7_e6_smoke():
         cartan = {}
         for i, c in enumerate(recipe.k_monomial):
             if c:
-                vadd(cartan, cb.h(i), c * rs.symmetrizers[i])
+                vec_add_scaled(cartan, cb.h(i), c * rs.symmetrizers[i])
         assert span.contains(cartan)
     # deep rows are reported as unverified at the configured degree, exactly
     # where the generator degrees exceed the cap

@@ -13,8 +13,8 @@ from qcoiso.classical import (
     check_master_equation,
     coisotropic_generators,
     killing_lambda,
-    vadd,
 )
+from qcoiso.linalg import vec_add_scaled
 from qcoiso.rootsys import (
     CartanType,
     build_root_system,
@@ -69,9 +69,9 @@ def test_traceless_and_form_antisymmetry():
 
 def jacobi_defect(cb, x, y, z):
     out = {}
-    vadd(out, cb.bracket(x, cb.bracket(y, z)))
-    vadd(out, cb.bracket(y, cb.bracket(z, x)))
-    vadd(out, cb.bracket(z, cb.bracket(x, y)))
+    vec_add_scaled(out, cb.bracket(x, cb.bracket(y, z)))
+    vec_add_scaled(out, cb.bracket(y, cb.bracket(z, x)))
+    vec_add_scaled(out, cb.bracket(z, cb.bracket(x, y)))
     return out
 
 
@@ -187,7 +187,7 @@ def test_coisotropic_generators_sl():
         assert span.contains(cb.e(parse_root(rs, lit)))
     cartan = {}
     for i in range(3):
-        vadd(cartan, cb.h(i))
+        vec_add_scaled(cartan, cb.h(i))
     assert span.contains(cartan)
 
 
@@ -204,7 +204,7 @@ def test_coisotropic_generators_g2():
         span.add(g)
     for lit in ["a1", "2a1+a2", "3a1+a2"]:
         assert span.contains(cb.e(parse_root(rs, lit)))
-    assert span.contains(vadd(dict(cb.h(0)), cb.h(1)))
+    assert span.contains(vec_add_scaled(dict(cb.h(0)), cb.h(1)))
 
     beta = parse_root(rs, "3a1+2a2")
     gens = coisotropic_generators(cb, ad_bivector(cb, cb.e(beta), pi))
@@ -214,7 +214,7 @@ def test_coisotropic_generators_g2():
         span.add(g)
     for lit in ["a2", "a1+a2", "2a1+a2", "3a1+a2", "3a1+2a2"]:
         assert span.contains(cb.e(parse_root(rs, lit)))
-    assert span.contains(vadd(dict(cb.h(0)), cb.h(1), Fraction(2)))
+    assert span.contains(vec_add_scaled(dict(cb.h(0)), cb.h(1), Fraction(2)))
 
 
 def test_coisotropic_generators_zero():

@@ -94,6 +94,16 @@ def test_verify_exit_codes_and_determinism(capsys, tmp_path):
     assert payload["verdict"] == "pass"
 
 
+def test_verify_jobs_flag_is_ignored(capsys):
+    args = [
+        "verify", "--type", "C", "--rank", "2", "--beta", "2L1",
+        "--no-timings", "--format", "json",
+    ]
+    code1, out1, _ = run_cli(capsys, *args, "--jobs", "1")
+    code3, out3, _ = run_cli(capsys, *args, "--jobs", "3")
+    assert (code3, out3) == (code1, out1)
+
+
 def test_verify_failure_exit_code(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--type", "C", "--rank", "2", "--beta", "L1-L2",

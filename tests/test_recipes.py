@@ -6,8 +6,8 @@ from qcoiso.classical import (
     build_r_matrix,
     build_realization,
     coisotropic_generators,
-    vadd,
 )
+from qcoiso.linalg import vec_add_scaled
 from qcoiso.recipes import (
     Gen,
     QBr,
@@ -126,7 +126,7 @@ def test_builtin_recipes_lift_classical_generators(series, rank, lit):
     cartan = {}
     for i, c in enumerate(recipe.k_monomial):
         if c:
-            vadd(cartan, cb.h(i), c * rs.symmetrizers[i])
+            vec_add_scaled(cartan, cb.h(i), c * rs.symmetrizers[i])
     assert span.contains(cartan)
     # counting: E-generators + the K-monomial match the classical span
     assert len(recipe.generators) + 1 == len(gens)
@@ -221,5 +221,5 @@ def test_e6_shortest_recipes_lift_classically():
         cartan = {}
         for i, c in enumerate(recipe.k_monomial):
             if c:
-                vadd(cartan, cb.h(i), c * rs.symmetrizers[i])
+                vec_add_scaled(cartan, cb.h(i), c * rs.symmetrizers[i])
         assert span.contains(cartan)
