@@ -70,7 +70,6 @@ def _build_parser():
     _add_type_rank(p, required=False)
     p.add_argument("--beta", help="root literal")
     p.add_argument("--recipe", help="path to a recipe document (JSON)")
-    p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--degree-cap", type=int, default=14, help="hard table ceiling")
     p.add_argument(
         "--jobs", type=int, default=1, help="accepted and ignored; verification runs sequentially"
@@ -186,7 +185,6 @@ def cmd_verify(args) -> int:
     report = run_full_verification(
         rs,
         beta,
-        maxdeg=args.max_degree,
         recipe=recipe,
         degree_cap=args.degree_cap,
         cache_path=_cache_path(rs),

@@ -430,11 +430,8 @@ def _canonical_pair(num: IntPoly, den: IntPoly):
     # polynomial gcd, skipped when the denominator is a monomial
     if not is_pmono(den) and not is_pmono(num) and pdeg(den) > 0 and pdeg(num) > 0:
         g = pgcd(num, den)
-        if pdeg(g) > 0 or g != P_ONE:
-            if g != P_ONE:
-                num, den = pdiv_exact(num, g), pdiv_exact(den, g)
-    elif pdeg(den) > 0 and is_pmono(num):
-        pass  # q-power already removed; monomial shares no other factor
+        if g != P_ONE:
+            num, den = pdiv_exact(num, g), pdiv_exact(den, g)
     # integer content and sign
     c = _int_gcd(pcontent(num), pcontent(den))
     if den[-1] < 0:

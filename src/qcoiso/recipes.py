@@ -533,7 +533,7 @@ def _expr_to_json(expr):
     raise RecipeError(f"bad expression node {expr!r}")
 
 
-def parse_recipe(doc: dict, validate_nonzero: bool = True) -> GeneratorRecipe:
+def parse_recipe(doc: dict) -> GeneratorRecipe:
     try:
         ctype = CartanType(doc["type"], int(doc["rank"]))
     except (KeyError, TypeError, RootSystemError) as exc:
@@ -549,6 +549,10 @@ def parse_recipe(doc: dict, validate_nonzero: bool = True) -> GeneratorRecipe:
     kmono = tuple(int(c) for c in kmono)
     if len(kmono) != rs.rank:
         raise RecipeError("k_monomial: wrong length")
+    # generator products are enumerated down to their target K-exponent,
+    # which only terminates when no exponent is negative
+    if min(kmono) < 0:
+        raise RecipeError("k_monomial: entries must be non-negative")
     aux = {}
     for name, e in (doc.get("auxiliaries") or {}).items():
         aux[name] = _expr_from_json(e, rs.rank, f"auxiliaries.{name}", aux)
@@ -569,9 +573,8 @@ def parse_recipe(doc: dict, validate_nonzero: bool = True) -> GeneratorRecipe:
         auxiliaries=aux,
         power_assignment=str(doc.get("power_assignment", "explicit")),
     )
-    if validate_nonzero:
-        alg = UqBorel(rs, max_degree=max(recipe.max_degree(), 1))
-        recipe.evaluate(alg)
+    # raises when a generator evaluates to zero
+    recipe.evaluate(UqBorel(rs, max_degree=max(recipe.max_degree(), 1)))
     return recipe
 
 

@@ -149,13 +149,10 @@ class TensorElem:
 
 @dataclass
 class SerreIdeal:
-    """The two-sided q-Serre ideal, with its per-degree quotient machinery."""
+    """The two-sided q-Serre ideal, given by its defining relations."""
 
     alg: "UqBorel"
     relations: list  # [(i, j, NCPoly)]
-
-    def quotient_basis(self, degree, word_order=None):
-        return self.alg.quotient_basis(degree, word_order)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +429,8 @@ class UqBorel:
         with open(path, "wb") as fh:
             pickle.dump({"word_order": self.word_order, "tables": self._tables}, fh)
 
-    def quotient_basis(self, degree: int, word_order=None):
+    def quotient_basis(self, degree: int):
         """Words representing a basis of the degree-d quotient component."""
-        if word_order is not None and word_order != self.word_order:
-            raise UqAlgebraError("word order is fixed per algebra instance")
         out = []
         for mu in _compositions(degree, self.rank):
             out.extend(self.table(mu).basis)
@@ -485,22 +480,23 @@ class UqBorel:
 
     # -- membership in generator spans --------------------------------------
 
-    def generator_products(self, gens, kexp, weight, maxdeg, min_factors=1):
+    def generator_products(self, gens, kexp, weight, min_factors=0):
         """Ordered products of the named generators matching a multidegree.
 
         gens: [(name, NCPoly)] with each value multihomogeneous.  Returns
-        [(label, product NCPoly, factor count)] for every sequence (with
-        repetition, all orderings) whose K-exponents and word contents sum to
-        the target and whose total degree stays within maxdeg.
+        [(label, product NCPoly, factor count)] for every sequence of at least
+        min_factors generators (with repetition, all orderings) whose
+        K-exponents and word contents sum to the target.  With non-negative
+        K-exponents the target bounds the search, as every generator used has
+        a nonzero K-exponent or content.
         """
         data = []
         for name, poly in gens:
             (gk, gw), = poly.components().keys()
-            deg = sum(gw)
-            data.append((name, poly, gk, gw, deg))
+            data.append((name, poly, gk, gw))
         out = []
 
-        def rec(seq, rk, rw, rdeg):
+        def rec(seq, rk, rw):
             if not any(rk) and not any(rw):
                 if len(seq) >= min_factors:
                     if seq:
@@ -512,9 +508,7 @@ class UqBorel:
                         prod, label = self.one(), "1"
                     out.append((label, prod, len(seq)))
                 return
-            for idx, (name, poly, gk, gw, deg) in enumerate(data):
-                if deg > rdeg:
-                    continue
+            for idx, (name, poly, gk, gw) in enumerate(data):
                 if any(a > b for a, b in zip(gk, rk)):
                     continue
                 if any(a > b for a, b in zip(gw, rw)):
@@ -525,59 +519,58 @@ class UqBorel:
                     seq + [idx],
                     tuple(a - b for a, b in zip(rk, gk)),
                     tuple(a - b for a, b in zip(rw, gw)),
-                    rdeg - deg,
                 )
 
-        rec([], tuple(kexp), tuple(weight), maxdeg)
+        rec([], tuple(kexp), tuple(weight))
         out.sort(key=lambda t: t[0])
         return out
 
-    def subspace_membership(self, x: NCPoly, gens, maxdeg: int):
-        """Decide x in span{ordered generator products, degree <= maxdeg} + ideal.
+    def subspace_membership(self, x: NCPoly, gens, min_factors=0):
+        """Decide x in span{ordered products of >= min_factors gens} + ideal.
 
-        Returns ({product label: coefficient}, residual NCPoly) or None; the
-        residual is the ideal part x - sum(coeff * product), always normal-form
-        zero when a solution is returned.
+        Each component (kexp, content) of x is solved on its own, against the
+        generator products with that K-exponent and content.  Returns
+        (coefficients or None, nullspace, {label: (product, factor count)}):
+        the coefficients express x modulo the ideal, the nullspace holds the
+        relations among the products modulo the ideal, and the map has every
+        product tried.  Solving stops at the first component outside the span.
         """
         from .linalg import solve_linear_combination
 
-        comps = x.components()
-        if not comps:
-            return {}, self.zero()
-        coeffs = {}
-        used = {}
-        for (kexp, mu), comp in comps.items():
-            products = self.generator_products(gens, kexp, mu, maxdeg, min_factors=0)
+        coeffs, nullspace, products = {}, [], {}
+        for (kexp, mu), comp in x.components().items():
             templates = []
-            for label, poly, _ in products:
-                vec = {}
-                for key, nf in self.nf_components(poly).items():
-                    for w, c in nf.items():
-                        vec[(key[0], w)] = c
-                templates.append((label, vec))
-                used[label] = poly
-            target = {}
-            for key, nf in self.nf_components(comp).items():
-                for w, c in nf.items():
-                    target[(key[0], w)] = c
-            sol, _ = solve_linear_combination(templates, target)
+            for label, poly, nfactors in self.generator_products(gens, kexp, mu, min_factors):
+                products[label] = (poly, nfactors)
+                templates.append((label, self._word_nf(poly)))
+            sol, null = solve_linear_combination(templates, self._word_nf(comp))
+            nullspace.extend(null)
             if sol is None:
-                return None
+                return None, nullspace, products
             vec_add_scaled(coeffs, sol)
-        residual = x
+        return coeffs, nullspace, products
+
+    def _word_nf(self, x: NCPoly):
+        """Normal form of a multihomogeneous x, keyed by basis word alone."""
+        return next(iter(self.nf_components(x).values()), {})
+
+    def combination(self, coeffs, polys) -> NCPoly:
+        """sum(c * polys[label] for label, c in coeffs.items()), in one pass."""
+        acc = {}
         for label, c in coeffs.items():
-            residual = residual - c * used[label]
-        return coeffs, residual
+            vec_add_scaled(acc, polys[label].terms, c)
+        return NCPoly(self, acc)
 
     def expand_ideal_certificate(self, coeffs) -> NCPoly:
-        out = self.zero()
-        for (kexp, (u, (i, j), v)), c in coeffs.items():
-            rel = next(r for (a, b, r) in self.serre_ideal.relations if (a, b) == (i, j))
+        rels = {(i, j): rel for i, j, rel in self.serre_ideal.relations}
+        polys = {}
+        for key in coeffs:
+            kexp, (u, ij, v) = key
             ku = self.k_monomial(kexp)
             pu = NCPoly(self, {((0,) * self.rank, u): RF_ONE})
             pv = NCPoly(self, {((0,) * self.rank, v): RF_ONE})
-            out = out + c * (ku * pu * rel * pv)
-        return out
+            polys[key] = ku * pu * rels[ij] * pv
+        return self.combination(coeffs, polys)
 
 
 @dataclass

@@ -6,7 +6,8 @@ that every left coefficient lies in the span of generator products modulo the
 q-Serre ideal.  The flatness check expresses each commutator of generators as
 (degree-one part) + (coefficients vanishing at q = 1) * (generator products)
 modulo the ideal, in two phases: an exact affine solve over Q(q), then a
-rational solve for the q = 1 constraints over the solution set.
+rational solve for the q = 1 constraints over the solution set.  Both checks
+solve through the one product-span solve, `UqBorel.subspace_membership`.
 
 Every certificate re-expands exactly against its target; ideal parts are
 certified by an explicit relation combination when small and by the quotient
@@ -170,12 +171,8 @@ def _adjoined_generators(recipe: GeneratorRecipe, alg: UqBorel):
     return gens
 
 
-def check_left_coideal(
-    recipe: GeneratorRecipe, alg: UqBorel, maxdeg: int | None = None
-) -> list:
+def check_left_coideal(recipe: GeneratorRecipe, alg: UqBorel) -> list:
     """Per-generator coideal outcomes for Delta(g) in B (x) U_q."""
-    if maxdeg is None:
-        maxdeg = recipe.max_degree() + 2
     gens = _adjoined_generators(recipe, alg)
 
     def run_one(item):
@@ -199,15 +196,16 @@ def check_left_coideal(
             b_alpha = NCPoly(alg, buckets[(rk, bw)])
             if b_alpha.is_zero():
                 continue
-            hit = alg.subspace_membership(b_alpha, gens, maxdeg)
+            coeffs, _, products = alg.subspace_membership(b_alpha, gens)
             right = _render_right_leg(rk, bw)
-            if hit is None:
+            if coeffs is None:
                 witness = (
                     f"left coefficient of {right} is outside the generator span: "
                     f"{b_alpha.render()}"
                 )
                 return GeneratorOutcome(name, "fail", certs, witness)
-            coeffs, residual = hit
+            polys = {label: poly for label, (poly, _) in products.items()}
+            residual = b_alpha - alg.combination(coeffs, polys)
             ok, detail = _ideal_part_certificate(alg, residual)
             detail["right_leg"] = right
             certs.append(
@@ -225,17 +223,19 @@ def check_left_coideal(
 
 
 def _reexpand_ok(alg, target, coeffs, gens, residual):
+    """Re-multiply every labelled product from the generators, independently
+    of the products the solve used, and check the combination."""
     gen_map = dict(gens)
-    acc = alg.zero()
-    for label, c in coeffs.items():
+    polys = {}
+    for label in coeffs:
         if label == "1":
             prod = alg.one()
         else:
             prod = None
             for part in label.split("*"):
                 prod = gen_map[part] if prod is None else alg.nc_mul(prod, gen_map[part])
-        acc = acc + c * prod
-    return (acc + residual) == target
+        polys[label] = prod
+    return (alg.combination(coeffs, polys) + residual) == target
 
 
 def _render_right_leg(kexp, word):
@@ -273,13 +273,9 @@ def _commutator_provably_nonzero(alg, a: NCPoly, b: NCPoly) -> bool:
     return wa + wb != wb + wa
 
 
-def check_flatness(
-    recipe: GeneratorRecipe, alg: UqBorel, maxdeg: int | None = None
-) -> list:
+def check_flatness(recipe: GeneratorRecipe, alg: UqBorel) -> list:
     """Per-pair flatness outcomes; see the module docstring for the scheme."""
     egens = recipe.evaluate(alg)
-    if maxdeg is None:
-        maxdeg = recipe.max_degree() + 2
     pairs = []
     for i in range(len(egens)):
         for j in range(i + 1, len(egens)):
@@ -309,11 +305,10 @@ def check_flatness(
                 "flatness-pair", {}, True, {"commutator": "zero"}
             ).to_json()
             return entry
-        mu = alg.weight_of(c_poly)
-        need = sum(mu)
+        need = sum(alg.weight_of(c_poly))
         if need > alg.max_degree:
             return over_cap(entry, need)
-        result = _solve_flatness_pair(alg, c_poly, mu, egens, maxdeg)
+        result = _solve_flatness_pair(alg, c_poly, egens)
         entry.update(result)
         return entry
 
@@ -339,14 +334,6 @@ def check_flatness(
     return out
 
 
-def _nf_vector(alg, poly):
-    """Normal-form coordinates of a single-weight element, keyed by word."""
-    out = {}
-    for nf in alg.nf_components(poly).values():
-        vec_add_scaled(out, nf)
-    return out
-
-
 def _crossing_exponent(alg, kexp, g: NCPoly):
     word = next(iter(g.terms))[1]
     return sum(
@@ -354,24 +341,14 @@ def _crossing_exponent(alg, kexp, g: NCPoly):
     )
 
 
-def _solve_flatness_pair(alg, c_poly, mu, egens, maxdeg):
-    zero_k = (0,) * alg.rank
-    templates = []
-    degree_one = set()
-    products = alg.generator_products(egens, zero_k, mu, max(maxdeg, sum(mu)))
-    poly_of = {}
-    for label, poly, nfactors in products:
-        templates.append((label, _nf_vector(alg, poly)))
-        poly_of[label] = poly
-        if nfactors == 1:
-            degree_one.add(label)
-    target = _nf_vector(alg, c_poly)
-    particular, nullspace = solve_linear_combination(templates, target)
+def _solve_flatness_pair(alg, c_poly, egens):
+    particular, nullspace, products = alg.subspace_membership(c_poly, egens, min_factors=1)
     if particular is None:
         return {
             "verdict": "fail",
             "note": "commutator is outside span(products) + ideal",
         }
+    degree_one = {label for label, (_, nfactors) in products.items() if nfactors == 1}
     solution = _fit_q1_constraints(particular, nullspace, degree_one)
     if solution is None:
         return {
@@ -388,9 +365,8 @@ def _solve_flatness_pair(alg, c_poly, mu, egens, maxdeg):
             v1 = coeffs[label].eval_at_one()
             if v1:
                 xprime_parts.append(f"{v1}*{label}")
-    residual = c_poly
-    for label, c in coeffs.items():
-        residual = residual - c * poly_of[label]
+    polys = {label: poly for label, (poly, _) in products.items()}
+    residual = c_poly - alg.combination(coeffs, polys)
     ok, detail = _ideal_part_certificate(alg, residual)
     cert = Certificate(
         kind="flatness-pair",
@@ -547,15 +523,6 @@ class IdentitySolution:
     nullspace_dim: int
     certificate: Certificate
 
-    def contains(self, candidate: dict, templates, target) -> bool:
-        """Whether a labelled coefficient vector solves the identity."""
-        alg = target.alg
-        acc = alg.zero()
-        t_map = dict(templates)
-        for label, c in candidate.items():
-            acc = acc + c * t_map[label]
-        return acc == target
-
 
 def solve_identity(target: NCPoly, templates, ideal_mode: bool = False):
     """Exact solve of target = sum c_i template_i in the free word model.
@@ -577,14 +544,10 @@ def solve_identity(target: NCPoly, templates, ideal_mode: bool = False):
     coeffs, nullspace = solve_linear_combination(vec_templates, dict(target.terms))
     if coeffs is None:
         return None
-    acc = alg.zero()
-    t_map = dict(templates)
-    for label, c in coeffs.items():
-        acc = acc + c * t_map[label]
     cert = Certificate(
         kind="identity-solution",
         coefficients=coeffs,
-        residual_check=(acc == target),
+        residual_check=(alg.combination(coeffs, dict(templates)) == target),
         detail={"nullspace_dim": len(nullspace)},
     )
     return IdentitySolution(coeffs, len(nullspace), cert)
@@ -623,7 +586,6 @@ def check_qcommute_closure(alg, a, b, c, pa, pb, pc, mirror=False):
 def run_full_verification(
     rs: RootSystem,
     beta: Root,
-    maxdeg: int | None = None,
     recipe: GeneratorRecipe | None = None,
     degree_cap: int = 14,
     cache_path=None,
@@ -683,10 +645,9 @@ def run_full_verification(
         return report
     report.timings["classical_limit"] = time.monotonic() - t0
 
-    if maxdeg is None:
-        maxdeg = recipe.max_degree() + 2
-    pair_need = 2 * recipe.max_degree()
-    table_cap = min(max(maxdeg, pair_need), degree_cap)
+    # coideal components have degree at most d and commutators at most 2d
+    d = recipe.max_degree()
+    table_cap = min(max(d + 2, 2 * d), degree_cap)
     alg = UqBorel(rs, max_degree=table_cap)
     if cache_path:
         alg.load_tables(cache_path)
@@ -694,14 +655,14 @@ def run_full_verification(
 
     t0 = time.monotonic()
     try:
-        report.coideal = check_left_coideal(recipe, alg, maxdeg=maxdeg)
+        report.coideal = check_left_coideal(recipe, alg)
     except DegreeOverflowError as exc:
         report.stage_error = f"coideal: {exc}"
         return report
     report.timings["coideal"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    report.flatness = check_flatness(recipe, alg, maxdeg=maxdeg)
+    report.flatness = check_flatness(recipe, alg)
     report.timings["flatness"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -809,7 +770,7 @@ def builtin_identity(name: str):
         target = q_bracket(by_name["E2"], by_name["T"], 0)
         mu = alg.weight_of(target)
         templates = []
-        for label, poly, _ in alg.generator_products(gens, (0, 0), mu, sum(mu), min_factors=2):
+        for label, poly, _ in alg.generator_products(gens, (0, 0), mu, min_factors=2):
             templates.append((label, poly))
         for label, poly in alg.ideal_templates(mu):
             u, (i, j), v = label

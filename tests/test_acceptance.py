@@ -351,6 +351,7 @@ def test_criterion_7_e6_smoke():
     big = parse_root(rs, "a1+2a2+2a3+3a4+2a5+a6")
     report = run_full_verification(rs, big, degree_cap=6)
     assert report.verdict == "inconclusive"
+    assert report.degrees_used == 6
     degree = {name: g.degree() for name, g in builtin_recipe(rs, big).evaluate(alg)}
     unverified = {(p["i"], p["j"]) for p in report.flatness if p["verdict"] == "unverified"}
     assert (len(report.flatness), len(unverified)) == (231, 195)

@@ -84,7 +84,7 @@ def test_classical_bad_beta(capsys):
 def test_verify_exit_codes_and_determinism(capsys, tmp_path):
     args = [
         "verify", "--type", "A", "--rank", "2", "--beta", "L1-L3",
-        "--max-degree", "6", "--format", "json", "--no-timings", "--jobs", "1",
+        "--format", "json", "--no-timings", "--jobs", "1",
     ]
     code, out1, _ = run_cli(capsys, *args)
     assert code == 0

@@ -164,6 +164,9 @@ def test_parse_recipe_errors():
     with pytest.raises(RecipeError) as err:
         parse_recipe(zero)
     assert "zero" in str(err.value)
+    with pytest.raises(RecipeError) as err:
+        parse_recipe({**doc, "k_monomial": [-1, -1]})
+    assert "non-negative" in str(err.value)
 
 
 def test_handwritten_a2_recipe_evaluates():

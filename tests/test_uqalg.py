@@ -1,6 +1,9 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcoiso.qfield import RF_ONE, RatFunc, parse_ratfunc
 from qcoiso.rootsys import CartanType, build_root_system
@@ -156,8 +159,6 @@ def test_quotient_dimensions_match_pbw_counts():
 
 
 def _all_contents(rank, maxdeg):
-    from itertools import product
-
     for v in product(range(maxdeg + 1), repeat=rank):
         if 0 < sum(v) <= maxdeg:
             yield v
@@ -288,3 +289,49 @@ def test_basis_change_consistency():
     b = alg_of("A", 2, word_order="degrevlex")
     for d in range(1, 5):
         assert len(a.quotient_basis(d)) == len(b.quotient_basis(d))
+
+
+@st.composite
+def _generator_sets(draw):
+    """An A2/B2 algebra, multihomogeneous generators (a zero-content
+    K-monomial first), a target (kexp, content) and min_factors."""
+    alg = alg_of(draw(st.sampled_from(["A", "B"])), 2)
+    nonneg = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    kmono = draw(nonneg.filter(any))
+    gens = [("K", alg.k_monomial(kmono))]
+    for n in range(draw(st.integers(1, 3))):
+        kexp = draw(nonneg)
+        letters = draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=2))
+        words = draw(st.lists(st.permutations(letters).map(tuple), min_size=1, max_size=2, unique=True))
+        coeffs = [RatFunc.q_power(draw(st.integers(-1, 1))) for _ in words]
+        gens.append((f"G{n}", alg.from_terms((kexp, w, c) for w, c in zip(words, coeffs))))
+    # the target is the degree of a random sequence, so it is usually reached
+    picks = draw(st.lists(st.sampled_from([poly for _, poly in gens]), max_size=3))
+    kexp, content = [0, 0], [0, 0]
+    for poly in picks:
+        (gk, gw), = poly.components()
+        for i in range(2):
+            kexp[i] += gk[i]
+            content[i] += gw[i]
+    return alg, gens, (tuple(kexp), tuple(content)), draw(st.sampled_from([0, 1, 2]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_generator_sets())
+def test_generator_products_match_brute_force(case):
+    alg, gens, (kexp, content), min_factors = case
+    # (kexp, content) of each generator, flattened into one tuple
+    degree = {name: sum(next(iter(poly.components())), ()) for name, poly in gens}
+    goal = kexp + content
+    # every generator adds at least 1 to sum(goal)
+    expected = sorted(
+        "*".join(seq) if seq else "1"
+        for n in range(min_factors, sum(goal) + 1)
+        for seq in product([name for name, _ in gens], repeat=n)
+        if tuple(sum(degree[name][i] for name in seq) for i in range(len(goal))) == goal
+    )
+    got = alg.generator_products(gens, kexp, content, min_factors)
+    assert [label for label, _, _ in got] == expected
+    for label, poly, nfactors in got:
+        assert set(poly.components()) == {(kexp, content)}
+        assert nfactors == (0 if label == "1" else label.count("*") + 1)

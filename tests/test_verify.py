@@ -294,6 +294,7 @@ def test_run_full_verification_a2():
     assert js["admissible"] is True
     assert js["classical"]["coisotropic"] is True
     assert js["classical"]["dim"] == 4
+    assert js["degrees_used"] == 4
     assert js["verdict"] == "pass"
 
 
@@ -308,6 +309,7 @@ def test_run_full_verification_g2_trivial():
     rs = rs_of("G", 2)
     report = run_full_verification(rs, parse_root(rs, "a2"))
     assert report.verdict == "pass"
+    assert report.degrees_used == 3  # d + 2 with d = 1
 
 
 def test_coideal_basis_change_invariance():
