@@ -43,7 +43,7 @@ def _key_order(k):
 
 @dataclass
 class ChevalleyBasis:
-    """Fixed basis with bracket table and Killing form for one root system.
+    """Fixed basis with bracket table for one root system.
 
     Basis layout: indices 0..m-1 are e_alpha over the positive roots in the
     root system's deterministic order, m..2m-1 the matching f_alpha, and
@@ -54,8 +54,6 @@ class ChevalleyBasis:
     labels: list
     matrices: list | None  # sparse matrices for the classical types
     _bracket_table: dict = field(default_factory=dict)
-    _killing_cache: dict = field(default_factory=dict)
-    _trace_scale: Fraction | None = None
 
     # -- indexing ------------------------------------------------------------
 
@@ -85,15 +83,6 @@ class ChevalleyBasis:
     def h(self, i: int) -> dict:
         return {self.h_index(i): F1}
 
-    def index_weight(self, idx: int):
-        """Root attached to a basis index (None for Cartan indices)."""
-        m = self.npos
-        if idx < m:
-            return self.rs.positive_roots[idx].decomp
-        if idx < 2 * m:
-            return tuple(-c for c in self.rs.positive_roots[idx - m].decomp)
-        return None
-
     # -- brackets -------------------------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> dict:
@@ -113,46 +102,6 @@ class ChevalleyBasis:
                 vec_add_scaled(out, self.bracket_basis(i, j), xi * yj)
         return out
 
-    # -- Killing form ----------------------------------------------------------
-
-    def killing(self, x: dict, y: dict) -> Fraction:
-        if self.matrices is not None:
-            if self._trace_scale is None:
-                self._trace_scale = self._calibrate_trace()
-            return self._trace_scale * self._trace_form(x, y)
-        return self._ad_trace(x, y)
-
-    def _trace_form(self, x: dict, y: dict) -> Fraction:
-        acc = F0
-        for i, xi in x.items():
-            for j, yj in y.items():
-                key = (min(i, j), max(i, j))
-                t = self._trace_cache.get(key)
-                if t is None:
-                    t = _mat_trace_product(self.matrices[i], self.matrices[j])
-                    self._trace_cache[key] = t
-                acc += xi * yj * t
-        return acc
-
-    def _calibrate_trace(self) -> Fraction:
-        self._trace_cache = {}
-        x, y = {0: F1}, {self.npos: F1}
-        ad = self._ad_trace(x, y)
-        tr = self._trace_form(x, y)
-        if tr == 0:
-            raise RealizationError("degenerate pairing while calibrating")
-        return ad / tr
-
-    def _ad_trace(self, x: dict, y: dict) -> Fraction:
-        acc = F0
-        for b in range(self.dim):
-            v = self.bracket(y, {b: F1})
-            if not v:
-                continue
-            w = self.bracket(x, v)
-            acc += w.get(b, F0)
-        return acc
-
     # -- rendering --------------------------------------------------------------
 
     def render_element(self, x: dict) -> str:
@@ -167,15 +116,6 @@ class ChevalleyBasis:
         for sign, term in parts[1:]:
             s += sign + term
         return s
-
-
-def _mat_trace_product(a: dict, b: dict) -> Fraction:
-    acc = F0
-    for (r, c), v in a.items():
-        w = b.get((c, r))
-        if w is not None:
-            acc += v * w
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +261,6 @@ def _build_matrix_basis(rs: RootSystem) -> ChevalleyBasis:
         labels.append(f"h{i + 1}")
     cb = ChevalleyBasis(rs=rs, labels=labels, matrices=mats)
     cb._pos_index = {r.decomp: i for i, r in enumerate(rs.positive_roots)}
-    cb._trace_cache = {}
     solver = FractionSpan()
     for idx, m in enumerate(mats):
         if not solver.add(m, {idx: F1}):
@@ -614,16 +553,23 @@ def build_realization(rs: RootSystem) -> ChevalleyBasis:
 # ---------------------------------------------------------------------------
 
 def killing_lambda(cb: ChevalleyBasis, alpha: Root) -> Fraction:
-    """1 / K(e_alpha, f_alpha)."""
-    key = alpha.decomp
-    hit = cb._killing_cache.get(key)
-    if hit is None:
-        k = cb.killing(cb.e(alpha), cb.f(alpha))
-        if k == 0:
-            raise RealizationError(f"degenerate Killing pairing at {alpha}")
-        hit = F1 / k
-        cb._killing_cache[key] = hit
-    return hit
+    """1 / K(e_alpha, f_alpha), in closed form from the root system.
+
+    h = [e_alpha, f_alpha] is a multiple of the coroot alpha^v.  Invariance
+    gives alpha(h) K(e, f) = K(h, h) = sum over all roots gamma(h)^2, hence
+    1 / K(e, f) = 2 / (alpha(h) * sum_{gamma > 0} <gamma, alpha^v>^2).
+    alpha(h) is read from the bracket table ([h, e] = alpha(h) e), since a
+    basis need not scale h to the coroot: for a short root of B, [e, f] is
+    H_i, not 2 H_i.
+    """
+    e = cb.e(alpha)
+    alpha_h = cb.bracket(cb.bracket(e, cb.f(alpha)), e).get(cb.e_index(alpha), F0)
+    if alpha_h == 0:
+        raise RealizationError(f"degenerate Killing pairing at {alpha}")
+    rs, a = cb.rs, alpha.decomp
+    norm = rs.inner(a, a)
+    pairing_sq = sum(Fraction(2 * rs.inner(g.decomp, a), norm) ** 2 for g in rs.positive_roots)
+    return 2 / (alpha_h * pairing_sq)
 
 
 def wedge_canonical(i: int, j: int, c: Fraction):

@@ -2,9 +2,13 @@
 
 A recipe fixes, for one (type, positive root) case, a K-monomial exponent
 vector plus an ordered list of named iterated q-bracket expressions over the
-E-generators.  Built-in recipes cover the worked families (chains for the
-special-linear pattern, the symplectic, even and odd orthogonal patterns, both
-nontrivial G2 roots) and the E6 tables shipped as package data.
+E-generators.  Built-in recipes cover the worked families (the special-linear
+pattern, the symplectic, even and odd orthogonal patterns, both nontrivial G2
+roots) and the E6 tables shipped as package data.  Each classical family is a
+list of chains of q-brackets [...[x, E_k1]_p, ..., E_k]_p along simple-root
+nodes, built by one helper (`_chain_gens`); the even and odd orthogonal
+L1+Lj families share one builder that differs only in the bracket power and in
+the start of its (d) group.
 
 The K-exponent vector is always the simple-root decomposition of beta, which
 is the unique choice whose semiclassical Cartan element is proportional to
@@ -131,273 +135,160 @@ def _chain(start, letters, power):
     return out
 
 
+def _chain_gens(prefix, group, expr, nodes, power):
+    """(prefix+k, group, [...[expr, E_k1]_p, ..., E_k]_p) for each 1-based node k.
+
+    With expr None the chain starts at the bare E_k1.
+    """
+    out = []
+    for k in nodes:
+        expr = Gen(k - 1) if expr is None else QBr(expr, Gen(k - 1), power)
+        out.append((f"{prefix}{k}", group, expr))
+    return out
+
+
 def builtin_recipe(rs: RootSystem, beta: Root) -> GeneratorRecipe:
-    series, n = rs.type.series, rs.rank
     if not rs.is_root(beta.decomp) or not beta.is_positive():
         raise RecipeError(f"{beta} is not a positive root of {rs.type}")
+    if rs.type.series == "E":
+        return _e6_recipe(rs, beta)
+    gens, aux = _family_recipe(rs, beta)
+    return GeneratorRecipe(
+        cartan_type=rs.type,
+        beta=beta,
+        k_monomial=beta.decomp,
+        generators=gens,
+        auxiliaries=aux,
+    )
+
+
+def _family_recipe(rs, beta):
+    """(generators, auxiliaries) of the hand-written family that covers beta."""
+    series, n = rs.type.series, rs.rank
+    if series == "G":
+        return _g2_recipe(rs, beta)
+    if series not in "ABCD":
+        raise RecipeError(f"no built-in recipes for type {rs.type}")
+    coords = rs.euclid_coords(beta)
+    ij = _try_ij_of_difference(coords)
     if series == "A":
-        i, j = _ij_of_difference(rs, beta)
-        return _chain_pair_recipe(rs, beta, i, j, power=1)
+        if ij is None:
+            raise RecipeError(f"{rs.render_root(beta)} is not of the form Li-Lj")
+        return _chain_pair_recipe(*ij, power=1)
     if series == "C":
-        coords = rs.euclid_coords(beta)
-        if coords and coords[0] == 2 and all(c == 0 for c in coords[1:]):
-            return _symplectic_recipe(rs, beta)
-        raise RecipeError(
-            f"no built-in recipe for {rs.type} beta={rs.render_root(beta)}; "
-            "supported: 2L1"
-        )
-    if series in "BD":
-        power = 2 if series == "B" else 1
-        ij = _try_ij_of_difference(rs, beta)
-        if ij is not None:
-            return _chain_pair_recipe(rs, beta, ij[0], ij[1], power=power)
-        coords = rs.euclid_coords(beta)
-        pos = [k for k, c in enumerate(coords) if c == 1]
-        if len(pos) == 2 and pos[0] == 0 and sum(abs(c) for c in coords) == 2:
-            j = pos[1] + 1  # 1-based
-            if series == "D" and j == n:
-                return _even_orthogonal_top_recipe(rs, beta)
-            if series == "D":
-                return _even_orthogonal_recipe(rs, beta, j)
-            if j == n:
-                return _odd_orthogonal_top_recipe(rs, beta)
-            return _odd_orthogonal_recipe(rs, beta, j)
+        if coords[0] != 2 or any(coords[1:]):
+            raise RecipeError(
+                f"no built-in recipe for {rs.type} beta={rs.render_root(beta)}; "
+                "supported: 2L1"
+            )
+        return _symplectic_recipe(n)
+    if ij is not None:
+        return _chain_pair_recipe(*ij, power=2 if series == "B" else 1)
+    pos = [k + 1 for k, c in enumerate(coords) if c == 1]  # 1-based
+    if len(pos) != 2 or pos[0] != 1 or sum(abs(c) for c in coords) != 2:
         raise RecipeError(
             f"no built-in recipe for {rs.type} beta={rs.render_root(beta)}; "
             "supported: L1+Lj and Li-Lj"
         )
-    if series == "G":
-        return _g2_recipe(rs, beta)
-    if series == "E":
-        return _e6_recipe(rs, beta)
-    raise RecipeError(f"no built-in recipes for type {rs.type}")
+    if pos[1] < n:
+        return _orthogonal_recipe(series, n, pos[1])
+    if series == "D":
+        return _even_orthogonal_top_recipe(n)
+    return _odd_orthogonal_top_recipe(n)
 
 
-def _ij_of_difference(rs, beta):
-    ij = _try_ij_of_difference(rs, beta)
-    if ij is None:
-        raise RecipeError(f"{rs.render_root(beta)} is not of the form Li-Lj")
-    return ij
-
-
-def _try_ij_of_difference(rs, beta):
-    coords = rs.euclid_coords(beta)
+def _try_ij_of_difference(coords):
+    """(i, j), 1-based, when the Euclidean coordinates are Li - Lj with i < j."""
     pos = [k for k, c in enumerate(coords) if c == 1]
     neg = [k for k, c in enumerate(coords) if c == -1]
     if len(pos) == 1 and len(neg) == 1 and pos[0] < neg[0]:
         if all(c in (0, 1, -1) for c in coords):
-            return pos[0] + 1, neg[0] + 1  # 1-based
+            return pos[0] + 1, neg[0] + 1
     return None
 
 
-def _chain_pair_recipe(rs, beta, i, j, power):
-    """The two-chain pattern on nodes i..j-1 (1-based), all brackets q^power."""
-    gens = []
-    expr = Gen(i - 1)
-    gens.append((f"X{i}", "(a)", expr))
-    for k in range(i + 1, j):
-        expr = QBr(expr, Gen(k - 1), power)
-        gens.append((f"X{k}", "(a)", expr))
-    if j - 1 > i:
-        expr = Gen(j - 2)
-        gens.append((f"D{j - 1}", "(b)", expr))
-        for k in range(j - 3, i - 1, -1):
-            expr = QBr(expr, Gen(k), power)
-            gens.append((f"D{k + 1}", "(b)", expr))
-    return GeneratorRecipe(
-        cartan_type=rs.type,
-        beta=beta,
-        k_monomial=beta.decomp,
-        generators=gens,
-    )
+# Each family returns (generators, auxiliaries) for beta; every generator is
+# a chain of q-brackets of the E_k along simple-root nodes (1-based below).
+
+def _chain_pair_recipe(i, j, power):
+    """beta = Li - Lj: X_i..X_{j-1} up from E_i, D_{j-1}..D_{i+1} down from E_{j-1}."""
+    x = _chain_gens("X", "(a)", None, range(i, j), power)
+    return x + _chain_gens("D", "(b)", None, range(j - 1, i, -1), power), {}
 
 
-def _symplectic_recipe(rs, beta):
-    n = rs.rank
-    gens = []
-    expr = Gen(0)
-    gens.append(("X1", "(a)", expr))
-    for k in range(2, n):
-        expr = QBr(expr, Gen(k - 1), 1)
-        gens.append((f"X{k}", "(a)", expr))
-    x = QBr(expr, Gen(n - 1), 2)
-    gens.append(("X", "(b)", x))
-    expr = x
-    for k in range(n - 1, 0, -1):
-        expr = QBr(expr, Gen(k - 1), 1)
-        gens.append((f"Y{k}", "(b)", expr))
-    return GeneratorRecipe(
-        cartan_type=rs.type,
-        beta=beta,
-        k_monomial=beta.decomp,
-        generators=gens,
-    )
+def _symplectic_recipe(n):
+    """beta = 2L1: X_1..X_{n-1}, X = [X_{n-1}, E_n]_{q^2}, then Y_{n-1}..Y_1 from X."""
+    gens = _chain_gens("X", "(a)", None, range(1, n), 1)
+    x = QBr(gens[-1][2], Gen(n - 1), 2)
+    return gens + [("X", "(b)", x)] + _chain_gens("Y", "(b)", x, range(n - 1, 0, -1), 1), {}
 
 
-def _even_orthogonal_top_recipe(rs, beta):
+def _even_orthogonal_top_recipe(n):
     """beta = L1 + Ln: the two-chain pattern through the spin node."""
-    n = rs.rank
-    gens = []
-    expr = Gen(0)
-    gens.append(("X1", "(a)", expr))
-    for k in range(2, n - 1):
-        expr = QBr(expr, Gen(k - 1), 1)
-        gens.append((f"X{k}", "(a)", expr))
-    expr = Gen(n - 1)
-    gens.append((f"W{n - 1}", "(b)", expr))
-    for k in range(n - 2, 0, -1):
-        expr = QBr(expr, Gen(k - 1), 1)
-        gens.append((f"W{k}", "(b)", expr))
-    return GeneratorRecipe(
-        cartan_type=rs.type,
-        beta=beta,
-        k_monomial=beta.decomp,
-        generators=gens,
-    )
+    gens = _chain_gens("X", "(a)", None, range(1, n - 1), 1)
+    w = Gen(n - 1)  # the spin node, named W_{n-1}
+    gens += [(f"W{n - 1}", "(b)", w)] + _chain_gens("W", "(b)", w, range(n - 2, 0, -1), 1)
+    return gens, {}
 
 
-def _even_orthogonal_recipe(rs, beta, j):
-    """beta = L1 + Lj with 2 <= j <= n-1, the six-group pattern."""
-    n = rs.rank
-    aux = {"T": _chain(Gen(0), range(1, j - 1), 1)}
-    gens = []
-    for k in range(1, j - 1):
-        gens.append((f"X{k}", "(a)", _chain(Gen(0), range(1, k), 1)))
-    bgroup = []
-    for k in range(j, n):
-        e = _chain(Gen(j - 1), range(j, k), 1)
-        bgroup.append((f"B{k}", e))
-        gens.append((f"B{k}", "(b)", e))
-    for k, (name, e) in enumerate(bgroup):
-        gens.append((f"C{j + k}", "(c)", QBr(e, Ref("T"), 1)))
-    dgroup = []
-    # the spin-node element; for j = n-1 the connecting chain is empty and
-    # the element degenerates to the bare generator
-    if j <= n - 2:
-        xn = QBr(_chain(Gen(j - 1), range(j, n - 2), 1), Gen(n - 1), 1)
-    else:
-        xn = Gen(n - 1)
-    dgroup.append((f"B{n}", xn))
-    expr = xn
-    for k in range(n - 1, j, -1):
-        expr = QBr(expr, Gen(k - 1), 1)
-        dgroup.append((f"Y{k}", expr))
-    for name, e in dgroup:
-        gens.append((name, "(d)", e))
-    for name, e in dgroup:
-        gens.append((f"{name}T", "(e)", QBr(e, Ref("T"), 1)))
-    expr = QBr(dgroup[-1][1], QBr(Gen(j - 1), Gen(j - 2), 1), 1)
-    gens.append((f"Y{j - 1}", "(f)", expr))
-    for k in range(j - 2, 0, -1):
-        expr = QBr(expr, Gen(k - 1), 1)
-        gens.append((f"Y{k}", "(f)", expr))
-    return GeneratorRecipe(
-        cartan_type=rs.type,
-        beta=beta,
-        k_monomial=beta.decomp,
-        generators=gens,
-        auxiliaries=aux,
-    )
-
-
-def _odd_orthogonal_top_recipe(rs, beta):
+def _odd_orthogonal_top_recipe(n):
     """beta = L1 + Ln in the odd orthogonal series; long brackets carry q^2."""
-    n = rs.rank
-    gens = []
-    for k in range(1, n - 1):
-        gens.append((f"X{k}", "(a)", _chain(Gen(0), range(1, k), 2)))
-    gens.append((f"E{n}", "(b)", Gen(n - 1)))
-    gens.append(
-        (f"B{n}", "(b)", QBr(Gen(n - 1), _chain(Gen(0), range(1, n - 1), 2), 2))
-    )
     y = QBr(Gen(n - 1), QBr(Gen(n - 1), Gen(n - 2), 2), 0)
-    gens.append((f"Y{n - 1}", "(c)", y))
-    expr = y
-    for k in range(n - 2, 0, -1):
-        expr = QBr(expr, Gen(k - 1), 2)
-        gens.append((f"Y{k}", "(c)", expr))
-    return GeneratorRecipe(
-        cartan_type=rs.type,
-        beta=beta,
-        k_monomial=beta.decomp,
-        generators=gens,
-    )
+    gens = _chain_gens("X", "(a)", None, range(1, n - 1), 2) + [
+        (f"E{n}", "(b)", Gen(n - 1)),
+        (f"B{n}", "(b)", QBr(Gen(n - 1), _chain(Gen(0), range(1, n - 1), 2), 2)),
+        (f"Y{n - 1}", "(c)", y),
+    ]
+    return gens + _chain_gens("Y", "(c)", y, range(n - 2, 0, -1), 2), {}
 
 
-def _odd_orthogonal_recipe(rs, beta, j):
-    """beta = L1 + Lj with j < n in the odd orthogonal series."""
-    n = rs.rank
-    aux = {"T": _chain(Gen(0), range(1, j - 1), 2)}
-    gens = []
-    for k in range(1, j - 1):
-        gens.append((f"X{k}", "(a)", _chain(Gen(0), range(1, k), 2)))
-    bgroup = []
-    for k in range(j, n):
-        e = _chain(Gen(j - 1), range(j, k), 2)
-        bgroup.append(e)
-        gens.append((f"B{k}", "(b)", e))
-    for k, e in enumerate(bgroup):
-        gens.append((f"C{j + k}", "(c)", QBr(e, Ref("T"), 2)))
-    dgroup = []
-    xn = QBr(bgroup[-1], Gen(n - 1), 2)
-    dgroup.append((f"B{n}", xn))
-    yn = QBr(xn, Gen(n - 1), 0)
-    dgroup.append((f"Y{n}", yn))
-    expr = yn
-    for k in range(n - 2, j, -1):
-        expr = QBr(expr, Gen(k - 1), 2)
-        dgroup.append((f"Y{k}", expr))
-    for name, e in dgroup:
-        gens.append((name, "(d)", e))
-    for name, e in dgroup:
-        gens.append((f"{name}T", "(e)", QBr(e, Ref("T"), 2)))
-    expr = QBr(dgroup[-1][1], QBr(Gen(j - 1), Gen(j - 2), 2), 2)
-    gens.append((f"Y{j - 1}", "(f)", expr))
-    for k in range(j - 2, 0, -1):
-        expr = QBr(expr, Gen(k - 1), 2)
-        gens.append((f"Y{k}", "(f)", expr))
-    return GeneratorRecipe(
-        cartan_type=rs.type,
-        beta=beta,
-        k_monomial=beta.decomp,
-        generators=gens,
-        auxiliaries=aux,
+def _orthogonal_recipe(series, n, j):
+    """beta = L1 + Lj with 2 <= j < n, the six-group pattern; B brackets carry q^2.
+
+    Only the start of the (d) group depends on the series.
+    """
+    p = 2 if series == "B" else 1
+    bs = _chain_gens("B", "(b)", None, range(j, n), p)
+    if series == "D":
+        # the spin-node element [B_{n-2}, E_n]; for j = n-1 the connecting
+        # chain is empty and the element degenerates to the bare generator
+        spin = QBr(bs[-2][2], Gen(n - 1), p) if j <= n - 2 else Gen(n - 1)
+        ds = [(f"B{n}", "(d)", spin)] + _chain_gens("Y", "(d)", spin, range(n - 1, j, -1), p)
+    else:
+        bn = QBr(bs[-1][2], Gen(n - 1), p)
+        yn = QBr(bn, Gen(n - 1), 0)
+        ds = [(f"B{n}", "(d)", bn), (f"Y{n}", "(d)", yn)]
+        ds += _chain_gens("Y", "(d)", yn, range(n - 2, j, -1), p)
+    f = QBr(ds[-1][2], QBr(Gen(j - 1), Gen(j - 2), p), p)
+    gens = (
+        _chain_gens("X", "(a)", None, range(1, j - 1), p)
+        + bs
+        + [(f"C{name[1:]}", "(c)", QBr(e, Ref("T"), p)) for name, _, e in bs]
+        + ds
+        + [(f"{name}T", "(e)", QBr(e, Ref("T"), p)) for name, _, e in ds]
+        + [(f"Y{j - 1}", "(f)", f)]
+        + _chain_gens("Y", "(f)", f, range(j - 2, 0, -1), p)
     )
+    return gens, {"T": _chain(Gen(0), range(1, j - 1), p)}
 
 
 def _g2_recipe(rs, beta):
     d = beta.decomp
     e1, e2 = Gen(0), Gen(1)
     if d == (0, 1):
-        gens = [("E2", "(a)", e2)]
-    elif d == (3, 1):
+        return [("E2", "(a)", e2)], {}
+    if d == (3, 1):
         x = QBr(QBr(e1, e2, 3), e1, -1)
-        gens = [
-            ("E1", "(a)", e1),
-            ("X", "(a)", x),
-            ("Y", "(a)", QBr(x, e1, 1)),
-        ]
-    elif d == (3, 2):
+        return [("E1", "(a)", e1), ("X", "(a)", x), ("Y", "(a)", QBr(x, e1, 1))], {}
+    if d == (3, 2):
         x = QBr(e2, e1, 3)
         y = QBr(x, e1, 1)
         z = QBr(y, e1, -1)
-        gens = [
-            ("E2", "(a)", e2),
-            ("X", "(a)", x),
-            ("Y", "(a)", y),
-            ("Z", "(a)", z),
-            ("T", "(a)", QBr(z, e2, 0)),
-        ]
-    else:
-        raise RecipeError(
-            f"no built-in recipe for G2 beta={rs.render_root(beta)}; "
-            "supported: a2, 3a1+a2, 3a1+2a2"
-        )
-    return GeneratorRecipe(
-        cartan_type=rs.type,
-        beta=beta,
-        k_monomial=beta.decomp,
-        generators=gens,
+        gens = [("E2", "(a)", e2), ("X", "(a)", x), ("Y", "(a)", y), ("Z", "(a)", z)]
+        return gens + [("T", "(a)", QBr(z, e2, 0))], {}
+    raise RecipeError(
+        f"no built-in recipe for G2 beta={rs.render_root(beta)}; "
+        "supported: a2, 3a1+a2, 3a1+2a2"
     )
 
 
@@ -561,8 +452,15 @@ def parse_recipe(doc: dict) -> GeneratorRecipe:
         path = f"generators[{idx}]"
         if "name" not in g or "expr" not in g:
             raise RecipeError(f"{path}: missing name or expr")
+        name = str(g["name"])
+        # verification labels the K-monomial "K", the empty product "1" and
+        # joins the factors of a product with "*"
+        if name in ("K", "1") or "*" in name:
+            raise RecipeError(f"{path}.name: {name!r} collides with a product label")
+        if any(name == other for other, _, _ in gens):
+            raise RecipeError(f"{path}.name: duplicate generator name {name!r}")
         expr = _expr_from_json(g["expr"], rs.rank, f"{path}.expr", aux)
-        gens.append((str(g["name"]), str(g.get("group", "")), expr))
+        gens.append((name, str(g.get("group", "")), expr))
     if not gens:
         raise RecipeError("recipe has no generators")
     recipe = GeneratorRecipe(

@@ -97,7 +97,14 @@ def test_g2_jacobi_exhaustive():
                 assert jacobi_defect(cb, {i: F1}, {j: F1}, {k: F1}) == {}
 
 
+def _ad_killing(cb, x, y):
+    """tr(ad x ad y), the Killing form read straight off the bracket table."""
+    return sum(cb.bracket(x, cb.bracket(y, {b: F1})).get(b, 0) for b in range(cb.dim))
+
+
 def test_killing_invariance():
+    # the ad-trace form is the reference oracle: it is invariant, and the
+    # closed form of killing_lambda is its inverse on every e_r, f_r pair
     rng = random.Random(23)
     for series, rank in [("A", 2), ("C", 2), ("G", 2)]:
         rs, cb = realization(series, rank)
@@ -107,8 +114,14 @@ def test_killing_invariance():
                 v = {rng.randrange(cb.dim): Fraction(rng.randint(-2, 2)) for _ in range(2)}
                 xs.append({k: c for k, c in v.items() if c})
             x, y, z = xs
-            lhs = cb.killing(cb.bracket(x, y), z) + cb.killing(y, cb.bracket(x, z))
+            lhs = _ad_killing(cb, cb.bracket(x, y), z) + _ad_killing(cb, y, cb.bracket(x, z))
             assert lhs == 0
+    cases = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+             ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("E", 6)]
+    for series, rank in cases:
+        rs, cb = realization(series, rank)
+        for r in rs.positive_roots:
+            assert killing_lambda(cb, r) == 1 / _ad_killing(cb, cb.e(r), cb.f(r)), (series, r)
 
 
 def test_killing_lambda_g2():
