@@ -13,6 +13,15 @@ and the only new relations are the folded images of b . R over the Serre
 relations R with content inside mu.  Row reduction of those images yields the
 quotient basis (the non-pivot words) and the rewrite map used for folding at
 the next degree up.
+
+Each word is folded to its normal form once per algebra (one `verify`
+command): a memo on the algebra maps words to normal-form vectors, which
+callers share and only read, and tables and memo intern their coefficients
+(one object per value).  The product-span solve never expands a generator
+product: the normal form of p * g comes from that of its label prefix p, by
+folding each basis word b of nf(p) through the words of g with the K-crossing
+factor of b.  This holds because the ideal is two-sided and a basis word folds
+to itself.  The on-disk cache stores tables only; the memo stays in memory.
 """
 
 from __future__ import annotations
@@ -173,13 +182,24 @@ class UqBorel:
             for l in range(self.rank)
         ]
         self._tables = {}
-        rels = []
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if i == j:
-                    continue
-                rels.append((i, j, self._serre_poly(i, j)))
-        self.serre_ideal = SerreIdeal(alg=self, relations=rels)
+        # word -> normal form over the quotient basis; entries are shared
+        # with every caller and never change, as the tables never do
+        self._nf = {}
+        # one object per distinct coefficient value in tables and memo
+        self._coeffs = {}
+        # the relations as bare terms: stored NCPolys would refer back to the
+        # algebra, a cycle that keeps a finished algebra's tables and memo
+        # alive until the next full garbage collection
+        self._serre = [
+            (i, j, self._serre_poly(i, j).terms)
+            for i in range(self.rank)
+            for j in range(self.rank)
+            if i != j
+        ]
+
+    @property
+    def serre_ideal(self) -> SerreIdeal:
+        return SerreIdeal(self, [(i, j, NCPoly(self, t)) for i, j, t in self._serre])
 
     # -- element constructors ----------------------------------------------
 
@@ -322,14 +342,14 @@ class UqBorel:
         col = {w: n for n, w in enumerate(candidates)}
         # relation rows: folded images of b . R for every Serre relation R
         relations = SpanSolver()
-        for (i, j, rel) in self.serre_ideal.relations:
-            rel_content = self.content_of(next(iter(rel.terms))[1])
+        for (_, _, rel) in self._serre:
+            rel_content = self.content_of(next(iter(rel))[1])
             nu = tuple(m - c for m, c in zip(mu, rel_content))
             if any(c < 0 for c in nu):
                 continue
             for b in self._tables[nu].basis:
                 row = {}
-                for (_, w), c in rel.terms.items():
+                for (_, w), c in rel.items():
                     vec = self._fold_word(b, w[:-1], nu)
                     last = w[-1]
                     accumulate(row, ((col[bw + (last,)], c * cc) for bw, cc in vec.items()))
@@ -341,7 +361,7 @@ class UqBorel:
         for w in candidates:
             n = col[w]
             if n in pivots:
-                expand[w] = {candidates[m]: -c for m, c in pivots[n].items()}
+                expand[w] = self._interned((candidates[m], -c) for m, c in pivots[n].items())
             else:
                 expand[w] = {w: RF_ONE}
         raise_map = {}
@@ -368,24 +388,40 @@ class UqBorel:
             vec = nxt
         return vec
 
+    def _word_vec(self, b, letters):
+        """Memoized normal form of the word b + letters, for a basis word b.
+
+        The returned vector is the memo's own entry: read it, never mutate it.
+        """
+        word = b + letters
+        vec = self._nf.get(word)
+        if vec is None:
+            self.table(self.content_of(word))
+            folded = self._fold_word(b, letters, self.content_of(b))
+            vec = self._nf[word] = self._interned(folded.items())
+        return vec
+
+    def _interned(self, items):
+        """A vector from (key, coefficient) pairs, storing one object per
+        distinct coefficient value: tables and memo hold thousands of
+        coefficients but only tens of values."""
+        coeffs = self._coeffs
+        return {k: coeffs.setdefault(c, c) for k, c in items}
+
     def nf_word(self, word):
-        """Normal form of a raw word as a vector over the quotient basis."""
-        mu = self.content_of(word)
-        self.table(mu)
-        return self._fold_word((), word, (0,) * self.rank)
+        """Normal form of a raw word as a vector over the quotient basis.
+
+        The vector is shared through the algebra's memo: read it, never
+        mutate it.
+        """
+        return self._word_vec((), tuple(word))
 
     def nf_components(self, x: NCPoly):
         """Normal forms per (kexp, content): {key: {basis word: coeff}}."""
         out = {}
-        memo = {}
         for (kexp, word), c in x.terms.items():
-            mu = self.content_of(word)
-            self.table(mu)
-            vec = memo.get(word)
-            if vec is None:
-                vec = self._fold_word((), word, (0,) * self.rank)
-                memo[word] = vec
-            vec_add_scaled(out.setdefault((kexp, mu), {}), vec, c)
+            key = (kexp, self.content_of(word))
+            vec_add_scaled(out.setdefault(key, {}), self._word_vec((), word), c)
         return {k: v for k, v in out.items() if v}
 
     def nf_is_zero(self, x: NCPoly) -> bool:
@@ -394,15 +430,9 @@ class UqBorel:
     def tensor_nf_is_zero(self, t: TensorElem) -> bool:
         """Whether t lies in ideal (x) U + U (x) ideal."""
         acc = {}
-        memo = {}
         for ((lk, lw), (rk, rw)), c in t.terms.items():
-            lvec = memo.get(lw)
-            if lvec is None:
-                lvec = memo[lw] = self.nf_word(lw)
-            rvec = memo.get(rw)
-            if rvec is None:
-                rvec = memo[rw] = self.nf_word(rw)
-            for bl, cl in lvec.items():
+            rvec = self._word_vec((), rw)
+            for bl, cl in self._word_vec((), lw).items():
                 accumulate(acc, (((lk, bl, rk, br), c * cl * cr) for br, cr in rvec.items()))
         return not acc
 
@@ -442,8 +472,8 @@ class UqBorel:
     def ideal_templates(self, mu):
         """Labelled spanning elements u . R_{ij} . v of the ideal at content mu."""
         out = []
-        for (i, j, rel) in self.serre_ideal.relations:
-            rel_content = self.content_of(next(iter(rel.terms))[1])
+        for (i, j, rel) in self._serre:
+            rel_content = self.content_of(next(iter(rel))[1])
             rem = tuple(m - c for m, c in zip(mu, rel_content))
             if any(c < 0 for c in rem):
                 continue
@@ -452,7 +482,7 @@ class UqBorel:
                 for u in _words_of_content(ucontent):
                     for v in _words_of_content(vcontent):
                         terms = {}
-                        for (_, w), c in rel.terms.items():
+                        for (_, w), c in rel.items():
                             terms[((0,) * self.rank, u + w + v)] = c
                         out.append(((u, (i, j), v), NCPoly(self, terms)))
         return out
@@ -495,8 +525,12 @@ class UqBorel:
             (gk, gw), = poly.components().keys()
             data.append((name, poly, gk, gw))
         out = []
-
-        def rec(seq, rk, rw):
+        # depth-first over (sequence, remaining kexp, remaining content) on an
+        # explicit stack: a self-calling closure would be a reference cycle
+        # holding the algebra until the next full garbage collection
+        stack = [((), tuple(kexp), tuple(weight))]
+        while stack:
+            seq, rk, rw = stack.pop()
             if not any(rk) and not any(rw):
                 if len(seq) >= min_factors:
                     if seq:
@@ -507,7 +541,7 @@ class UqBorel:
                     else:
                         prod, label = self.one(), "1"
                     out.append((label, prod, len(seq)))
-                return
+                continue
             for idx, (name, poly, gk, gw) in enumerate(data):
                 if any(a > b for a, b in zip(gk, rk)):
                     continue
@@ -515,13 +549,11 @@ class UqBorel:
                     continue
                 if not any(gk) and not any(gw):
                     continue
-                rec(
-                    seq + [idx],
+                stack.append((
+                    seq + (idx,),
                     tuple(a - b for a, b in zip(rk, gk)),
                     tuple(a - b for a, b in zip(rw, gw)),
-                )
-
-        rec([], tuple(kexp), tuple(weight))
+                ))
         out.sort(key=lambda t: t[0])
         return out
 
@@ -538,17 +570,48 @@ class UqBorel:
         from .linalg import solve_linear_combination
 
         coeffs, nullspace, products = {}, [], {}
+        gen_map, nfs = dict(gens), {}
         for (kexp, mu), comp in x.components().items():
             templates = []
             for label, poly, nfactors in self.generator_products(gens, kexp, mu, min_factors):
                 products[label] = (poly, nfactors)
-                templates.append((label, self._word_nf(poly)))
+                templates.append((label, self._product_nf(label, gen_map, nfs)))
             sol, null = solve_linear_combination(templates, self._word_nf(comp))
             nullspace.extend(null)
             if sol is None:
                 return None, nullspace, products
             vec_add_scaled(coeffs, sol)
         return coeffs, nullspace, products
+
+    def _product_nf(self, label, gen_map, nfs):
+        """Normal form of the labelled generator product, by basis word.
+
+        The product p * g is never expanded: with nf(p) from the label prefix
+        and the ideal two-sided, nf(p * g) is the sum of
+        nf(p)[b] * c * q^s * nf(b + w) over basis words b and terms c K^k E_w
+        of g, where q^s is the cost of moving K^k left past E_b (the same for
+        every b, as p is multihomogeneous).  nfs memoizes labels for one
+        generator set.
+        """
+        vec = nfs.get(label)
+        if vec is not None:
+            return vec
+        prefix, _, name = label.rpartition("*")
+        if not prefix:
+            vec = self._word_nf(self.one() if label == "1" else gen_map[label])
+        else:
+            pvec = self._product_nf(prefix, gen_map, nfs)
+            g = gen_map[name]
+            vec = {}
+            if pvec:
+                gk = next(iter(g.terms))[0]
+                _, scale = self.term_mul((gk, next(iter(pvec))), (gk, ()))
+                for b, c in pvec.items():
+                    c = c * scale
+                    for (_, w), cg in g.terms.items():
+                        vec_add_scaled(vec, self._word_vec(b, w), c * cg)
+        nfs[label] = vec
+        return vec
 
     def _word_nf(self, x: NCPoly):
         """Normal form of a multihomogeneous x, keyed by basis word alone."""

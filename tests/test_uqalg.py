@@ -293,9 +293,9 @@ def test_basis_change_consistency():
 
 @st.composite
 def _generator_sets(draw):
-    """An A2/B2 algebra, multihomogeneous generators (a zero-content
+    """An A2/B2/G2 algebra, multihomogeneous generators (a zero-content
     K-monomial first), a target (kexp, content) and min_factors."""
-    alg = alg_of(draw(st.sampled_from(["A", "B"])), 2)
+    alg = alg_of(draw(st.sampled_from(["A", "B", "G"])), 2)
     nonneg = st.tuples(st.integers(0, 1), st.integers(0, 1))
     kmono = draw(nonneg.filter(any))
     gens = [("K", alg.k_monomial(kmono))]
@@ -335,3 +335,23 @@ def test_generator_products_match_brute_force(case):
     for label, poly, nfactors in got:
         assert set(poly.components()) == {(kexp, content)}
         assert nfactors == (0 if label == "1" else label.count("*") + 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_generator_sets())
+def test_product_normal_forms_match_expansion(case):
+    """Normal forms taken from the label prefix (never expanding p * g)
+    equal the normal forms of the expanded products; the shared algebra's
+    memo is warm from earlier examples, a fresh algebra's is cold."""
+    alg, gens, (kexp, content), min_factors = case
+    cold, reference = UqBorel(alg.rs), UqBorel(alg.rs)
+    warm_nfs, cold_nfs = {}, {}
+    for label, poly, _ in alg.generator_products(gens, kexp, content, min_factors):
+        expected = reference.nf_components(poly)
+        assert set(expected) <= {(kexp, content)}
+        expected = expected.get((kexp, content), {})
+        assert alg._product_nf(label, dict(gens), warm_nfs) == expected, label
+        assert cold._product_nf(label, dict(gens), cold_nfs) == expected, label
+        # the warm memo agrees with the reference's fold from the empty word
+        for _, word in poly.terms:
+            assert alg.nf_word(word) == reference.nf_word(word)

@@ -1,4 +1,7 @@
+import gc
 import random
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -296,6 +299,63 @@ def test_run_full_verification_a2():
     assert js["classical"]["dim"] == 4
     assert js["degrees_used"] == 4
     assert js["verdict"] == "pass"
+
+
+def test_each_word_folds_from_empty_once(monkeypatch):
+    """The algebra memoizes word normal forms across the whole run, so no
+    word is folded from the empty word twice, and no caller has mutated a
+    shared memo vector by the end.  Table builds fold relation words into
+    their rows and are not counted."""
+    fold, build = UqBorel._fold_word, UqBorel._build_table
+    from_empty = Counter()
+    algs = {}
+    building = []
+
+    def counting(self, b, letters, start_mu):
+        algs[id(self)] = self
+        if not b and not building:
+            from_empty[id(self), tuple(letters)] += 1
+        return fold(self, b, letters, start_mu)
+
+    def flagged(self, mu):
+        building.append(mu)
+        try:
+            return build(self, mu)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(UqBorel, "_fold_word", counting)
+    monkeypatch.setattr(UqBorel, "_build_table", flagged)
+    rs = rs_of("B", 3)
+    report = run_full_verification(rs, parse_root(rs, "L1+L2"))
+    assert report.verdict == "pass"
+    assert from_empty and max(from_empty.values()) == 1
+    # every memoized normal form, including those filled by products, still
+    # equals a fresh fold of its word
+    for alg in algs.values():
+        assert alg._nf
+        for word in list(alg._nf):
+            assert alg.nf_word(word) == fold(alg, (), word, (0,) * alg.rank)
+
+
+def test_finished_algebra_is_freed_without_gc(monkeypatch):
+    """A run's algebra, with its tables and memo, is freed by reference
+    counting when the run ends, not at the next full garbage collection."""
+    refs = []
+    init = UqBorel.__init__
+
+    def tracking(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(UqBorel, "__init__", tracking)
+    rs = rs_of("A", 2)
+    gc.disable()
+    try:
+        assert run_full_verification(rs, parse_root(rs, "L1-L3")).verdict == "pass"
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_run_full_verification_inadmissible():
