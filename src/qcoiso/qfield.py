@@ -457,18 +457,6 @@ def rf_canonicalize(num, den) -> RatFunc:
     return RatFunc(ptrim(num), ptrim(den))
 
 
-def rf_arith(a: RatFunc, b: RatFunc, op: str) -> RatFunc:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def rf_eval_at_one(a: RatFunc) -> Fraction:
     return a.eval_at_one()
 

@@ -424,32 +424,54 @@ def _expr_to_json(expr):
     raise RecipeError(f"bad expression node {expr!r}")
 
 
+def _is_int(x) -> bool:
+    """Whether x is a JSON integer; JSON true and false parse to bool, which
+    Python counts as an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_recipe(doc: dict) -> GeneratorRecipe:
+    if not isinstance(doc, dict):
+        raise RecipeError("a recipe document must be a JSON object")
+    if not _is_int(doc.get("rank")):
+        raise RecipeError("bad type/rank: rank must be an integer")
     try:
-        ctype = CartanType(doc["type"], int(doc["rank"]))
+        ctype = CartanType(doc["type"], doc["rank"])
     except (KeyError, TypeError, RootSystemError) as exc:
         raise RecipeError(f"bad type/rank: {exc}") from exc
     rs = RootSystem(ctype)
+    if not isinstance(doc.get("beta"), str):
+        raise RecipeError("bad beta: expected a root literal string")
     try:
         beta = parse_root(rs, doc["beta"])
-    except (KeyError, RootSystemError) as exc:
+    except RootSystemError as exc:
         raise RecipeError(f"bad beta: {exc}") from exc
     kmono = doc.get("k_monomial")
     if kmono is None:
         kmono = beta.decomp
-    kmono = tuple(int(c) for c in kmono)
+    if not isinstance(kmono, (list, tuple)) or not all(_is_int(c) for c in kmono):
+        raise RecipeError("k_monomial: expected a list of integers")
+    kmono = tuple(kmono)
     if len(kmono) != rs.rank:
         raise RecipeError("k_monomial: wrong length")
     # generator products are enumerated down to their target K-exponent,
     # which only terminates when no exponent is negative
     if min(kmono) < 0:
         raise RecipeError("k_monomial: entries must be non-negative")
+    auxiliaries = doc.get("auxiliaries") or {}
+    if not isinstance(auxiliaries, dict):
+        raise RecipeError("auxiliaries: expected an object")
     aux = {}
-    for name, e in (doc.get("auxiliaries") or {}).items():
+    for name, e in auxiliaries.items():
         aux[name] = _expr_from_json(e, rs.rank, f"auxiliaries.{name}", aux)
+    generators = doc.get("generators") or []
+    if not isinstance(generators, list):
+        raise RecipeError("generators: expected a list")
     gens = []
-    for idx, g in enumerate(doc.get("generators") or []):
+    for idx, g in enumerate(generators):
         path = f"generators[{idx}]"
+        if not isinstance(g, dict):
+            raise RecipeError(f"{path}: expected an object")
         if "name" not in g or "expr" not in g:
             raise RecipeError(f"{path}: missing name or expr")
         name = str(g["name"])
@@ -481,14 +503,14 @@ def _expr_from_json(e, rank, path, aux):
         raise RecipeError(f"{path}: expected an object")
     if "gen" in e:
         idx = e["gen"]
-        if not isinstance(idx, int) or not 1 <= idx <= rank:
+        if not _is_int(idx) or not 1 <= idx <= rank:
             raise RecipeError(f"{path}.gen: index {idx!r} out of range 1..{rank}")
         return Gen(idx - 1)
     if "qbr" in e:
         parts = e["qbr"]
         if not isinstance(parts, list) or len(parts) != 3:
             raise RecipeError(f"{path}.qbr: expected [lhs, rhs, power]")
-        if not isinstance(parts[2], int):
+        if not _is_int(parts[2]):
             raise RecipeError(f"{path}.qbr: power must be an integer")
         return QBr(
             _expr_from_json(parts[0], rank, f"{path}.qbr[0]", aux),
@@ -497,7 +519,7 @@ def _expr_from_json(e, rank, path, aux):
         )
     if "ref" in e:
         name = e["ref"]
-        if name not in aux:
+        if not isinstance(name, str) or name not in aux:
             raise RecipeError(f"{path}.ref: unknown auxiliary {name!r}")
         return Ref(name)
     raise RecipeError(f"{path}: expected gen, qbr or ref")

@@ -21,7 +21,10 @@ callers share and only read, and tables and memo intern their coefficients
 product: the normal form of p * g comes from that of its label prefix p, by
 folding each basis word b of nf(p) through the words of g with the K-crossing
 factor of b.  This holds because the ideal is two-sided and a basis word folds
-to itself.  The on-disk cache stores tables only; the memo stays in memory.
+to itself.  Products are enumerated as labels ("A*B*C"), and
+`label_product` is the one place a labelled product is multiplied out, for
+the certificates that name it.  The on-disk cache stores tables only; the
+memo stays in memory.
 """
 
 from __future__ import annotations
@@ -511,77 +514,80 @@ class UqBorel:
     # -- membership in generator spans --------------------------------------
 
     def generator_products(self, gens, kexp, weight, min_factors=0):
-        """Ordered products of the named generators matching a multidegree.
+        """Labels of the ordered generator products matching a multidegree.
 
-        gens: [(name, NCPoly)] with each value multihomogeneous.  Returns
-        [(label, product NCPoly, factor count)] for every sequence of at least
-        min_factors generators (with repetition, all orderings) whose
-        K-exponents and word contents sum to the target.  With non-negative
-        K-exponents the target bounds the search, as every generator used has
-        a nonzero K-exponent or content.
+        gens: [(name, NCPoly)] with each value multihomogeneous.  Returns the
+        sorted labels ("A*B*C", or "1" for the empty product) of every
+        sequence of at least min_factors generators (with repetition, all
+        orderings) whose K-exponents and word contents sum to the target.
+        Nothing is multiplied: `label_product` expands a label.  With
+        non-negative K-exponents the target bounds the search, as every
+        generator used has a nonzero K-exponent or content.
         """
         data = []
         for name, poly in gens:
             (gk, gw), = poly.components().keys()
-            data.append((name, poly, gk, gw))
+            if any(gk) or any(gw):
+                data.append((name, gk, gw))
         out = []
-        # depth-first over (sequence, remaining kexp, remaining content) on an
-        # explicit stack: a self-calling closure would be a reference cycle
-        # holding the algebra until the next full garbage collection
-        stack = [((), tuple(kexp), tuple(weight))]
+        # depth-first over (label, factor count, remaining kexp, remaining
+        # content) on an explicit stack: a self-calling closure would be a
+        # reference cycle holding the algebra until the next full collection
+        stack = [("1", 0, tuple(kexp), tuple(weight))]
         while stack:
-            seq, rk, rw = stack.pop()
+            label, nfactors, rk, rw = stack.pop()
             if not any(rk) and not any(rw):
-                if len(seq) >= min_factors:
-                    if seq:
-                        prod = data[seq[0]][1]
-                        for idx in seq[1:]:
-                            prod = self.nc_mul(prod, data[idx][1])
-                        label = "*".join(data[idx][0] for idx in seq)
-                    else:
-                        prod, label = self.one(), "1"
-                    out.append((label, prod, len(seq)))
+                if nfactors >= min_factors:
+                    out.append(label)
                 continue
-            for idx, (name, poly, gk, gw) in enumerate(data):
-                if any(a > b for a, b in zip(gk, rk)):
-                    continue
-                if any(a > b for a, b in zip(gw, rw)):
-                    continue
-                if not any(gk) and not any(gw):
+            for name, gk, gw in data:
+                if any(a > b for a, b in zip(gk, rk)) or any(a > b for a, b in zip(gw, rw)):
                     continue
                 stack.append((
-                    seq + (idx,),
+                    f"{label}*{name}" if nfactors else name,
+                    nfactors + 1,
                     tuple(a - b for a, b in zip(rk, gk)),
                     tuple(a - b for a, b in zip(rw, gw)),
                 ))
-        out.sort(key=lambda t: t[0])
+        out.sort()
         return out
+
+    def label_product(self, label, gen_map) -> NCPoly:
+        """The labelled generator product, multiplied out left to right."""
+        if label == "1":
+            return self.one()
+        names = label.split("*")
+        prod = gen_map[names[0]]
+        for name in names[1:]:
+            prod = self.nc_mul(prod, gen_map[name])
+        return prod
 
     def subspace_membership(self, x: NCPoly, gens, min_factors=0):
         """Decide x in span{ordered products of >= min_factors gens} + ideal.
 
         Each component (kexp, content) of x is solved on its own, against the
-        generator products with that K-exponent and content.  Returns
-        (coefficients or None, nullspace, {label: (product, factor count)}):
-        the coefficients express x modulo the ideal, the nullspace holds the
-        relations among the products modulo the ideal, and the map has every
-        product tried.  Solving stops at the first component outside the span.
+        normal forms of the generator products with that K-exponent and
+        content; no product is multiplied out.  Returns (coefficients or None,
+        nullspace): the coefficients, keyed by product label, express x
+        modulo the ideal, and the nullspace holds the relations among the
+        products modulo the ideal.  Solving stops at the first component
+        outside the span.
         """
         from .linalg import solve_linear_combination
 
-        coeffs, nullspace, products = {}, [], {}
+        coeffs, nullspace = {}, []
         gen_map, nfs = dict(gens), {}
         for (kexp, mu), comp in x.components().items():
-            templates = []
-            for label, poly, nfactors in self.generator_products(gens, kexp, mu, min_factors):
-                products[label] = (poly, nfactors)
-                templates.append((label, self._product_nf(label, gen_map, nfs)))
+            templates = [
+                (label, self._product_nf(label, gen_map, nfs))
+                for label in self.generator_products(gens, kexp, mu, min_factors)
+            ]
             sol, null = solve_linear_combination(templates, self._word_nf(comp))
             nullspace.extend(null)
             if sol is None:
-                return None, nullspace, products
+                return None, nullspace
             vec_add_scaled(coeffs, sol)
-        return coeffs, nullspace, products
+        return coeffs, nullspace
 
     def _product_nf(self, label, gen_map, nfs):
         """Normal form of the labelled generator product, by basis word.

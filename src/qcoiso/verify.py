@@ -9,9 +9,11 @@ modulo the ideal, in two phases: an exact affine solve over Q(q), then a
 rational solve for the q = 1 constraints over the solution set.  Both checks
 solve through the one product-span solve, `UqBorel.subspace_membership`.
 
-Every certificate re-expands exactly against its target; ideal parts are
-certified by an explicit relation combination when small and by the quotient
-normal form otherwise.
+A certificate is checked against the algebra, not against the solve: the
+products with a nonzero coefficient are multiplied out from the generators,
+and the residual (target minus the combination) must lie in the q-Serre
+ideal, witnessed by an explicit relation combination when small and by the
+quotient normal form otherwise.
 
 Entries above the table degree cap are "unverified": a generator whose degree
 exceeds it, and a pair whose commutator is nonzero and of degree above it,
@@ -196,7 +198,7 @@ def check_left_coideal(recipe: GeneratorRecipe, alg: UqBorel) -> list:
             b_alpha = NCPoly(alg, buckets[(rk, bw)])
             if b_alpha.is_zero():
                 continue
-            coeffs, _, products = alg.subspace_membership(b_alpha, gens)
+            coeffs, _ = alg.subspace_membership(b_alpha, gens)
             right = _render_right_leg(rk, bw)
             if coeffs is None:
                 witness = (
@@ -204,15 +206,13 @@ def check_left_coideal(recipe: GeneratorRecipe, alg: UqBorel) -> list:
                     f"{b_alpha.render()}"
                 )
                 return GeneratorOutcome(name, "fail", certs, witness)
-            polys = {label: poly for label, (poly, _) in products.items()}
-            residual = b_alpha - alg.combination(coeffs, polys)
-            ok, detail = _ideal_part_certificate(alg, residual)
+            ok, detail = _certify(alg, b_alpha, coeffs, gens)
             detail["right_leg"] = right
             certs.append(
                 Certificate(
                     kind="coideal-term",
                     coefficients=coeffs,
-                    residual_check=ok and _reexpand_ok(alg, b_alpha, coeffs, gens, residual),
+                    residual_check=ok,
                     detail=detail,
                 )
             )
@@ -222,20 +222,17 @@ def check_left_coideal(recipe: GeneratorRecipe, alg: UqBorel) -> list:
     return [run_one(item) for item in gens]
 
 
-def _reexpand_ok(alg, target, coeffs, gens, residual):
-    """Re-multiply every labelled product from the generators, independently
-    of the products the solve used, and check the combination."""
+def _certify(alg, target, coeffs, gens):
+    """(ok, detail) for target = sum of coeffs[label] * (labelled product)
+    modulo the ideal.
+
+    The products with a nonzero coefficient are multiplied out from the
+    generator polynomials, independently of the normal forms the solve used,
+    and the residual target - combination must lie in the ideal.
+    """
     gen_map = dict(gens)
-    polys = {}
-    for label in coeffs:
-        if label == "1":
-            prod = alg.one()
-        else:
-            prod = None
-            for part in label.split("*"):
-                prod = gen_map[part] if prod is None else alg.nc_mul(prod, gen_map[part])
-        polys[label] = prod
-    return (alg.combination(coeffs, polys) + residual) == target
+    polys = {label: alg.label_product(label, gen_map) for label in coeffs}
+    return _ideal_part_certificate(alg, target - alg.combination(coeffs, polys))
 
 
 def _render_right_leg(kexp, word):
@@ -342,13 +339,15 @@ def _crossing_exponent(alg, kexp, g: NCPoly):
 
 
 def _solve_flatness_pair(alg, c_poly, egens):
-    particular, nullspace, products = alg.subspace_membership(c_poly, egens, min_factors=1)
+    particular, nullspace = alg.subspace_membership(c_poly, egens, min_factors=1)
     if particular is None:
         return {
             "verdict": "fail",
             "note": "commutator is outside span(products) + ideal",
         }
-    degree_one = {label for label, (_, nfactors) in products.items() if nfactors == 1}
+    # the single generators are the labels without a product sign
+    labels = set(particular).union(*nullspace)
+    degree_one = {label for label in labels if "*" not in label}
     solution = _fit_q1_constraints(particular, nullspace, degree_one)
     if solution is None:
         return {
@@ -365,9 +364,7 @@ def _solve_flatness_pair(alg, c_poly, egens):
             v1 = coeffs[label].eval_at_one()
             if v1:
                 xprime_parts.append(f"{v1}*{label}")
-    polys = {label: poly for label, (poly, _) in products.items()}
-    residual = c_poly - alg.combination(coeffs, polys)
-    ok, detail = _ideal_part_certificate(alg, residual)
+    ok, detail = _certify(alg, c_poly, coeffs, egens)
     cert = Certificate(
         kind="flatness-pair",
         coefficients=coeffs,
@@ -770,8 +767,8 @@ def builtin_identity(name: str):
         target = q_bracket(by_name["E2"], by_name["T"], 0)
         mu = alg.weight_of(target)
         templates = []
-        for label, poly, _ in alg.generator_products(gens, (0, 0), mu, min_factors=2):
-            templates.append((label, poly))
+        for label in alg.generator_products(gens, (0, 0), mu, min_factors=2):
+            templates.append((label, alg.label_product(label, by_name)))
         for label, poly in alg.ideal_templates(mu):
             u, (i, j), v = label
             templates.append((f"{_word_str(u)}.R{i + 1}{j + 1}.{_word_str(v)}", poly))

@@ -194,3 +194,49 @@ def test_recipe_validate(capsys, tmp_path):
     code, _, err = run_cli(capsys, "recipe", "validate", str(path))
     assert code == 64
     assert "out of range" in err
+
+
+def _a2_recipe_doc():
+    from qcoiso.recipes import builtin_recipe, serialize_recipe
+    from qcoiso.rootsys import CartanType, build_root_system, parse_root
+
+    rs = build_root_system(CartanType("A", 2))
+    return serialize_recipe(builtin_recipe(rs, parse_root(rs, "L1-L3")))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: [doc],
+        lambda doc: {**doc, "rank": True},
+        lambda doc: {**doc, "k_monomial": 5},
+        lambda doc: {**doc, "k_monomial": [True, True]},
+        lambda doc: {**doc, "generators": [5]},
+        lambda doc: {**doc, "beta": 5},
+        lambda doc: {**doc, "auxiliaries": [1]},
+        lambda doc: {**doc, "generators": [{"name": "X", "expr": {"gen": True}}]},
+        lambda doc: {
+            **doc,
+            "generators": [{"name": "X", "expr": {"qbr": [{"gen": 1}, {"gen": 2}, True]}}],
+        },
+    ],
+    ids=[
+        "not-an-object",
+        "rank-bool",
+        "k-monomial-number",
+        "k-monomial-bool",
+        "generator-number",
+        "beta-number",
+        "auxiliaries-list",
+        "gen-bool",
+        "power-bool",
+    ],
+)
+def test_malformed_recipe_is_a_usage_error(capsys, tmp_path, edit):
+    # 64 is the usage-error code; 1 would read as a failed verification
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(edit(_a2_recipe_doc())))
+    for argv in (["recipe", "validate", str(path)], ["verify", "--recipe", str(path)]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 64, argv
+        assert err.startswith("error: "), argv

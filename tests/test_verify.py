@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcoiso import verify
 from qcoiso.classical import build_realization
 from qcoiso.qfield import RatFunc, parse_ratfunc
 from qcoiso.recipes import Gen, QBr, GeneratorRecipe, builtin_recipe
@@ -120,6 +121,66 @@ def test_coideal_negative_control_a3():
     assert "X2" in failing
     assert "K2 E1" in failing["X2"].witness
     assert "E2" in failing["X2"].witness
+
+
+def _recorded_certificates(monkeypatch, check):
+    """[(alg, target, coeffs, gens, result)] of every `_certify` call made by
+    check (check_left_coideal or check_flatness) on A3 at L1-L4."""
+    rs, beta, recipe, alg = _case("A", 3, "L1-L4")
+    calls = []
+    certify = verify._certify
+
+    def recording(*args):
+        result = certify(*args)
+        calls.append((*args, result))
+        return result
+
+    monkeypatch.setattr(verify, "_certify", recording)
+    check(recipe, alg)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("check", [check_left_coideal, check_flatness], ids=["coideal", "flatness"])
+def test_certify_rejects_a_scaled_coefficient(monkeypatch, check):
+    # multiplying one coefficient of a passing certificate by q moves the
+    # residual out of the ideal, which is the check that ties a certificate
+    # to the algebra
+    calls = _recorded_certificates(monkeypatch, check)
+    passing = [c for c in calls if c[-1][0] and c[2]]
+    assert passing
+    for alg, target, coeffs, gens, _ in passing:
+        label = min(coeffs)
+        bad = {**coeffs, label: coeffs[label] * parse_ratfunc("q")}
+        assert verify._certify(alg, target, bad, gens) == (
+            False, {"ideal_part": "not in the ideal"}
+        ), label
+
+
+def test_subspace_membership_multiplies_nothing(monkeypatch):
+    # the targets are the coideal left coefficients and the commutators of
+    # A3 at L1-L4, formed before nc_mul is made to raise
+    rs, beta, recipe, alg = _case("A", 3, "L1-L4")
+    solves = []
+    solve = alg.subspace_membership
+
+    def recording(x, gens, min_factors=0):
+        result = solve(x, gens, min_factors)
+        solves.append(((x, gens, min_factors), result))
+        return result
+
+    monkeypatch.setattr(alg, "subspace_membership", recording)
+    check_left_coideal(recipe, alg)
+    check_flatness(recipe, alg)
+
+    def refuse(self, a, b):
+        raise AssertionError("the product-span solve multiplied a product out")
+
+    monkeypatch.setattr(UqBorel, "nc_mul", refuse)
+    assert {args[2] for args, _ in solves} == {0, 1}
+    for args, result in solves:
+        assert result[0] is not None
+        assert solve(*args) == result
 
 
 def test_flatness_a3_golden_pair():
