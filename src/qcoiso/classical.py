@@ -3,8 +3,12 @@
 Every algebra is presented through a fixed basis (root vectors e_alpha,
 f_alpha for each positive root, plus the simple coroots h_i) with exact
 rational structure constants.  Types A-D use the standard matrix realizations
-(traceless, symplectic, orthogonal); G2 and E6 are built abstractly from the
-Cartan matrix by iterated brackets of simple root vectors.
+(traceless, symplectic, orthogonal), with brackets read off the matrix
+commutators.  G2 and E6 have no matrix realization here: their Chevalley
+basis is written down from the structure constants N(a, b) of positive roots
+alone, every other bracket following in closed form from Carter's identity
+(see _closed_form_basis).  These bases satisfy [e_alpha, f_alpha] = h_alpha,
+the coroot of alpha.
 
 Elements are sparse coefficient dicts over the basis.  Bivectors (antisymmetric
 two-tensors) are dicts keyed by index pairs (i, j) with i < j.
@@ -47,13 +51,24 @@ class ChevalleyBasis:
 
     Basis layout: indices 0..m-1 are e_alpha over the positive roots in the
     root system's deterministic order, m..2m-1 the matching f_alpha, and
-    2m..2m+rank-1 the simple coroots h_i.
+    2m..2m+rank-1 the simple coroots h_i.  The bracket table holds [x_i, x_j]
+    for every i < j.  For A-D it is solved from the matrix commutators (the B
+    basis is not Chevalley-normalized); for G2 and E6 it is the closed form of
+    _closed_form_basis, in which [e_alpha, f_alpha] = h_alpha.
     """
 
     rs: RootSystem
-    labels: list
     matrices: list | None  # sparse matrices for the classical types
     _bracket_table: dict = field(default_factory=dict)
+    labels: list = field(init=False)
+    _pos_index: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rs = self.rs
+        self._pos_index = {r.decomp: i for i, r in enumerate(rs.positive_roots)}
+        self.labels = [f"e[{rs.render_root(r)}]" for r in rs.positive_roots]
+        self.labels += [f"f[{rs.render_root(r)}]" for r in rs.positive_roots]
+        self.labels += [f"h{i + 1}" for i in range(rs.rank)]
 
     # -- indexing ------------------------------------------------------------
 
@@ -249,18 +264,9 @@ def _classical_matrices(rs: RootSystem):
 
 def _build_matrix_basis(rs: RootSystem) -> ChevalleyBasis:
     e_of, f_of, coroots = _classical_matrices(rs)
-    mats, labels = [], []
-    for r in rs.positive_roots:
-        mats.append(e_of[r.decomp])
-        labels.append(f"e[{rs.render_root(r)}]")
-    for r in rs.positive_roots:
-        mats.append(f_of[r.decomp])
-        labels.append(f"f[{rs.render_root(r)}]")
-    for i, m in enumerate(coroots):
-        mats.append(m)
-        labels.append(f"h{i + 1}")
-    cb = ChevalleyBasis(rs=rs, labels=labels, matrices=mats)
-    cb._pos_index = {r.decomp: i for i, r in enumerate(rs.positive_roots)}
+    mats = [e_of[r.decomp] for r in rs.positive_roots]
+    mats += [f_of[r.decomp] for r in rs.positive_roots] + coroots
+    cb = ChevalleyBasis(rs=rs, matrices=mats)
     solver = FractionSpan()
     for idx, m in enumerate(mats):
         if not solver.add(m, {idx: F1}):
@@ -276,178 +282,8 @@ def _build_matrix_basis(rs: RootSystem) -> ChevalleyBasis:
 
 
 # ---------------------------------------------------------------------------
-# Abstract realizations from the Cartan matrix (G2, E6).
+# Chevalley bases from positive structure constants (G2, E6).
 # ---------------------------------------------------------------------------
-
-class _RootVectorTable:
-    """Structure constants over the basis {x_r : r in R} + simple coroots.
-
-    Symbols are ("x", signed_decomp) and ("h", i).  The positive-positive
-    constants are supplied by the caller; negative-negative ones follow the
-    Chevalley rule N(-a,-b) = -N(a,b); mixed brackets are derived by a
-    terminating height induction on the negative argument; [x_r, x_{-r}] is
-    whatever the induction yields (a nonzero Cartan element).
-    """
-
-    def __init__(self, rs: RootSystem, pos_constants: dict):
-        self.rs = rs
-        self.n = rs.rank
-        self.A = rs.cartan_matrix
-        self.pos = {}
-        for (a, b), c in pos_constants.items():
-            self.pos[(a, b)] = Fraction(c)
-            self.pos[(b, a)] = -Fraction(c)
-        self.defn = {}  # positive decomp -> (delta, simple index)
-        for r in sorted(rs.positive_roots, key=lambda r: (r.height, r.decomp)):
-            if r.height == 1:
-                continue
-            g = r.decomp
-            for i in range(self.n):
-                d = tuple(c - (1 if j == i else 0) for j, c in enumerate(g))
-                if rs.is_root(d) and any(c > 0 for c in d):
-                    if (d, _unit(self.n, i)) not in self.pos:
-                        continue
-                    self.defn[g] = (d, i)
-                    break
-            else:
-                raise RealizationError(f"no defining pair for {g}")
-        self._mixed = {}  # (pos_decomp, neg_simple_or_general) cache
-        self._fill_mixed()
-
-    def coroot_vector(self, decomp) -> dict:
-        d = self.rs.symmetrizers
-        lensq = self.rs.inner(decomp, decomp)
-        return {
-            ("h", i): Fraction(2 * c * d[i], lensq)
-            for i, c in enumerate(decomp)
-            if c
-        }
-
-    def _fill_mixed(self):
-        # stage one: [x_g, x_{-s}] for positive g, simple s, by height of g
-        order = sorted(self.rs.positive_roots, key=lambda r: (r.height, r.decomp))
-        for r in order:
-            g = r.decomp
-            for s in range(self.n):
-                self._mixed[(g, s)] = self._mixed_simple(g, s)
-        # stage two: [x_g, x_{-m}] for ht m >= 2, by height of m
-        for rm in order:
-            if rm.height == 1:
-                continue
-            m = rm.decomp
-            delta, s = self.defn[m]
-            scale = F1 / (-self.pos[(delta, _unit(self.n, s))])
-            for rg in order:
-                g = rg.decomp
-                total = tuple(a - b for a, b in zip(g, m))
-                if any(total) and not self.rs.is_root(total):
-                    continue
-                # x_{-m} = scale * [x_{-delta}, x_{-s}]
-                t1 = self.bracket(self.bracket_x(g, _neg(delta)), {("x", _neg(_unit(self.n, s))): F1})
-                t2 = self.bracket({("x", _neg(delta)): F1}, self.bracket_x(g, _neg(_unit(self.n, s))))
-                self._mixed[(g, m)] = _madd((t1, scale), (t2, scale))
-
-    def _mixed_simple(self, g, s) -> dict:
-        ht = sum(g)
-        sv = _unit(self.n, s)
-        if ht == 1:
-            if g == sv:
-                return self.coroot_vector(g)
-            return {}
-        total = tuple(a - b for a, b in zip(g, sv))
-        if any(total) and not self.rs.is_root(total):
-            return {}
-        delta, sg = self.defn[g]
-        sgv = _unit(self.n, sg)
-        scale = F1 / self.pos[(delta, sgv)]
-        # x_g = scale [x_delta, x_sg]; [x_g, x_{-s}] =
-        #   scale ([x_delta, [x_sg, x_{-s}]] - [x_sg, [x_delta, x_{-s}]])
-        inner1 = self._mixed[(sgv, s)]
-        inner2 = self._mixed[(delta, s)]
-        t1 = self.bracket({("x", delta): F1}, inner1)
-        t2 = self.bracket({("x", sgv): F1}, inner2)
-        return _madd((t1, scale), (t2, -scale))
-
-    def bracket_x(self, g, signed) -> dict:
-        """[x_g, x_signed] with g positive, signed any root, from filled data."""
-        if all(c >= 0 for c in signed):
-            return self._pos_bracket(g, signed)
-        m = _neg(signed)
-        total = tuple(a - b for a, b in zip(g, m))
-        if any(total) and not self.rs.is_root(total):
-            return {}
-        key = (g, m.index(1)) if sum(m) == 1 else (g, m)
-        hit = self._mixed.get(key)
-        if hit is None:
-            raise RealizationError("mixed bracket missing")
-        return hit
-
-    def _pos_bracket(self, a, b) -> dict:
-        if a == b:
-            return {}
-        total = tuple(x + y for x, y in zip(a, b))
-        if not self.rs.is_root(total):
-            return {}
-        c = self.pos.get((a, b))
-        if c is None:
-            raise RealizationError(f"missing positive constant ({a},{b})")
-        return {("x", total): c}
-
-    def bracket_sym(self, sa, sb) -> dict:
-        if sa == sb:
-            return {}
-        ka, kb = sa[0], sb[0]
-        if ka == "h" and kb == "h":
-            return {}
-        if ka == "h":
-            i, w = sa[1], sb[1]
-            pairing = sum(self.A[i][j] * w[j] for j in range(self.n))
-            return {sb: Fraction(pairing)} if pairing else {}
-        if kb == "h":
-            return {k: -v for k, v in self.bracket_sym(sb, sa).items()}
-        da, db = sa[1], sb[1]
-        pa, pb = all(c >= 0 for c in da), all(c >= 0 for c in db)
-        if pa:
-            return self.bracket_x(da, db)
-        if pb:
-            return {k: -v for k, v in self.bracket_x(db, da).items()}
-        # both negative: Chevalley mirror of the positive constants
-        na, nb = _neg(da), _neg(db)
-        total = tuple(x + y for x, y in zip(na, nb))
-        if not self.rs.is_root(total):
-            return {}
-        c = self.pos.get((na, nb))
-        if c is None:
-            raise RealizationError(f"missing positive constant ({na},{nb})")
-        return {("x", _neg(total)): -c}
-
-    def bracket(self, xvec: dict, yvec: dict) -> dict:
-        out = {}
-        for s1, c1 in xvec.items():
-            for s2, c2 in yvec.items():
-                vec_add_scaled(out, self.bracket_sym(s1, s2), c1 * c2)
-        return out
-
-
-def _neg(decomp):
-    return tuple(-c for c in decomp)
-
-
-def _unit(n, i):
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
-def _proportionality(x: dict, y: dict):
-    """Scale s with x = s*y, or None."""
-    if not x or not y or set(x) != set(y):
-        return None
-    k0, v0 = next(iter(y.items()))
-    s = x[k0] / v0
-    for k, v in y.items():
-        if x[k] != s * v:
-            return None
-    return s
-
 
 # Positive-part constants of G2 over simple roots a=(1,0) short, b=(0,1) long,
 # anchored at [x_b, x_a] = x_{a+b} and closed under the Jacobi identity:
@@ -492,59 +328,61 @@ def _simply_laced_pos_constants(rs: RootSystem) -> dict:
     return out
 
 
-def _build_abstract_basis(rs: RootSystem) -> ChevalleyBasis:
-    if rs.type.series == "G":
-        table = _RootVectorTable(rs, _G2_POS_CONSTANTS)
-    else:
-        table = _RootVectorTable(rs, _simply_laced_pos_constants(rs))
-    # choose f_r = sign * x_{-r} with [e_r, f_r] = +coroot(r)
-    f_sign = {}
-    for r in rs.positive_roots:
-        t = table.bracket_x(r.decomp, _neg(r.decomp))
-        target = table.coroot_vector(r.decomp)
-        s = _proportionality(t, target)
-        if s is None or s == 0:
-            raise RealizationError(f"[e, f] is not a coroot multiple at {r}")
-        if s * s != 1:
-            raise RealizationError(f"non-unit coroot normalization at {r}")
-        f_sign[r.decomp] = s
-    symbols = (
-        [("x", r.decomp) for r in rs.positive_roots]
-        + [("x", _neg(r.decomp)) for r in rs.positive_roots]
-        + [("h", i) for i in range(rs.rank)]
-    )
-    sym_index = {s: i for i, s in enumerate(symbols)}
+def _closed_form_basis(rs: RootSystem, pos_constants: dict) -> ChevalleyBasis:
+    """The Chevalley basis whose [e_a, e_b] = N(a, b) e_{a+b} for positive a, b.
 
-    def basis_scale(sym):
-        if sym[0] == "x" and any(c < 0 for c in sym[1]):
-            return f_sign[_neg(sym[1])]
-        return F1
-
-    labels = [f"e[{rs.render_root(r)}]" for r in rs.positive_roots]
-    labels += [f"f[{rs.render_root(r)}]" for r in rs.positive_roots]
-    labels += [f"h{i + 1}" for i in range(rs.rank)]
-    cb = ChevalleyBasis(rs=rs, labels=labels, matrices=None)
-    cb._pos_index = {r.decomp: i for i, r in enumerate(rs.positive_roots)}
-    dim = len(symbols)
-    for i in range(dim):
-        si = symbols[i]
-        for j in range(i + 1, dim):
-            sj = symbols[j]
-            raw = table.bracket_sym(si, sj)
-            scale = basis_scale(si) * basis_scale(sj)
-            vec = {}
-            for s, c in raw.items():
-                vec[sym_index[s]] = c * scale / basis_scale(s)
-            cb._bracket_table[(i, j)] = {k: v for k, v in vec.items() if v}
-    return cb
+    Every other bracket follows in closed form from N (Carter, Simple Groups
+    of Lie Type, Thm 4.1.2: if r + s + t = 0 then N(r,s)/(t,t) = N(s,t)/(r,r)
+    = N(t,r)/(s,s)) for f_a = e_{-a} in a Chevalley basis with
+    N(-a, -b) = -N(a, b) and [e_a, e_{-a}] = h_a, the coroot of a:
+      [f_a, f_b] = -N(a, b) f_{a+b},
+      [e_a, f_b] = -N(b, a-b) (a-b, a-b)/(a, a) e_{a-b}   if a - b > 0,
+      [e_a, f_b] =  N(b-a, a) (b-a, b-a)/(b, b) f_{b-a}   if b - a > 0,
+      [h_i, e_a] = a(h_i) e_a,  [h_i, f_a] = -a(h_i) f_a.
+    """
+    N = {}
+    for (a, b), c in pos_constants.items():
+        N[(a, b)], N[(b, a)] = Fraction(c), -Fraction(c)
+    roots = [r.decomp for r in rs.positive_roots]
+    index = {a: i for i, a in enumerate(roots)}
+    norm = {a: rs.inner(a, a) for a in roots}
+    m, n, A, d = len(roots), rs.rank, rs.cartan_matrix, rs.symmetrizers
+    dim = 2 * m + n
+    table = {(i, j): {} for i in range(dim) for j in range(i + 1, dim)}
+    for i, a in enumerate(roots):
+        for j, b in enumerate(roots):
+            plus = tuple(x + y for x, y in zip(a, b))
+            a_minus_b = tuple(x - y for x, y in zip(a, b))
+            b_minus_a = tuple(-x for x in a_minus_b)
+            if i < j and plus in index:
+                table[(i, j)] = {index[plus]: N[(a, b)]}
+                table[(m + i, m + j)] = {m + index[plus]: -N[(a, b)]}
+            if i == j:
+                table[(i, m + j)] = {
+                    2 * m + k: Fraction(2 * c * d[k], norm[a]) for k, c in enumerate(a) if c
+                }
+            elif a_minus_b in index:
+                coeff = -N[(b, a_minus_b)] * norm[a_minus_b] / norm[a]
+                table[(i, m + j)] = {index[a_minus_b]: coeff}
+            elif b_minus_a in index:
+                coeff = N[(b_minus_a, a)] * norm[b_minus_a] / norm[b]
+                table[(i, m + j)] = {m + index[b_minus_a]: coeff}
+        for k in range(n):
+            weight = sum(A[k][l] * a[l] for l in range(n))
+            if weight:
+                table[(i, 2 * m + k)] = {i: Fraction(-weight)}
+                table[(m + i, 2 * m + k)] = {m + i: Fraction(weight)}
+    return ChevalleyBasis(rs=rs, matrices=None, _bracket_table=table)
 
 
 def build_realization(rs: RootSystem) -> ChevalleyBasis:
     series = rs.type.series
     if series in "ABCD":
         return _build_matrix_basis(rs)
-    if series in "GE":
-        return _build_abstract_basis(rs)
+    if series == "G":
+        return _closed_form_basis(rs, _G2_POS_CONSTANTS)
+    if series == "E":
+        return _closed_form_basis(rs, _simply_laced_pos_constants(rs))
     raise RealizationError(f"no classical realization for {rs.type} (none is needed)")
 
 

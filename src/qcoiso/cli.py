@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RootSystemError, RecipeError, ValueError) as exc:
+    except (RootSystemError, RecipeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
 
@@ -209,8 +209,7 @@ def _print_report_text(payload):
         c = payload["classical"]
         print(f"classical: coisotropic={c['coisotropic']} dim={c['dim']}")
     for g in payload["coideal"]["per_generator"]:
-        status = "pass" if g["pass"] else "fail"
-        print(f"coideal {g['name']}: {status}")
+        print(f"coideal {g['name']}: {g['status']}")
         if g.get("witness"):
             print(f"  witness: {g['witness']}")
     for p in payload["flatness"]["per_pair"]:

@@ -49,6 +49,13 @@ class DegreeOverflowError(UqAlgebraError):
 # Elements.
 # ---------------------------------------------------------------------------
 
+def render_monomial(kexp, word) -> str:
+    """The basis monomial K^kexp E_word as text, e.g. "K1 K2^2 E1 E3", or "1"."""
+    factors = [f"K{i + 1}" if v == 1 else f"K{i + 1}^{v}" for i, v in enumerate(kexp) if v]
+    factors.extend(f"E{i + 1}" for i in word)
+    return " ".join(factors) if factors else "1"
+
+
 class NCPoly:
     """A Borel element: {(kexp, word): coefficient} with zero coefficients
     stripped.  Instances are treated as immutable."""
@@ -112,15 +119,7 @@ class NCPoly:
         bits = []
         for (kexp, word) in sorted(self.terms, key=lambda t: (t[0], len(t[1]), t[1])):
             c = self.terms[(kexp, word)]
-            factors = []
-            for i, v in enumerate(kexp):
-                if v == 1:
-                    factors.append(f"K{i + 1}")
-                elif v:
-                    factors.append(f"K{i + 1}^{v}")
-            factors.extend(f"E{i + 1}" for i in word)
-            body = " ".join(factors) if factors else "1"
-            bits.append(f"{c.render()} * {body}")
+            bits.append(f"{c.render()} * {render_monomial(kexp, word)}")
         return "  +  ".join(bits)
 
     def __repr__(self):

@@ -47,7 +47,13 @@ from .linalg import (
 from .qfield import RF_ONE, RatFunc
 from .recipes import GeneratorRecipe, builtin_recipe, classical_limit_expr
 from .rootsys import Root, RootSystem, is_admissible
-from .uqalg import DegreeOverflowError, NCPoly, UqBorel, q_bracket
+from .uqalg import (
+    DegreeOverflowError,
+    NCPoly,
+    UqBorel,
+    q_bracket,
+    render_monomial,
+)
 
 # explicit u.R.v certificates are produced below this component degree
 IDEAL_CERTIFICATE_DEGREE = 6
@@ -199,7 +205,7 @@ def check_left_coideal(recipe: GeneratorRecipe, alg: UqBorel) -> list:
             if b_alpha.is_zero():
                 continue
             coeffs, _ = alg.subspace_membership(b_alpha, gens)
-            right = _render_right_leg(rk, bw)
+            right = render_monomial(rk, bw)
             if coeffs is None:
                 witness = (
                     f"left coefficient of {right} is outside the generator span: "
@@ -233,17 +239,6 @@ def _certify(alg, target, coeffs, gens):
     gen_map = dict(gens)
     polys = {label: alg.label_product(label, gen_map) for label in coeffs}
     return _ideal_part_certificate(alg, target - alg.combination(coeffs, polys))
-
-
-def _render_right_leg(kexp, word):
-    bits = []
-    for i, v in enumerate(kexp):
-        if v == 1:
-            bits.append(f"K{i + 1}")
-        elif v:
-            bits.append(f"K{i + 1}^{v}")
-    bits.extend(f"E{l + 1}" for l in word)
-    return " ".join(bits) if bits else "1"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -292,14 +293,36 @@ def test_master_equation_trivial():
 
 
 def test_abstract_ef_brackets_are_coroots():
-    rs, cb = realization("G", 2)
-    for r in rs.positive_roots:
-        t = cb.bracket(cb.e(r), cb.f(r))
-        # coroot coordinates over the simple coroot basis
-        d = rs.symmetrizers
-        lensq = rs.root_length_sq(r)
-        expected = {}
-        for i, c in enumerate(r.decomp):
-            if c:
-                expected[cb.h_index(i)] = Fraction(2 * c * d[i], lensq)
-        assert t == expected
+    for series, rank in [("G", 2), ("E", 6)]:
+        rs, cb = realization(series, rank)
+        for r in rs.positive_roots:
+            t = cb.bracket(cb.e(r), cb.f(r))
+            # coroot coordinates over the simple coroot basis
+            d = rs.symmetrizers
+            lensq = rs.root_length_sq(r)
+            expected = {}
+            for i, c in enumerate(r.decomp):
+                if c:
+                    expected[cb.h_index(i)] = Fraction(2 * c * d[i], lensq)
+            assert t == expected, (series, r)
+
+
+@pytest.mark.parametrize(
+    "series, rank, pairs, digest",
+    [
+        ("G", 2, 91, "05c431ec45db22173b7f8ad3ab7b5f7d269b56c674b27dfe230d634393954fd1"),
+        ("E", 6, 3003, "241fba8bfd9e4108e5d57d30dff89123b151e839d18ac6be03aecfbdcd530469"),
+    ],
+)
+def test_exceptional_bracket_tables_are_pinned(series, rank, pairs, digest):
+    # one line "i j k:v ..." per basis pair i < j, with the nonzero
+    # coefficients of [x_i, x_j] in index order; every report over G2 and E6
+    # is built on these tables, so any rebuild of them must match exactly
+    rs, cb = realization(series, rank)
+    table = cb._bracket_table
+    assert len(table) == pairs
+    text = "\n".join(
+        f"{i} {j} " + " ".join(f"{k}:{v}" for k, v in sorted(vec.items()))
+        for (i, j), vec in sorted(table.items())
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

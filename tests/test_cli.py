@@ -141,6 +141,31 @@ def test_verify_report_file_and_recipe(capsys, tmp_path):
     assert "verdict: pass" in out
 
 
+def test_verify_text_report_shows_unverified_generator(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--type", "A", "--rank", "2", "--beta", "L1-L3",
+        "--degree-cap", "1", "--no-timings",
+    )
+    assert code == 2
+    assert "coideal X2: unverified\n" in out
+    assert "coideal X2: fail" not in out
+
+
+def test_unopenable_files_are_usage_errors(capsys, tmp_path):
+    # 64 is the usage-error code; 1 would read as a failed verification
+    missing = str(tmp_path / "missing.json")
+    for argv in (["verify", "--recipe", missing], ["recipe", "validate", missing]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 64, argv
+        assert err.startswith("error: ") and "missing.json" in err, argv
+    code, _, err = run_cli(
+        capsys, "verify", "--type", "A", "--rank", "1", "--beta", "L1-L2",
+        "--no-timings", "--output", str(tmp_path / "no-such-dir" / "report.json"),
+    )
+    assert code == 64
+    assert err.startswith("error: ")
+
+
 def test_verify_cache_roundtrip(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QCOISO_CACHE", str(tmp_path / "cache"))
     args = [
