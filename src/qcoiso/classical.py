@@ -2,13 +2,14 @@
 
 Every algebra is presented through a fixed basis (root vectors e_alpha,
 f_alpha for each positive root, plus the simple coroots h_i) with exact
-rational structure constants.  Types A-D use the standard matrix realizations
-(traceless, symplectic, orthogonal), with brackets read off the matrix
-commutators.  G2 and E6 have no matrix realization here: their Chevalley
-basis is written down from the structure constants N(a, b) of positive roots
-alone, every other bracket following in closed form from Carter's identity
-(see _closed_form_basis).  These bases satisfy [e_alpha, f_alpha] = h_alpha,
-the coroot of alpha.
+rational structure constants.  One closed form (_closed_form_basis) writes
+the whole bracket table from two inputs on positive roots: the structure
+constants N(a, b) of [e_a, e_b] = N(a, b) e_{a+b} and n(a) = (e_a, f_a) under
+an invariant form.  For A-D both are read off the standard matrix
+realizations (traceless, orthogonal, symplectic), where f_a is the transpose
+of e_a; G2 and E6 take Chevalley constants and n(a) = 2/(a, a).  Then
+[e_alpha, f_alpha] = h_alpha, the coroot of alpha, except on the short roots
+of B, where the matrix realization gives h_alpha / 2.
 
 Elements are sparse coefficient dicts over the basis.  Bivectors (antisymmetric
 two-tensors) are dicts keyed by index pairs (i, j) with i < j.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .linalg import SpanSolver, accumulate, vec_add_scaled
 from .rootsys import Root, RootSystem
@@ -31,14 +33,7 @@ class RealizationError(ValueError):
 
 
 class FractionSpan(SpanSolver):
-    """Span of Fraction vectors keyed by ints or tuples (matrix cells)."""
-
-    def __init__(self):
-        super().__init__(key_order=_key_order)
-
-
-def _key_order(k):
-    return (len(k), k) if isinstance(k, tuple) else (0, k)
+    """Span of Fraction vectors over basis indices."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +47,13 @@ class ChevalleyBasis:
     Basis layout: indices 0..m-1 are e_alpha over the positive roots in the
     root system's deterministic order, m..2m-1 the matching f_alpha, and
     2m..2m+rank-1 the simple coroots h_i.  The bracket table holds [x_i, x_j]
-    for every i < j.  For A-D it is solved from the matrix commutators (the B
-    basis is not Chevalley-normalized); for G2 and E6 it is the closed form of
-    _closed_form_basis, in which [e_alpha, f_alpha] = h_alpha.
+    for every i < j, written by _closed_form_basis from the positive
+    structure constants N and the pairings n(alpha) = (e_alpha, f_alpha).
+    [e_alpha, f_alpha] = nu(alpha) h_alpha with nu = 1, except nu = 1/2 on the
+    short roots of B, where the matrix realization's [e, f] is half the coroot.
     """
 
     rs: RootSystem
-    matrices: list | None  # sparse matrices for the classical types
     _bracket_table: dict = field(default_factory=dict)
     labels: list = field(init=False)
     _pos_index: dict = field(init=False, repr=False)
@@ -134,156 +129,70 @@ class ChevalleyBasis:
 
 
 # ---------------------------------------------------------------------------
-# Matrix realizations for the classical series.
+# Positive structure constants.
 # ---------------------------------------------------------------------------
 
-def _eu(i, j):
-    return {(i, j): F1}
+def _root_matrices(rs: RootSystem) -> dict:
+    """The sparse matrix of e_a in the standard realization, per positive root a.
 
-
-def _madd(*mats_scales):
-    """The sum of s * mat over the (mat, s) pairs."""
+    sl(n+1) acts on the weights L_1..L_{n+1}; sp(2n) and so(2n) on L_1..L_n,
+    -L_1..-L_n; so(2n+1) has one more weight 0 at index 2n.  In all four
+    f_a is the transpose of e_a, so only the e-matrices are kept.
+    """
+    series, n = rs.type.series, rs.rank
+    if series not in "ABCD":
+        raise RealizationError(f"no matrix realization for {rs.type}")
     out = {}
-    for mat, s in mats_scales:
-        vec_add_scaled(out, mat, s)
-    return out
-
-
-def _mat_mul(a, b):
-    out = {}
-    bt = {}
-    for (r, c), v in b.items():
-        bt.setdefault(r, []).append((c, v))
-    for (r, c), v in a.items():
-        accumulate(out, (((r, c2), v * w) for c2, w in bt.get(c, ())))
+    for r in rs.positive_roots:
+        coords = rs.euclid_coords(r)
+        pos = [k for k, c in enumerate(coords) if c > 0]
+        neg = [k for k, c in enumerate(coords) if c < 0]
+        if series == "A":
+            mat = {(pos[0], neg[0]): F1}
+        elif neg:  # L_i - L_j
+            i, j = pos[0], neg[0]
+            mat = {(i, j): F1, (n + j, n + i): -F1}
+        elif len(pos) == 2:  # L_i + L_j, i < j
+            i, j = pos
+            mat = {(i, n + j): F1, (j, n + i): F1 if series == "C" else -F1}
+        elif series == "C":  # 2L_i
+            mat = {(pos[0], n + pos[0]): F1}
+        else:  # L_i, type B
+            mat = {(pos[0], 2 * n): F1, (2 * n, n + pos[0]): -F1}
+        out[r.decomp] = mat
     return out
 
 
 def _mat_bracket(a, b):
-    return _madd((_mat_mul(a, b), F1), (_mat_mul(b, a), -F1))
+    """ab - ba for sparse matrices keyed by (row, column)."""
+    out = {}
+    for (r, c), v in a.items():
+        for (r2, c2), w in b.items():
+            if c == r2:
+                accumulate(out, [((r, c2), v * w)])
+            if c2 == r:
+                accumulate(out, [((r2, c), -v * w)])
+    return out
 
 
-def _classical_matrices(rs: RootSystem):
-    """(e_mat, f_mat) per positive root plus coroot matrices, per type."""
-    series, n = rs.type.series, rs.rank
-    e_of, f_of = {}, {}
+def _matrix_constants(rs: RootSystem):
+    """(N, n) of the matrix realization: [e_a, e_b] = N(a, b) e_{a+b} for
+    positive a, b, and n(a) = tr(e_a f_a), the sum of squares of e_a's entries."""
+    mats = _root_matrices(rs)
+    N = {}
+    for (a, ea), (b, eb) in combinations(mats.items(), 2):
+        ab = tuple(x + y for x, y in zip(a, b))
+        target = mats.get(ab)
+        if target is None:
+            continue
+        comm = _mat_bracket(ea, eb)
+        cell = next(iter(target))
+        c = comm.get(cell, F0) / target[cell]
+        if comm != {k: c * v for k, v in target.items()}:
+            raise RealizationError(f"[e_{a}, e_{b}] is not a multiple of e_{ab}")
+        N[(a, b)] = c
+    return N, {a: sum(v * v for v in m.values()) for a, m in mats.items()}
 
-    def x_ij(i, j, n):
-        return _madd((_eu(i, j), F1), (_eu(n + j, n + i), -F1))
-
-    if series == "A":
-        for r in rs.positive_roots:
-            coords = rs.euclid_coords(r)
-            i = next(k for k, c in enumerate(coords) if c == 1)
-            j = next(k for k, c in enumerate(coords) if c == -1)
-            e_of[r.decomp] = _eu(i, j)
-            f_of[r.decomp] = _eu(j, i)
-        coroots = [
-            _madd((_eu(i, i), F1), (_eu(i + 1, i + 1), -F1)) for i in range(n)
-        ]
-        return e_of, f_of, coroots
-
-    if series in "CD":
-        for r in rs.positive_roots:
-            coords = rs.euclid_coords(r)
-            pos = [k for k, c in enumerate(coords) if c > 0]
-            neg = [k for k, c in enumerate(coords) if c < 0]
-            if len(pos) == 1 and len(neg) == 1:  # L_i - L_j
-                i, j = pos[0], neg[0]
-                e_of[r.decomp] = x_ij(i, j, n)
-                f_of[r.decomp] = x_ij(j, i, n)
-            elif len(pos) == 2:  # L_i + L_j, i < j
-                i, j = pos
-                if series == "C":
-                    e_of[r.decomp] = _madd((_eu(i, n + j), F1), (_eu(j, n + i), F1))
-                    f_of[r.decomp] = _madd((_eu(n + i, j), F1), (_eu(n + j, i), F1))
-                else:
-                    e_of[r.decomp] = _madd((_eu(i, n + j), F1), (_eu(j, n + i), -F1))
-                    f_of[r.decomp] = _madd((_eu(n + j, i), F1), (_eu(n + i, j), -F1))
-            else:  # 2L_i, type C only
-                i = pos[0]
-                e_of[r.decomp] = _eu(i, n + i)
-                f_of[r.decomp] = _eu(n + i, i)
-        coroots = []
-        for i in range(n - 1):
-            coroots.append(
-                _madd(
-                    (_eu(i, i), F1),
-                    (_eu(i + 1, i + 1), -F1),
-                    (_eu(n + i, n + i), -F1),
-                    (_eu(n + i + 1, n + i + 1), F1),
-                )
-            )
-        if series == "C":
-            coroots.append(_madd((_eu(n - 1, n - 1), F1), (_eu(2 * n - 1, 2 * n - 1), -F1)))
-        else:
-            coroots.append(
-                _madd(
-                    (_eu(n - 2, n - 2), F1),
-                    (_eu(n - 1, n - 1), F1),
-                    (_eu(2 * n - 2, 2 * n - 2), -F1),
-                    (_eu(2 * n - 1, 2 * n - 1), -F1),
-                )
-            )
-        return e_of, f_of, coroots
-
-    if series == "B":
-        for r in rs.positive_roots:
-            coords = rs.euclid_coords(r)
-            pos = [k for k, c in enumerate(coords) if c > 0]
-            neg = [k for k, c in enumerate(coords) if c < 0]
-            if len(pos) == 1 and len(neg) == 1:
-                i, j = pos[0], neg[0]
-                e_of[r.decomp] = x_ij(i, j, n)
-                f_of[r.decomp] = x_ij(j, i, n)
-            elif len(pos) == 2:
-                i, j = pos
-                e_of[r.decomp] = _madd((_eu(i, n + j), F1), (_eu(j, n + i), -F1))
-                f_of[r.decomp] = _madd((_eu(n + j, i), F1), (_eu(n + i, j), -F1))
-            else:  # short root L_i
-                i = pos[0]
-                e_of[r.decomp] = _madd((_eu(i, 2 * n), F1), (_eu(2 * n, n + i), -F1))
-                f_of[r.decomp] = _madd((_eu(2 * n, i), F1), (_eu(n + i, 2 * n), -F1))
-        coroots = []
-        for i in range(n - 1):
-            coroots.append(
-                _madd(
-                    (_eu(i, i), F1),
-                    (_eu(i + 1, i + 1), -F1),
-                    (_eu(n + i, n + i), -F1),
-                    (_eu(n + i + 1, n + i + 1), F1),
-                )
-            )
-        coroots.append(
-            _madd((_eu(n - 1, n - 1), Fraction(2)), (_eu(2 * n - 1, 2 * n - 1), -Fraction(2)))
-        )
-        return e_of, f_of, coroots
-
-    raise RealizationError(f"no matrix realization for {rs.type}")
-
-
-def _build_matrix_basis(rs: RootSystem) -> ChevalleyBasis:
-    e_of, f_of, coroots = _classical_matrices(rs)
-    mats = [e_of[r.decomp] for r in rs.positive_roots]
-    mats += [f_of[r.decomp] for r in rs.positive_roots] + coroots
-    cb = ChevalleyBasis(rs=rs, matrices=mats)
-    solver = FractionSpan()
-    for idx, m in enumerate(mats):
-        if not solver.add(m, {idx: F1}):
-            raise RealizationError("dependent matrix basis")
-    dim = cb.dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            coords = solver.solve(_mat_bracket(mats[i], mats[j]))
-            if coords is None:
-                raise RealizationError("matrix outside the realization span")
-            cb._bracket_table[(i, j)] = coords
-    return cb
-
-
-# ---------------------------------------------------------------------------
-# Chevalley bases from positive structure constants (G2, E6).
-# ---------------------------------------------------------------------------
 
 # Positive-part constants of G2 over simple roots a=(1,0) short, b=(0,1) long,
 # anchored at [x_b, x_a] = x_{a+b} and closed under the Jacobi identity:
@@ -328,17 +237,27 @@ def _simply_laced_pos_constants(rs: RootSystem) -> dict:
     return out
 
 
-def _closed_form_basis(rs: RootSystem, pos_constants: dict) -> ChevalleyBasis:
-    """The Chevalley basis whose [e_a, e_b] = N(a, b) e_{a+b} for positive a, b.
+# ---------------------------------------------------------------------------
+# The bracket table in closed form.
+# ---------------------------------------------------------------------------
 
-    Every other bracket follows in closed form from N (Carter, Simple Groups
-    of Lie Type, Thm 4.1.2: if r + s + t = 0 then N(r,s)/(t,t) = N(s,t)/(r,r)
-    = N(t,r)/(s,s)) for f_a = e_{-a} in a Chevalley basis with
-    N(-a, -b) = -N(a, b) and [e_a, e_{-a}] = h_a, the coroot of a:
-      [f_a, f_b] = -N(a, b) f_{a+b},
-      [e_a, f_b] = -N(b, a-b) (a-b, a-b)/(a, a) e_{a-b}   if a - b > 0,
-      [e_a, f_b] =  N(b-a, a) (b-a, b-a)/(b, b) f_{b-a}   if b - a > 0,
-      [h_i, e_a] = a(h_i) e_a,  [h_i, f_a] = -a(h_i) f_a.
+def _closed_form_basis(
+    rs: RootSystem, pos_constants: dict, n: dict | None = None
+) -> ChevalleyBasis:
+    """The basis whose [e_a, e_b] = N(a, b) e_{a+b} and (e_a, f_a) = n(a) for
+    positive a, b, under an invariant form ( , ).
+
+    Every other bracket follows from N and n by invariance (Carter, Simple
+    Groups of Lie Type, Thm 4.1.2; Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 25.2), with f_a scaled so that [f_a, f_b] =
+    -N(a, b) f_{a+b}:
+      [e_a, f_a] = nu(a) h_a,  nu(a) = n(a)(a, a) / (n(theta)(theta, theta)),
+      [e_a, f_b] = -N(b, a-b) n(a)/n(a-b) e_{a-b}   if a - b > 0,
+      [e_a, f_b] =  N(b-a, a) n(b)/n(b-a) f_{b-a}   if b - a > 0,
+      [h_i, e_a] = a(h_i) e_a,  [h_i, f_a] = -a(h_i) f_a,
+    where h_a is the coroot of a and theta the highest root, so that
+    [e_theta, f_theta] = h_theta.  n defaults to the Chevalley value 2/(a, a),
+    for which nu = 1.
     """
     N = {}
     for (a, b), c in pos_constants.items():
@@ -346,8 +265,12 @@ def _closed_form_basis(rs: RootSystem, pos_constants: dict) -> ChevalleyBasis:
     roots = [r.decomp for r in rs.positive_roots]
     index = {a: i for i, a in enumerate(roots)}
     norm = {a: rs.inner(a, a) for a in roots}
-    m, n, A, d = len(roots), rs.rank, rs.cartan_matrix, rs.symmetrizers
-    dim = 2 * m + n
+    if n is None:
+        n = {a: 2 / Fraction(norm[a]) for a in roots}
+    theta = max(roots, key=sum)
+    nu = {a: n[a] * norm[a] / (n[theta] * norm[theta]) for a in roots}
+    m, rank, A, d = len(roots), rs.rank, rs.cartan_matrix, rs.symmetrizers
+    dim = 2 * m + rank
     table = {(i, j): {} for i in range(dim) for j in range(i + 1, dim)}
     for i, a in enumerate(roots):
         for j, b in enumerate(roots):
@@ -359,26 +282,27 @@ def _closed_form_basis(rs: RootSystem, pos_constants: dict) -> ChevalleyBasis:
                 table[(m + i, m + j)] = {m + index[plus]: -N[(a, b)]}
             if i == j:
                 table[(i, m + j)] = {
-                    2 * m + k: Fraction(2 * c * d[k], norm[a]) for k, c in enumerate(a) if c
+                    2 * m + k: nu[a] * Fraction(2 * c * d[k], norm[a])
+                    for k, c in enumerate(a) if c
                 }
             elif a_minus_b in index:
-                coeff = -N[(b, a_minus_b)] * norm[a_minus_b] / norm[a]
+                coeff = -N[(b, a_minus_b)] * n[a] / n[a_minus_b]
                 table[(i, m + j)] = {index[a_minus_b]: coeff}
             elif b_minus_a in index:
-                coeff = N[(b_minus_a, a)] * norm[b_minus_a] / norm[b]
+                coeff = N[(b_minus_a, a)] * n[b] / n[b_minus_a]
                 table[(i, m + j)] = {m + index[b_minus_a]: coeff}
-        for k in range(n):
-            weight = sum(A[k][l] * a[l] for l in range(n))
+        for k in range(rank):
+            weight = sum(A[k][l] * a[l] for l in range(rank))
             if weight:
                 table[(i, 2 * m + k)] = {i: Fraction(-weight)}
                 table[(m + i, 2 * m + k)] = {m + i: Fraction(weight)}
-    return ChevalleyBasis(rs=rs, matrices=None, _bracket_table=table)
+    return ChevalleyBasis(rs=rs, _bracket_table=table)
 
 
 def build_realization(rs: RootSystem) -> ChevalleyBasis:
     series = rs.type.series
     if series in "ABCD":
-        return _build_matrix_basis(rs)
+        return _closed_form_basis(rs, *_matrix_constants(rs))
     if series == "G":
         return _closed_form_basis(rs, _G2_POS_CONSTANTS)
     if series == "E":

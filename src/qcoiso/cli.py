@@ -40,8 +40,18 @@ def main(argv=None) -> int:
         return 64
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 64 on a usage error, as every other input error does: argparse's
+    own 2 is the exit code of an inconclusive verdict.  Subcommand parsers
+    inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcoiso",
         description=(
             "Exact construction and verification of coideal subalgebras "
@@ -170,6 +180,9 @@ def cmd_classical(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.degree_cap < 1:
+        print(f"error: --degree-cap must be at least 1, got {args.degree_cap}", file=sys.stderr)
+        return 64
     recipe = None
     if args.recipe:
         with open(args.recipe, "r", encoding="utf-8") as fh:

@@ -45,20 +45,18 @@ def vec_add_scaled(acc: dict, vec: dict, scale=None) -> dict:
 class SpanSolver:
     """Incremental row-echelon span of sparse vectors, optionally tagged.
 
-    The leading key of a vector is its least key under `key_order` (the keys'
-    own order by default).  Each stored row has a leading key (its pivot) that
-    no other stored row leads with; the pivot coefficient is 1 and is kept
-    implicit, so a row is stored as its tail.  A tag is a vector over labels
-    of the added vectors that records which combination of them a row is;
-    solving a target over a tagged span yields its coefficients over those
-    labels.
+    The leading key of a vector is its least key.  Each stored row has a
+    leading key (its pivot) that no other stored row leads with; the pivot
+    coefficient is 1 and is kept implicit, so a row is stored as its tail.
+    A tag is a vector over labels of the added vectors that records which
+    combination of them a row is; solving a target over a tagged span yields
+    its coefficients over those labels.
     """
 
-    def __init__(self, key_order=None):
+    def __init__(self):
         # pivot -> (tail with the unit pivot entry left out, tag or None)
         self.rows: dict = {}
         self.nullrows: list = []  # tags of added vectors that were dependent
-        self._key = key_order
 
     def reduce(self, vec: dict, tag: dict | None = None):
         """Subtract rows from copies of vec (and tag) until the leading key of
@@ -67,9 +65,9 @@ class SpanSolver:
         vec = dict(vec)
         if tag is not None:
             tag = dict(tag)
-        rows, key = self.rows, self._key
+        rows = self.rows
         while vec:
-            pivot = min(vec, key=key)
+            pivot = min(vec)
             hit = rows.get(pivot)
             if hit is None:
                 return vec, tag, pivot
@@ -114,7 +112,7 @@ class SpanSolver:
         """The reduced row echelon form: {pivot: tail} in pivot order, each
         tail free of pivot keys (the pivot's own coefficient is 1)."""
         out = {}
-        for p in sorted(self.rows, key=self._key, reverse=True):
+        for p in sorted(self.rows, reverse=True):
             row = dict(self.rows[p][0])
             for k in [k for k in row if k in out]:
                 vec_add_scaled(row, out[k], -row.pop(k))

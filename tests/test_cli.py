@@ -166,6 +166,39 @@ def test_unopenable_files_are_usage_errors(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+def test_usage_errors_exit_64(capsys):
+    # 2 is the exit code of an inconclusive verdict, so argparse's own usage
+    # errors and a degree cap below 1 must not use it
+    for argv in (
+        ["verify", "--type", "A", "--rank", "2", "--beta", "L1-L3", "--degree-cap", "x"],
+        ["bogus"],
+        ["roots", "--type", "A"],
+        ["recipe"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "error: " in err, argv
+    for cap in ("-3", "0"):
+        code, out, err = run_cli(
+            capsys, "verify", "--type", "A", "--rank", "2", "--beta", "L1-L3",
+            "--degree-cap", cap,
+        )
+        assert (code, out) == (64, ""), cap
+        assert err.startswith("error: ") and "--degree-cap" in err, cap
+    code, _, _ = run_cli(
+        capsys, "verify", "--type", "A", "--rank", "2", "--beta", "L1-L3",
+        "--degree-cap", "1", "--no-timings",
+    )
+    assert code == 2
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0, argv
+        assert capsys.readouterr().out.startswith("usage: "), argv
+
+
 def test_verify_cache_roundtrip(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QCOISO_CACHE", str(tmp_path / "cache"))
     args = [
