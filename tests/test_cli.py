@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -110,6 +111,31 @@ def test_verify_failure_exit_code(capsys):
         "--format", "json", "--no-timings",
     )
     assert code == 1
+
+
+def test_verify_e6_heuristic_row_fails_on_g9(capsys):
+    # the E6 table prints no bracket powers, and the loader assigns them by
+    # its adjacent-node heuristic (power_assignment "heuristic"); for this
+    # row the assignment makes G9 fail its coideal check and leaves every
+    # flatness pair with G9 inconclusive.  Pinned as the known verdict, not
+    # as a property of the paper's subalgebra: a correct power assignment
+    # may turn it green, but only with the report change explained.
+    code, out, _ = run_cli(
+        capsys, "verify", "--type", "E", "--rank", "6", "--beta", "a1+a2+a3+a4+a5+a6",
+        "--format", "json", "--no-timings",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "fail"
+    failing = [g["name"] for g in payload["coideal"]["per_generator"] if g["status"] == "fail"]
+    assert failing == ["G9"]
+    inconclusive = [
+        (p["i"], p["j"]) for p in payload["flatness"]["per_pair"] if p["verdict"] == "inconclusive"
+    ]
+    assert inconclusive == [("G6", "G9"), ("G7", "G9"), ("G9", "G10")]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a566e39480946eb55b06491ffc645bd8fcbe0659a9d97268c882c757796d1e63"
+    )
 
 
 def test_verify_g2_trivial_case(capsys):

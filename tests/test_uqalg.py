@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -289,6 +290,34 @@ def test_basis_change_consistency():
     b = alg_of("A", 2, word_order="degrevlex")
     for d in range(1, 5):
         assert len(a.quotient_basis(d)) == len(b.quotient_basis(d))
+
+
+@pytest.mark.parametrize(
+    "series, rank, degree, tables, digest",
+    [
+        ("B", 3, 8, 165, "c1b04a3f295e2da53d835d0a77a7d9a9c8e06919243825e8ed1534bc53d02732"),
+        ("D", 4, 8, 495, "7a97ffd38c7c11f5ea92c0f31e99d001295b02232c715593b08658fb91772ccb"),
+        ("G", 2, 9, 55, "28764e12ffcca67aa8402f098025f4a6e265770884ffa7e3d5a58cbaa3d9821a"),
+        ("E", 6, 7, 1716, "e203166da52e6b3fd6b014591a99940ed7804196a1657e508ac9afd01726948e"),
+    ],
+)
+def test_normal_form_tables_are_pinned(series, rank, degree, tables, digest):
+    # every table up to the degree: its basis, then one line "i b w:c ..."
+    # per raise_map entry, all in insertion order; every report is built on
+    # these tables, so a change to the Q(q) arithmetic or the elimination
+    # must reproduce them exactly
+    alg = UqBorel(build_root_system(CartanType(series, rank)), max_degree=degree)
+    lines = []
+    for mu in product(range(degree + 1), repeat=rank):
+        if sum(mu) > degree:
+            continue
+        tbl = alg.table(mu)
+        lines.append(f"{mu} {tbl.basis}")
+        for i, rm in tbl.raise_map.items():
+            for b, vec in rm.items():
+                lines.append(f"{i} {b} " + " ".join(f"{w}:{c.render()}" for w, c in vec.items()))
+    assert len(alg._tables) == tables
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 @st.composite
