@@ -69,7 +69,9 @@ def padd(a: IntPoly, b: IntPoly) -> IntPoly:
     c = list(a)
     for i, x in enumerate(b):
         c[i] += x
-    return ptrim(c)
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
 
 
 def pneg(a: IntPoly) -> IntPoly:
@@ -77,7 +79,16 @@ def pneg(a: IntPoly) -> IntPoly:
 
 
 def psub(a: IntPoly, b: IntPoly) -> IntPoly:
-    return padd(a, pneg(b))
+    if not b:
+        return a
+    c = list(a)
+    if len(c) < len(b):
+        c.extend([0] * (len(b) - len(c)))
+    for i, x in enumerate(b):
+        c[i] -= x
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
 
 
 def pmul(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -95,7 +106,8 @@ def pmul(a: IntPoly, b: IntPoly) -> IntPoly:
             for j, y in enumerate(b):
                 if y:
                     c[i + j] += x * y
-    return ptrim(c)
+    # the leading coefficient is a[-1] * b[-1], nonzero for trimmed a and b
+    return tuple(c) if c[-1] else ptrim(c)
 
 
 def pshift(a: IntPoly, k: int) -> IntPoly:
@@ -104,7 +116,8 @@ def pshift(a: IntPoly, k: int) -> IntPoly:
         return ()
     if k >= 0:
         return (0,) * k + a
-    assert all(c == 0 for c in a[:-k]), "inexact q-power division"
+    if any(a[:-k]):
+        raise QFieldError("inexact q-power division")
     return a[-k:]
 
 
@@ -239,15 +252,25 @@ class RatFunc:
     Instances are immutable; num and den are IntPoly tuples with den nonzero,
     gcd(num, den) = 1 after clearing integer content, and den having positive
     leading coefficient.  Equality and hashing are structural.
+
+    A value whose den is a pure q-power is a Laurent polynomial num/q^k, and
+    its canonical form has den exactly pmono(1, k) and, for k > 0, a nonzero
+    constant term in num; the slot k holds that k, or -1 for any other den.
+    Sums, differences, products and negations of two Laurent values, and
+    quotients by a unit +-q^j, stay Laurent and take the Laurent path: one
+    pmul or aligned padd and a trim of the common q-power, with no gcd and
+    no content.  Everything else is canonicalized by `_canonical_pair`, and
+    both paths give the same (num, den).
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "k", "_hash")
 
     def __init__(self, num: IntPoly, den: IntPoly, _raw: bool = False):
         if not _raw:
             num, den = _canonical_pair(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "k", len(den) - 1 if den[-1] == 1 and not any(den[:-1]) else -1)
         object.__setattr__(self, "_hash", hash((num, den)))
 
     def __setattr__(self, *a):
@@ -272,11 +295,11 @@ class RatFunc:
 
     @staticmethod
     def q_power(k: int) -> "RatFunc":
-        if k == 0:
-            return RF_ONE
-        if k > 0:
-            return RatFunc(pmono(1, k), P_ONE, _raw=True)
-        return RatFunc(P_ONE, pmono(1, -k), _raw=True)
+        """q^k, one shared object per k."""
+        r = _Q_POWERS.get(k)
+        if r is None:
+            r = _Q_POWERS[k] = _laurent(P_ONE, -k)
+        return r
 
     # -- predicates --------------------------------------------------------
 
@@ -295,6 +318,9 @@ class RatFunc:
             return other
         if not other.num:
             return self
+        k1, k2 = self.k, other.k
+        if k1 >= 0 and k2 >= 0:
+            return _laurent_sum(self.num, k1, other.num, k2, padd)
         if self.den == other.den:
             return RatFunc(padd(self.num, other.num), self.den)
         return RatFunc(
@@ -309,6 +335,9 @@ class RatFunc:
             return self
         if not self.num:
             return -other
+        k1, k2 = self.k, other.k
+        if k1 >= 0 and k2 >= 0:
+            return _laurent_sum(self.num, k1, other.num, k2, psub)
         if self.den == other.den:
             return RatFunc(psub(self.num, other.num), self.den)
         return RatFunc(
@@ -319,7 +348,7 @@ class RatFunc:
     def __neg__(self) -> "RatFunc":
         if not self.num:
             return self
-        return RatFunc(pneg(self.num), self.den, _raw=True)
+        return _make(pneg(self.num), self.den, self.k)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):
@@ -330,6 +359,9 @@ class RatFunc:
             return other
         if other.num == P_ONE and other.den == P_ONE:
             return self
+        k1, k2 = self.k, other.k
+        if k1 >= 0 and k2 >= 0:
+            return _laurent(pmul(self.num, other.num), k1 + k2)
         return RatFunc(pmul(self.num, other.num), pmul(self.den, other.den))
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
@@ -339,6 +371,11 @@ class RatFunc:
             raise QFieldError("division by zero in Q(q)")
         if not self.num:
             return RF_ZERO
+        k1, k2, unit = self.k, other.k, other.num
+        if k1 >= 0 and k2 >= 0 and unit[-1] in (1, -1) and not any(unit[:-1]):
+            # other = +-q^(j - k2) with j = deg(unit)
+            num = self.num if unit[-1] == 1 else pneg(self.num)
+            return _laurent(num, k1 + len(unit) - 1 - k2)
         return RatFunc(pmul(self.num, other.den), pmul(self.den, other.num))
 
     def __rtruediv__(self, other: int) -> "RatFunc":
@@ -347,9 +384,7 @@ class RatFunc:
         return RatFunc.from_int(other) / self
 
     def inverse(self) -> "RatFunc":
-        if not self.num:
-            raise QFieldError("division by zero in Q(q)")
-        return RatFunc(self.den, self.num)
+        return RF_ONE / self
 
     # -- specialization ----------------------------------------------------
 
@@ -442,10 +477,57 @@ def _canonical_pair(num: IntPoly, den: IntPoly):
     return num, den
 
 
+# The Laurent path builds canonical values directly, skipping __init__.
+_new = object.__new__
+_set_num = RatFunc.num.__set__
+_set_den = RatFunc.den.__set__
+_set_k = RatFunc.k.__set__
+_set_hash = RatFunc._hash.__set__
+_Q_DENS = {0: P_ONE}  # k -> pmono(1, k), one shared tuple per k
+
+
+def _make(num: IntPoly, den: IntPoly, k: int) -> RatFunc:
+    r = _new(RatFunc)
+    _set_num(r, num)
+    _set_den(r, den)
+    _set_k(r, k)
+    _set_hash(r, hash((num, den)))
+    return r
+
+
+def _laurent(num: IntPoly, k: int) -> RatFunc:
+    """The canonical form of num/q^k for a Laurent-path num (any k)."""
+    if not num:
+        return RF_ZERO
+    if k < 0:
+        return _make((0,) * -k + num, P_ONE, 0)
+    v = 0
+    while v < k and not num[v]:
+        v += 1
+    if v:
+        num = num[v:]
+        k -= v
+    den = _Q_DENS.get(k)
+    if den is None:
+        den = _Q_DENS[k] = pmono(1, k)
+    return _make(num, den, k)
+
+
+def _laurent_sum(a: IntPoly, ka: int, b: IntPoly, kb: int, op) -> RatFunc:
+    """a/q^ka op b/q^kb for op padd or psub, over the larger denominator."""
+    if ka < kb:
+        a = (0,) * (kb - ka) + a
+        ka = kb
+    elif kb < ka:
+        b = (0,) * (ka - kb) + b
+    return _laurent(op(a, b), ka)
+
+
 RF_ZERO = RatFunc((), P_ONE, _raw=True)
 RF_ONE = RatFunc(P_ONE, P_ONE, _raw=True)
 RF_Q = RatFunc(P_Q, P_ONE, _raw=True)
 RF_MINUS_ONE = RatFunc((-1,), P_ONE, _raw=True)
+_Q_POWERS = {0: RF_ONE}  # k -> q^k, see RatFunc.q_power
 
 
 # ---------------------------------------------------------------------------

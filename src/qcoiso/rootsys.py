@@ -104,8 +104,12 @@ class RootSystem:
             for i in range(self.rank)
         )
         for i in range(self.rank):
-            for j in range(self.rank):
-                assert self.bilinear[i][j] == self.bilinear[j][i]
+            for j in range(i):
+                if self.bilinear[i][j] != self.bilinear[j][i]:
+                    raise RootSystemError(
+                        f"{cartan_type}: symmetrizers {self.symmetrizers} do not "
+                        f"symmetrize the Cartan matrix at ({i + 1}, {j + 1})"
+                    )
         all_decomps = _close_under_reflections(self.cartan_matrix, self.rank)
         self._root_set = all_decomps
         positives = sorted(d for d in all_decomps if any(c > 0 for c in d))

@@ -189,6 +189,10 @@ class UqBorel:
         self._nf = {}
         # one object per distinct coefficient value in tables and memo
         self._coeffs = {}
+        # id of a generator's terms -> (terms, kexp, content); an entry holds
+        # the terms dict, so the id is not reused while it is cached, and no
+        # NCPoly, which would refer back to the algebra
+        self._gen_degrees = {}
         # the relations as bare terms: stored NCPolys would refer back to the
         # algebra, a cycle that keeps a finished algebra's tables and memo
         # alive until the next full garbage collection
@@ -525,7 +529,7 @@ class UqBorel:
         """
         data = []
         for name, poly in gens:
-            (gk, gw), = poly.components().keys()
+            gk, gw = self._generator_degree(poly)
             if any(gk) or any(gw):
                 data.append((name, gk, gw))
         out = []
@@ -550,6 +554,18 @@ class UqBorel:
                 ))
         out.sort()
         return out
+
+    def _generator_degree(self, poly):
+        """(kexp, content) of a multihomogeneous generator, computed once per
+        generator: `generator_products` runs once per solve component, with
+        the same generators each time."""
+        hit = self._gen_degrees.get(id(poly.terms))
+        if hit is None:
+            degrees = {(kexp, self.content_of(word)) for kexp, word in poly.terms}
+            if len(degrees) != 1:
+                raise UqAlgebraError("generator is not multihomogeneous")
+            hit = self._gen_degrees[id(poly.terms)] = (poly.terms, *degrees.pop())
+        return hit[1:]
 
     def label_product(self, label, gen_map) -> NCPoly:
         """The labelled generator product, multiplied out left to right."""

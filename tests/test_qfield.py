@@ -1,7 +1,10 @@
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcoiso.qfield import (
     QFieldError,
@@ -9,9 +12,14 @@ from qcoiso.qfield import (
     RF_ONE,
     RF_Q,
     RF_ZERO,
+    padd,
     parse_ratfunc,
     pconst,
     pmono,
+    pmul,
+    pneg,
+    pshift,
+    psub,
     q_binomial,
     q_int,
     rf_canonicalize,
@@ -172,3 +180,83 @@ def test_parse_render_roundtrip():
     for _ in range(100):
         x = _random_ratfunc(rng)
         assert parse_ratfunc(x.render()) == x
+
+
+def test_inexact_q_power_division_raises():
+    # a raise, not an assert, so it also holds under python -O
+    assert pshift((0, 0, 3, 1), -2) == (3, 1)
+    with pytest.raises(QFieldError):
+        pshift((1, 0, 3), -1)
+    with pytest.raises(QFieldError):
+        pshift((0, 2, 1), -2)
+
+
+_coeffs = st.lists(st.integers(-6, 6), min_size=1, max_size=5)
+
+
+@st.composite
+def _values(draw):
+    """Canonical values through the general path: Laurent ones num/q^k (zero,
+    negative leading coefficients and valuations up to 6 included), and ones
+    whose denominator is not a pure q-power."""
+    num = (0,) * draw(st.integers(0, 6)) + tuple(draw(_coeffs))
+    if draw(st.booleans()):
+        den = pmono(1, draw(st.integers(0, 8)))
+    else:
+        den = tuple(draw(_coeffs))
+        if not any(den):
+            den = (draw(st.sampled_from([-3, 2, 5])),)
+    return RatFunc(num, den)
+
+
+def _sympy(x, q):
+    poly = lambda p: sum(c * q**i for i, c in enumerate(p))  # noqa: E731
+    return poly(x.num) / poly(x.den)
+
+
+def _is_laurent(x):
+    return x.k >= 0 and x.den == pmono(1, x.k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_values(), _values())
+def test_laurent_path_matches_canonical_path_and_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    # each operation against the general canonical form of its raw pair
+    cases = [
+        ("+", a + b, RatFunc(padd(pmul(a.num, b.den), pmul(b.num, a.den)), pmul(a.den, b.den))),
+        ("-", a - b, RatFunc(psub(pmul(a.num, b.den), pmul(b.num, a.den)), pmul(a.den, b.den))),
+        ("*", a * b, RatFunc(pmul(a.num, b.num), pmul(a.den, b.den))),
+        ("neg", -a, RatFunc(pneg(a.num), a.den)),
+    ]
+    if b:
+        cases.append(("/", a / b, RatFunc(pmul(a.num, b.den), pmul(a.den, b.num))))
+    else:
+        with pytest.raises(QFieldError):
+            a / b
+    sa, sb = _sympy(a, q), _sympy(b, q)
+    exact = {"+": sa + sb, "-": sa - sb, "*": sa * sb, "neg": -sa}
+    if b:
+        exact["/"] = sa / sb
+    for op, got, slow in cases:
+        assert (got.num, got.den, got.k) == (slow.num, slow.den, slow.k), op
+        assert got == slow and hash(got) == hash(slow), op
+        assert sympy.cancel(_sympy(got, q) - exact[op]) == 0, op
+        # Laurent inputs give a Laurent result, except dividing by a non-unit
+        if _is_laurent(a) and _is_laurent(b) and op != "/":
+            assert _is_laurent(got), op
+        back = pickle.loads(pickle.dumps(got))
+        assert back == got and hash(back) == hash(got) and back.k == got.k, op
+    # the marker agrees with the denominator on every value
+    for x in (a, b):
+        assert (x.k >= 0) == (x.den == pmono(1, len(x.den) - 1))
+        assert x.k < 0 or x.k == len(x.den) - 1
+
+
+def test_q_powers_are_shared():
+    for k in range(-6, 7):
+        assert RatFunc.q_power(k) is RatFunc.q_power(k)
+        assert RatFunc.q_power(k) == RatFunc(pmono(1, max(k, 0)), pmono(1, max(-k, 0)))
+    assert RatFunc.q_power(0) is RF_ONE
+    assert RatFunc.q_power(3) * RatFunc.q_power(-3) == RF_ONE

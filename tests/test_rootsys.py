@@ -65,6 +65,21 @@ def test_symmetrizer_identity():
                 assert d[i] * A[i][j] == d[j] * A[j][i]
 
 
+def test_unsymmetrizable_cartan_data_is_rejected(monkeypatch):
+    # the check is a raise, not an assert, so it also holds under python -O
+    import qcoiso.rootsys as rootsys
+
+    good = rootsys._cartan_data
+
+    def swapped(t):
+        A, d, euclid = good(t)
+        return A, tuple(reversed(d)), euclid
+
+    monkeypatch.setattr(rootsys, "_cartan_data", swapped)
+    with pytest.raises(RootSystemError, match="do not symmetrize"):
+        RootSystem(CartanType("G", 2))
+
+
 def test_euclidean_cross_check():
     # reflection-closure enumeration must match direct Euclidean enumeration
     for series, rank in [("A", 3), ("B", 3), ("C", 4), ("D", 4)]:

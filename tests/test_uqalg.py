@@ -11,6 +11,7 @@ from qcoiso.rootsys import CartanType, build_root_system
 from qcoiso.uqalg import (
     DegreeOverflowError,
     NCPoly,
+    UqAlgebraError,
     UqBorel,
     coproduct,
     nc_mul,
@@ -364,6 +365,17 @@ def test_generator_products_match_brute_force(case):
     for label in got:
         poly = alg.label_product(label, dict(gens))
         assert set(poly.components()) == {(kexp, content)}
+
+
+def test_generator_products_reject_mixed_generators():
+    alg = alg_of("A", 2)
+    mixed = alg.gen(0) + alg.gen(1)
+    with pytest.raises(UqAlgebraError, match="not multihomogeneous"):
+        alg.generator_products([("M", mixed)], (0, 0), (1, 1))
+    # single-term generators are multihomogeneous
+    gens = [("E1", alg.gen(0)), ("E2", alg.gen(1))]
+    assert alg.generator_products(gens, (0, 0), (1, 1)) == ["E1*E2", "E2*E1"]
+    assert alg.generator_products(gens, (0, 0), (2, 0)) == ["E1*E1"]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
