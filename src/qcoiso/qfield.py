@@ -4,6 +4,16 @@ Elements are kept in a unique canonical form (gcd-reduced, integer content
 cleared, denominator with positive leading coefficient) so that equality is
 structural and values are hashable.  Negative powers of q are represented by
 pure q-power denominators, e.g. q + q^-1 is stored as (q^2+1)/q.
+
+Nearly every coefficient the package meets is a Laurent polynomial c(q)/q^k,
+in Z[q, q^-1].  Its canonical form is num/q^k with den exactly q^k (integer
+content 1 by construction, and num has a nonzero constant term when k > 0),
+so sums, differences, products and negations of Laurent values, and
+quotients by a unit +-q^j, are built in that form directly, with no gcd or
+content computation.  Any other value, such as 1/(q + q^-1), goes through
+the general canonicalization `_canonical_pair` (polynomial gcd by
+primitive pseudo-remainders, von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 6).
 """
 
 from __future__ import annotations
@@ -94,12 +104,13 @@ def psub(a: IntPoly, b: IntPoly) -> IntPoly:
 def pmul(a: IntPoly, b: IntPoly) -> IntPoly:
     if not a or not b:
         return ()
-    if len(a) == 1:
-        s = a[0]
-        return tuple(s * x for x in b)
-    if len(b) == 1:
-        s = b[0]
-        return tuple(s * x for x in a)
+    # a monomial factor c q^s, such as a q-power, is a scale and a shift
+    if not any(a[:-1]):
+        s = a[-1]
+        return (0,) * (len(a) - 1) + tuple(s * x for x in b)
+    if not any(b[:-1]):
+        s = b[-1]
+        return (0,) * (len(b) - 1) + tuple(s * x for x in a)
     c = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
