@@ -14,10 +14,16 @@ content computation.  Any other value, such as 1/(q + q^-1), goes through
 the general canonicalization `_canonical_pair` (polynomial gcd by
 primitive pseudo-remainders, von zur Gathen & Gerhard, Modern Computer
 Algebra, ch. 6).
+
+`RatFunc.render` writes a value as text, and `parse_ratfunc` reads it back
+through `ast`: the text format is the Python expression grammar cut down to
+integer literals, the name q, unary + and -, + - * /, parentheses, and ^ for
+** with a signed integer-literal exponent.
 """
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -331,7 +337,7 @@ class RatFunc:
             return self
         k1, k2 = self.k, other.k
         if k1 >= 0 and k2 >= 0:
-            return _laurent_sum(self.num, k1, other.num, k2, padd)
+            return _laurent_sum(self.num, k1, other.num, k2)
         if self.den == other.den:
             return RatFunc(padd(self.num, other.num), self.den)
         return RatFunc(
@@ -342,19 +348,7 @@ class RatFunc:
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):
             return NotImplemented
-        if not other.num:
-            return self
-        if not self.num:
-            return -other
-        k1, k2 = self.k, other.k
-        if k1 >= 0 and k2 >= 0:
-            return _laurent_sum(self.num, k1, other.num, k2, psub)
-        if self.den == other.den:
-            return RatFunc(psub(self.num, other.num), self.den)
-        return RatFunc(
-            psub(pmul(self.num, other.den), pmul(other.num, self.den)),
-            pmul(self.den, other.den),
-        )
+        return self + -other
 
     def __neg__(self) -> "RatFunc":
         if not self.num:
@@ -524,14 +518,14 @@ def _laurent(num: IntPoly, k: int) -> RatFunc:
     return _make(num, den, k)
 
 
-def _laurent_sum(a: IntPoly, ka: int, b: IntPoly, kb: int, op) -> RatFunc:
-    """a/q^ka op b/q^kb for op padd or psub, over the larger denominator."""
+def _laurent_sum(a: IntPoly, ka: int, b: IntPoly, kb: int) -> RatFunc:
+    """a/q^ka + b/q^kb, over the larger denominator."""
     if ka < kb:
         a = (0,) * (kb - ka) + a
         ka = kb
     elif kb < ka:
         b = (0,) * (ka - kb) + b
-    return _laurent(op(a, b), ka)
+    return _laurent(padd(a, b), ka)
 
 
 RF_ZERO = RatFunc((), P_ONE, _raw=True)
@@ -580,104 +574,60 @@ def q_binomial(m: int, r: int, d: int = 1) -> RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# Text format: integers, q, ^, + - * /, parentheses.
+# Text format (see the module docstring).
 # ---------------------------------------------------------------------------
 
+_LITERAL_CHARS = frozenset("0123456789q^+-*/()")
+_BINARY_OPS = {
+    ast.Add: RatFunc.__add__,
+    ast.Sub: RatFunc.__sub__,
+    ast.Mult: RatFunc.__mul__,
+    ast.Div: RatFunc.__truediv__,
+}
+
+
 def parse_ratfunc(text: str) -> RatFunc:
-    tokens = _tokenize(text)
-    pos = [0]
+    """The value of a Q(q) literal such as "(q^2+1)/q" or "-3*q^-2".
 
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take():
-        t = tokens[pos[0]]
-        pos[0] += 1
-        return t
-
-    def parse_expr():
-        t = peek()
-        if t in ("+", "-"):
-            take()
-            v = parse_term()
-            if t == "-":
-                v = -v
-        else:
-            v = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            v = v + rhs if op == "+" else v - rhs
-        return v
-
-    def parse_term():
-        v = parse_factor()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_factor()
-            v = v * rhs if op == "*" else v / rhs
-        return v
-
-    def parse_factor():
-        t = peek()
-        if t == "-":
-            take()
-            return -parse_factor()
-        v = parse_atom()
-        if peek() == "^":
-            take()
-            sign = 1
-            if peek() == "-":
-                take()
-                sign = -1
-            e = take()
-            if not isinstance(e, int):
-                raise QFieldError(f"expected integer exponent in {text!r}")
-            e *= sign
-            if v == RF_Q:
-                return RatFunc.q_power(e)
-            out = RF_ONE
-            base = v if e >= 0 else v.inverse()
-            for _ in range(abs(e)):
-                out = out * base
-            return out
-        return v
-
-    def parse_atom():
-        t = take()
-        if t == "(":
-            v = parse_expr()
-            if take() != ")":
-                raise QFieldError(f"unbalanced parentheses in {text!r}")
-            return v
-        if t == "q":
-            return RF_Q
-        if isinstance(t, int):
-            return RatFunc.from_int(t)
-        raise QFieldError(f"unexpected token {t!r} in {text!r}")
-
-    v = parse_expr()
-    if pos[0] != len(tokens):
-        raise QFieldError(f"trailing input in {text!r}")
-    return v
-
-
-def _tokenize(text: str):
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(int(text[i:j]))
-            i = j
-        elif ch in "q^+-*/()":
-            out.append(ch)
-            i += 1
-        else:
+    The text, with ^ read as **, is parsed by `ast`, and its syntax tree is
+    evaluated over a whitelist; anything else raises QFieldError.
+    """
+    for ch in text:
+        if ch not in _LITERAL_CHARS and not ch.isspace():
             raise QFieldError(f"bad character {ch!r} in {text!r}")
+    if "**" in text:
+        raise QFieldError(f"bad operator '**' in {text!r}; powers are written ^")
+    try:
+        return _eval_literal(ast.parse(text.strip().replace("^", "**"), mode="eval").body, text)
+    except (SyntaxError, RecursionError) as exc:
+        raise QFieldError(f"cannot parse {text!r} as a Q(q) literal") from exc
+
+
+def _eval_literal(node, text: str) -> RatFunc:
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return RatFunc.from_int(node.value)
+    if isinstance(node, ast.Name) and node.id == "q":
+        return RF_Q
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        v = _eval_literal(node.operand, text)
+        return -v if isinstance(node.op, ast.USub) else v
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        lhs, rhs = _eval_literal(node.left, text), _eval_literal(node.right, text)
+        return _BINARY_OPS[type(node.op)](lhs, rhs)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        # the exponent is an integer literal, signed by at most one unary op
+        e = node.right.operand if isinstance(node.right, ast.UnaryOp) else node.right
+        if not (isinstance(e, ast.Constant) and type(e.value) is int):
+            raise QFieldError(f"expected integer exponent in {text!r}")
+        return _power(_eval_literal(node.left, text), ast.literal_eval(node.right))
+    raise QFieldError(f"unexpected {ast.unparse(node)!r} in {text!r}")
+
+
+def _power(base: RatFunc, e: int) -> RatFunc:
+    if base == RF_Q:
+        return RatFunc.q_power(e)
+    out = RF_ONE
+    factor = base if e >= 0 else base.inverse()
+    for _ in range(abs(e)):
+        out = out * factor
     return out

@@ -10,6 +10,11 @@ nodes, built by one helper (`_chain_gens`); the even and odd orthogonal
 L1+Lj families share one builder that differs only in the bracket power and in
 the start of its (d) group.
 
+A bracket expression is a tree of generators (`Gen`), q-brackets (`QBr`)
+and references to named auxiliary expressions (`Ref`).  One fold (`_fold`)
+walks it for every use: the quantum value (`eval_bracket_expr`), the classical
+limit with plain commutators (`classical_limit_expr`) and the degree.
+
 The K-exponent vector is always the simple-root decomposition of beta, which
 is the unique choice whose semiclassical Cartan element is proportional to
 the form-dual of beta.
@@ -54,36 +59,34 @@ class Ref:
 BracketExpr = object  # Gen | QBr | Ref
 
 
-def eval_bracket_expr(expr, alg: UqBorel, aux=None) -> NCPoly:
+def _fold(expr, aux, gen, qbr):
+    """Fold a bracket expression bottom-up: gen(index) at a generator,
+    qbr(lhs value, rhs value, power) at a q-bracket; a reference folds the
+    auxiliary it names."""
     if isinstance(expr, Gen):
-        return alg.gen(expr.index)
+        return gen(expr.index)
     if isinstance(expr, QBr):
-        return alg.q_bracket(
-            eval_bracket_expr(expr.lhs, alg, aux),
-            eval_bracket_expr(expr.rhs, alg, aux),
-            expr.power,
-        )
+        return qbr(_fold(expr.lhs, aux, gen, qbr), _fold(expr.rhs, aux, gen, qbr), expr.power)
     if isinstance(expr, Ref):
         if not aux or expr.name not in aux:
             raise RecipeError(f"undefined auxiliary {expr.name!r}")
-        return eval_bracket_expr(aux[expr.name], alg, aux)
+        return _fold(aux[expr.name], aux, gen, qbr)
     raise RecipeError(f"bad expression node {expr!r}")
+
+
+def eval_bracket_expr(expr, alg: UqBorel, aux=None) -> NCPoly:
+    return _fold(expr, aux, alg.gen, alg.q_bracket)
 
 
 def classical_limit_expr(expr, cb, aux=None) -> dict:
     """The same tree with plain commutators over the classical basis."""
-    if isinstance(expr, Gen):
-        return cb.e(cb.rs.simple_roots[expr.index])
-    if isinstance(expr, QBr):
-        return cb.bracket(
-            classical_limit_expr(expr.lhs, cb, aux),
-            classical_limit_expr(expr.rhs, cb, aux),
-        )
-    if isinstance(expr, Ref):
-        if not aux or expr.name not in aux:
-            raise RecipeError(f"undefined auxiliary {expr.name!r}")
-        return classical_limit_expr(aux[expr.name], cb, aux)
-    raise RecipeError(f"bad expression node {expr!r}")
+    return _fold(
+        expr, aux, lambda i: cb.e(cb.rs.simple_roots[i]), lambda a, b, _: cb.bracket(a, b)
+    )
+
+
+def _expr_degree(expr, aux):
+    return _fold(expr, aux, lambda _: 1, lambda a, b, _: a + b)
 
 
 @dataclass
@@ -111,16 +114,6 @@ class GeneratorRecipe:
                 raise RecipeError(f"generator {name} evaluates to zero")
             out.append((name, val))
         return out
-
-
-def _expr_degree(expr, aux):
-    if isinstance(expr, Gen):
-        return 1
-    if isinstance(expr, QBr):
-        return _expr_degree(expr.lhs, aux) + _expr_degree(expr.rhs, aux)
-    if isinstance(expr, Ref):
-        return _expr_degree(aux[expr.name], aux)
-    raise RecipeError(f"bad expression node {expr!r}")
 
 
 # ---------------------------------------------------------------------------

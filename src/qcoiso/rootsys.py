@@ -199,18 +199,21 @@ def root_string(rs: RootSystem, alpha: Root, beta: Root) -> set:
     return hits
 
 
-def _has_three_consecutive(ks: set) -> bool:
-    return any(k + 1 in ks and k + 2 in ks for k in ks)
-
-
 def is_admissible(rs: RootSystem, beta: Root) -> bool:
-    """True iff no root string through beta contains three consecutive integers."""
+    """True iff no root string through beta contains three consecutive integers.
+
+    A string alpha + Z*beta holds three consecutive integers exactly when
+    some root gamma on it has gamma + beta and gamma + 2*beta both roots, so
+    that is what is tested, with no string scan.
+    """
     if not rs.is_root(beta.decomp):
         raise RootSystemError(f"{beta} is not a root of {rs.type}")
-    for d in rs._root_set:
-        if _has_three_consecutive(root_string(rs, Root(d), beta)):
-            return False
-    return True
+    b = beta.decomp
+    return not any(
+        rs.is_root(tuple(g + c for g, c in zip(gamma, b)))
+        and rs.is_root(tuple(g + 2 * c for g, c in zip(gamma, b)))
+        for gamma in rs._root_set
+    )
 
 
 def admissible_positive_roots(rs: RootSystem):

@@ -5,7 +5,8 @@ by an integer K-exponent vector v and a word w over the generator alphabet,
 with coefficients in Q(q).  K-factors are kept normal-ordered on the left;
 words stay free.  Reduction modulo the q-Serre ideal happens only inside
 membership solves, through per-multidegree normal-form tables built from the
-relation span, so large word spaces are never materialized.
+relation span, so large word spaces are never materialized.  The defining
+relations R_ij are read through one accessor, `UqBorel.serre_relations()`.
 
 The normal-form table at a multidegree mu is constructed incrementally: the
 quotient at mu is spanned by {b . E_i} over the quotient bases at mu-alpha_i,
@@ -158,14 +159,6 @@ class TensorElem:
         return TensorElem(self.alg, accumulate({}, terms))
 
 
-@dataclass
-class SerreIdeal:
-    """The two-sided q-Serre ideal, given by its defining relations."""
-
-    alg: "UqBorel"
-    relations: list  # [(i, j, NCPoly)]
-
-
 # ---------------------------------------------------------------------------
 # The algebra context.
 # ---------------------------------------------------------------------------
@@ -193,19 +186,16 @@ class UqBorel:
         # the terms dict, so the id is not reused while it is cached, and no
         # NCPoly, which would refer back to the algebra
         self._gen_degrees = {}
-        # the relations as bare terms: stored NCPolys would refer back to the
-        # algebra, a cycle that keeps a finished algebra's tables and memo
-        # alive until the next full garbage collection
-        self._serre = [
-            (i, j, self._serre_poly(i, j).terms)
+        # (i, j) -> (content, terms) of each relation, as bare terms: stored
+        # NCPolys would refer back to the algebra, a cycle that keeps a
+        # finished algebra's tables and memo alive until the next full
+        # garbage collection
+        self._serre = {
+            (i, j): self._serre_relation(i, j)
             for i in range(self.rank)
             for j in range(self.rank)
             if i != j
-        ]
-
-    @property
-    def serre_ideal(self) -> SerreIdeal:
-        return SerreIdeal(self, [(i, j, NCPoly(self, t)) for i, j, t in self._serre])
+        }
 
     # -- element constructors ----------------------------------------------
 
@@ -271,16 +261,22 @@ class UqBorel:
 
     # -- Serre relations ------------------------------------------------------
 
-    def _serre_poly(self, i, j) -> NCPoly:
+    def serre_relations(self) -> dict:
+        """The q-Serre relations {(i, j): R_ij} for 0-based i != j."""
+        return {ij: NCPoly(self, terms) for ij, (_, terms) in self._serre.items()}
+
+    def _serre_relation(self, i, j):
+        """(content, terms) of R_ij, the sum over r of (-1)^r [m choose r]
+        E_i^(m-r) E_j E_i^r in q^(d_i), with m = 1 - a_ij."""
         m = 1 - self.A[i][j]
-        terms = []
+        terms = {}
         for r in range(m + 1):
             c = q_binomial(m, r, self.d[i])
             if r % 2:
                 c = -c
             word = (i,) * (m - r) + (j,) + (i,) * r
-            terms.append(((0,) * self.rank, word, c))
-        return self.from_terms(terms)
+            terms[((0,) * self.rank, word)] = c
+        return self.content_of((i,) * m + (j,)), terms
 
     # -- coproduct ------------------------------------------------------------
 
@@ -348,8 +344,7 @@ class UqBorel:
         col = {w: n for n, w in enumerate(candidates)}
         # relation rows: folded images of b . R for every Serre relation R
         relations = SpanSolver()
-        for (_, _, rel) in self._serre:
-            rel_content = self.content_of(next(iter(rel))[1])
+        for rel_content, rel in self._serre.values():
             nu = tuple(m - c for m, c in zip(mu, rel_content))
             if any(c < 0 for c in nu):
                 continue
@@ -478,8 +473,7 @@ class UqBorel:
     def ideal_templates(self, mu):
         """Labelled spanning elements u . R_{ij} . v of the ideal at content mu."""
         out = []
-        for (i, j, rel) in self._serre:
-            rel_content = self.content_of(next(iter(rel))[1])
+        for (i, j), (rel_content, rel) in self._serre.items():
             rem = tuple(m - c for m, c in zip(mu, rel_content))
             if any(c < 0 for c in rem):
                 continue
@@ -646,7 +640,7 @@ class UqBorel:
         return NCPoly(self, acc)
 
     def expand_ideal_certificate(self, coeffs) -> NCPoly:
-        rels = {(i, j): rel for i, j, rel in self.serre_ideal.relations}
+        rels = self.serre_relations()
         polys = {}
         for key in coeffs:
             kexp, (u, ij, v) = key
@@ -677,24 +671,15 @@ def _subcontents(content):
 
 
 def _words_of_content(content):
-    letters = []
-    for i, c in enumerate(content):
-        letters.extend([i] * c)
-    yield from _distinct_permutations(tuple(letters))
-
-
-def _distinct_permutations(letters):
-    if not letters:
-        yield ()
-        return
-    used = set()
-    for i, l in enumerate(letters):
-        if l in used:
-            continue
-        used.add(l)
-        rest = letters[:i] + letters[i + 1:]
-        for tail in _distinct_permutations(rest):
-            yield (l,) + tail
+    """The distinct words of a content, in lexicographic order."""
+    if not any(content):
+        return [()]
+    return [
+        (i,) + word
+        for i, c in enumerate(content)
+        if c
+        for word in _words_of_content(content[:i] + (c - 1,) + content[i + 1:])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -707,11 +692,6 @@ def nc_mul(a: NCPoly, b: NCPoly) -> NCPoly:
 
 def q_bracket(a: NCPoly, b: NCPoly, k: int) -> NCPoly:
     return a.alg.q_bracket(a, b, k)
-
-
-def serre_relations(rs_or_alg) -> SerreIdeal:
-    alg = rs_or_alg if isinstance(rs_or_alg, UqBorel) else UqBorel(rs_or_alg)
-    return alg.serre_ideal
 
 
 def coproduct(x: NCPoly) -> TensorElem:

@@ -1,3 +1,4 @@
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -180,6 +181,60 @@ def test_parse_render_roundtrip():
     for _ in range(100):
         x = _random_ratfunc(rng)
         assert parse_ratfunc(x.render()) == x
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "q+", "(q", "q^", "qq", "x", "q**2", "2q", "q^2^3", "q^q", "1.5", "0^-1"],
+)
+def test_parse_rejects_malformed_literals(text):
+    with pytest.raises(QFieldError):
+        parse_ratfunc(text)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@st.composite
+def _literals(draw, depth=3):
+    """(text, value) of a Q(q) literal, the value computed directly in RatFunc
+    arithmetic, or None where the literal divides by zero."""
+    kind = draw(st.sampled_from(["int", "q", "unary", "binary", "power"] if depth else ["int", "q"]))
+    if kind == "int":
+        n = draw(st.integers(0, 12))
+        return str(n), RatFunc.from_int(n)
+    if kind == "q":
+        return "q", RF_Q
+    a_text, a = draw(_literals(depth - 1))
+    if kind == "unary":
+        sign = draw(st.sampled_from("+-"))
+        return f"{sign}({a_text})", None if a is None else (-a if sign == "-" else a)
+    if kind == "power":
+        e = draw(st.integers(-3, 3))
+        if a is None or (e < 0 and not a):
+            return f"({a_text})^{e}", None
+        value = RF_ONE
+        for _ in range(abs(e)):
+            value = value * a
+        return f"({a_text})^{e}", value if e >= 0 else RF_ONE / value
+    op = draw(st.sampled_from("+-*/"))
+    b_text, b = draw(_literals(depth - 1))
+    text = f"({a_text}){op}({b_text})"
+    if a is None or b is None or (op == "/" and not b):
+        return text, None
+    return text, _OPS[op](a, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_literals())
+def test_parse_matches_direct_arithmetic(literal):
+    text, value = literal
+    if value is None:
+        with pytest.raises(QFieldError):
+            parse_ratfunc(text)
+    else:
+        assert parse_ratfunc(text) == value
+        assert parse_ratfunc(text.replace("(", " ( ")) == value
 
 
 def test_inexact_q_power_division_raises():

@@ -13,8 +13,10 @@ from qcoiso.classical import (
 from qcoiso.linalg import vec_add_scaled
 from qcoiso.recipes import (
     Gen,
+    GeneratorRecipe,
     QBr,
     RecipeError,
+    Ref,
     builtin_recipe,
     classical_limit_expr,
     eval_bracket_expr,
@@ -41,6 +43,20 @@ def test_eval_bracket_expr_single():
     alg = UqBorel(rs)
     expr = QBr(Gen(0), Gen(1), 1)
     assert eval_bracket_expr(expr, alg) == q_bracket(alg.gen(0), alg.gen(1), 1)
+
+
+def test_undefined_auxiliary_raises_recipe_error_in_every_walk():
+    rs = rs_of("A", 2)
+    expr = QBr(Gen(0), Ref("T"), 1)
+    recipe = GeneratorRecipe(rs.type, rs.simple_roots[0], (1, 0), [("X", "(a)", expr)])
+    walks = [
+        lambda: eval_bracket_expr(expr, UqBorel(rs), {}),
+        lambda: classical_limit_expr(expr, build_realization(rs)),
+        recipe.max_degree,
+    ]
+    for walk in walks:
+        with pytest.raises(RecipeError, match="undefined auxiliary 'T'"):
+            walk()
 
 
 def test_builtin_a3_structure():

@@ -157,6 +157,27 @@ def test_admissibility_tables():
             assert rs.root_length_sq(b) == 4  # the long roots L_i +/- L_j
 
 
+def test_is_admissible_matches_the_root_string_definition():
+    # is_admissible looks for a root gamma with gamma + beta and gamma + 2*beta
+    # roots; the definition asks every string alpha + Z*beta for three
+    # consecutive integers
+    types = (
+        [("A", n) for n in range(1, 8)]
+        + [(s, n) for s in "BC" for n in range(2, 7)]
+        + [("D", n) for n in range(3, 8)]
+        + [("G", 2), ("F", 4), ("E", 6)]
+    )
+    checked = 0
+    for series, rank in types:
+        rs = rs_of(series, rank)
+        for beta in rs.positive_roots:
+            strings = [root_string(rs, Root(d), beta) for d in rs._root_set]
+            by_strings = not any(k + 1 in ks and k + 2 in ks for ks in strings for k in ks)
+            assert is_admissible(rs, beta) == by_strings, (series, rank, beta)
+            checked += 1
+    assert checked == 440
+
+
 def test_f4_string_filter_admits_exactly_the_long_roots():
     # For long beta, |alpha+beta|^2 + |alpha-beta|^2 = 2|alpha|^2 + 2|beta|^2
     # can never split into two root lengths, and alpha + 2*beta is never a

@@ -16,7 +16,6 @@ from qcoiso.uqalg import (
     coproduct,
     nc_mul,
     q_bracket,
-    serre_relations,
     tensor_coproduct_left,
     tensor_coproduct_right,
 )
@@ -104,7 +103,7 @@ def test_q_bracket_instances():
 
 def test_serre_relation_a2():
     alg = alg_of("A", 2)
-    rels = {(i, j): r for i, j, r in serre_relations(alg).relations}
+    rels = alg.serre_relations()
     r12 = rels[(0, 1)]
     q2 = rf("q + q^-1")
     expected = alg.from_terms(
@@ -119,7 +118,7 @@ def test_serre_relation_a2():
 
 def test_serre_relation_commuting_case():
     alg = alg_of("A", 3)
-    rels = {(i, j): r for i, j, r in serre_relations(alg).relations}
+    rels = alg.serre_relations()
     r13 = rels[(0, 2)]
     assert r13 == q_bracket(alg.gen(0), alg.gen(2), 0)
 
@@ -128,7 +127,7 @@ def test_serre_relation_g2_nested_bracket_form():
     # the degree-5 relation equals the iterated bracket
     # [E1,[E1,[E1,[E1,E2]_{q^3}]_q]_{q^-1}]_{q^-3}
     alg = alg_of("G", 2)
-    rels = {(i, j): r for i, j, r in serre_relations(alg).relations}
+    rels = alg.serre_relations()
     e1, e2 = alg.gen(0), alg.gen(1)
     nested = q_bracket(e1, q_bracket(e1, q_bracket(e1, q_bracket(e1, e2, 3), 1), -1), -3)
     assert nested == rels[(0, 1)]
@@ -254,7 +253,7 @@ def test_nf_kills_relations_and_multiples():
     rng = random.Random(12)
     for series, rank in [("A", 2), ("C", 2), ("G", 2)]:
         alg = alg_of(series, rank)
-        for (i, j, rel) in serre_relations(alg).relations:
+        for rel in alg.serre_relations().values():
             assert alg.nf_is_zero(rel)
             u = _random_poly(alg, rng, maxdeg=1)
             v = _random_poly(alg, rng, maxdeg=1)
@@ -264,7 +263,7 @@ def test_nf_kills_relations_and_multiples():
 
 def test_ideal_membership_certificate_roundtrip():
     alg = alg_of("A", 2)
-    rels = {(i, j): r for i, j, r in serre_relations(alg).relations}
+    rels = alg.serre_relations()
     x = rels[(0, 1)]
     cert = alg.ideal_membership(x)
     assert cert is not None

@@ -15,6 +15,7 @@ from qcoiso.rootsys import CartanType, build_root_system, parse_root
 from qcoiso.uqalg import UqBorel, q_bracket
 from qcoiso.verify import (
     _commutator_provably_nonzero,
+    _fit_q1_constraints,
     builtin_identity,
     check_flatness,
     check_left_coideal,
@@ -219,6 +220,59 @@ def test_flatness_semiclassical_consistency():
         assert all(e["verdict"] == "pass" for e in flat)
         cb = build_realization(rs)
         assert check_semiclassical(recipe, flat, cb)
+
+
+def _semiclassical_after(change):
+    """check_semiclassical's verdict on the A2 L1-L3 flatness entries after
+    change(entries by pair) has edited them."""
+    rs, beta, recipe, alg = _case("A", 2, "L1-L3")
+    flat = check_flatness(recipe, alg)
+    change({(e["i"], e["j"]): e for e in flat})
+    return check_semiclassical(recipe, flat, build_realization(rs))
+
+
+def _scale_degree_one(entries):
+    coeffs = entries[("X1", "D2")]["_coeffs"]
+    coeffs["X2"] = coeffs["X2"] * RatFunc.from_int(2)
+
+
+def _mark_inconclusive(entries):
+    entries[("X1", "X2")]["verdict"] = "inconclusive"
+
+
+def _shift_crossing_exponent(entries):
+    entries[("K", "X2")]["certificate"]["crossing_exponent"] += 1
+
+
+@pytest.mark.parametrize(
+    "change", [_scale_degree_one, _mark_inconclusive, _shift_crossing_exponent]
+)
+def test_semiclassical_check_rejects_edited_entries(change):
+    assert _semiclassical_after(lambda entries: None)
+    assert not _semiclassical_after(change)
+
+
+def test_semiclassical_mismatch_is_a_stage_error(monkeypatch):
+    monkeypatch.setattr(verify, "check_semiclassical", lambda *args: False)
+    rs = rs_of("A", 2)
+    report = run_full_verification(rs, parse_root(rs, "L1-L3"))
+    assert report.stage_error == "semiclassical specialization mismatch"
+    assert report.verdict == "fail"
+
+
+def test_fit_q1_clears_a_pole_with_the_saturated_nullspace():
+    # X has a simple pole at q = 1 and X*Y must vanish there; the nullspace
+    # direction X + X*Y, given twice (the copy is dropped in saturation),
+    # clears the pole: particular - 2/(q-1) * (X + X*Y) = X
+    particular = {"X": rf("(q+1)/(q-1)"), "X*Y": rf("2/(q-1)")}
+    nullspace = [{"X": rf("q-1"), "X*Y": rf("q-1")}, {"X": rf("2"), "X*Y": rf("2")}]
+    assert _fit_q1_constraints(particular, nullspace, {"X"}) == {"X": rf("1")}
+
+
+def test_fit_q1_gives_none_for_a_pole_it_cannot_clear():
+    particular = {"X": rf("(q+1)/(q-1)"), "X*Y": rf("2/(q-1)")}
+    assert _fit_q1_constraints(particular, [{"X*Y": rf("1")}], {"X"}) is None
+    assert _fit_q1_constraints(particular, [], {"X"}) is None
 
 
 def _assert_golden_extends(name, golden):
