@@ -11,7 +11,7 @@ The package is organized bottom-up:
     cli        the qcoiso command-line driver
 """
 
-from .qfield import RatFunc, parse_ratfunc, q_binomial, rf_canonicalize, rf_eval_at_one
+from .qfield import RatFunc, parse_ratfunc, q_binomial
 from .rootsys import (
     CartanType,
     Root,

@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import SpanSolver, accumulate, vec_add_scaled
+from .qfield import join_signed
 from .rootsys import Root, RootSystem
 
 F0 = Fraction(0)
@@ -122,10 +123,7 @@ class ChevalleyBasis:
             c = x[i]
             mag = "" if abs(c) == 1 else f"{abs(c)}*"
             parts.append(("-" if c < 0 else "+", f"{mag}{self.labels[i]}"))
-        s = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, term in parts[1:]:
-            s += sign + term
-        return s
+        return join_signed(parts)
 
 
 # ---------------------------------------------------------------------------

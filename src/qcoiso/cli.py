@@ -237,8 +237,8 @@ def _print_report_text(payload):
 
 def cmd_solve(args) -> int:
     target, templates, meta = builtin_identity(args.name)
-    sol = solve_identity(target, templates, ideal_mode=meta.get("ideal_mode", False))
-    if sol is None:
+    cert = solve_identity(target, templates, ideal_mode=meta.get("ideal_mode", False))
+    if cert is None:
         print("no solution", file=sys.stderr)
         return 1
     named = [label for label, _ in templates]
@@ -246,14 +246,14 @@ def cmd_solve(args) -> int:
         "identity": args.name,
         "description": meta.get("description", ""),
         "coefficients": {
-            label: sol.coefficients.get(label, RatFunc.from_int(0)).render()
+            label: cert.coefficients.get(label, RatFunc.from_int(0)).render()
             for label in named
         },
         "extra_support": sorted(
-            label for label in sol.coefficients if label not in set(named)
+            label for label in cert.coefficients if label not in set(named)
         ),
-        "nullspace_dim": sol.nullspace_dim,
-        "residual_check": sol.certificate.residual_check,
+        "nullspace_dim": cert.detail["nullspace_dim"],
+        "residual_check": cert.residual_check,
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -263,7 +263,7 @@ def cmd_solve(args) -> int:
             print(f"  {label:>6} = {payload['coefficients'][label]}")
         if payload["extra_support"]:
             print(f"  (+{len(payload['extra_support'])} relation-span terms)")
-        print(f"  nullspace dimension: {sol.nullspace_dim}")
+        print(f"  nullspace dimension: {payload['nullspace_dim']}")
         print(f"  residual check: {payload['residual_check']}")
     return 0
 

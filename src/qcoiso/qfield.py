@@ -2,8 +2,9 @@
 
 Elements are kept in a unique canonical form (gcd-reduced, integer content
 cleared, denominator with positive leading coefficient) so that equality is
-structural and values are hashable.  Negative powers of q are represented by
-pure q-power denominators, e.g. q + q^-1 is stored as (q^2+1)/q.
+structural and values are hashable; `RatFunc(num, den)` canonicalizes any
+pair.  Negative powers of q are represented by pure q-power denominators,
+e.g. q + q^-1 is stored as (q^2+1)/q.
 
 Nearly every coefficient the package meets is a Laurent polynomial c(q)/q^k,
 in Z[q, q^-1].  Its canonical form is num/q^k with den exactly q^k (integer
@@ -18,7 +19,8 @@ Algebra, ch. 6).
 `RatFunc.render` writes a value as text, and `parse_ratfunc` reads it back
 through `ast`: the text format is the Python expression grammar cut down to
 integer literals, the name q, unary + and -, + - * /, parentheses, and ^ for
-** with a signed integer-literal exponent.
+** with a signed integer-literal exponent.  Every signed sum the package
+prints is joined by `join_signed`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ class QFieldError(ArithmeticError):
 
 IntPoly = tuple
 
-P_ZERO: IntPoly = ()
 P_ONE: IntPoly = (1,)
 P_Q: IntPoly = (0, 1)
 
@@ -251,12 +252,14 @@ def prender(a: IntPoly) -> str:
         else:
             base = "q" if k == 1 else f"q^{k}"
             term = base if abs(c) == 1 else f"{abs(c)}*{base}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, term))
-    s = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, term in parts[1:]:
-        s += sign + term
-    return s
+        parts.append(("-" if c < 0 else "+", term))
+    return join_signed(parts)
+
+
+def join_signed(parts) -> str:
+    """The sum "a-b+c" of the (sign, term) pairs [("+", "a"), ("-", "b"),
+    ("+", "c")]: signs joined to their terms, a leading "+" dropped."""
+    return "".join(sign + term for sign, term in parts).removeprefix("+")
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +322,6 @@ class RatFunc:
         return r
 
     # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -531,22 +531,12 @@ def _laurent_sum(a: IntPoly, ka: int, b: IntPoly, kb: int) -> RatFunc:
 RF_ZERO = RatFunc((), P_ONE, _raw=True)
 RF_ONE = RatFunc(P_ONE, P_ONE, _raw=True)
 RF_Q = RatFunc(P_Q, P_ONE, _raw=True)
-RF_MINUS_ONE = RatFunc((-1,), P_ONE, _raw=True)
 _Q_POWERS = {0: RF_ONE}  # k -> q^k, see RatFunc.q_power
 
 
 # ---------------------------------------------------------------------------
 # Top-level operations.
 # ---------------------------------------------------------------------------
-
-def rf_canonicalize(num, den) -> RatFunc:
-    """Canonical representative of num/den; idempotent."""
-    return RatFunc(ptrim(num), ptrim(den))
-
-
-def rf_eval_at_one(a: RatFunc) -> Fraction:
-    return a.eval_at_one()
-
 
 def q_int(n: int, d: int = 1) -> RatFunc:
     """Balanced q-integer [n] in q^d: (q^{dn} - q^{-dn}) / (q^d - q^{-d})."""

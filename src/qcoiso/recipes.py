@@ -23,7 +23,6 @@ the form-dual of beta.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -319,21 +318,18 @@ def load_e6_recipes(rs: RootSystem):
     flip = {1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4}
     for row in raw["rows"]:
         beta = parse_root(rs, row["root"])
-        variants = [(beta, row["generators"], "")]
+        exprs = [_parse_bracket_text(text) for text in row["generators"]]
+        variants = [(beta, exprs, "")]
         if row.get("star"):
-            flipped = [_flip_expr_text(g, flip) for g in row["generators"]]
             beta2 = rs.find_root(_flip_decomp(beta.decomp, flip))
+            flipped = [_fold(e, None, lambda i: Gen(flip[i + 1] - 1), QBr) for e in exprs]
             variants.append((beta2, flipped, " (diagram-flipped variant)"))
-        for b, gen_texts, extra in variants:
-            gens = []
-            for k, text in enumerate(gen_texts):
-                expr = _parse_bracket_text(text)
-                gens.append((f"G{k + 1}", "(a)", expr))
+        for b, exprs, extra in variants:
             out[b.decomp] = GeneratorRecipe(
                 cartan_type=rs.type,
                 beta=b,
                 k_monomial=b.decomp,
-                generators=gens,
+                generators=[(f"G{k + 1}", "(a)", e) for k, e in enumerate(exprs)],
                 power_assignment="heuristic",
                 notes=(row.get("comment", "") + extra).strip(),
             )
@@ -346,10 +342,6 @@ def _flip_decomp(decomp, flip):
     for i, c in enumerate(decomp):
         out[flip[i + 1] - 1] = c
     return tuple(out)
-
-
-def _flip_expr_text(text, flip):
-    return re.sub(r"E(\d)", lambda m: f"E{flip[int(m.group(1))]}", text)
 
 
 def _parse_bracket_text(text):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import solve_affine
+from .qfield import join_signed
 
 
 class RootSystemError(ValueError):
@@ -57,18 +58,8 @@ class Root:
 
     decomp: tuple
 
-    @property
-    def height(self) -> int:
-        return sum(self.decomp)
-
     def is_positive(self) -> bool:
         return any(c > 0 for c in self.decomp)
-
-    def __neg__(self):
-        return Root(tuple(-c for c in self.decomp))
-
-    def __add__(self, other):
-        return Root(tuple(a + b for a, b in zip(self.decomp, other.decomp)))
 
     def __str__(self):
         return render_simple_form(self.decomp)
@@ -81,12 +72,7 @@ def render_simple_form(decomp) -> str:
             continue
         mag = "" if abs(c) == 1 else str(abs(c))
         parts.append(("-" if c < 0 else "+", f"{mag}a{i + 1}"))
-    if not parts:
-        return "0"
-    s = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, term in parts[1:]:
-        s += sign + term
-    return s
+    return join_signed(parts) if parts else "0"
 
 
 class RootSystem:
@@ -278,17 +264,14 @@ def _cartan_data(t: CartanType):
         def vadd(u, v):
             return tuple(a + b for a, b in zip(u, v))
 
+        # L_i - L_{i+1}: all n simple roots of A, the first n - 1 of B, C, D
         simples = [vsub(L(i), L(i + 1)) for i in range(min(n, dim - 1))]
         if s == "B":
-            simples = [vsub(L(i), L(i + 1)) for i in range(n - 1)] + [L(n - 1)]
+            simples.append(L(n - 1))
         elif s == "C":
-            simples = [vsub(L(i), L(i + 1)) for i in range(n - 1)] + [
-                tuple(2 * c for c in L(n - 1))
-            ]
+            simples.append(tuple(2 * c for c in L(n - 1)))
         elif s == "D":
-            simples = [vsub(L(i), L(i + 1)) for i in range(n - 1)] + [
-                vadd(L(n - 2), L(n - 1))
-            ]
+            simples.append(vadd(L(n - 2), L(n - 1)))
 
         def inner(u, v):
             return sum(a * b for a, b in zip(u, v))
@@ -419,9 +402,4 @@ def _render_euclid(coords):
             return None
         mag = "" if abs(c) == 1 else str(abs(c))
         parts.append(("-" if c < 0 else "+", f"{mag}L{i + 1}"))
-    if not parts:
-        return None
-    s = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, term in parts[1:]:
-        s += sign + term
-    return s
+    return join_signed(parts) if parts else None

@@ -438,27 +438,39 @@ class UqBorel:
         return not acc
 
     def load_tables(self, path) -> bool:
-        """Merge previously cached normal-form tables from disk."""
-        import os
+        """Merge previously cached normal-form tables from disk; a file that
+        cannot be read or holds no table payload is a miss."""
         import pickle
 
-        if not path or not os.path.exists(path):
+        if not path:
             return False
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        if payload.get("word_order") != self.word_order:
+        try:
+            with open(path, "rb") as fh:
+                payload = pickle.load(fh)
+        except Exception:  # noqa: BLE001 - a torn or garbage file
+            return False
+        if (
+            not isinstance(payload, dict)
+            or payload.get("word_order") != self.word_order
+            or not isinstance(payload.get("tables"), dict)
+        ):
             return False
         for mu, tbl in payload["tables"].items():
             self._tables.setdefault(mu, tbl)
         return True
 
     def save_tables(self, path) -> None:
+        """Write a file beside path and move it into place, so that a run
+        killed while writing leaves no torn cache."""
+        import os
         import pickle
 
         if not path:
             return
-        with open(path, "wb") as fh:
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "wb") as fh:
             pickle.dump({"word_order": self.word_order, "tables": self._tables}, fh)
+        os.replace(tmp, path)
 
     def quotient_basis(self, degree: int):
         """Words representing a basis of the degree-d quotient component."""

@@ -15,6 +15,10 @@ and the residual (target minus the combination) must lie in the q-Serre
 ideal, witnessed by an explicit relation combination when small and by the
 quotient normal form otherwise.
 
+Certificates are what each stage hands on: the semiclassical check reads
+the q = 1 values of each pair from its rendered certificate, and
+`solve_identity` returns its certificate.
+
 Entries above the table degree cap are "unverified": a generator whose degree
 exceeds it, and a pair whose commutator is nonzero and of degree above it,
 which is decided from the generators' leading terms without forming the
@@ -45,7 +49,7 @@ from .linalg import (
     solve_linear_combination,
     vec_add_scaled,
 )
-from .qfield import RF_ONE, RatFunc
+from .qfield import RF_ONE, RatFunc, parse_ratfunc
 from .recipes import GeneratorRecipe, builtin_recipe, classical_limit_expr
 from .rootsys import Root, RootSystem, is_admissible
 from .uqalg import (
@@ -66,7 +70,7 @@ class VerificationError(ValueError):
 
 @dataclass
 class Certificate:
-    kind: str  # ideal | subspace | coideal-term | flatness-pair | identity-solution
+    kind: str  # coideal-term | flatness-pair | identity-solution
     coefficients: dict  # label -> RatFunc
     residual_check: bool
     detail: dict = field(default_factory=dict)
@@ -366,7 +370,6 @@ def _solve_flatness_pair(alg, c_poly, egens):
         "verdict": "pass" if ok else "fail",
         "xprime": " + ".join(xprime_parts) if xprime_parts else "0",
         "certificate": cert.to_json(),
-        "_coeffs": coeffs,
     }
 
 
@@ -462,59 +465,54 @@ def _rational_dependency(values):
     return None
 
 
-def check_semiclassical(recipe: GeneratorRecipe, flatness: list, cb) -> bool:
-    """Certificates specialize at q=1 to the classical bracket relations."""
-    limits = {"K": _semiclassical_k(recipe, cb)}
-    for name, _, expr in recipe.generators:
-        limits[name] = classical_limit_expr(expr, cb, recipe.auxiliaries)
+def classical_limits(recipe: GeneratorRecipe, cb) -> dict:
+    """{generator name: classical limit, in recipe order, then "K": the
+    semiclassical element of the K-monomial}."""
+    limits = {
+        name: classical_limit_expr(expr, cb, recipe.auxiliaries)
+        for name, _, expr in recipe.generators
+    }
+    k_element = {}
+    for i, c in enumerate(recipe.k_monomial):
+        if c:
+            vec_add_scaled(k_element, cb.h(i), Fraction(c * cb.rs.symmetrizers[i]))
+    limits["K"] = k_element
+    return limits
+
+
+def check_semiclassical(limits: dict, flatness: list, cb) -> bool:
+    """The rendered flatness certificates specialize at q=1 to the classical
+    brackets of the limits (see `classical_limits`)."""
     for entry in flatness:
         if entry["verdict"] != "pass":
             return False
         gi, gj = entry["i"], entry["j"]
+        cert = entry["certificate"]
         bracket = cb.bracket(limits[gi], limits[gj])
         if gi == "K":
             # [K-element, g] = l * g with l the crossing exponent
-            cert = entry.get("certificate", {})
-            l = cert.get("crossing_exponent", 0)
+            l = cert["crossing_exponent"]
             expected = {k: l * v for k, v in limits[gj].items() if l}
-            if bracket != expected:
-                return False
-            continue
-        expected = {}
-        coeffs = entry.get("_coeffs", {})
-        for label, c in coeffs.items():
-            if "*" in label:
-                continue
-            vec_add_scaled(expected, limits[label], c.eval_at_one())
+        else:
+            expected = {}
+            for label, text in cert["coefficients"].items():
+                if "*" not in label:
+                    vec_add_scaled(expected, limits[label], parse_ratfunc(text).eval_at_one())
         if bracket != expected:
             return False
     return True
-
-
-def _semiclassical_k(recipe, cb):
-    out = {}
-    for i, c in enumerate(recipe.k_monomial):
-        if c:
-            vec_add_scaled(out, cb.h(i), Fraction(c * cb.rs.symmetrizers[i]))
-    return out
 
 
 # ---------------------------------------------------------------------------
 # Identity solving.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IdentitySolution:
-    coefficients: dict  # label -> RatFunc (a particular solution)
-    nullspace_dim: int
-    certificate: Certificate
-
-
 def solve_identity(target: NCPoly, templates, ideal_mode: bool = False):
     """Exact solve of target = sum c_i template_i in the free word model.
 
     templates: [(label, NCPoly)].  With ideal_mode, u.R.v spanning elements at
-    the target's contents are adjoined automatically.
+    the target's contents are adjoined automatically.  Returns the Certificate
+    of a particular solution, with detail["nullspace_dim"], or None.
     """
     alg = target.alg
     templates = list(templates)
@@ -527,13 +525,12 @@ def solve_identity(target: NCPoly, templates, ideal_mode: bool = False):
     coeffs, nullspace = solve_linear_combination(vec_templates, dict(target.terms))
     if coeffs is None:
         return None
-    cert = Certificate(
+    return Certificate(
         kind="identity-solution",
         coefficients=coeffs,
         residual_check=(alg.combination(coeffs, dict(templates)) == target),
         detail={"nullspace_dim": len(nullspace)},
     )
-    return IdentitySolution(coeffs, len(nullspace), cert)
 
 
 def _named_ideal_templates(alg, mu):
@@ -617,16 +614,16 @@ def run_full_verification(
         except Exception as exc:  # noqa: BLE001
             report.stage_error = f"recipe: {exc}"
             return report
-    # classical-limit consistency
+    # classical-limit consistency, generators first, in recipe order
     span = FractionSpan()
     for g in gens:
         span.add(g)
-    for name, _, expr in recipe.generators:
-        lim = classical_limit_expr(expr, cb, recipe.auxiliaries)
-        if not lim or not span.contains(lim):
+    limits = classical_limits(recipe, cb)
+    for name, lim in limits.items():
+        if name != "K" and (not lim or not span.contains(lim)):
             report.stage_error = f"classical limit of {name} is outside the span"
             return report
-    if not span.contains(_semiclassical_k(recipe, cb)):
+    if not span.contains(limits["K"]):
         report.stage_error = "K-monomial semiclassical element is outside the span"
         return report
     report.timings["classical_limit"] = time.monotonic() - t0
@@ -653,11 +650,9 @@ def run_full_verification(
 
     t0 = time.monotonic()
     if all(p["verdict"] == "pass" for p in report.flatness):
-        if not check_semiclassical(recipe, report.flatness, cb):
+        if not check_semiclassical(limits, report.flatness, cb):
             report.stage_error = "semiclassical specialization mismatch"
     report.timings["semiclassical"] = time.monotonic() - t0
-    for entry in report.flatness:
-        entry.pop("_coeffs", None)
     if cache_path:
         alg.save_tables(cache_path)
     return report

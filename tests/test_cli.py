@@ -4,6 +4,8 @@ import json
 import pytest
 
 from qcoiso.cli import main
+from qcoiso.rootsys import CartanType, build_root_system
+from qcoiso.uqalg import UqBorel
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +140,20 @@ def test_verify_e6_heuristic_row_fails_on_g9(capsys):
     )
 
 
+def test_verify_root_without_recipe_fails_at_the_recipe_stage(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--type", "D", "--rank", "4", "--beta", "L2+L3",
+        "--format", "json", "--no-timings",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "fail"
+    assert payload["classical"] == {"coisotropic": True, "dim": 6}
+    assert payload["stage_error"] == (
+        "recipe: no built-in recipe for D4 beta=L2+L3; supported: L1+Lj and Li-Lj"
+    )
+
+
 def test_verify_g2_trivial_case(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--type", "G", "--rank", "2", "--beta", "a2",
@@ -233,9 +249,18 @@ def test_verify_cache_roundtrip(capsys, tmp_path, monkeypatch):
     ]
     code, out1, _ = run_cli(capsys, *args)
     assert code == 0
-    assert (tmp_path / "cache" / "A2-tables.pkl").exists()
+    cache = tmp_path / "cache" / "A2-tables.pkl"
+    assert cache.exists()
     code, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+    # a torn or foreign file is a cache miss and is replaced by a good one
+    for corrupt in (b"", b"not a pickle"):
+        cache.write_bytes(corrupt)
+        code, out3, _ = run_cli(capsys, *args)
+        assert (code, out3) == (0, out1)
+        alg = UqBorel(build_root_system(CartanType("A", 2)))
+        assert alg.load_tables(str(cache))
+    assert [p.name for p in cache.parent.iterdir()] == ["A2-tables.pkl"]
 
 
 def test_solve_command(capsys):
@@ -253,6 +278,21 @@ def test_solve_so_odd(capsys):
     payload = json.loads(out)
     assert payload["residual_check"] is True
     assert len(payload["coefficients"]) == 16
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("ijkj", "266016ae6b45a8e0869347e264ad499108854a50b467eedc0c730ccc62965207"),
+        ("eiej-ekej", "9722ae6b555e6beeda0345c5e03930182db7cf568a117f0a971db6a4035c3812"),
+        ("so-odd-5term", "981fbb074e498681c085ad8a61c56586759d54c5e33db6131114bf0c0ca730e8"),
+        ("g2-e2t", "29a7393ddece6a2851520a03cbf775dd8eeb87b4881a7396c11f54af1bf1b699"),
+    ],
+)
+def test_solve_reports_are_pinned(capsys, name, digest):
+    code, out, _ = run_cli(capsys, "solve", name, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_solve_unknown(capsys):

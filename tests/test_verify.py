@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import json
 import random
 import weakref
 from collections import Counter
@@ -21,6 +23,7 @@ from qcoiso.verify import (
     check_left_coideal,
     check_qcommute_closure,
     check_semiclassical,
+    classical_limits,
     run_full_verification,
     solve_identity,
 )
@@ -219,7 +222,7 @@ def test_flatness_semiclassical_consistency():
         flat = check_flatness(recipe, alg)
         assert all(e["verdict"] == "pass" for e in flat)
         cb = build_realization(rs)
-        assert check_semiclassical(recipe, flat, cb)
+        assert check_semiclassical(classical_limits(recipe, cb), flat, cb)
 
 
 def _semiclassical_after(change):
@@ -228,12 +231,13 @@ def _semiclassical_after(change):
     rs, beta, recipe, alg = _case("A", 2, "L1-L3")
     flat = check_flatness(recipe, alg)
     change({(e["i"], e["j"]): e for e in flat})
-    return check_semiclassical(recipe, flat, build_realization(rs))
+    cb = build_realization(rs)
+    return check_semiclassical(classical_limits(recipe, cb), flat, cb)
 
 
 def _scale_degree_one(entries):
-    coeffs = entries[("X1", "D2")]["_coeffs"]
-    coeffs["X2"] = coeffs["X2"] * RatFunc.from_int(2)
+    coeffs = entries[("X1", "D2")]["certificate"]["coefficients"]
+    coeffs["X2"] = (parse_ratfunc(coeffs["X2"]) * RatFunc.from_int(2)).render()
 
 
 def _mark_inconclusive(entries):
@@ -260,6 +264,26 @@ def test_semiclassical_mismatch_is_a_stage_error(monkeypatch):
     assert report.verdict == "fail"
 
 
+def test_flatness_entries_serialize_to_json():
+    rs, beta, recipe, alg = _case("A", 2, "L1-L3")
+    json.dumps(check_flatness(recipe, alg))
+
+
+@pytest.mark.parametrize(
+    "kmono, error",
+    [((1, 0), "K-monomial semiclassical element is outside the span"), ((2, 2), "")],
+)
+def test_k_monomial_outside_the_classical_span_fails(kmono, error):
+    # the K-monomial's semiclassical element must lie in the classical span,
+    # which for A2 L1-L3 holds the multiples of h1 + h2 only
+    rs = rs_of("A", 2)
+    beta = parse_root(rs, "L1-L3")
+    recipe = dataclasses.replace(builtin_recipe(rs, beta), k_monomial=kmono)
+    report = run_full_verification(rs, beta, recipe=recipe)
+    assert report.stage_error == error
+    assert report.verdict == ("fail" if error else "pass")
+
+
 def test_fit_q1_clears_a_pole_with_the_saturated_nullspace():
     # X has a simple pole at q = 1 and X*Y must vanish there; the nullspace
     # direction X + X*Y, given twice (the copy is dropped in saturation),
@@ -280,8 +304,8 @@ def _assert_golden_extends(name, golden):
     # coefficients are forced to the classical table exactly
     target, templates, _ = builtin_identity(name)
     sol = solve_identity(target, templates)
-    assert sol is not None and sol.certificate.residual_check
-    assert sol.nullspace_dim == 0
+    assert sol is not None and sol.residual_check
+    assert sol.detail["nullspace_dim"] == 0
     for label, value in golden.items():
         got = sol.coefficients.get(label)
         if value:
@@ -317,7 +341,7 @@ def test_solve_identity_eiej_ekej_golden():
 def test_solve_identity_so_odd_5term_golden():
     target, templates, meta = builtin_identity("so-odd-5term")
     sol = solve_identity(target, templates, ideal_mode=meta.get("ideal_mode", False))
-    assert sol is not None and sol.certificate.residual_check
+    assert sol is not None and sol.residual_check
     den = "(q^4+q^2+1)"
     golden = {
         "a": rf("0"),
@@ -359,8 +383,8 @@ def test_solve_identity_so_odd_5term_golden():
 def test_solve_identity_g2_e2t():
     target, templates, meta = builtin_identity("g2-e2t")
     sol = solve_identity(target, templates)
-    assert sol is not None and sol.certificate.residual_check
-    assert sol.nullspace_dim >= 0
+    assert sol is not None and sol.residual_check
+    assert sol.detail["nullspace_dim"] >= 0
 
 
 def test_qcommute_closure_examples():
