@@ -24,8 +24,18 @@ folding each basis word b of nf(p) through the words of g with the K-crossing
 factor of b.  This holds because the ideal is two-sided and a basis word folds
 to itself.  Products are enumerated as labels ("A*B*C"), and
 `label_product` is the one place a labelled product is multiplied out, for
-the certificates that name it.  The on-disk cache stores tables only; the
-memo stays in memory.
+the certificates that name it; the label lists are memoized per algebra by
+the generators' degrees and the target multidegree.
+
+Ideal certificates are solved over the greedy basis of the u . R . v
+templates at a content: the templates, in `ideal_templates` order, that are
+independent of every template before them.  A tagged incremental elimination
+over every template expresses an element over this basis only, since each
+stored row's tag combines independent templates; the basis is independent, so
+that expression is unique, and a solve over the basis alone returns the same
+coefficients.  The basis is found once per content by one untagged
+elimination and lives as long as the algebra.  The on-disk cache stores tables only; the memo, the bases and the
+label lists stay in memory.
 """
 
 from __future__ import annotations
@@ -186,6 +196,11 @@ class UqBorel:
         # the terms dict, so the id is not reused while it is cached, and no
         # NCPoly, which would refer back to the algebra
         self._gen_degrees = {}
+        # content -> greedy basis [(label, {word: coeff})] of the u.R.v
+        # templates, as bare dicts: an NCPoly would refer back to the algebra
+        self._ideal_bases = {}
+        # (generator degrees, kexp, weight, min_factors) -> product labels
+        self._products = {}
         # (i, j) -> (content, terms) of each relation, as bare terms: stored
         # NCPolys would refer back to the algebra, a cycle that keeps a
         # finished algebra's tables and memo alive until the next full
@@ -499,22 +514,35 @@ class UqBorel:
                         out.append(((u, (i, j), v), NCPoly(self, terms)))
         return out
 
+    def _ideal_basis(self, mu):
+        """The greedy basis of the templates at content mu, as word vectors:
+        the templates independent of every template before them."""
+        basis = self._ideal_bases.get(mu)
+        if basis is None:
+            span = SpanSolver()
+            templates = (
+                (label, {w: c for (_, w), c in poly.terms.items()})
+                for label, poly in self.ideal_templates(mu)
+            )
+            basis = [(label, vec) for label, vec in templates if span.add(vec)]
+            self._ideal_bases[mu] = basis
+        return basis
+
     def ideal_membership(self, x: NCPoly):
         """Coefficients over u.R.v templates expressing x, or None.
 
         The element is split into multihomogeneous components; each must lie
         in the ideal at its own content.  K-prefixes factor out unchanged.
+        Each component is solved over the greedy basis of the templates at its
+        content, memoized on the algebra: the expression over the basis is
+        unique, and it is the one a solve over every template returns.
         """
         from .linalg import solve_linear_combination
 
         solution = {}
         for (kexp, mu), comp in x.components().items():
             target = {w: c for (_, w), c in comp.terms.items()}
-            templates = [
-                (label, {w: c for (_, w), c in poly.terms.items()})
-                for label, poly in self.ideal_templates(mu)
-            ]
-            coeffs, _ = solve_linear_combination(templates, target)
+            coeffs, _ = solve_linear_combination(self._ideal_basis(mu), target)
             if coeffs is None:
                 return None
             accumulate(solution, (((kexp, label), c) for label, c in coeffs.items()))
@@ -531,13 +559,16 @@ class UqBorel:
         orderings) whose K-exponents and word contents sum to the target.
         Nothing is multiplied: `label_product` expands a label.  With
         non-negative K-exponents the target bounds the search, as every
-        generator used has a nonzero K-exponent or content.
+        generator used has a nonzero K-exponent or content.  The labels
+        depend only on the generators' names and degrees and the target, and
+        are memoized per algebra on those; each call returns a fresh list.
         """
-        data = []
-        for name, poly in gens:
-            gk, gw = self._generator_degree(poly)
-            if any(gk) or any(gw):
-                data.append((name, gk, gw))
+        degrees = tuple((name, *self._generator_degree(poly)) for name, poly in gens)
+        key = (degrees, tuple(kexp), tuple(weight), min_factors)
+        hit = self._products.get(key)
+        if hit is not None:
+            return list(hit)
+        data = [(name, gk, gw) for name, gk, gw in degrees if any(gk) or any(gw)]
         out = []
         # depth-first over (label, factor count, remaining kexp, remaining
         # content) on an explicit stack: a self-calling closure would be a
@@ -559,7 +590,8 @@ class UqBorel:
                     tuple(a - b for a, b in zip(rw, gw)),
                 ))
         out.sort()
-        return out
+        self._products[key] = out
+        return list(out)
 
     def _generator_degree(self, poly):
         """(kexp, content) of a multihomogeneous generator, computed once per

@@ -140,6 +140,27 @@ def test_verify_e6_heuristic_row_fails_on_g9(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "series, rank, beta, cap, digest",
+    [
+        ("E", 6, "a1+a2+a3+2a4+2a5+a6", "6",
+         "27b67c5feca42faddc51036932e9b29c5c1b18d5c0fe06ee91e628446e64f1ea"),
+        ("E", 6, "a1+a2+2a3+2a4+2a5+a6", "6",
+         "00a1468a54aa682159ff6b5c0b878098a711c9e3593cdd27f11eb17a24928ea2"),
+        ("D", 4, "L1+L2", None,
+         "c40f3d41af0ce0cd1d6d8495356d91927f66f36d5f5fa8f0fc1f7874059aba78"),
+    ],
+)
+def test_verify_reports_are_pinned(capsys, series, rank, beta, cap, digest):
+    # the whole report, so that a change in any certificate field (such as
+    # the ideal_terms of an explicit ideal certificate) fails here
+    argv = ["verify", "--type", series, "--rank", str(rank), "--beta", beta]
+    if cap is not None:
+        argv += ["--degree-cap", cap]
+    _, out, _ = run_cli(capsys, *argv, "--format", "json", "--no-timings")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_root_without_recipe_fails_at_the_recipe_stage(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--type", "D", "--rank", "4", "--beta", "L2+L3",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcoiso.linalg import solve_linear_combination
 from qcoiso.qfield import RF_ONE, RatFunc, parse_ratfunc
 from qcoiso.rootsys import CartanType, build_root_system
 from qcoiso.uqalg import (
@@ -271,6 +272,65 @@ def test_ideal_membership_certificate_roundtrip():
     # E1 E2 is not in the ideal (degree-2 component vanishes)
     e1e2 = nc_mul(alg.gen(0), alg.gen(1))
     assert alg.ideal_membership(e1e2) is None
+
+
+@st.composite
+def _ideal_elements(draw):
+    """A fresh rank-two algebra and a Laurent combination of u.R.v
+    templates, with one or two components (K-prefix, content) of degree at
+    most 5."""
+    series = draw(st.sampled_from(["A", "B", "G"]))
+    alg = UqBorel(build_root_system(CartanType(series, 2)))
+    contents = [
+        mu for d in range(1, 6) for mu in ((a, d - a) for a in range(d + 1))
+        if alg.ideal_templates(mu)
+    ]
+    x = alg.zero()
+    for mu in draw(st.lists(st.sampled_from(contents), min_size=1, max_size=2, unique=True)):
+        k = alg.k_monomial(draw(st.tuples(st.integers(0, 1), st.integers(0, 1))))
+        templates = alg.ideal_templates(mu)
+        for n in draw(st.lists(st.integers(0, len(templates) - 1), min_size=1, max_size=4)):
+            c = RatFunc.from_int(draw(st.sampled_from([-2, -1, 1, 3])))
+            c = c * RatFunc.q_power(draw(st.integers(-2, 2)))
+            x = x + k * templates[n][1].scale(c)
+    return alg, x
+
+
+def _full_template_solve(alg, x):
+    """ideal_membership's answer, solved over every template of each content."""
+    solution = {}
+    for (kexp, mu), comp in x.components().items():
+        templates = [
+            (label, {w: c for (_, w), c in poly.terms.items()})
+            for label, poly in alg.ideal_templates(mu)
+        ]
+        coeffs, _ = solve_linear_combination(templates, {w: c for (_, w), c in comp.terms.items()})
+        if coeffs is None:
+            return None
+        for label, c in coeffs.items():
+            solution[(kexp, label)] = c
+    return solution
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_ideal_elements())
+def test_ideal_certificate_matches_full_template_solve(case):
+    """Solving over the greedy basis of the templates gives the coefficients,
+    in the same order, of a solve over every template, cold and warm."""
+    alg, x = case
+    expected = _full_template_solve(alg, x)
+    assert expected is not None
+    cold = alg.ideal_membership(x)
+    assert list(cold.items()) == list(expected.items())
+    assert alg.expand_ideal_certificate(cold) == x
+    warm = alg.ideal_membership(x)
+    assert list(warm.items()) == list(expected.items())
+    # a basis word of the quotient is not in the ideal
+    for (kexp, mu) in x.components():
+        word = alg.table(mu).basis[0]
+        outside = x + NCPoly(alg, {(kexp, word): RF_ONE})
+        assert alg.ideal_membership(outside) is None
+        assert _full_template_solve(alg, outside) is None
 
 
 def test_ideal_membership_ijkj():

@@ -478,14 +478,17 @@ def test_each_word_folds_from_empty_once(monkeypatch):
 
 
 def test_finished_algebra_is_freed_without_gc(monkeypatch):
-    """A run's algebra, with its tables and memo, is freed by reference
-    counting when the run ends, not at the next full garbage collection."""
-    refs = []
+    """A run's algebra, with its tables and memos, is freed by reference
+    counting when the run ends, not at the next full garbage collection.
+    The memos of ideal bases and product labels are held past the run: they
+    are filled, and holding them does not keep the algebra alive."""
+    refs, memos = [], []
     init = UqBorel.__init__
 
     def tracking(self, *args, **kwargs):
         init(self, *args, **kwargs)
         refs.append(weakref.ref(self))
+        memos.append((self._ideal_bases, self._products))
 
     monkeypatch.setattr(UqBorel, "__init__", tracking)
     rs = rs_of("A", 2)
@@ -493,6 +496,7 @@ def test_finished_algebra_is_freed_without_gc(monkeypatch):
     try:
         assert run_full_verification(rs, parse_root(rs, "L1-L3")).verdict == "pass"
         assert refs and all(ref() is None for ref in refs)
+        assert memos and all(bases and products for bases, products in memos)
     finally:
         gc.enable()
 
