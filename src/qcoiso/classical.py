@@ -11,6 +11,13 @@ of e_a; G2 and E6 take Chevalley constants and n(a) = 2/(a, a).  Then
 [e_alpha, f_alpha] = h_alpha, the coroot of alpha, except on the short roots
 of B, where the matrix realization gives h_alpha / 2.
 
+The table and the r-matrix are computed from integer root data: the matrix
+entries, Cartan matrix and form pairings are ints, each mixed bracket comes
+from one nonzero N(a, b), and a Fraction is built only where a coefficient
+is stored.  killing_lambda reads alpha(h) off the table entry [e_alpha,
+f_alpha] and sums the integer pairings (gamma, alpha) over the positive
+roots; no trace of ad is formed.
+
 Elements are sparse coefficient dicts over the basis.  Bivectors (antisymmetric
 two-tensors) are dicts keyed by index pairs (i, j) with i < j.
 """
@@ -20,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import add, mul
 
 from .linalg import SpanSolver, accumulate, vec_add_scaled
 from .qfield import join_signed
 from .rootsys import Root, RootSystem
 
-F0 = Fraction(0)
 F1 = Fraction(1)
 
 
@@ -135,7 +142,8 @@ def _root_matrices(rs: RootSystem) -> dict:
 
     sl(n+1) acts on the weights L_1..L_{n+1}; sp(2n) and so(2n) on L_1..L_n,
     -L_1..-L_n; so(2n+1) has one more weight 0 at index 2n.  In all four
-    f_a is the transpose of e_a, so only the e-matrices are kept.
+    f_a is the transpose of e_a, so only the e-matrices are kept.  Entries
+    are the integers 1 and -1.
     """
     series, n = rs.type.series, rs.rank
     if series not in "ABCD":
@@ -146,17 +154,17 @@ def _root_matrices(rs: RootSystem) -> dict:
         pos = [k for k, c in enumerate(coords) if c > 0]
         neg = [k for k, c in enumerate(coords) if c < 0]
         if series == "A":
-            mat = {(pos[0], neg[0]): F1}
+            mat = {(pos[0], neg[0]): 1}
         elif neg:  # L_i - L_j
             i, j = pos[0], neg[0]
-            mat = {(i, j): F1, (n + j, n + i): -F1}
+            mat = {(i, j): 1, (n + j, n + i): -1}
         elif len(pos) == 2:  # L_i + L_j, i < j
             i, j = pos
-            mat = {(i, n + j): F1, (j, n + i): F1 if series == "C" else -F1}
+            mat = {(i, n + j): 1, (j, n + i): 1 if series == "C" else -1}
         elif series == "C":  # 2L_i
-            mat = {(pos[0], n + pos[0]): F1}
+            mat = {(pos[0], n + pos[0]): 1}
         else:  # L_i, type B
-            mat = {(pos[0], 2 * n): F1, (2 * n, n + pos[0]): -F1}
+            mat = {(pos[0], 2 * n): 1, (2 * n, n + pos[0]): -1}
         out[r.decomp] = mat
     return out
 
@@ -179,13 +187,13 @@ def _matrix_constants(rs: RootSystem):
     mats = _root_matrices(rs)
     N = {}
     for (a, ea), (b, eb) in combinations(mats.items(), 2):
-        ab = tuple(x + y for x, y in zip(a, b))
+        ab = tuple(map(add, a, b))
         target = mats.get(ab)
         if target is None:
             continue
         comm = _mat_bracket(ea, eb)
         cell = next(iter(target))
-        c = comm.get(cell, F0) / target[cell]
+        c = Fraction(comm.get(cell, 0), target[cell])
         if comm != {k: c * v for k, v in target.items()}:
             raise RealizationError(f"[e_{a}, e_{b}] is not a multiple of e_{ab}")
         N[(a, b)] = c
@@ -229,8 +237,7 @@ def _simply_laced_pos_constants(rs: RootSystem) -> dict:
     pos_set = set(positives)
     for i, a in enumerate(positives):
         for b in positives[i + 1:]:
-            t = tuple(x + y for x, y in zip(a, b))
-            if t in pos_set:
+            if tuple(map(add, a, b)) in pos_set:
                 out[(a, b)] = eps(a, b)
     return out
 
@@ -255,45 +262,59 @@ def _closed_form_basis(
       [h_i, e_a] = a(h_i) e_a,  [h_i, f_a] = -a(h_i) f_a,
     where h_a is the coroot of a and theta the highest root, so that
     [e_theta, f_theta] = h_theta.  n defaults to the Chevalley value 2/(a, a),
-    for which nu = 1.
+    for which nu = 1.  Only the nonzero N are walked: a mixed [e_a, f_b] is
+    nonzero exactly when a = b + c or b = a + c for a positive root c.
     """
-    N = {}
-    for (a, b), c in pos_constants.items():
-        N[(a, b)], N[(b, a)] = Fraction(c), -Fraction(c)
     roots = [r.decomp for r in rs.positive_roots]
     index = {a: i for i, a in enumerate(roots)}
     norm = {a: rs.inner(a, a) for a in roots}
+    # n(a) as an integer pair (numerator, denominator)
     if n is None:
-        n = {a: 2 / Fraction(norm[a]) for a in roots}
+        ratio = {a: (2, norm[a]) for a in roots}
+    else:
+        ratio = {a: (n[a].numerator, n[a].denominator) for a in roots}
     theta = max(roots, key=sum)
-    nu = {a: n[a] * norm[a] / (n[theta] * norm[theta]) for a in roots}
+    tp, tq = ratio[theta]
+    theta_den = tp * norm[theta]
     m, rank, A, d = len(roots), rs.rank, rs.cartan_matrix, rs.symmetrizers
     dim = 2 * m + rank
+    built = {}
+
+    def frac(num, den=1):
+        """The Fraction num/den, built once per distinct (num, den)."""
+        hit = built.get((num, den))
+        if hit is None:
+            hit = built[(num, den)] = Fraction(num, den)
+        return hit
+
     table = {(i, j): {} for i in range(dim) for j in range(i + 1, dim)}
+    # each nonzero N(x, y), in both orders, with s = x + y, gives [e_x, e_y]
+    # (when x comes first), [e_s, f_x] (the case s - x = y > 0) and [e_y, f_s]
+    # (the case s - y = x > 0); over all pairs that is every mixed bracket
+    for (a, b), c in pos_constants.items():
+        for x, y, cn, cd in ((a, b, c.numerator, c.denominator),
+                             (b, a, -c.numerator, c.denominator)):
+            ix, iy = index[x], index[y]
+            s = tuple(map(add, x, y))
+            i_s = index[s]
+            if ix < iy:
+                table[(ix, iy)] = {i_s: frac(cn, cd)}
+                table[(m + ix, m + iy)] = {m + i_s: frac(-cn, cd)}
+            (ps, qs), (px, qx), (py, qy) = ratio[s], ratio[x], ratio[y]
+            table[(i_s, m + ix)] = {iy: frac(-cn * ps * qy, cd * qs * py)}
+            table[(iy, m + i_s)] = {m + ix: frac(cn * ps * qx, cd * qs * px)}
     for i, a in enumerate(roots):
-        for j, b in enumerate(roots):
-            plus = tuple(x + y for x, y in zip(a, b))
-            a_minus_b = tuple(x - y for x, y in zip(a, b))
-            b_minus_a = tuple(-x for x in a_minus_b)
-            if i < j and plus in index:
-                table[(i, j)] = {index[plus]: N[(a, b)]}
-                table[(m + i, m + j)] = {m + index[plus]: -N[(a, b)]}
-            if i == j:
-                table[(i, m + j)] = {
-                    2 * m + k: nu[a] * Fraction(2 * c * d[k], norm[a])
-                    for k, c in enumerate(a) if c
-                }
-            elif a_minus_b in index:
-                coeff = -N[(b, a_minus_b)] * n[a] / n[a_minus_b]
-                table[(i, m + j)] = {index[a_minus_b]: coeff}
-            elif b_minus_a in index:
-                coeff = N[(b_minus_a, a)] * n[b] / n[b_minus_a]
-                table[(i, m + j)] = {m + index[b_minus_a]: coeff}
+        p, q = ratio[a]
+        # nu(a) * 2 c d_k / (a, a) with nu(a) = n(a)(a, a) / (n(theta)(theta, theta))
+        table[(i, m + i)] = {
+            2 * m + k: frac(2 * c * d[k] * p * tq, q * theta_den)
+            for k, c in enumerate(a) if c
+        }
         for k in range(rank):
-            weight = sum(A[k][l] * a[l] for l in range(rank))
+            weight = sum(map(mul, A[k], a))
             if weight:
-                table[(i, 2 * m + k)] = {i: Fraction(-weight)}
-                table[(m + i, 2 * m + k)] = {m + i: Fraction(weight)}
+                table[(i, 2 * m + k)] = {i: frac(-weight)}
+                table[(m + i, 2 * m + k)] = {m + i: frac(weight)}
     return ChevalleyBasis(rs=rs, _bracket_table=table)
 
 
@@ -313,23 +334,28 @@ def build_realization(rs: RootSystem) -> ChevalleyBasis:
 # ---------------------------------------------------------------------------
 
 def killing_lambda(cb: ChevalleyBasis, alpha: Root) -> Fraction:
-    """1 / K(e_alpha, f_alpha), in closed form from the root system.
+    """1 / K(e_alpha, f_alpha), in closed form from integer root data.
 
     h = [e_alpha, f_alpha] is a multiple of the coroot alpha^v.  Invariance
     gives alpha(h) K(e, f) = K(h, h) = sum over all roots gamma(h)^2, hence
     1 / K(e, f) = 2 / (alpha(h) * sum_{gamma > 0} <gamma, alpha^v>^2).
-    alpha(h) is read from the bracket table ([h, e] = alpha(h) e), since a
-    basis need not scale h to the coroot: for a short root of B, [e, f] is
-    H_i, not 2 H_i.
+    alpha(h) is read from the table entry [e_alpha, f_alpha], each coefficient
+    of h_k weighted by alpha(h_k) = (A alpha)_k, the weight [h_k, e_alpha]
+    stores; a basis need not scale h to the coroot (for a short root of B,
+    [e, f] is H_i, not 2 H_i).  The pairing sum is
+    4 * sum_{gamma > 0} (gamma, alpha)^2 / (alpha, alpha)^2, over the integer
+    pairings of the symmetrized Cartan matrix.
     """
-    e = cb.e(alpha)
-    alpha_h = cb.bracket(cb.bracket(e, cb.f(alpha)), e).get(cb.e_index(alpha), F0)
+    rs, a = cb.rs, alpha.decomp
+    h0 = cb.h_index(0)
+    h = cb.bracket_basis(cb.e_index(alpha), cb.f_index(alpha))
+    alpha_h = sum(c * sum(map(mul, rs.cartan_matrix[k - h0], a)) for k, c in h.items())
     if alpha_h == 0:
         raise RealizationError(f"degenerate Killing pairing at {alpha}")
-    rs, a = cb.rs, alpha.decomp
-    norm = rs.inner(a, a)
-    pairing_sq = sum(Fraction(2 * rs.inner(g.decomp, a), norm) ** 2 for g in rs.positive_roots)
-    return 2 / (alpha_h * pairing_sq)
+    b_alpha = [sum(map(mul, row, a)) for row in rs.bilinear]
+    norm = sum(map(mul, a, b_alpha))
+    total = sum(sum(map(mul, g.decomp, b_alpha)) ** 2 for g in rs.positive_roots)
+    return Fraction(norm * norm, 2 * total) / alpha_h
 
 
 def wedge_canonical(i: int, j: int, c: Fraction):
@@ -353,14 +379,15 @@ def build_r_matrix(cb: ChevalleyBasis) -> dict:
 
 def ad_bivector(cb: ChevalleyBasis, x: dict, b: dict) -> dict:
     """[x, b] extended as a derivation over wedge legs."""
+    legs = {}  # [x, x_i], once per basis index
+    for pair in b:
+        for i in pair:
+            if i not in legs:
+                legs[i] = cb.bracket(x, {i: F1})
     terms = []
     for (i, j), c in b.items():
-        vi = cb.bracket(x, {i: F1})
-        for k, v in vi.items():
-            terms.append((k, j, c * v))
-        vj = cb.bracket(x, {j: F1})
-        for k, v in vj.items():
-            terms.append((i, k, c * v))
+        terms.extend((k, j, c * v) for k, v in legs[i].items())
+        terms.extend((i, k, c * v) for k, v in legs[j].items())
     return bivector(terms)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import solve_affine
 from .qfield import join_signed
@@ -84,6 +85,14 @@ class RootSystem:
         self.cartan_matrix, self.symmetrizers, self._euclid_simple = _cartan_data(
             cartan_type
         )
+        self._euclid = {}
+        if self._euclid_simple is not None:
+            # the Euclidean simple roots as sparse integer rows over one denominator
+            den = lcm(*(v.denominator for row in self._euclid_simple for v in row))
+            self._euclid_int = den, [
+                [(k, int(v * den)) for k, v in enumerate(row) if v]
+                for row in self._euclid_simple
+            ]
         # scaled inner products (alpha_i, alpha_j); symmetric by construction
         self.bilinear = tuple(
             tuple(self.symmetrizers[i] * self.cartan_matrix[i][j] for j in range(self.rank))
@@ -131,16 +140,21 @@ class RootSystem:
         return self.inner(root.decomp, root.decomp)
 
     def euclid_coords(self, root: Root):
-        """Euclidean coordinates, or None for types built from the Cartan matrix."""
+        """Euclidean coordinates, or None for types built from the Cartan matrix.
+
+        Computed once per root and kept on the instance."""
         if self._euclid_simple is None:
             return None
-        dim = len(self._euclid_simple[0])
-        out = [Fraction(0)] * dim
-        for i, c in enumerate(root.decomp):
-            if c:
-                for k in range(dim):
-                    out[k] += c * self._euclid_simple[i][k]
-        return tuple(out)
+        hit = self._euclid.get(root.decomp)
+        if hit is None:
+            den, rows = self._euclid_int
+            out = [0] * len(self._euclid_simple[0])
+            for c, row in zip(root.decomp, rows):
+                if c:
+                    for k, v in row:
+                        out[k] += c * v
+            hit = self._euclid[root.decomp] = tuple(Fraction(v, den) for v in out)
+        return hit
 
     def render_root(self, root: Root) -> str:
         if self._euclid_simple is not None and self.type.series != "G":
@@ -334,6 +348,17 @@ _TERM_RE = re.compile(r"([+-]?)\s*(\d*)\s*(?:\*\s*)?(l|a)(\d+)", re.IGNORECASE)
 
 
 def parse_root(rs: RootSystem, text: str) -> Root:
+    """The positive root a literal names; RootSystemError for anything else."""
+    root = rs.find_root(_literal_decomp(rs, text))
+    if not root.is_positive():
+        raise RootSystemError(
+            f"{text.strip()!r} is the negative root {root} of {rs.type}; "
+            "give a positive root"
+        )
+    return root
+
+
+def _literal_decomp(rs: RootSystem, text: str) -> tuple:
     cleaned = text.strip()
     if not cleaned:
         raise RootSystemError("empty root literal")
@@ -359,7 +384,7 @@ def parse_root(rs: RootSystem, text: str) -> Root:
             if not 1 <= idx <= rs.rank:
                 raise RootSystemError(f"simple-root index out of range in {text!r}")
             decomp[idx - 1] += c
-        return rs.find_root(decomp)
+        return tuple(decomp)
     if rs._euclid_simple is None:
         raise RootSystemError(
             f"Euclidean literals are not available for {rs.type}; use a-form"
@@ -373,7 +398,7 @@ def parse_root(rs: RootSystem, text: str) -> Root:
     decomp = _solve_decomp(rs._euclid_simple, target)
     if decomp is None:
         raise RootSystemError(f"{text!r} is not in the root lattice of {rs.type}")
-    return rs.find_root(decomp)
+    return decomp
 
 
 def _solve_decomp(simples, target):

@@ -126,7 +126,7 @@ def test_killing_invariance():
             x, y, z = xs
             lhs = _ad_killing(cb, cb.bracket(x, y), z) + _ad_killing(cb, y, cb.bracket(x, z))
             assert lhs == 0
-    cases = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    cases = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
              ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("E", 6)]
     for series, rank in cases:
         rs, cb = realization(series, rank)
@@ -322,29 +322,49 @@ def test_abstract_ef_brackets_are_coroots():
             assert t == expected, (series, r)
 
 
+_PINNED = [
+    ("A", 2, 28, "e37a8a1d7840a282ed87036c76f39535be9cc828801db98d92374cd57d9daa78",
+     "ee2ad94f2485fb720b777454e508f1b3c21a9f0fbdfd109e3e6cfdd467f59d7c"),
+    ("A", 3, 105, "574517b9e6bd067d4563138998c670a9b179fdfcd4a2e86f83ecc72608f47fbd",
+     "b20c79859d12858c23307b7c1ddb5501501fb9ebc7fa5e3265c00a6d8b796137"),
+    ("A", 5, 595, "e6524a84b57ec7a4be9c6df7a1a292a0ea4fbcdb78a3ba0a4951619adfcb2783",
+     "348e707573c6eb01b07c2ee11b264f099709e2075b742b03cf5f74b44bf827d4"),
+    ("B", 2, 45, "2bb2cc70b52dba8adfea439d79a472f076767ea6ca4a87470e0a824a21355d17",
+     "29a21eb4204b296bdb679858ee7eb8b267fa73fb61de8f2161f1a31c36b67440"),
+    ("B", 3, 210, "4165aa4d55cdf53965545dc45fe577eaddb9769680fb4a257fd926a06afbb194",
+     "04273e8a7225aa290096bacb04ec218358d184627dd613699f358f3cb630c47a"),
+    ("B", 4, 630, "8d41780b1ffb9bbb490ac1183cadde198abf6778274fd8746ba8e669a694d538",
+     "9d4b483fcecc8715d5cf9bddb468a05a2f14ded92132b68f4ac73da056543a18"),
+    ("C", 2, 45, "421e8f1dadc7ea4699d3fb7480d858af8f3f0fe58ec2d15fbc377925ceb3c0a8",
+     "b6e52724b4af1ff35ead24cb28168e79c1e903183f06d16d7adf913f014de584"),
+    ("C", 3, 210, "bf2ada1ecede53023119a5a06a0871f744656bae88d6849b02658e03d601c15f",
+     "6c1c6914dd7be686777688164460f81d94116ec0f107af69c2267a0114723ac8"),
+    ("C", 4, 630, "e70ced7279142ceb6756763617e3397d474b49956ed50fa898547f2d3c2e4b3d",
+     "a57c9eb04663404be12a521d69d6e2e7359a20737895887c2b517c10b31d381b"),
+    ("D", 4, 378, "86fe7e8f9aed4995fecb139fd904b0453dfd223db9a98b8cd4cb7df7959123dd",
+     "ae4d4d277312c99a2d300e63a02d84b34f75cbc20a8dc5b3a8b09c7ca47f69ab"),
+    ("D", 5, 990, "1ac987fa18f71e5ee33aae166d93f412aa367525079d3940d5eddf2d77087a92",
+     "fd4082acbe8441d4efce904594efb6825770e9257ef097d758bfb3ad4c8fb555"),
+    ("G", 2, 91, "05c431ec45db22173b7f8ad3ab7b5f7d269b56c674b27dfe230d634393954fd1",
+     "80724f70924c51bf1508b8a1c90c5d33224705696c0016d30c2f65e31ef7e40c"),
+    ("E", 6, 3003, "241fba8bfd9e4108e5d57d30dff89123b151e839d18ac6be03aecfbdcd530469",
+     "64ba721ea4253bc2772e3fc1386e06c9fa42e8de1be54c78e5344b86be126bf8"),
+]
+
+
 @pytest.mark.parametrize(
-    "series, rank, pairs, digest",
-    [
-        ("A", 2, 28, "e37a8a1d7840a282ed87036c76f39535be9cc828801db98d92374cd57d9daa78"),
-        ("A", 3, 105, "574517b9e6bd067d4563138998c670a9b179fdfcd4a2e86f83ecc72608f47fbd"),
-        ("A", 5, 595, "e6524a84b57ec7a4be9c6df7a1a292a0ea4fbcdb78a3ba0a4951619adfcb2783"),
-        ("B", 2, 45, "2bb2cc70b52dba8adfea439d79a472f076767ea6ca4a87470e0a824a21355d17"),
-        ("B", 3, 210, "4165aa4d55cdf53965545dc45fe577eaddb9769680fb4a257fd926a06afbb194"),
-        ("B", 4, 630, "8d41780b1ffb9bbb490ac1183cadde198abf6778274fd8746ba8e669a694d538"),
-        ("C", 2, 45, "421e8f1dadc7ea4699d3fb7480d858af8f3f0fe58ec2d15fbc377925ceb3c0a8"),
-        ("C", 3, 210, "bf2ada1ecede53023119a5a06a0871f744656bae88d6849b02658e03d601c15f"),
-        ("C", 4, 630, "e70ced7279142ceb6756763617e3397d474b49956ed50fa898547f2d3c2e4b3d"),
-        ("D", 4, 378, "86fe7e8f9aed4995fecb139fd904b0453dfd223db9a98b8cd4cb7df7959123dd"),
-        ("D", 5, 990, "1ac987fa18f71e5ee33aae166d93f412aa367525079d3940d5eddf2d77087a92"),
-        ("G", 2, 91, "05c431ec45db22173b7f8ad3ab7b5f7d269b56c674b27dfe230d634393954fd1"),
-        ("E", 6, 3003, "241fba8bfd9e4108e5d57d30dff89123b151e839d18ac6be03aecfbdcd530469"),
-    ],
+    "series, rank, pairs, digest, r_digest",
+    _PINNED,
+    # the ids of the rows from before the r-matrix column
+    ids=["-".join(map(str, row[:4])) for row in _PINNED],
 )
-def test_exceptional_bracket_tables_are_pinned(series, rank, pairs, digest):
+def test_exceptional_bracket_tables_are_pinned(series, rank, pairs, digest, r_digest):
     # one line "i j k:v ..." per basis pair i < j, with the nonzero
-    # coefficients of [x_i, x_j] in index order; every report is built on
-    # these tables, so any rebuild of them must match exactly.  The name
-    # predates the A-D rows and is kept so the G2 and E6 test ids stay put.
+    # coefficients of [x_i, x_j] in index order, and one line "i j:c" per
+    # r-matrix term; every report is built on these, so any rebuild of them
+    # must match exactly.  Every coefficient must be a Fraction: an int would
+    # turn SpanSolver's 1 / pivot into a float.  The name predates the A-D
+    # rows and the r-matrix.
     rs, cb = realization(series, rank)
     table = cb._bracket_table
     assert len(table) == pairs
@@ -353,3 +373,8 @@ def test_exceptional_bracket_tables_are_pinned(series, rank, pairs, digest):
         for (i, j), vec in sorted(table.items())
     )
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    pi = build_r_matrix(cb)
+    text = "\n".join(f"{i} {j}:{c}" for (i, j), c in sorted(pi.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == r_digest
+    coeffs = [v for vec in table.values() for v in vec.values()] + list(pi.values())
+    assert all(type(c) is Fraction for c in coeffs)

@@ -385,3 +385,35 @@ def test_malformed_recipe_is_a_usage_error(capsys, tmp_path, edit):
         code, _, err = run_cli(capsys, *argv)
         assert code == 64, argv
         assert err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classical", "--type", "A", "--rank", "3", "--beta", "L4-L1"],
+        ["classical", "--type", "A", "--rank", "3", "--beta=-a1", "--force"],
+        ["verify", "--type", "A", "--rank", "3", "--beta", "L4-L1"],
+        ["verify", "--type", "G", "--rank", "2", "--beta=-3a1-2a2"],
+    ],
+    ids=["classical-L", "classical-a-force", "verify-L", "verify-g2"],
+)
+def test_negative_root_literal_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: ") and "negative root" in err
+
+
+def test_recipe_with_negative_beta_is_a_usage_error(capsys, tmp_path):
+    from qcoiso.recipes import builtin_recipe, serialize_recipe
+    from qcoiso.rootsys import parse_root
+
+    rs = build_root_system(CartanType("A", 3))
+    doc = serialize_recipe(builtin_recipe(rs, parse_root(rs, "L1-L4")))
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({**doc, "beta": "L4-L1"}))
+    for argv in (["recipe", "validate", str(path)], ["verify", "--recipe", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64, argv
+        assert out == "", argv
+        assert err.startswith("error: bad beta: ") and "negative root" in err, argv

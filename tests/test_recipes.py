@@ -227,6 +227,16 @@ def test_recipe_roundtrip():
     assert serialize_recipe(back) == doc
 
 
+@pytest.mark.parametrize("beta", ["L4-L1", "-a1", "-a1-a2-a3", "-L1+L2"])
+def test_parse_recipe_rejects_negative_beta(beta):
+    rs = rs_of("A", 3)
+    doc = serialize_recipe(builtin_recipe(rs, parse_root(rs, "L1-L4")))
+    with pytest.raises(RecipeError) as err:
+        parse_recipe({**doc, "beta": beta})
+    assert str(err.value).startswith("bad beta: ")
+    assert "negative root" in str(err.value) and repr(beta) in str(err.value)
+
+
 def test_parse_recipe_errors():
     rs = rs_of("A", 2)
     doc = serialize_recipe(builtin_recipe(rs, parse_root(rs, "L1-L3")))

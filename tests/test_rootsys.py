@@ -277,6 +277,17 @@ def test_parse_and_render():
         parse_root(a3, "")
 
 
+def test_parse_root_rejects_negative_roots():
+    # a negative root is a root, so find_root accepts it; every consumer of a
+    # literal indexes e_beta over the positive roots
+    for series, rank, lit, name in [("A", 3, "L4-L1", "-a1-a2-a3"), ("A", 3, "-a2", "-a2"),
+                                    ("C", 2, "-2L1", "-2a1-a2"), ("G", 2, "-3a1-2a2", "-3a1-2a2")]:
+        rs = rs_of(series, rank)
+        with pytest.raises(RootSystemError, match="negative root") as err:
+            parse_root(rs, lit)
+        assert repr(lit) in str(err.value) and name in str(err.value)
+
+
 def test_deterministic_order_is_lexicographic():
     rs = rs_of("B", 2)
     decomps = [r.decomp for r in rs.positive_roots]
