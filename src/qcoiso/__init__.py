@@ -31,7 +31,7 @@ from .classical import (
     coisotropic_generators,
     killing_lambda,
 )
-from .uqalg import NCPoly, UqBorel, coproduct, nc_mul, q_bracket
+from .uqalg import NCPoly, UqBorel
 from .recipes import (
     GeneratorRecipe,
     builtin_recipe,

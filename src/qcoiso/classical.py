@@ -358,15 +358,10 @@ def killing_lambda(cb: ChevalleyBasis, alpha: Root) -> Fraction:
     return Fraction(norm * norm, 2 * total) / alpha_h
 
 
-def wedge_canonical(i: int, j: int, c: Fraction):
-    if i == j or not c:
-        return None
-    return (i, j, c) if i < j else (j, i, -c)
-
-
 def bivector(terms) -> dict:
-    wedges = (wedge_canonical(i, j, c) for i, j, c in terms)
-    return accumulate({}, (((a, b), c) for a, b, c in filter(None, wedges)))
+    """{(i, j): c} with i < j for the sum of c x_i ^ x_j over (i, j, c) terms."""
+    wedges = (((i, j), c) if i < j else ((j, i), -c) for i, j, c in terms if i != j and c)
+    return accumulate({}, wedges)
 
 
 def build_r_matrix(cb: ChevalleyBasis) -> dict:
@@ -407,7 +402,6 @@ def coisotropic_generators(cb: ChevalleyBasis, b: dict):
 class ClassicalReport:
     closure_ok: bool
     coideal_ok: bool
-    generators: list
     failing_pair: tuple | None = None
     failing_generator: int | None = None
 
@@ -444,7 +438,6 @@ def check_coisotropic(cb: ChevalleyBasis, pi: dict, gens: list) -> ClassicalRepo
     return ClassicalReport(
         closure_ok=closure_ok,
         coideal_ok=coideal_ok,
-        generators=gens,
         failing_pair=failing_pair,
         failing_generator=failing_generator,
     )

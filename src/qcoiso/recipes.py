@@ -109,7 +109,7 @@ class GeneratorRecipe:
         out = []
         for name, _, expr in self.generators:
             val = eval_bracket_expr(expr, alg, self.auxiliaries)
-            if val.is_zero():
+            if not val:
                 raise RecipeError(f"generator {name} evaluates to zero")
             out.append((name, val))
         return out
@@ -118,14 +118,6 @@ class GeneratorRecipe:
 # ---------------------------------------------------------------------------
 # Built-in recipes.
 # ---------------------------------------------------------------------------
-
-def _chain(start, letters, power):
-    """[[ ... [start, E_{l1}]_p, E_{l2}]_p ..., E_{lk}]_p (0-based letters)."""
-    out = start
-    for l in letters:
-        out = QBr(out, Gen(l), power)
-    return out
-
 
 def _chain_gens(prefix, group, expr, nodes, power):
     """(prefix+k, group, [...[expr, E_k1]_p, ..., E_k]_p) for each 1-based node k.
@@ -226,9 +218,10 @@ def _even_orthogonal_top_recipe(n):
 def _odd_orthogonal_top_recipe(n):
     """beta = L1 + Ln in the odd orthogonal series; long brackets carry q^2."""
     y = QBr(Gen(n - 1), QBr(Gen(n - 1), Gen(n - 2), 2), 0)
+    chain = _chain_gens("", "", None, range(1, n), 2)[-1][2]  # E_1 up to E_{n-1}
     gens = _chain_gens("X", "(a)", None, range(1, n - 1), 2) + [
         (f"E{n}", "(b)", Gen(n - 1)),
-        (f"B{n}", "(b)", QBr(Gen(n - 1), _chain(Gen(0), range(1, n - 1), 2), 2)),
+        (f"B{n}", "(b)", QBr(Gen(n - 1), chain, 2)),
         (f"Y{n - 1}", "(c)", y),
     ]
     return gens + _chain_gens("Y", "(c)", y, range(n - 2, 0, -1), 2), {}
@@ -261,7 +254,7 @@ def _orthogonal_recipe(series, n, j):
         + [(f"Y{j - 1}", "(f)", f)]
         + _chain_gens("Y", "(f)", f, range(j - 2, 0, -1), p)
     )
-    return gens, {"T": _chain(Gen(0), range(1, j - 1), p)}
+    return gens, {"T": _chain_gens("", "", None, range(1, j), p)[-1][2]}
 
 
 def _g2_recipe(rs, beta):
@@ -288,9 +281,6 @@ def _g2_recipe(rs, beta):
 # E6 tables (package data).
 # ---------------------------------------------------------------------------
 
-_E6_CACHE = {}
-
-
 def load_e6_recipes(rs: RootSystem):
     """All shipped E6 recipes keyed by root decomposition.
 
@@ -299,8 +289,6 @@ def load_e6_recipes(rs: RootSystem):
     bracket joins non-orthogonal weights, so each becomes a q^1 bracket) and
     the recipes are flagged accordingly.
     """
-    if _E6_CACHE:
-        return dict(_E6_CACHE)
     raw = json.loads(
         resources.files("qcoiso").joinpath("data/e6_beta_tables.json").read_text()
     )
@@ -333,8 +321,7 @@ def load_e6_recipes(rs: RootSystem):
                 power_assignment="heuristic",
                 notes=(row.get("comment", "") + extra).strip(),
             )
-    _E6_CACHE.update(out)
-    return dict(out)
+    return out
 
 
 def _flip_decomp(decomp, flip):

@@ -7,6 +7,9 @@ words stay free.  Reduction modulo the q-Serre ideal happens only inside
 membership solves, through per-multidegree normal-form tables built from the
 relation span, so large word spaces are never materialized.  The defining
 relations R_ij are read through one accessor, `UqBorel.serre_relations()`.
+Products, q-brackets and the coproduct are `UqBorel` methods (`x * y` calls
+`nc_mul`); an element is zero exactly when it is false, and `*` by a RatFunc
+or an int scales it.
 
 The normal-form table at a multidegree mu is constructed incrementally: the
 quotient at mu is spanned by {b . E_i} over the quotient bases at mu-alpha_i,
@@ -80,9 +83,6 @@ class NCPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
         return max((len(w) for _, w in self.terms), default=0)
 
@@ -102,19 +102,16 @@ class NCPoly:
         return NCPoly(self.alg, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
+        """The product with an element, or the multiple by a scalar (RatFunc or int)."""
         if isinstance(other, NCPoly):
             return self.alg.nc_mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = RatFunc.from_int(c)
-        if not c:
+        if isinstance(other, int):
+            other = RatFunc.from_int(other)
+        if not other:
             return NCPoly(self.alg, {})
-        return NCPoly(self.alg, {k: v * c for k, v in self.terms.items()})
+        return NCPoly(self.alg, {k: v * other for k, v in self.terms.items()})
+
+    __rmul__ = __mul__
 
     def components(self):
         """Split into multihomogeneous parts keyed by (kexp, content)."""
@@ -727,20 +724,8 @@ def _words_of_content(content):
 
 
 # ---------------------------------------------------------------------------
-# Module-level convenience functions.
+# The coproduct applied to one leg of a tensor.
 # ---------------------------------------------------------------------------
-
-def nc_mul(a: NCPoly, b: NCPoly) -> NCPoly:
-    return a.alg.nc_mul(a, b)
-
-
-def q_bracket(a: NCPoly, b: NCPoly, k: int) -> NCPoly:
-    return a.alg.q_bracket(a, b, k)
-
-
-def coproduct(x: NCPoly) -> TensorElem:
-    return x.alg.coproduct(x)
-
 
 def tensor_coproduct_left(t: TensorElem):
     """Apply the coproduct to the left legs: result keyed by triples."""

@@ -15,15 +15,18 @@ and the residual (target minus the combination) must lie in the q-Serre
 ideal, witnessed by an explicit relation combination when small and by the
 quotient normal form otherwise.
 
-Certificates are what each stage hands on: the semiclassical check reads
-the q = 1 values of each pair from its rendered certificate, and
-`solve_identity` returns its certificate.
+Certificates are what each stage hands on.  Both checks return report
+entries, plain dicts with the certificates rendered as they are made: one per
+generator (name, pass, status, certificates, and a witness when one is found)
+and one per pair (i, j, verdict, xprime, certificate or note).  The report
+reads those entries as they are, the semiclassical check reads the q = 1
+values of each pair from its rendered certificate, and `solve_identity`
+returns its certificate.
 
 Entries above the table degree cap are "unverified": a generator whose degree
 exceeds it, and a pair whose commutator is nonzero and of degree above it,
 which is decided from the generators' leading terms without forming the
-commutator whenever those terms prove it nonzero.  Generators and pairs run
-sequentially.
+commutator whenever those terms prove it nonzero.
 """
 
 from __future__ import annotations
@@ -52,13 +55,7 @@ from .linalg import (
 from .qfield import RF_ONE, RatFunc, parse_ratfunc
 from .recipes import GeneratorRecipe, builtin_recipe, classical_limit_expr
 from .rootsys import Root, RootSystem, is_admissible
-from .uqalg import (
-    DegreeOverflowError,
-    NCPoly,
-    UqBorel,
-    q_bracket,
-    render_monomial,
-)
+from .uqalg import DegreeOverflowError, NCPoly, UqBorel, render_monomial
 
 # explicit u.R.v certificates are produced below this component degree
 IDEAL_CERTIFICATE_DEGREE = 6
@@ -88,7 +85,7 @@ class Certificate:
 
 def _ideal_part_certificate(alg, residual: NCPoly):
     """(ok, detail) for an ideal residual: explicit combination when small."""
-    if residual.is_zero():
+    if not residual:
         return True, {"ideal_part": "zero"}
     if not alg.nf_is_zero(residual):
         return False, {"ideal_part": "not in the ideal"}
@@ -109,33 +106,12 @@ def _ideal_part_certificate(alg, residual: NCPoly):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GeneratorOutcome:
-    name: str
-    status: str  # pass | fail | unverified
-    certificates: list
-    witness: str = ""
-
-    @property
-    def passed(self):
-        return self.status == "pass"
-
-    def to_json(self):
-        return {
-            "name": self.name,
-            "pass": self.passed,
-            "status": self.status,
-            "certificates": [c.to_json() for c in self.certificates],
-            **({"witness": self.witness} if self.witness else {}),
-        }
-
-
-@dataclass
 class VerificationReport:
     case: dict
     admissible: bool | None = None
     classical: dict | None = None
-    coideal: list | None = None  # GeneratorOutcome list
-    flatness: list | None = None  # per-pair dicts
+    coideal: list | None = None  # per-generator entries
+    flatness: list | None = None  # per-pair entries
     degrees_used: int = 0
     timings: dict = field(default_factory=dict)
     stage_error: str = ""
@@ -150,7 +126,7 @@ class VerificationReport:
             return "fail"
         outcomes = []
         if self.coideal is not None:
-            outcomes.extend(g.status for g in self.coideal)
+            outcomes.extend(g["status"] for g in self.coideal)
         if self.flatness is not None:
             outcomes.extend(p["verdict"] for p in self.flatness)
         if any(v == "fail" for v in outcomes):
@@ -164,9 +140,7 @@ class VerificationReport:
             "case": self.case,
             "admissible": self.admissible,
             "classical": self.classical,
-            "coideal": {
-                "per_generator": [g.to_json() for g in (self.coideal or [])]
-            },
+            "coideal": {"per_generator": list(self.coideal or [])},
             "flatness": {"per_pair": list(self.flatness or [])},
             "degrees_used": self.degrees_used,
             "verdict": self.verdict,
@@ -185,52 +159,58 @@ def _adjoined_generators(recipe: GeneratorRecipe, alg: UqBorel):
 
 
 def check_left_coideal(recipe: GeneratorRecipe, alg: UqBorel) -> list:
-    """Per-generator coideal outcomes for Delta(g) in B (x) U_q."""
+    """Per-generator report entries for Delta(g) in B (x) U_q."""
     gens = _adjoined_generators(recipe, alg)
+    return [_coideal_entry(alg, name, g, gens) for name, g in gens]
 
-    def run_one(item):
-        name, g = item
-        if g.degree() > alg.max_degree:
-            return GeneratorOutcome(
-                name,
-                "unverified",
-                [],
-                f"generator degree {g.degree()} exceeds the configured degree "
-                f"cap {alg.max_degree}",
-            )
-        delta = alg.coproduct(g)
-        # expand right legs over the quotient basis, bucket by (kexp, word)
-        buckets = {}
-        for ((lk, lw), (rk, rw)), c in delta.terms.items():
-            for bw, c2 in alg.nf_word(rw).items():
-                accumulate(buckets.setdefault((rk, bw), {}), [((lk, lw), c * c2)])
-        certs = []
-        for (rk, bw) in sorted(buckets, key=lambda t: (t[0], len(t[1]), t[1])):
-            b_alpha = NCPoly(alg, buckets[(rk, bw)])
-            if b_alpha.is_zero():
-                continue
-            coeffs, _ = alg.subspace_membership(b_alpha, gens)
-            right = render_monomial(rk, bw)
-            if coeffs is None:
-                witness = (
-                    f"left coefficient of {right} is outside the generator span: "
-                    f"{b_alpha.render()}"
-                )
-                return GeneratorOutcome(name, "fail", certs, witness)
-            ok, detail = _certify(alg, b_alpha, coeffs, gens)
-            detail["right_leg"] = right
-            certs.append(
-                Certificate(
-                    kind="coideal-term",
-                    coefficients=coeffs,
-                    residual_check=ok,
-                    detail=detail,
-                )
-            )
-        status = "pass" if all(c.residual_check for c in certs) else "fail"
-        return GeneratorOutcome(name, status, certs)
 
-    return [run_one(item) for item in gens]
+def _coideal_entry(alg, name, g, gens):
+    """{name, pass, status (pass | fail | unverified), certificates, witness
+    when set} for one generator."""
+    if g.degree() > alg.max_degree:
+        return _generator_entry(
+            name,
+            "unverified",
+            [],
+            f"generator degree {g.degree()} exceeds the configured degree "
+            f"cap {alg.max_degree}",
+        )
+    delta = alg.coproduct(g)
+    # expand right legs over the quotient basis, bucket by (kexp, word)
+    buckets = {}
+    for ((lk, lw), (rk, rw)), c in delta.terms.items():
+        for bw, c2 in alg.nf_word(rw).items():
+            accumulate(buckets.setdefault((rk, bw), {}), [((lk, lw), c * c2)])
+    certs = []
+    for (rk, bw) in sorted(buckets, key=lambda t: (t[0], len(t[1]), t[1])):
+        b_alpha = NCPoly(alg, buckets[(rk, bw)])
+        if not b_alpha:
+            continue
+        coeffs, _ = alg.subspace_membership(b_alpha, gens)
+        right = render_monomial(rk, bw)
+        if coeffs is None:
+            witness = (
+                f"left coefficient of {right} is outside the generator span: "
+                f"{b_alpha.render()}"
+            )
+            return _generator_entry(name, "fail", certs, witness)
+        ok, detail = _certify(alg, b_alpha, coeffs, gens)
+        detail["right_leg"] = right
+        certs.append(Certificate("coideal-term", coeffs, ok, detail).to_json())
+    status = "pass" if all(c["residual_check"] for c in certs) else "fail"
+    return _generator_entry(name, status, certs)
+
+
+def _generator_entry(name, status, certificates, witness=""):
+    entry = {
+        "name": name,
+        "pass": status == "pass",
+        "status": status,
+        "certificates": certificates,
+    }
+    if witness:
+        entry["witness"] = witness
+    return entry
 
 
 def _certify(alg, target, coeffs, gens):
@@ -271,41 +251,9 @@ def _commutator_provably_nonzero(alg, a: NCPoly, b: NCPoly) -> bool:
 
 
 def check_flatness(recipe: GeneratorRecipe, alg: UqBorel) -> list:
-    """Per-pair flatness outcomes; see the module docstring for the scheme."""
+    """Per-pair report entries; see the module docstring for the scheme."""
     egens = recipe.evaluate(alg)
-
-    def over_cap(entry, need):
-        entry["verdict"] = "unverified"
-        entry["note"] = (
-            f"pair degree {need} exceeds the configured degree cap "
-            f"{alg.max_degree}"
-        )
-        return entry
-
-    def run_pair(pair):
-        i, j = pair
-        name_i, gi = egens[i]
-        name_j, gj = egens[j]
-        entry = {"i": name_i, "j": name_j}
-        need = gi.degree() + gj.degree()
-        if need > alg.max_degree and _commutator_provably_nonzero(alg, gi, gj):
-            return over_cap(entry, need)
-        c_poly = alg.nc_mul(gi, gj) - alg.nc_mul(gj, gi)
-        if c_poly.is_zero():
-            entry["verdict"] = "pass"
-            entry["xprime"] = "0"
-            entry["certificate"] = Certificate(
-                "flatness-pair", {}, True, {"commutator": "zero"}
-            ).to_json()
-            return entry
-        need = sum(alg.weight_of(c_poly))
-        if need > alg.max_degree:
-            return over_cap(entry, need)
-        result = _solve_flatness_pair(alg, c_poly, egens)
-        entry.update(result)
-        return entry
-
-    out = [run_pair(pair) for pair in combinations(range(len(egens)), 2)]
+    out = [_flatness_entry(alg, a, b, egens) for a, b in combinations(egens, 2)]
     # the K-monomial against each generator, via the closed crossing form
     kmono = alg.k_monomial(recipe.k_monomial)
     for name, g in egens:
@@ -324,6 +272,28 @@ def check_flatness(recipe: GeneratorRecipe, alg: UqBorel) -> list:
         ).to_json()
         out.append(entry)
     return out
+
+
+def _flatness_entry(alg, gen_i, gen_j, egens):
+    """The report entry of one pair of E-side generators."""
+    (name_i, gi), (name_j, gj) = gen_i, gen_j
+    entry = {"i": name_i, "j": name_j}
+    need = gi.degree() + gj.degree()
+    if need > alg.max_degree and _commutator_provably_nonzero(alg, gi, gj):
+        return _over_cap(alg, entry, need)
+    c_poly = alg.nc_mul(gi, gj) - alg.nc_mul(gj, gi)
+    if not c_poly:
+        cert = Certificate("flatness-pair", {}, True, {"commutator": "zero"})
+        return {**entry, "verdict": "pass", "xprime": "0", "certificate": cert.to_json()}
+    need = sum(alg.weight_of(c_poly))
+    if need > alg.max_degree:
+        return _over_cap(alg, entry, need)
+    return {**entry, **_solve_flatness_pair(alg, c_poly, egens)}
+
+
+def _over_cap(alg, entry, need):
+    note = f"pair degree {need} exceeds the configured degree cap {alg.max_degree}"
+    return {**entry, "verdict": "unverified", "note": note}
 
 
 def _crossing_exponent(alg, kexp, g: NCPoly):
@@ -556,12 +526,13 @@ def check_qcommute_closure(alg, a, b, c, pa, pb, pc, mirror=False):
 
     Returns "hypothesis-failed", True, or False.
     """
+    br = alg.q_bracket
     if not mirror:
-        h1, h2 = q_bracket(a, b, pa), q_bracket(a, c, pb)
-        concl = q_bracket(a, alg.q_bracket(b, c, pc), pa + pb)
+        h1, h2 = br(a, b, pa), br(a, c, pb)
+        concl = br(a, br(b, c, pc), pa + pb)
     else:
-        h1, h2 = q_bracket(a, c, pa), q_bracket(b, c, pb)
-        concl = q_bracket(alg.q_bracket(a, b, pc), c, pa + pb)
+        h1, h2 = br(a, c, pa), br(b, c, pb)
+        concl = br(br(a, b, pc), c, pa + pb)
     if not (alg.nf_is_zero(h1) and alg.nf_is_zero(h2)):
         return "hypothesis-failed"
     return alg.nf_is_zero(concl)
@@ -669,16 +640,17 @@ def builtin_identity(name: str):
     if name in ("ijkj", "eiej-ekej"):
         alg = UqBorel(build_root_system(CartanType("A", 3)))
         e1, e2, e3 = (alg.gen(i) for i in range(3))
+        br = alg.q_bracket
         rels = alg.serre_relations()
         r_i = rels[(1, 0)]  # the double-middle relation against the first letter
         r_k = rels[(1, 2)]
         if name == "ijkj":
             # oriented so the classical coefficient table is exact: the
             # reversed orientation flips all four signs
-            target = q_bracket(e2, q_bracket(q_bracket(e1, e2, 1), e3, 1), 0)
+            target = br(e2, br(br(e1, e2, 1), e3, 1), 0)
             description = "commutator of the middle generator with the iterated bracket"
         else:
-            target = q_bracket(q_bracket(e1, e2, 1), q_bracket(e3, e2, 1), 0)
+            target = br(br(e1, e2, 1), br(e3, e2, 1), 0)
             description = "commutator of two single brackets sharing the middle generator"
         templates = [
             ("a", r_i * e3),
@@ -704,16 +676,13 @@ def builtin_identity(name: str):
         # sixteen named templates are completed by the ambient relation span,
         # which the term-by-term identification uses implicitly.
         alg = UqBorel(build_root_system(CartanType("B", 3)), max_degree=8)
+        br = alg.q_bracket
         a, b = alg.gen(2), alg.gen(1)
-        c = q_bracket(alg.gen(1), alg.gen(0), 2)
-        rb = q_bracket(a, q_bracket(a, q_bracket(a, b, 2), 0), -2)
-        rc = q_bracket(a, q_bracket(a, q_bracket(a, c, 2), 0), -2)
-        rbac = q_bracket(b, q_bracket(a, c, 2), 0)
-        target = q_bracket(
-            q_bracket(a, q_bracket(a, b, 2), 0),
-            q_bracket(a, q_bracket(a, c, 2), 0),
-            -2,
-        )
+        c = br(alg.gen(1), alg.gen(0), 2)
+        rb = br(a, br(a, br(a, b, 2), 0), -2)
+        rc = br(a, br(a, br(a, c, 2), 0), -2)
+        rbac = br(b, br(a, c, 2), 0)
+        target = br(br(a, br(a, b, 2), 0), br(a, br(a, c, 2), 0), -2)
         templates = [
             ("a", rb * a * c),
             ("b", rb * c * a),
@@ -748,7 +717,7 @@ def builtin_identity(name: str):
         recipe = _br(rs, parse_root(rs, "3a1+2a2"))
         gens = recipe.evaluate(alg)
         by_name = dict(gens)
-        target = q_bracket(by_name["E2"], by_name["T"], 0)
+        target = alg.q_bracket(by_name["E2"], by_name["T"], 0)
         mu = alg.weight_of(target)
         templates = []
         for label in alg.generator_products(gens, (0, 0), mu, min_factors=2):

@@ -259,7 +259,7 @@ def test_criterion_4_coideal_verification():
         worst = max(worst, elapsed)
         assert report.coideal is not None, (series, rank, lit, report.stage_error)
         for outcome in report.coideal:
-            assert outcome.passed, (series, rank, lit, outcome.name, outcome.witness)
+            assert outcome["pass"], (series, rank, lit, outcome["name"], outcome.get("witness"))
     # deliberate mutation: plain bracket in the special-linear recipe fails
     rs = rs_of("A", 3)
     beta = parse_root(rs, "L1-L4")
@@ -280,9 +280,9 @@ def test_criterion_4_coideal_verification():
     from qcoiso.verify import check_left_coideal
 
     outcomes = check_left_coideal(bad, UqBorel(rs, max_degree=8))
-    failing = {o.name: o for o in outcomes if not o.passed}
+    failing = {o["name"]: o for o in outcomes if not o["pass"]}
     assert "X2" in failing
-    assert "E2" in failing["X2"].witness and "K2 E1" in failing["X2"].witness
+    assert "E2" in failing["X2"]["witness"] and "K2 E1" in failing["X2"]["witness"]
     _line("criterion-4 (left-coideal verification)", True, f"worst case {worst:.2f}s")
     assert worst < 300
 
@@ -325,7 +325,7 @@ def test_criterion_7_e6_smoke():
 
     for decomp, recipe in sorted(table.items()):
         for name, _, expr in recipe.generators:
-            assert not eval_bracket_expr(expr, alg, recipe.auxiliaries).is_zero()
+            assert eval_bracket_expr(expr, alg, recipe.auxiliaries)
     # classical-limit consistency for the shortest rows
     cb = build_realization(rs)
     pi = build_r_matrix(cb)
@@ -360,7 +360,7 @@ def test_criterion_7_e6_smoke():
         for p in report.flatness
         if p["i"] != "K" and degree[p["i"]] + degree[p["j"]] > 6
     }
-    statuses = [g.status for g in report.coideal]
+    statuses = [g["status"] for g in report.coideal]
     assert (len(statuses), statuses.count("unverified")) == (22, 8)
     # short rows verify fully end to end, including a diagram-flipped variant
     for lit in ["a1", "a1+a3", "a5+a6", "a2+a4", "a1+a3+a4"]:

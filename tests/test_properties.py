@@ -11,7 +11,7 @@ import random
 
 from qcoiso.qfield import RF_ONE, RatFunc
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
-from qcoiso.uqalg import UqBorel, nc_mul, q_bracket, tensor_coproduct_left, tensor_coproduct_right
+from qcoiso.uqalg import UqBorel, tensor_coproduct_left, tensor_coproduct_right
 from qcoiso.verify import check_flatness, check_left_coideal, check_qcommute_closure
 
 _ALGS = {}
@@ -63,7 +63,7 @@ def test_nc_mul_associativity_200_triples():
     for n in range(200):
         alg = algs[n % len(algs)]
         a, b, c = (_random_poly(alg, rng, maxdeg=4) for _ in range(3))
-        assert nc_mul(nc_mul(a, b), c) == nc_mul(a, nc_mul(b, c))
+        assert alg.nc_mul(alg.nc_mul(a, b), c) == alg.nc_mul(a, alg.nc_mul(b, c))
 
 
 def test_coproduct_multiplicativity_and_coassociativity_100_samples():
@@ -74,7 +74,7 @@ def test_coproduct_multiplicativity_and_coassociativity_100_samples():
         a = _random_poly(alg, rng, maxdeg=3)
         b = _random_poly(alg, rng, maxdeg=2)
         da, db = alg.coproduct(a), alg.coproduct(b)
-        assert alg.coproduct(nc_mul(a, b)) == da * db
+        assert alg.coproduct(alg.nc_mul(a, b)) == da * db
         if n % 2 == 0:
             assert tensor_coproduct_left(da) == tensor_coproduct_right(da)
 
@@ -125,9 +125,9 @@ def test_qcommute_transfer_50_instances():
         "E2": e[1],
         "E3": e[2],
         "E4": e[3],
-        "X12": q_bracket(e[0], e[1], 1),
-        "X23": q_bracket(e[1], e[2], 1),
-        "D43": q_bracket(e[3], e[2], 1),
+        "X12": alg.q_bracket(e[0], e[1], 1),
+        "X23": alg.q_bracket(e[1], e[2], 1),
+        "D43": alg.q_bracket(e[3], e[2], 1),
     }
     done = 0
     while done < 50:
@@ -154,9 +154,9 @@ def test_certificates_reexpand_on_emitted_runs():
         recipe = builtin_recipe(rs, beta)
         alg = UqBorel(rs, max_degree=2 * recipe.max_degree())
         for outcome in check_left_coideal(recipe, alg):
-            assert outcome.passed
-            for cert in outcome.certificates:
-                assert cert.residual_check
+            assert outcome["pass"]
+            for cert in outcome["certificates"]:
+                assert cert["residual_check"]
         for entry in check_flatness(recipe, alg):
             assert entry["verdict"] == "pass"
             cert = entry.get("certificate")
