@@ -326,7 +326,7 @@ def build_realization(rs: RootSystem) -> ChevalleyBasis:
         return _closed_form_basis(rs, _G2_POS_CONSTANTS)
     if series == "E":
         return _closed_form_basis(rs, _simply_laced_pos_constants(rs))
-    raise RealizationError(f"no classical realization for {rs.type} (none is needed)")
+    raise RealizationError(f"no classical realization for {rs.type}: not implemented yet")
 
 
 # ---------------------------------------------------------------------------

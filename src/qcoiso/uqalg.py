@@ -37,8 +37,12 @@ over every template expresses an element over this basis only, since each
 stored row's tag combines independent templates; the basis is independent, so
 that expression is unique, and a solve over the basis alone returns the same
 coefficients.  The basis is found once per content by one untagged
-elimination and lives as long as the algebra.  The on-disk cache stores tables only; the memo, the bases and the
-label lists stay in memory.
+elimination and lives as long as the algebra.  That search, like the relation
+rows of the tables, runs over one relation per commuting pair: for a_ij = 0,
+R_ji = -R_ij, and R_ij comes first, so no R_ji template is ever in the basis.
+A certificate is re-expanded by concatenating words, as every K-prefix
+stands left of every E.  The on-disk cache stores tables only; the memo, the
+bases and the label lists stay in memory.
 """
 
 from __future__ import annotations
@@ -88,9 +92,6 @@ class NCPoly:
 
     def __eq__(self, other):
         return isinstance(other, NCPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         return NCPoly(self.alg, vec_add_scaled(dict(self.terms), other.terms))
@@ -198,15 +199,21 @@ class UqBorel:
         self._ideal_bases = {}
         # (generator degrees, kexp, weight, min_factors) -> product labels
         self._products = {}
-        # (i, j) -> (content, terms) of each relation, as bare terms: stored
-        # NCPolys would refer back to the algebra, a cycle that keeps a
-        # finished algebra's tables and memo alive until the next full
-        # garbage collection
+        # (i, j) -> (content, {word: coeff}) of each relation, as bare
+        # vectors: stored NCPolys would refer back to the algebra, a cycle
+        # that keeps a finished algebra's tables and memo alive until the
+        # next full garbage collection
         self._serre = {
             (i, j): self._serre_relation(i, j)
             for i in range(self.rank)
             for j in range(self.rank)
             if i != j
+        }
+        # the relations that generate the ideal: for a commuting pair
+        # (a_ij = 0) R_ji = -R_ij, so only the first of the two is kept
+        self._generating = {
+            (i, j): rel for (i, j), rel in self._serre.items()
+            if i < j or self.A[i][j]
         }
 
     # -- element constructors ----------------------------------------------
@@ -275,20 +282,23 @@ class UqBorel:
 
     def serre_relations(self) -> dict:
         """The q-Serre relations {(i, j): R_ij} for 0-based i != j."""
-        return {ij: NCPoly(self, terms) for ij, (_, terms) in self._serre.items()}
+        zero = (0,) * self.rank
+        return {
+            ij: NCPoly(self, {(zero, w): c for w, c in rel.items()})
+            for ij, (_, rel) in self._serre.items()
+        }
 
     def _serre_relation(self, i, j):
-        """(content, terms) of R_ij, the sum over r of (-1)^r [m choose r]
-        E_i^(m-r) E_j E_i^r in q^(d_i), with m = 1 - a_ij."""
+        """(content, {word: coeff}) of R_ij, the sum over r of
+        (-1)^r [m choose r] E_i^(m-r) E_j E_i^r in q^(d_i), with m = 1 - a_ij."""
         m = 1 - self.A[i][j]
-        terms = {}
+        rel = {}
         for r in range(m + 1):
             c = q_binomial(m, r, self.d[i])
             if r % 2:
                 c = -c
-            word = (i,) * (m - r) + (j,) + (i,) * r
-            terms[((0,) * self.rank, word)] = c
-        return self.content_of((i,) * m + (j,)), terms
+            rel[(i,) * (m - r) + (j,) + (i,) * r] = c
+        return self.content_of((i,) * m + (j,)), rel
 
     # -- coproduct ------------------------------------------------------------
 
@@ -354,15 +364,15 @@ class UqBorel:
                 candidates.append(b + (i,))
         candidates.sort(key=self.order_key)
         col = {w: n for n, w in enumerate(candidates)}
-        # relation rows: folded images of b . R for every Serre relation R
+        # relation rows: folded images of b . R for every generating relation R
         relations = SpanSolver()
-        for rel_content, rel in self._serre.values():
+        for rel_content, rel in self._generating.values():
             nu = tuple(m - c for m, c in zip(mu, rel_content))
             if any(c < 0 for c in nu):
                 continue
             for b in self._tables[nu].basis:
                 row = {}
-                for (_, w), c in rel.items():
+                for w, c in rel.items():
                     vec = self._fold_word(b, w[:-1], nu)
                     last = w[-1]
                     accumulate(row, ((col[bw + (last,)], c * cc) for bw, cc in vec.items()))
@@ -440,15 +450,6 @@ class UqBorel:
     def nf_is_zero(self, x: NCPoly) -> bool:
         return not self.nf_components(x)
 
-    def tensor_nf_is_zero(self, t: TensorElem) -> bool:
-        """Whether t lies in ideal (x) U + U (x) ideal."""
-        acc = {}
-        for ((lk, lw), (rk, rw)), c in t.terms.items():
-            rvec = self._word_vec((), rw)
-            for bl, cl in self._word_vec((), lw).items():
-                accumulate(acc, (((lk, bl, rk, br), c * cl * cr) for br, cr in rvec.items()))
-        return not acc
-
     def load_tables(self, path) -> bool:
         """Merge previously cached normal-form tables from disk; a file that
         cannot be read or holds no table payload is a miss."""
@@ -495,33 +496,49 @@ class UqBorel:
     # -- explicit ideal membership ----------------------------------------------
 
     def ideal_templates(self, mu):
-        """Labelled spanning elements u . R_{ij} . v of the ideal at content mu."""
-        out = []
-        for (i, j), (rel_content, rel) in self._serre.items():
+        """Labelled spanning elements u . R_{ij} . v of the ideal at content
+        mu, over every Serre relation."""
+        zero = (0,) * self.rank
+        return [
+            (label, NCPoly(self, {(zero, w): c for w, c in vec.items()}))
+            for label, vec in self._template_vectors(mu, self._serre)
+        ]
+
+    def _template_vectors(self, mu, relations):
+        """(label (u, ij, v), {u + w + v: coeff}) of each template u . R . v
+        at content mu, for the relations {ij: (content, R)} in order."""
+        words = {}
+
+        def words_of(content):
+            hit = words.get(content)
+            if hit is None:
+                hit = words[content] = _words_of_content(content)
+            return hit
+
+        for ij, (rel_content, rel) in relations.items():
             rem = tuple(m - c for m, c in zip(mu, rel_content))
             if any(c < 0 for c in rem):
                 continue
             for ucontent in _subcontents(rem):
-                vcontent = tuple(a - b for a, b in zip(rem, ucontent))
-                for u in _words_of_content(ucontent):
-                    for v in _words_of_content(vcontent):
-                        terms = {}
-                        for (_, w), c in rel.items():
-                            terms[((0,) * self.rank, u + w + v)] = c
-                        out.append(((u, (i, j), v), NCPoly(self, terms)))
-        return out
+                vs = words_of(tuple(a - b for a, b in zip(rem, ucontent)))
+                for u in words_of(ucontent):
+                    for v in vs:
+                        yield (u, ij, v), {u + w + v: c for w, c in rel.items()}
 
     def _ideal_basis(self, mu):
         """The greedy basis of the templates at content mu, as word vectors:
-        the templates independent of every template before them."""
+        the templates independent of every template before them.  It is
+        searched over the generating relations only: a template of R_ji for
+        a commuting pair is the negative of the R_ij template at the same
+        place, which comes first, so it is never in the basis."""
         basis = self._ideal_bases.get(mu)
         if basis is None:
             span = SpanSolver()
-            templates = (
-                (label, {w: c for (_, w), c in poly.terms.items()})
-                for label, poly in self.ideal_templates(mu)
-            )
-            basis = [(label, vec) for label, vec in templates if span.add(vec)]
+            basis = [
+                (label, vec)
+                for label, vec in self._template_vectors(mu, self._generating)
+                if span.add(vec)
+            ]
             self._ideal_bases[mu] = basis
         return basis
 
@@ -681,15 +698,14 @@ class UqBorel:
         return NCPoly(self, acc)
 
     def expand_ideal_certificate(self, coeffs) -> NCPoly:
-        rels = self.serre_relations()
-        polys = {}
-        for key in coeffs:
-            kexp, (u, ij, v) = key
-            ku = self.k_monomial(kexp)
-            pu = NCPoly(self, {((0,) * self.rank, u): RF_ONE})
-            pv = NCPoly(self, {((0,) * self.rank, v): RF_ONE})
-            polys[key] = ku * pu * rels[ij] * pv
-        return self.combination(coeffs, polys)
+        """The sum of c * K^k E_u R_ij E_v over the certificate's terms
+        {(k, (u, (i, j), v)): c}.  K^k stands left of every E, so no
+        crossing factor arises and each term is a concatenation of words."""
+        acc = {}
+        for (kexp, (u, ij, v)), c in coeffs.items():
+            _, rel = self._serre[ij]
+            accumulate(acc, (((kexp, u + w + v), c * cr) for w, cr in rel.items()))
+        return NCPoly(self, acc)
 
 
 @dataclass
@@ -721,26 +737,3 @@ def _words_of_content(content):
         if c
         for word in _words_of_content(content[:i] + (c - 1,) + content[i + 1:])
     ]
-
-
-# ---------------------------------------------------------------------------
-# The coproduct applied to one leg of a tensor.
-# ---------------------------------------------------------------------------
-
-def tensor_coproduct_left(t: TensorElem):
-    """Apply the coproduct to the left legs: result keyed by triples."""
-    alg = t.alg
-    out = {}
-    for ((lk, lw), right), c in t.terms.items():
-        inner = alg.coproduct(NCPoly(alg, {(lk, lw): RF_ONE}))
-        accumulate(out, (((a, b, right), c * c2) for (a, b), c2 in inner.terms.items()))
-    return out
-
-
-def tensor_coproduct_right(t: TensorElem):
-    alg = t.alg
-    out = {}
-    for (left, (rk, rw)), c in t.terms.items():
-        inner = alg.coproduct(NCPoly(alg, {(rk, rw): RF_ONE}))
-        accumulate(out, (((left, a, b), c * c2) for (a, b), c2 in inner.terms.items()))
-    return out

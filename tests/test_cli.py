@@ -149,6 +149,10 @@ def test_verify_e6_heuristic_row_fails_on_g9(capsys):
          "00a1468a54aa682159ff6b5c0b878098a711c9e3593cdd27f11eb17a24928ea2"),
         ("D", 4, "L1+L2", None,
          "c40f3d41af0ce0cd1d6d8495356d91927f66f36d5f5fa8f0fc1f7874059aba78"),
+        ("A", 4, "L1-L5", None,
+         "99b0e7b4bf4809a03086daf393e5377427d1b688285f3ffaa7df1602d84889c2"),
+        ("D", 4, "L1+L3", None,
+         "0e75988b8e1b57bd56f2cde2cdc9632f83964d931097e1b99e9952f686143c7d"),
     ],
 )
 def test_verify_reports_are_pinned(capsys, series, rank, beta, cap, digest):
@@ -173,6 +177,22 @@ def test_verify_root_without_recipe_fails_at_the_recipe_stage(capsys):
     assert payload["stage_error"] == (
         "recipe: no built-in recipe for D4 beta=L2+L3; supported: L1+Lj and Li-Lj"
     )
+
+
+def test_f4_realization_is_reported_as_not_implemented(capsys):
+    # both commands need the classical realization, which F4 does not have
+    # yet; classical exits as a usage error, verify fails at its stage
+    message = "no classical realization for F4: not implemented yet"
+    code, out, err = run_cli(capsys, "classical", "--type", "F", "--rank", "4", "--beta", "a1")
+    assert (code, out, err) == (64, "", f"error: {message}\n")
+    code, out, _ = run_cli(
+        capsys, "verify", "--type", "F", "--rank", "4", "--beta", "a1",
+        "--format", "json", "--no-timings",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "fail"
+    assert payload["stage_error"] == f"classical realization: {message}"
 
 
 def test_verify_g2_trivial_case(capsys):

@@ -11,8 +11,9 @@ import random
 
 from qcoiso.qfield import RF_ONE, RatFunc
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
-from qcoiso.uqalg import UqBorel, tensor_coproduct_left, tensor_coproduct_right
+from qcoiso.uqalg import UqBorel
 from qcoiso.verify import check_flatness, check_left_coideal, check_qcommute_closure
+from tensor_oracles import tensor_coproduct_left, tensor_coproduct_right
 
 _ALGS = {}
 

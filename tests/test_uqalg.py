@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoiso.linalg import solve_linear_combination
+from qcoiso.linalg import SpanSolver, solve_linear_combination
 from qcoiso.qfield import RF_ONE, RatFunc, parse_ratfunc
 from qcoiso.rootsys import CartanType, build_root_system
 from qcoiso.uqalg import (
@@ -14,9 +14,8 @@ from qcoiso.uqalg import (
     NCPoly,
     UqAlgebraError,
     UqBorel,
-    tensor_coproduct_left,
-    tensor_coproduct_right,
 )
+from tensor_oracles import tensor_coproduct_left, tensor_coproduct_right
 
 _ALGS = {}
 
@@ -328,6 +327,82 @@ def test_ideal_certificate_matches_full_template_solve(case):
         outside = x + NCPoly(alg, {(kexp, word): RF_ONE})
         assert alg.ideal_membership(outside) is None
         assert _full_template_solve(alg, outside) is None
+
+
+@st.composite
+def _commuting_ideal_elements(draw):
+    """A fresh A3/B3/C3 algebra and a Laurent combination of u.R.v
+    templates, R_ji included, with one or two components (K-prefix, content)
+    of degree at most 5 whose content holds the commuting pair E1, E3."""
+    alg = UqBorel(build_root_system(CartanType(draw(st.sampled_from(["A", "B", "C"])), 3)))
+    contents = [
+        mu for mu in product(range(4), repeat=3) if 2 <= sum(mu) <= 5 and mu[0] and mu[2]
+    ]
+    x = alg.zero()
+    for mu in draw(st.lists(st.sampled_from(contents), min_size=1, max_size=2, unique=True)):
+        k = alg.k_monomial(draw(st.tuples(*[st.integers(0, 1)] * 3)))
+        templates = alg.ideal_templates(mu)
+        for n in draw(st.lists(st.integers(0, len(templates) - 1), min_size=1, max_size=4)):
+            c = RatFunc.from_int(draw(st.sampled_from([-2, -1, 1, 3])))
+            c = c * RatFunc.q_power(draw(st.integers(-2, 2)))
+            x = x + k * (templates[n][1] * c)
+    return alg, x
+
+
+def _greedy_labels(templates):
+    """Labels of the templates independent of every template before them."""
+    span = SpanSolver()
+    return [
+        label for label, poly in templates
+        if span.add({w: c for (_, w), c in poly.terms.items()})
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_commuting_ideal_elements())
+def test_ideal_basis_skips_the_second_relation_of_a_commuting_pair(case):
+    """The basis is searched without R_ji for a commuting pair (R_ji = -R_ij);
+    it, and every certificate, equal those over every template."""
+    alg, x = case
+    expected = _full_template_solve(alg, x)
+    assert expected is not None
+    cold = alg.ideal_membership(x)
+    assert list(cold.items()) == list(expected.items())
+    assert alg.expand_ideal_certificate(cold) == x
+    warm = alg.ideal_membership(x)
+    assert list(warm.items()) == list(expected.items())
+    for _, mu in x.components():
+        basis = [label for label, _ in alg._ideal_basis(mu)]
+        assert basis == _greedy_labels(alg.ideal_templates(mu))
+        assert any(ij == (0, 2) for _, ij, _ in basis)
+
+
+def test_ideal_certificate_expansion_matches_multiplication():
+    """Re-expansion by concatenating words equals K^k * E_u * R_ij * E_v
+    multiplied out, for K-exponents that cross the words with a factor."""
+    rng = random.Random(17)
+    for series, rank in [("A", 3), ("B", 2), ("G", 2)]:
+        alg = alg_of(series, rank)
+        rels = alg.serre_relations()
+        for _ in range(30):
+            coeffs = {}
+            for _ in range(rng.randint(1, 3)):
+                kexp = tuple(rng.randint(-2, 2) for _ in range(rank))
+                if not any(kexp):
+                    kexp = (1,) + kexp[1:]
+                u, v = (
+                    tuple(rng.randrange(rank) for _ in range(rng.randint(0, 2)))
+                    for _ in range(2)
+                )
+                c = RatFunc.from_int(rng.choice([-2, -1, 1, 3])) * RatFunc.q_power(rng.randint(-2, 2))
+                coeffs[(kexp, (u, rng.choice(sorted(rels)), v))] = c
+            expected = alg.zero()
+            for (kexp, (u, ij, v)), c in coeffs.items():
+                eu, ev = (NCPoly(alg, {((0,) * rank, w): RF_ONE}) for w in (u, v))
+                expected = expected + c * alg.nc_mul(
+                    alg.nc_mul(alg.nc_mul(alg.k_monomial(kexp), eu), rels[ij]), ev
+                )
+            assert alg.expand_ideal_certificate(coeffs) == expected
 
 
 def test_ideal_membership_ijkj():
