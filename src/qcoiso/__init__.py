@@ -46,7 +46,6 @@ from .verify import (
     VerificationReport,
     check_flatness,
     check_left_coideal,
-    check_qcommute_closure,
     run_full_verification,
     solve_identity,
 )

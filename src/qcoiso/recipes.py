@@ -448,8 +448,9 @@ def parse_recipe(doc: dict) -> GeneratorRecipe:
             raise RecipeError(f"{path}: missing name or expr")
         name = str(g["name"])
         # verification labels the K-monomial "K", the empty product "1" and
-        # joins the factors of a product with "*"
-        if name in ("K", "1") or "*" in name:
+        # joins the factors of a product with "*", which an empty name would
+        # leave at the ends of a label
+        if name in ("", "K", "1") or "*" in name:
             raise RecipeError(f"{path}.name: {name!r} collides with a product label")
         if any(name == other for other, _, _ in gens):
             raise RecipeError(f"{path}.name: duplicate generator name {name!r}")

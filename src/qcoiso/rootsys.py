@@ -1,9 +1,12 @@
 """Root systems for types A-G with exact arithmetic.
 
 Roots are primarily handled through their integer coordinates over the simple
-roots; Euclidean coordinates (exact rationals, with the second G2 coordinate
-carrying an implicit factor sqrt(3)) are attached for the classical types and
-G2 for rendering, literal parsing and cross-checks.
+roots.  The classical types and G2 also carry Euclidean simple roots, as
+integer rows over one denominator (1 for A-D, 2 for G2) under a diagonal
+integer form (G2's second coordinate carries an implicit factor sqrt(3), so
+the form weighs it by 3); the Cartan matrix and symmetrizers are read from
+their integer pairings, and the rows serve rendering, literal parsing and
+cross-checks.
 
 The admissibility filter selects the positive roots beta whose root strings
 (alpha + Z*beta) intersected with R never contain three consecutive integers;
@@ -15,7 +18,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .linalg import solve_affine
 from .qfield import join_signed
@@ -82,17 +84,10 @@ class RootSystem:
     def __init__(self, cartan_type: CartanType):
         self.type = cartan_type
         self.rank = cartan_type.rank
-        self.cartan_matrix, self.symmetrizers, self._euclid_simple = _cartan_data(
-            cartan_type
-        )
-        self._euclid = {}
-        if self._euclid_simple is not None:
-            # the Euclidean simple roots as sparse integer rows over one denominator
-            den = lcm(*(v.denominator for row in self._euclid_simple for v in row))
-            self._euclid_int = den, [
-                [(k, int(v * den)) for k, v in enumerate(row) if v]
-                for row in self._euclid_simple
-            ]
+        # _euclid: (denominator, integer rows) of the Euclidean simple roots,
+        # or None for the types built from their Cartan matrix (F4, E6)
+        self.cartan_matrix, self.symmetrizers, self._euclid = _cartan_data(cartan_type)
+        self._coords = {}
         # scaled inner products (alpha_i, alpha_j); symmetric by construction
         self.bilinear = tuple(
             tuple(self.symmetrizers[i] * self.cartan_matrix[i][j] for j in range(self.rank))
@@ -143,21 +138,19 @@ class RootSystem:
         """Euclidean coordinates, or None for types built from the Cartan matrix.
 
         Computed once per root and kept on the instance."""
-        if self._euclid_simple is None:
+        if self._euclid is None:
             return None
-        hit = self._euclid.get(root.decomp)
+        hit = self._coords.get(root.decomp)
         if hit is None:
-            den, rows = self._euclid_int
-            out = [0] * len(self._euclid_simple[0])
-            for c, row in zip(root.decomp, rows):
-                if c:
-                    for k, v in row:
-                        out[k] += c * v
-            hit = self._euclid[root.decomp] = tuple(Fraction(v, den) for v in out)
+            den, rows = self._euclid
+            hit = self._coords[root.decomp] = tuple(
+                Fraction(sum(c * v for c, v in zip(root.decomp, column)), den)
+                for column in zip(*rows)
+            )
         return hit
 
     def render_root(self, root: Root) -> str:
-        if self._euclid_simple is not None and self.type.series != "G":
+        if self._euclid is not None and self.type.series != "G":
             s = _render_euclid(self.euclid_coords(root))
             if s is not None:
                 return s
@@ -237,73 +230,27 @@ def _expected_positive_count(t: CartanType):
     }[t.series]
 
 
-def _cartan_from_euclid(simples, inner):
-    n = len(simples)
-    A = [
-        [Fraction(2) * inner(simples[i], simples[j]) / inner(simples[i], simples[i]) for j in range(n)]
-        for i in range(n)
-    ]
-    out = []
-    for row in A:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise RootSystemError("non-integral Cartan matrix entry")
-            irow.append(int(x))
-        out.append(tuple(irow))
-    lengths = [inner(s, s) for s in simples]
+def _cartan_from_euclid(rows, weights):
+    """Cartan matrix and symmetrizers of simple roots given as integer rows
+    under the diagonal form with the given integer weights."""
+    gram = [[sum(w * a * b for w, a, b in zip(weights, u, v)) for v in rows] for u in rows]
+    lengths = [gram[i][i] for i in range(len(rows))]
+    A = []
+    for L, pairings in zip(lengths, gram):
+        if any(2 * p % L for p in pairings):
+            raise RootSystemError("non-integral Cartan matrix entry")
+        A.append(tuple(2 * p // L for p in pairings))
     shortest = min(lengths)
-    d = []
-    for L in lengths:
-        di = Fraction(L, shortest)
-        if di.denominator != 1:
-            raise RootSystemError("non-integral symmetrizer")
-        d.append(int(di))
-    return tuple(out), tuple(d)
+    if any(L % shortest for L in lengths):
+        raise RootSystemError("non-integral symmetrizer")
+    return tuple(A), tuple(L // shortest for L in lengths)
 
 
 def _cartan_data(t: CartanType):
-    """Cartan matrix (a_ij = 2(ai,aj)/(ai,ai)), symmetrizers, Euclid simples."""
+    """Cartan matrix (a_ij = 2(ai,aj)/(ai,ai)), symmetrizers, and the
+    Euclidean simple roots as (denominator, integer rows), or None."""
     n = t.rank
     s = t.series
-    if s in "ABCD":
-        dim = {"A": n + 1, "B": n, "C": n, "D": n}[s]
-
-        def L(i):
-            return tuple(Fraction(1 if k == i else 0) for k in range(dim))
-
-        def vsub(u, v):
-            return tuple(a - b for a, b in zip(u, v))
-
-        def vadd(u, v):
-            return tuple(a + b for a, b in zip(u, v))
-
-        # L_i - L_{i+1}: all n simple roots of A, the first n - 1 of B, C, D
-        simples = [vsub(L(i), L(i + 1)) for i in range(min(n, dim - 1))]
-        if s == "B":
-            simples.append(L(n - 1))
-        elif s == "C":
-            simples.append(tuple(2 * c for c in L(n - 1)))
-        elif s == "D":
-            simples.append(vadd(L(n - 2), L(n - 1)))
-
-        def inner(u, v):
-            return sum(a * b for a, b in zip(u, v))
-
-        A, d = _cartan_from_euclid(simples, inner)
-        return A, d, tuple(simples)
-
-    if s == "G":
-        # coordinates (x, y) mean x*e1 + y*sqrt(3)*e2 with x, y rational
-        a1 = (Fraction(1), Fraction(0))
-        a2 = (Fraction(-3, 2), Fraction(1, 2))
-
-        def inner(u, v):
-            return u[0] * v[0] + 3 * u[1] * v[1]
-
-        A, d = _cartan_from_euclid([a1, a2], inner)
-        return A, d, (a1, a2)
-
     if s == "F":
         A = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))
         return A, (2, 2, 1, 1), None
@@ -318,7 +265,21 @@ def _cartan_data(t: CartanType):
             A[i - 1][j - 1] = A[j - 1][i - 1] = -1
         return tuple(tuple(r) for r in A), (1,) * n, None
 
-    raise RootSystemError(f"unsupported type {t}")
+    if s == "G":
+        # row (x, y) over 2 is x/2 * e1 + y/2 * sqrt(3) * e2
+        den, weights, rows = 2, (1, 3), ((2, 0), (-3, 1))
+    else:
+        dim = n + 1 if s == "A" else n
+        rows = [[0] * dim for _ in range(n)]
+        # L_i - L_{i+1}: all n simple roots of A, the first n - 1 of B, C, D;
+        # the last of B, C and D is L_n, 2L_n and L_{n-1} + L_n
+        for i in range(min(n, dim - 1)):
+            rows[i][i:i + 2] = 1, -1
+        if s != "A":
+            rows[-1][-2:] = {"B": (0, 1), "C": (0, 2), "D": (1, 1)}[s]
+        den, weights = 1, (1,) * dim
+    A, d = _cartan_from_euclid(rows, weights)
+    return A, d, (den, tuple(map(tuple, rows)))
 
 
 def _close_under_reflections(A, n):
@@ -385,17 +346,18 @@ def _literal_decomp(rs: RootSystem, text: str) -> tuple:
                 raise RootSystemError(f"simple-root index out of range in {text!r}")
             decomp[idx - 1] += c
         return tuple(decomp)
-    if rs._euclid_simple is None:
+    if rs._euclid is None:
         raise RootSystemError(
             f"Euclidean literals are not available for {rs.type}; use a-form"
         )
-    dim = len(rs._euclid_simple[0])
+    den, rows = rs._euclid
+    dim = len(rows[0])
     target = [Fraction(0)] * dim
     for c, _, idx in terms:
         if not 1 <= idx <= dim:
             raise RootSystemError(f"coordinate index out of range in {text!r}")
         target[idx - 1] += c
-    decomp = _solve_decomp(rs._euclid_simple, target)
+    decomp = _solve_decomp([[Fraction(v, den) for v in r] for r in rows], target)
     if decomp is None:
         raise RootSystemError(f"{text!r} is not in the root lattice of {rs.type}")
     return decomp

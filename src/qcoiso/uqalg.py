@@ -78,17 +78,28 @@ class NCPoly:
     """A Borel element: {(kexp, word): coefficient} with zero coefficients
     stripped.  Instances are treated as immutable."""
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg", "terms", "_multidegree")
 
     def __init__(self, alg, terms):
         self.alg = alg
         self.terms = terms
+        self._multidegree = None
 
     def __bool__(self):
         return bool(self.terms)
 
     def degree(self):
         return max((len(w) for _, w in self.terms), default=0)
+
+    def multidegree(self):
+        """(kexp, content) shared by every term, or raise if mixed; computed
+        once per element."""
+        if self._multidegree is None:
+            degrees = {(kexp, self.alg.content_of(word)) for kexp, word in self.terms}
+            if len(degrees) != 1:
+                raise UqAlgebraError("element is not multihomogeneous")
+            self._multidegree = degrees.pop()
+        return self._multidegree
 
     def __eq__(self, other):
         return isinstance(other, NCPoly) and self.terms == other.terms
@@ -190,10 +201,6 @@ class UqBorel:
         self._nf = {}
         # one object per distinct coefficient value in tables and memo
         self._coeffs = {}
-        # id of a generator's terms -> (terms, kexp, content); an entry holds
-        # the terms dict, so the id is not reused while it is cached, and no
-        # NCPoly, which would refer back to the algebra
-        self._gen_degrees = {}
         # content -> greedy basis [(label, {word: coeff})] of the u.R.v
         # templates, as bare dicts: an NCPoly would refer back to the algebra
         self._ideal_bases = {}
@@ -235,11 +242,6 @@ class UqBorel:
         if len(kexp) != self.rank:
             raise UqAlgebraError("K-exponent vector has wrong length")
         return NCPoly(self, {(kexp, ()): RF_ONE})
-
-    def from_terms(self, terms) -> NCPoly:
-        return NCPoly(
-            self, accumulate({}, (((tuple(k), tuple(w)), c) for k, w, c in terms))
-        )
 
     def content_of(self, word):
         content = [0] * self.rank
@@ -485,14 +487,6 @@ class UqBorel:
             pickle.dump({"word_order": self.word_order, "tables": self._tables}, fh)
         os.replace(tmp, path)
 
-    def quotient_basis(self, degree: int):
-        """Words representing a basis of the degree-d quotient component."""
-        out = []
-        for mu in _compositions(degree, self.rank):
-            out.extend(self.table(mu).basis)
-        out.sort(key=self.order_key)
-        return out
-
     # -- explicit ideal membership ----------------------------------------------
 
     def ideal_templates(self, mu):
@@ -577,7 +571,7 @@ class UqBorel:
         depend only on the generators' names and degrees and the target, and
         are memoized per algebra on those; each call returns a fresh list.
         """
-        degrees = tuple((name, *self._generator_degree(poly)) for name, poly in gens)
+        degrees = tuple((name, *poly.multidegree()) for name, poly in gens)
         key = (degrees, tuple(kexp), tuple(weight), min_factors)
         hit = self._products.get(key)
         if hit is not None:
@@ -606,18 +600,6 @@ class UqBorel:
         out.sort()
         self._products[key] = out
         return list(out)
-
-    def _generator_degree(self, poly):
-        """(kexp, content) of a multihomogeneous generator, computed once per
-        generator: `generator_products` runs once per solve component, with
-        the same generators each time."""
-        hit = self._gen_degrees.get(id(poly.terms))
-        if hit is None:
-            degrees = {(kexp, self.content_of(word)) for kexp, word in poly.terms}
-            if len(degrees) != 1:
-                raise UqAlgebraError("generator is not multihomogeneous")
-            hit = self._gen_degrees[id(poly.terms)] = (poly.terms, *degrees.pop())
-        return hit[1:]
 
     def label_product(self, label, gen_map) -> NCPoly:
         """The labelled generator product, multiplied out left to right."""
@@ -712,15 +694,6 @@ class UqBorel:
 class _NFTable:
     basis: list
     raise_map: dict
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _subcontents(content):

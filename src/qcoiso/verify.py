@@ -516,29 +516,6 @@ def _word_str(word):
 
 
 # ---------------------------------------------------------------------------
-# The q-commutation transfer harness.
-# ---------------------------------------------------------------------------
-
-def check_qcommute_closure(alg, a, b, c, pa, pb, pc, mirror=False):
-    """If [a,b]_{q^pa} and [a,c]_{q^pb} lie in the ideal, then so does
-    [a, [b,c]_{q^pc}]_{q^{pa+pb}}; with mirror=True the hypotheses pair the
-    common element on the right instead.
-
-    Returns "hypothesis-failed", True, or False.
-    """
-    br = alg.q_bracket
-    if not mirror:
-        h1, h2 = br(a, b, pa), br(a, c, pb)
-        concl = br(a, br(b, c, pc), pa + pb)
-    else:
-        h1, h2 = br(a, c, pa), br(b, c, pb)
-        concl = br(br(a, b, pc), c, pa + pb)
-    if not (alg.nf_is_zero(h1) and alg.nf_is_zero(h2)):
-        return "hypothesis-failed"
-    return alg.nf_is_zero(concl)
-
-
-# ---------------------------------------------------------------------------
 # End-to-end pipeline.
 # ---------------------------------------------------------------------------
 

@@ -384,6 +384,7 @@ def _a2_recipe_doc():
             **doc,
             "generators": [{"name": "X", "expr": {"qbr": [{"gen": 1}, {"gen": 2}, True]}}],
         },
+        lambda doc: {**doc, "generators": [{"name": "", "expr": {"gen": 1}}]},
     ],
     ids=[
         "not-an-object",
@@ -395,6 +396,7 @@ def _a2_recipe_doc():
         "auxiliaries-list",
         "gen-bool",
         "power-bool",
+        "generator-name-empty",
     ],
 )
 def test_malformed_recipe_is_a_usage_error(capsys, tmp_path, edit):

@@ -12,7 +12,8 @@ import random
 from qcoiso.qfield import RF_ONE, RatFunc
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
 from qcoiso.uqalg import UqBorel
-from qcoiso.verify import check_flatness, check_left_coideal, check_qcommute_closure
+from qcoiso.verify import check_flatness, check_left_coideal
+from algebra_helpers import check_qcommute_closure, from_terms
 from tensor_oracles import tensor_coproduct_left, tensor_coproduct_right
 
 _ALGS = {}
@@ -55,7 +56,7 @@ def _random_poly(alg, rng, maxdeg, nterms=2, kspan=1):
             rng.randint(-3, 3)
         )
         terms.append((kexp, word, coeff))
-    return alg.from_terms(terms)
+    return from_terms(alg, terms)
 
 
 def test_nc_mul_associativity_200_triples():

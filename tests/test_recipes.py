@@ -261,7 +261,8 @@ def test_parse_recipe_errors():
     # generator names must not collide with the labels of generator products
     a3 = serialize_recipe(builtin_recipe(rs_of("A", 3), parse_root(rs_of("A", 3), "L1-L4")))
     for name, reason in [("K", "product label"), ("1", "product label"),
-                         ("X1*X2", "product label"), ("X1", "duplicate")]:
+                         ("X1*X2", "product label"), ("", "product label"),
+                         ("X1", "duplicate")]:
         gens = [dict(g, name=name) if g["name"] == "D2" else g for g in a3["generators"]]
         with pytest.raises(RecipeError) as err:
             parse_recipe({**a3, "generators": gens})

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from qcoiso.rootsys import (
+    _cartan_from_euclid,
     CartanType,
     Root,
     RootSystem,
@@ -78,6 +80,74 @@ def test_unsymmetrizable_cartan_data_is_rejected(monkeypatch):
     monkeypatch.setattr(rootsys, "_cartan_data", swapped)
     with pytest.raises(RootSystemError, match="do not symmetrize"):
         RootSystem(CartanType("G", 2))
+
+
+def test_nonintegral_cartan_entry_is_rejected():
+    # (a1, a2) = 3 and (a1, a1) = 9 give a_12 = 2/3; a raise, so it also
+    # holds under python -O
+    with pytest.raises(RootSystemError, match="non-integral Cartan"):
+        _cartan_from_euclid([(3, 0), (1, 1)], (1, 1))
+
+
+def test_nonintegral_symmetrizer_is_rejected():
+    # orthogonal roots of squared lengths 2 and 3: integral Cartan matrix,
+    # symmetrizer 3/2
+    with pytest.raises(RootSystemError, match="non-integral symmetrizer"):
+        _cartan_from_euclid([(1, 1, 0, 0, 0), (0, 0, 1, 1, 1)], (1,) * 5)
+
+
+# sha256 per type over the Cartan matrix, the symmetrizers and, for each
+# positive root in order, its decomposition, Euclidean coordinates, rendering
+# and admissibility (see _rootsys_digest)
+ROOTSYS_DIGESTS = {
+    "A1": "175645294c2fc662c7d2bdab1287fb077e193705a84e7647899a4116fa132e37",
+    "A2": "5841bcfcd406338d712c895705c8470cec110595cba13c829bf21503b763f90d",
+    "A3": "c9fc43333360499613b912f59a71798fa6c6ed3e6d33ba344674e0883df8b2af",
+    "A4": "c2a3435a661ef66729e5da991db175d8fc783424d417ddc035aa0536a4b6d290",
+    "A5": "ba42739a29d8bc6acef9282c3d21da32ba87ab7c84ab7376f74f06325e3df6fe",
+    "A6": "9f740812323bc9f926f1baf239769e4f04c0e2df921e88c5e580b8ee55d052d5",
+    "A7": "1d26287b8ac80f041582bad91987d74bdf2e91f0ec3e2468e4b31efaa6275a61",
+    "B2": "dded875ac97da6f76325784b8c505b5fdb0aeeee838a379a6b0798eed8e384f1",
+    "B3": "b8d5714df1a1a0ceb41252868bb35690f6851c4fdbcbd10e9b8d4ad729295ad3",
+    "B4": "6488baf92a9a31c67fd0f2c60bfe966b21da5fef0f85f4fa8ec9b909f75fba9d",
+    "B5": "166cb07a2f54fdd0f2f44d60de59c171d20f3d29984561cef22a7c769db84b48",
+    "B6": "2115dd1addd8f3f613274a9eb38ffe54d9e4cf47baf3c074d2abc19b63c140b5",
+    "C2": "84dd8365ff60e215eee195bd6442186c0b34eeb3b09fb44bf994a77cdd2f0a84",
+    "C3": "23d3f0453c87637f059805983d72290412d0213725a63fe2a00d85eecd48785d",
+    "C4": "82f69fa3242587dde5d243586d09c63128452af998aa9af41eefb3b0baaae90c",
+    "C5": "edc19824a0342ef637b53ad1d4c5fc081cacaa4debca0d06b0a10e5f0d54b579",
+    "C6": "e876f66635d4df35a1bf9a9491a830e57699c660a2f21ea753b8407a7dbe5807",
+    "D3": "e5c2cc2abcefc88b5a2e35cbb055424c8828510c5ed869338bad2179646fb041",
+    "D4": "506f26f948f56baf717c75d3e32f3118586292845fdf7128e35ce29cf873a22e",
+    "D5": "1c575dc3f668cdc7f585e6c757a064fe1460d99702f57567b317a2c480be8b63",
+    "D6": "6fb18abe46303351330b7a7122f2f8415c6ea4fd21884654b0b8ae5251dd8983",
+    "D7": "56dec1e85c432b4f69b18a35d0d6774ecf6067876f75af7c54535e4305633f40",
+    "G2": "eff5d098ed5cec513e287a6eca577b17ff7ba53f54d66a2cb2dc9e0325086f58",
+    "F4": "b9a4b0f8430faf72e45cd646c8e6d75286ecd0432e9e56c412e943c405ee8b9d",
+    "E6": "4430cb258fb189d63760bb1bcd31ca1e38391d102fdec19d929be346b5b4a9c0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOTSYS_DIGESTS))
+def test_root_system_data_is_pinned(name):
+    assert _rootsys_digest(name[0], int(name[1:])) == ROOTSYS_DIGESTS[name]
+
+
+def _rootsys_digest(series, rank):
+    rs = rs_of(series, rank)
+    lines = [repr(rs.cartan_matrix), repr(rs.symmetrizers)]
+    for r in rs.positive_roots:
+        coords = rs.euclid_coords(r)
+        rendered = rs.render_root(r)
+        # both literal forms parse back to the root
+        assert parse_root(rs, rendered) == r and parse_root(rs, str(r)) == r
+        lines.append(" ".join([
+            repr(r.decomp),
+            "-" if coords is None else ",".join(map(str, coords)),
+            rendered,
+            str(is_admissible(rs, r)),
+        ]))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def test_euclidean_cross_check():

@@ -21,12 +21,12 @@ from qcoiso.verify import (
     builtin_identity,
     check_flatness,
     check_left_coideal,
-    check_qcommute_closure,
     check_semiclassical,
     classical_limits,
     run_full_verification,
     solve_identity,
 )
+from algebra_helpers import check_qcommute_closure, from_terms
 from tensor_oracles import tensor_nf_is_zero
 
 _RS = {}
@@ -620,7 +620,7 @@ def _multihomogeneous_pair(draw):
                 draw(st.sampled_from([-2, -1, 1, 2]))
             )
             terms.append((kexp, word, coeff))
-        return alg.from_terms(terms)
+        return from_terms(alg, terms)
 
     return alg, element(), element()
 
