@@ -14,12 +14,17 @@ of B, where the matrix realization gives h_alpha / 2.
 The table and the r-matrix are computed from integer root data: the matrix
 entries, Cartan matrix and form pairings are ints, each mixed bracket comes
 from one nonzero N(a, b), and a Fraction is built only where a coefficient
-is stored.  killing_lambda reads alpha(h) off the table entry [e_alpha,
-f_alpha] and sums the integer pairings (gamma, alpha) over the positive
-roots; no trace of ad is formed.
+is stored.  The table is sparse and antisymmetric: row i holds [x_i, x_j]
+for each j with a nonzero bracket, in both orders, so a bracket is a walk
+over rows and a zero bracket is simply absent ({}).  killing_lambda reads
+alpha(h) off the table entry [e_alpha, f_alpha] and takes the pairing sum
+over the positive roots from one constant of the root system; no trace of
+ad is formed.
 
 Elements are sparse coefficient dicts over the basis.  Bivectors (antisymmetric
-two-tensors) are dicts keyed by index pairs (i, j) with i < j.
+two-tensors) are dicts keyed by index pairs (i, j) with i < j.  The coideal
+check is linear in the generator: [g, pi] = sum_k g_k [x_k, pi], so each
+[x_k, pi] is projected onto the quotient by the span once per check.
 """
 
 from __future__ import annotations
@@ -54,15 +59,18 @@ class ChevalleyBasis:
 
     Basis layout: indices 0..m-1 are e_alpha over the positive roots in the
     root system's deterministic order, m..2m-1 the matching f_alpha, and
-    2m..2m+rank-1 the simple coroots h_i.  The bracket table holds [x_i, x_j]
-    for every i < j, written by _closed_form_basis from the positive
-    structure constants N and the pairings n(alpha) = (e_alpha, f_alpha).
-    [e_alpha, f_alpha] = nu(alpha) h_alpha with nu = 1, except nu = 1/2 on the
-    short roots of B, where the matrix realization's [e, f] is half the coroot.
+    2m..2m+rank-1 the simple coroots h_i.  rows[i][j] is the nonzero bracket
+    [x_i, x_j], stored in both orders (rows[j][i] is its negative); a pair
+    with a zero bracket has no entry.  The rows are written by
+    _closed_form_basis from the positive structure constants N and the
+    pairings n(alpha) = (e_alpha, f_alpha), and every stored vector is shared
+    with callers, who only read it.  [e_alpha, f_alpha] = nu(alpha) h_alpha
+    with nu = 1, except nu = 1/2 on the short roots of B, where the matrix
+    realization's [e, f] is half the coroot.
     """
 
     rs: RootSystem
-    _bracket_table: dict = field(default_factory=dict)
+    rows: list
     labels: list = field(init=False)
     _pos_index: dict = field(init=False, repr=False)
 
@@ -104,20 +112,20 @@ class ChevalleyBasis:
     # -- brackets -------------------------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> dict:
-        if i == j:
-            return {}
-        if i > j:
-            return {k: -v for k, v in self.bracket_basis(j, i).items()}
-        hit = self._bracket_table.get((i, j))
-        if hit is None:
-            raise RealizationError("bracket table incomplete")
-        return hit
+        """[x_i, x_j]: the stored vector (read only), or {} when it is zero."""
+        return self.rows[i].get(j, {})
 
     def bracket(self, x: dict, y: dict) -> dict:
+        """[x, y] = sum x_i y_j [x_i, x_j] over the nonzero table entries."""
         out = {}
+        rows = self.rows
         for i, xi in x.items():
+            row = rows[i]
             for j, yj in y.items():
-                vec_add_scaled(out, self.bracket_basis(i, j), xi * yj)
+                vec = row.get(j)
+                if vec:
+                    c = xi if yj == 1 else xi * yj
+                    vec_add_scaled(out, vec, None if c == 1 else c)
         return out
 
     # -- rendering --------------------------------------------------------------
@@ -277,17 +285,24 @@ def _closed_form_basis(
     tp, tq = ratio[theta]
     theta_den = tp * norm[theta]
     m, rank, A, d = len(roots), rs.rank, rs.cartan_matrix, rs.symmetrizers
-    dim = 2 * m + rank
     built = {}
 
-    def frac(num, den=1):
-        """The Fraction num/den, built once per distinct (num, den)."""
+    def signed(num, den=1):
+        """The Fractions num/den and -num/den, built once per (num, den)."""
         hit = built.get((num, den))
         if hit is None:
-            hit = built[(num, den)] = Fraction(num, den)
+            v = Fraction(num, den)
+            hit = built[(num, den)] = (v, -v)
         return hit
 
-    table = {(i, j): {} for i in range(dim) for j in range(i + 1, dim)}
+    rows = [{} for _ in range(2 * m + rank)]
+
+    def put(i, j, k, num, den=1):
+        """[x_i, x_j] = num/den x_k, and [x_j, x_i] its negative."""
+        pos, neg = signed(num, den)
+        rows[i][j] = {k: pos}
+        rows[j][i] = {k: neg}
+
     # each nonzero N(x, y), in both orders, with s = x + y, gives [e_x, e_y]
     # (when x comes first), [e_s, f_x] (the case s - x = y > 0) and [e_y, f_s]
     # (the case s - y = x > 0); over all pairs that is every mixed bracket
@@ -298,24 +313,24 @@ def _closed_form_basis(
             s = tuple(map(add, x, y))
             i_s = index[s]
             if ix < iy:
-                table[(ix, iy)] = {i_s: frac(cn, cd)}
-                table[(m + ix, m + iy)] = {m + i_s: frac(-cn, cd)}
+                put(ix, iy, i_s, cn, cd)
+                put(m + ix, m + iy, m + i_s, -cn, cd)
             (ps, qs), (px, qx), (py, qy) = ratio[s], ratio[x], ratio[y]
-            table[(i_s, m + ix)] = {iy: frac(-cn * ps * qy, cd * qs * py)}
-            table[(iy, m + i_s)] = {m + ix: frac(cn * ps * qx, cd * qs * px)}
+            put(i_s, m + ix, iy, -cn * ps * qy, cd * qs * py)
+            put(iy, m + i_s, m + ix, cn * ps * qx, cd * qs * px)
     for i, a in enumerate(roots):
         p, q = ratio[a]
         # nu(a) * 2 c d_k / (a, a) with nu(a) = n(a)(a, a) / (n(theta)(theta, theta))
-        table[(i, m + i)] = {
-            2 * m + k: frac(2 * c * d[k] * p * tq, q * theta_den)
-            for k, c in enumerate(a) if c
-        }
+        h = [(2 * m + k, signed(2 * c * d[k] * p * tq, q * theta_den))
+             for k, c in enumerate(a) if c]
+        rows[i][m + i] = {k: pos for k, (pos, _) in h}
+        rows[m + i][i] = {k: neg for k, (_, neg) in h}
         for k in range(rank):
             weight = sum(map(mul, A[k], a))
             if weight:
-                table[(i, 2 * m + k)] = {i: frac(-weight)}
-                table[(m + i, 2 * m + k)] = {m + i: frac(weight)}
-    return ChevalleyBasis(rs=rs, _bracket_table=table)
+                put(i, 2 * m + k, i, -weight)
+                put(m + i, 2 * m + k, m + i, weight)
+    return ChevalleyBasis(rs=rs, rows=rows)
 
 
 def build_realization(rs: RootSystem) -> ChevalleyBasis:
@@ -343,8 +358,9 @@ def killing_lambda(cb: ChevalleyBasis, alpha: Root) -> Fraction:
     of h_k weighted by alpha(h_k) = (A alpha)_k, the weight [h_k, e_alpha]
     stores; a basis need not scale h to the coroot (for a short root of B,
     [e, f] is H_i, not 2 H_i).  The pairing sum is
-    4 * sum_{gamma > 0} (gamma, alpha)^2 / (alpha, alpha)^2, over the integer
-    pairings of the symmetrized Cartan matrix.
+    4 * sum_{gamma > 0} (gamma, alpha)^2 / (alpha, alpha)^2
+    = 4 * kappa / (alpha, alpha), with kappa = rs.pairing_ratio, the one
+    constant that W-invariance of the form gives an irreducible root system.
     """
     rs, a = cb.rs, alpha.decomp
     h0 = cb.h_index(0)
@@ -352,10 +368,7 @@ def killing_lambda(cb: ChevalleyBasis, alpha: Root) -> Fraction:
     alpha_h = sum(c * sum(map(mul, rs.cartan_matrix[k - h0], a)) for k, c in h.items())
     if alpha_h == 0:
         raise RealizationError(f"degenerate Killing pairing at {alpha}")
-    b_alpha = [sum(map(mul, row, a)) for row in rs.bilinear]
-    norm = sum(map(mul, a, b_alpha))
-    total = sum(sum(map(mul, g.decomp, b_alpha)) ** 2 for g in rs.positive_roots)
-    return Fraction(norm * norm, 2 * total) / alpha_h
+    return rs.inner(a, a) / (2 * rs.pairing_ratio) / alpha_h
 
 
 def bivector(terms) -> dict:
@@ -386,14 +399,20 @@ def ad_bivector(cb: ChevalleyBasis, x: dict, b: dict) -> dict:
     return bivector(terms)
 
 
-def coisotropic_generators(cb: ChevalleyBasis, b: dict):
-    """Reduced echelon basis of the image of the contraction map of b."""
-    span = FractionSpan()
+def _contractions(b: dict) -> dict:
+    """{i: w_i}, w_i the contraction of b by the dual of x_i, so that
+    b = 1/2 sum_i x_i ^ w_i and [x, b] = sum_i [x, x_i] ^ w_i."""
     rows = {}
     for (i, j), c in b.items():
         accumulate(rows.setdefault(i, {}), [(j, c)])
         accumulate(rows.setdefault(j, {}), [(i, -c)])
-    for vec in rows.values():
+    return rows
+
+
+def coisotropic_generators(cb: ChevalleyBasis, b: dict):
+    """Reduced echelon basis of the image of the contraction map of b."""
+    span = FractionSpan()
+    for vec in _contractions(b).values():
         span.add(vec)
     return [{p: F1, **tail} for p, tail in span.reduced_rows().items()]
 
@@ -424,15 +443,41 @@ def check_coisotropic(cb: ChevalleyBasis, pi: dict, gens: list) -> ClassicalRepo
                 break
         if not closure_ok:
             break
-    # coideal: project both wedge legs onto the quotient by the span;
-    # delta(g) lies in span wedge g iff the double projection vanishes
+    # coideal: delta(g) lies in span wedge g iff its image under P ^ P
+    # vanishes, P the projection onto the quotient by the span.  By
+    # linearity P ^ P [g, pi] = sum_k g_k sum_i P[x_k, x_i] ^ P(w_i), with
+    # the w_i of _contractions(pi); each P(w_i), each image of an x_k and P of
+    # each basis index is formed once.
+    proj, images = {}, {}
+    p_w = {i: p for i, w in _contractions(pi).items() if (p := span.reduce(w)[0])}
+
+    def project(i):
+        hit = proj.get(i)
+        if hit is None:
+            hit = proj[i] = span.reduce({i: F1})[0]
+        return hit
+
+    def image(k):
+        hit = images.get(k)
+        if hit is None:
+            terms = []
+            for i, leg in cb.rows[k].items():
+                p_wi = p_w.get(i)
+                if p_wi:
+                    p_leg = {}
+                    for l, v in leg.items():
+                        vec_add_scaled(p_leg, project(l), None if v == 1 else v)
+                    terms.extend((a, b, va * vb)
+                                 for a, va in p_leg.items() for b, vb in p_wi.items())
+            hit = images[k] = bivector(terms)
+        return hit
+
     coideal_ok, failing_generator = True, None
     for gi, g in enumerate(gens):
-        terms = []
-        for (i, j), c in ad_bivector(cb, g, pi).items():
-            pi_i, pi_j = span.reduce({i: F1})[0], span.reduce({j: F1})[0]
-            terms.extend((a, b, c * va * vb) for a, va in pi_i.items() for b, vb in pi_j.items())
-        if bivector(terms):
+        total = {}
+        for k, gk in g.items():
+            vec_add_scaled(total, image(k), None if gk == 1 else gk)
+        if total:
             coideal_ok, failing_generator = False, gi
             break
     return ClassicalReport(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import solve_affine
 from .qfield import join_signed
@@ -133,6 +134,18 @@ class RootSystem:
 
     def root_length_sq(self, root: Root) -> int:
         return self.inner(root.decomp, root.decomp)
+
+    @cached_property
+    def pairing_ratio(self) -> Fraction:
+        """kappa with sum_{gamma > 0} (gamma, alpha)^2 = kappa (alpha, alpha)
+        for every root alpha.
+
+        The form sum over all roots of (gamma, v)^2 is W-invariant, so on an
+        irreducible root system it is a multiple of (v, v); kappa is read off
+        the first simple root."""
+        b = self.bilinear[0]
+        total = sum(sum(c * v for c, v in zip(g.decomp, b)) ** 2 for g in self.positive_roots)
+        return Fraction(total, b[0])
 
     def euclid_coords(self, root: Root):
         """Euclidean coordinates, or None for types built from the Cartan matrix.

@@ -1,10 +1,13 @@
-"""Helpers on the quantized Borel algebra for the tests: elements from term
-lists, the quotient basis of one degree, and the q-commutation transfer
-harness.  No command needs them."""
+"""Helpers for the tests: on the quantized Borel algebra, elements from term
+lists, the quotient basis of one degree and the q-commutation transfer
+harness; on the classical realization, leg-by-leg oracles for brackets and
+the coisotropy check.  No command needs them."""
 
+from fractions import Fraction
 from itertools import product
 
-from qcoiso.linalg import accumulate
+from qcoiso.classical import ClassicalReport, FractionSpan, bivector
+from qcoiso.linalg import accumulate, vec_add_scaled
 from qcoiso.uqalg import NCPoly
 
 
@@ -40,3 +43,48 @@ def check_qcommute_closure(alg, a, b, c, pa, pb, pc, mirror=False):
     if not (alg.nf_is_zero(h1) and alg.nf_is_zero(h2)):
         return "hypothesis-failed"
     return alg.nf_is_zero(concl)
+
+
+def bracket_by_legs(cb, x: dict, y: dict) -> dict:
+    """[x, y] = sum x_i y_j [x_i, x_j], one table entry per pair of indices."""
+    out = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            vec_add_scaled(out, cb.bracket_basis(i, j), xi * yj)
+    return out
+
+
+def ad_bivector_by_legs(cb, x: dict, b: dict) -> dict:
+    """[x, b] = sum c ([x, x_i] ^ x_j + x_i ^ [x, x_j]) over the terms of b,
+    each leg bracketed on its own."""
+    one = Fraction(1)
+    terms = []
+    for (i, j), c in b.items():
+        terms.extend((k, j, c * v) for k, v in bracket_by_legs(cb, x, {i: one}).items())
+        terms.extend((i, k, c * v) for k, v in bracket_by_legs(cb, x, {j: one}).items())
+    return bivector(terms)
+
+
+def check_coisotropic_direct(cb, pi: dict, gens: list) -> ClassicalReport:
+    """check_coisotropic from its definition: closure of the span, then for
+    every generator g the whole [g, pi], both legs of every term projected
+    onto the quotient by the span."""
+    one = Fraction(1)
+    span = FractionSpan()
+    for g in gens:
+        span.add(g)
+    report = ClassicalReport(closure_ok=True, coideal_ok=True)
+    pairs = ((i, j) for i in range(len(gens)) for j in range(i + 1, len(gens)))
+    for i, j in pairs:
+        if not span.contains(bracket_by_legs(cb, gens[i], gens[j])):
+            report.closure_ok, report.failing_pair = False, (i, j)
+            break
+    for gi, g in enumerate(gens):
+        terms = []
+        for (i, j), c in ad_bivector_by_legs(cb, g, pi).items():
+            p_i, p_j = span.reduce({i: one})[0], span.reduce({j: one})[0]
+            terms.extend((a, b, c * va * vb) for a, va in p_i.items() for b, vb in p_j.items())
+        if bivector(terms):
+            report.coideal_ok, report.failing_generator = False, gi
+            break
+    return report

@@ -3,8 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from algebra_helpers import ad_bivector_by_legs, bracket_by_legs, check_coisotropic_direct
 from qcoiso import classical
+from qcoiso.cli import main
 from qcoiso.classical import (
     RealizationError,
     _root_matrices,
@@ -266,6 +270,54 @@ def test_check_coisotropic_negative_control():
     assert report.failing_pair is not None or report.failing_generator is not None
 
 
+_ORACLE_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 2),
+                 ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("E", 6)]
+
+
+@pytest.mark.parametrize("series, rank", _ORACLE_TYPES)
+def test_check_coisotropic_matches_direct_oracle(series, rank):
+    # every positive root, inadmissible ones included (their generators as
+    # `classical --force` builds them), then the same generators perturbed:
+    # f_beta appended, and one generator shifted by a random basis vector
+    rs, cb = realization(series, rank)
+    pi = build_r_matrix(cb)
+    rng = random.Random(f"{series}{rank}")
+    failed = 0
+    for beta in rs.positive_roots:
+        gens = coisotropic_generators(cb, ad_bivector(cb, cb.e(beta), pi))
+        gi = rng.randrange(len(gens))
+        shifted = dict(gens[gi])
+        vec_add_scaled(shifted, {rng.randrange(cb.dim): Fraction(rng.choice([-3, -1, 2, 5]), 2)})
+        for case in (gens, gens + [cb.f(beta)], gens[:gi] + [shifted] + gens[gi + 1:]):
+            report = check_coisotropic(cb, pi, case)
+            assert report == check_coisotropic_direct(cb, pi, case), (series, rank, beta)
+            failed += not report.passed
+    # the perturbed cases reach the failing branches
+    assert failed >= len(rs.positive_roots)
+
+
+_COEFFS = st.fractions(max_denominator=4).filter(lambda c: c not in (0, 1))
+
+
+def _elements(dim, min_terms):
+    return st.dictionaries(st.integers(0, dim - 1), _COEFFS, min_size=min_terms, max_size=5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 2), ("E", 6)]), st.data())
+def test_row_walks_match_leg_by_leg_brackets(key, data):
+    # several terms with coefficients other than 1: the workloads' generators
+    # mostly touch one basis index with coefficient 1
+    rs, cb = realization(*key)
+    x = data.draw(_elements(cb.dim, 2))
+    y = data.draw(_elements(cb.dim, 1))
+    assert cb.bracket(x, y) == bracket_by_legs(cb, x, y)
+    index = st.integers(0, cb.dim - 1)
+    b = bivector(data.draw(st.lists(st.tuples(index, index, _COEFFS), max_size=6)))
+    for biv in (b, build_r_matrix(cb)):
+        assert ad_bivector(cb, x, biv) == ad_bivector_by_legs(cb, x, biv)
+
+
 def test_master_equation_versus_admissibility():
     # The string filter is sufficient for [X,[X,pi]] = 0 but not necessary:
     # with the Killing-normalized r-matrix the cross terms cancel for a few
@@ -362,11 +414,11 @@ def test_exceptional_bracket_tables_are_pinned(series, rank, pairs, digest, r_di
     # one line "i j k:v ..." per basis pair i < j, with the nonzero
     # coefficients of [x_i, x_j] in index order, and one line "i j:c" per
     # r-matrix term; every report is built on these, so any rebuild of them
-    # must match exactly.  Every coefficient must be a Fraction: an int would
-    # turn SpanSolver's 1 / pivot into a float.  The name predates the A-D
-    # rows and the r-matrix.
+    # must match exactly.  Every coefficient must be a Fraction, in both
+    # orders: an int would turn SpanSolver's 1 / pivot into a float.  The
+    # name predates the A-D rows and the r-matrix.
     rs, cb = realization(series, rank)
-    table = cb._bracket_table
+    table = {(i, j): cb.bracket_basis(i, j) for i in range(cb.dim) for j in range(i + 1, cb.dim)}
     assert len(table) == pairs
     text = "\n".join(
         f"{i} {j} " + " ".join(f"{k}:{v}" for k, v in sorted(vec.items()))
@@ -376,5 +428,48 @@ def test_exceptional_bracket_tables_are_pinned(series, rank, pairs, digest, r_di
     pi = build_r_matrix(cb)
     text = "\n".join(f"{i} {j}:{c}" for (i, j), c in sorted(pi.items()))
     assert hashlib.sha256(text.encode()).hexdigest() == r_digest
-    coeffs = [v for vec in table.values() for v in vec.values()] + list(pi.values())
+    both = [cb.bracket_basis(j, i) for i, j in table] + list(table.values())
+    coeffs = [v for vec in both for v in vec.values()] + list(pi.values())
     assert all(type(c) is Fraction for c in coeffs)
+
+
+# sha256 over "exit code\nstdout" of `classical --type T --rank n --beta B
+# --force --format json` for every positive root B in the root system's order
+_CLASSICAL_PINNED = [
+    ("A", 1, "069bfda2560dd3a01a206fd573201d973ee3efdec91f47a2c0532e7575a52b91"),
+    ("A", 2, "57a03542989d5b4852b7433c42a9083a1a12bb068b87794618ab8f2ea8531e73"),
+    ("A", 3, "3f0334f59f61f684083a0e14bb4c99b88b88d92e54f1481650cba1543e3d2145"),
+    ("A", 4, "161ddf284b477ef4dc576840b37d8fc3b3305e103d1652356fc61a895dc23653"),
+    ("A", 5, "9f868870fd42d40d74e31fd6b9ea22e2a1b73285433e2f2040eba08424f1ecf4"),
+    ("A", 6, "eaaf251b2b3ac5c7f0dbdda2000320ea5011ca661ed683f7c2e2c6c522f9f288"),
+    ("A", 7, "cc6af4a160268ec35ce41dfab60338f56484178bf779119958e5e053482c1344"),
+    ("B", 2, "f9d7ca2bbcd6059232e57149265f4d74a22dccb92630c26042a4c45908b8f621"),
+    ("B", 3, "9e3495f138c249a0f008a903461ded159682700b1203e1179c07c2f92579da8e"),
+    ("B", 4, "802a5f24f9f6f5ca3c0a924127be1c5111ac0ed2f0279bda8c1f99c1eb97a1e0"),
+    ("B", 5, "bce4383d71a7610c66f86ab08efd8902d4b174a69fff1bbfc2923f34f9fd55b4"),
+    ("B", 6, "a2e1a008ff1c650b42157e5fe4a421e571bbc6b2626ea945d36d4b02288fa644"),
+    ("C", 2, "e65fb08522a4446ecd3aa9faa64cf4abe242475a33a42b8007d7c31725a39fef"),
+    ("C", 3, "6e81a7003c68203596eb952d9044504ecc6e623159eff5070acf30be5485ec5d"),
+    ("C", 4, "9d98eca2f22901818e65eb427ffd2a0d08c7805578a5e9cf962ea6f0ac44ddd1"),
+    ("C", 5, "e8e5dcd2f7faa2e58605283dc442dbc214af94e1cab8b0ea4e4acd2669fd5556"),
+    ("C", 6, "d76c7b68f0529a2da7078ba8ebaae7f0e543788a44728b037c3a02e5114a8148"),
+    ("D", 3, "4cd2f268eff0b4de4bf4e026655c4e39d0d613003d5338596527a8cf963545d1"),
+    ("D", 4, "37463f30e77cb5e3f7af0f93ae9de8430a4445384f4370f5f596cc5cd1e35ffe"),
+    ("D", 5, "90a47b309dfaf7811c105d41d6428f5045a070e4d43bc8c52fd86ec430519127"),
+    ("D", 6, "3b19f2634c3b55e87ea8d959a8bb14bb65f4707fa9ae46ae40fd2f1864d0c162"),
+    ("D", 7, "b9b24df5389d7ec4f52274e2b13f47a72e9367341c6f63d9c61bf7ec186c6559"),
+    ("G", 2, "3ff57f81294e36a78e3c7d6bb7b8322e5358b5d8998cd7c4b79b885247ea6580"),
+    ("E", 6, "1c1def5495d1fb46fe10ed61ac6a0bff77775b683b8aad25f94bcb1482a812b4"),
+]
+
+
+@pytest.mark.parametrize("series, rank, digest", _CLASSICAL_PINNED,
+                         ids=[f"{s}{n}" for s, n, _ in _CLASSICAL_PINNED])
+def test_classical_command_is_pinned(capsys, series, rank, digest):
+    rs = build_root_system(CartanType(series, rank))
+    h = hashlib.sha256()
+    for beta in rs.positive_roots:
+        code = main(["classical", "--type", series, "--rank", str(rank),
+                     "--beta", rs.render_root(beta), "--force", "--format", "json"])
+        h.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert h.hexdigest() == digest
