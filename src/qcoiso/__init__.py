@@ -20,7 +20,6 @@ from .rootsys import (
     build_root_system,
     is_admissible,
     parse_root,
-    root_string,
 )
 from .classical import (
     ad_bivector,

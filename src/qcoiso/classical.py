@@ -21,6 +21,10 @@ alpha(h) off the table entry [e_alpha, f_alpha] and takes the pairing sum
 over the positive roots from one constant of the root system; no trace of
 ad is formed.
 
+The basis keeps the positive-root index the table was written with, and
+render_element renders the name of each basis vector it prints (e[root],
+f[root], h<k>) on demand.
+
 Elements are sparse coefficient dicts over the basis.  Bivectors (antisymmetric
 two-tensors) are dicts keyed by index pairs (i, j) with i < j.  The coideal
 check is linear in the generator: [g, pi] = sum_k g_k [x_k, pi], so each
@@ -71,15 +75,8 @@ class ChevalleyBasis:
 
     rs: RootSystem
     rows: list
-    labels: list = field(init=False)
-    _pos_index: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        rs = self.rs
-        self._pos_index = {r.decomp: i for i, r in enumerate(rs.positive_roots)}
-        self.labels = [f"e[{rs.render_root(r)}]" for r in rs.positive_roots]
-        self.labels += [f"f[{rs.render_root(r)}]" for r in rs.positive_roots]
-        self.labels += [f"h{i + 1}" for i in range(rs.rank)]
+    # positive root decomposition -> its position in rs.positive_roots
+    pos_index: dict = field(repr=False)
 
     # -- indexing ------------------------------------------------------------
 
@@ -92,10 +89,10 @@ class ChevalleyBasis:
         return 2 * self.npos + self.rs.rank
 
     def e_index(self, root: Root) -> int:
-        return self._pos_index[root.decomp]
+        return self.pos_index[root.decomp]
 
     def f_index(self, root: Root) -> int:
-        return self.npos + self._pos_index[root.decomp]
+        return self.npos + self.pos_index[root.decomp]
 
     def h_index(self, i: int) -> int:
         return 2 * self.npos + i
@@ -130,6 +127,14 @@ class ChevalleyBasis:
 
     # -- rendering --------------------------------------------------------------
 
+    def _label(self, i: int) -> str:
+        """The name of basis vector i: e[root], f[root] or h<k>."""
+        m = self.npos
+        if i >= 2 * m:
+            return f"h{i - 2 * m + 1}"
+        kind, root = ("e", i) if i < m else ("f", i - m)
+        return f"{kind}[{self.rs.render_root(self.rs.positive_roots[root])}]"
+
     def render_element(self, x: dict) -> str:
         if not x:
             return "0"
@@ -137,7 +142,7 @@ class ChevalleyBasis:
         for i in sorted(x):
             c = x[i]
             mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            parts.append(("-" if c < 0 else "+", f"{mag}{self.labels[i]}"))
+            parts.append(("-" if c < 0 else "+", f"{mag}{self._label(i)}"))
         return join_signed(parts)
 
 
@@ -330,7 +335,7 @@ def _closed_form_basis(
             if weight:
                 put(i, 2 * m + k, i, -weight)
                 put(m + i, 2 * m + k, m + i, weight)
-    return ChevalleyBasis(rs=rs, rows=rows)
+    return ChevalleyBasis(rs=rs, rows=rows, pos_index=index)
 
 
 def build_realization(rs: RootSystem) -> ChevalleyBasis:

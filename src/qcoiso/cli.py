@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .classical import (
     ad_bivector,
@@ -31,8 +32,7 @@ CACHE_ENV = "QCOISO_CACHE"
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (RootSystemError, RecipeError, ValueError, OSError) as exc:
@@ -50,7 +50,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def _build_parser():
+    """The parser, built on the first call and reused: parsing keeps no state
+    in it, as every parse fills a fresh namespace."""
     parser = _Parser(
         prog="qcoiso",
         description=(

@@ -399,9 +399,6 @@ class RatFunc:
             raise QFieldError("not regular at q=1")
         return Fraction(peval_one(self.num), d)
 
-    def regular_at_one(self) -> bool:
-        return peval_one(self.den) != 0
-
     def order_at_one(self) -> int:
         """Vanishing order at q = 1 (negative for a pole)."""
         if not self.num:

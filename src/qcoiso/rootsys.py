@@ -6,7 +6,9 @@ integer rows over one denominator (1 for A-D, 2 for G2) under a diagonal
 integer form (G2's second coordinate carries an implicit factor sqrt(3), so
 the form weighs it by 3); the Cartan matrix and symmetrizers are read from
 their integer pairings, and the rows serve rendering, literal parsing and
-cross-checks.
+cross-checks.  An L-literal is looked up: its coordinate vector is compared
+with the Euclidean coordinates of every root, positive and negative, so a
+literal that names no root, in the root lattice or not, gets one error.
 
 The admissibility filter selects the positive roots beta whose root strings
 (alpha + Z*beta) intersected with R never contain three consecutive integers;
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import solve_affine
 from .qfield import join_signed
 
 
@@ -115,7 +116,6 @@ class RootSystem:
             Root(tuple(1 if j == i else 0 for j in range(self.rank)))
             for i in range(self.rank)
         ]
-        self.coxeter_number = len(all_decomps) // self.rank
 
     # -- basic queries -------------------------------------------------------
 
@@ -131,9 +131,6 @@ class RootSystem:
             for j in range(self.rank)
             if u[i] and v[j]
         )
-
-    def root_length_sq(self, root: Root) -> int:
-        return self.inner(root.decomp, root.decomp)
 
     @cached_property
     def pairing_ratio(self) -> Fraction:
@@ -183,27 +180,6 @@ def build_root_system(cartan_type: CartanType) -> RootSystem:
 # ---------------------------------------------------------------------------
 # Root strings and admissibility.
 # ---------------------------------------------------------------------------
-
-STRING_SCAN_BOUND = 4
-
-
-def root_string(rs: RootSystem, alpha: Root, beta: Root) -> set:
-    """The exact set {k in Z : alpha + k*beta in R}, by bounded scan."""
-    for r in (alpha, beta):
-        if not rs.is_root(r.decomp):
-            raise RootSystemError(f"{r} is not a root of {rs.type}")
-    hits = set()
-    n = rs.rank
-    a, b = alpha.decomp, beta.decomp
-    for k in range(-STRING_SCAN_BOUND, STRING_SCAN_BOUND + 1):
-        if rs.is_root(tuple(a[i] + k * b[i] for i in range(n))):
-            hits.add(k)
-    # finite-type strings fit well inside the scan window
-    for k in (-(STRING_SCAN_BOUND + 1), STRING_SCAN_BOUND + 1):
-        if rs.is_root(tuple(a[i] + k * b[i] for i in range(n))):
-            raise RootSystemError("root string not saturated within scan bound")
-    return hits
-
 
 def is_admissible(rs: RootSystem, beta: Root) -> bool:
     """True iff no root string through beta contains three consecutive integers.
@@ -363,34 +339,17 @@ def _literal_decomp(rs: RootSystem, text: str) -> tuple:
         raise RootSystemError(
             f"Euclidean literals are not available for {rs.type}; use a-form"
         )
-    den, rows = rs._euclid
-    dim = len(rows[0])
-    target = [Fraction(0)] * dim
+    target = [0] * len(rs._euclid[1][0])
     for c, _, idx in terms:
-        if not 1 <= idx <= dim:
+        if not 1 <= idx <= len(target):
             raise RootSystemError(f"coordinate index out of range in {text!r}")
         target[idx - 1] += c
-    decomp = _solve_decomp([[Fraction(v, den) for v in r] for r in rows], target)
-    if decomp is None:
-        raise RootSystemError(f"{text!r} is not in the root lattice of {rs.type}")
-    return decomp
-
-
-def _solve_decomp(simples, target):
-    """Express target over the simple-root coordinate vectors, or None."""
-    n = len(simples)
-    rows = [([s[k] for s in simples], t) for k, t in enumerate(target)]
-    found = solve_affine(rows, n)
-    if found is None:
-        return None
-    sol = [found.get(j, Fraction(0)) for j in range(n)]
-    # verify and integrality
-    for k in range(len(target)):
-        if sum(sol[j] * simples[j][k] for j in range(n)) != target[k]:
-            return None
-    if any(x.denominator != 1 for x in sol):
-        return None
-    return tuple(int(x) for x in sol)
+    # the Euclidean coordinates determine a root, so at most one matches
+    target = tuple(target)
+    for decomp in rs._root_set:
+        if rs.euclid_coords(Root(decomp)) == target:
+            return decomp
+    raise RootSystemError(f"{text!r} is not a root of {rs.type}")
 
 
 def _render_euclid(coords):

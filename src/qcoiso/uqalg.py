@@ -3,20 +3,24 @@
 Elements (NCPoly) are finite sums of terms K^v * E_{w_1} ... E_{w_d} indexed
 by an integer K-exponent vector v and a word w over the generator alphabet,
 with coefficients in Q(q).  K-factors are kept normal-ordered on the left;
-words stay free.  Reduction modulo the q-Serre ideal happens only inside
-membership solves, through per-multidegree normal-form tables built from the
-relation span, so large word spaces are never materialized.  The defining
-relations R_ij are read through one accessor, `UqBorel.serre_relations()`.
-Products, q-brackets and the coproduct are `UqBorel` methods (`x * y` calls
-`nc_mul`); an element is zero exactly when it is false, and `*` by a RatFunc
-or an int scales it.
+words stay free.  K_i E_j K_i^-1 = q^(alpha_i, alpha_j) E_j, so
+K^v E_w = q^(v, wt w) E_w K^v with the form of `RootSystem.bilinear`, the
+one source of every crossing factor.  An element's multidegree comes from
+`NCPoly.multidegree()` only.  Reduction modulo the q-Serre ideal happens
+only inside membership solves, through per-multidegree normal-form tables
+built from the relation span, so large word spaces are never materialized.
+The defining relations R_ij are read through one accessor,
+`UqBorel.serre_relations()`.  Products, q-brackets and the coproduct are
+`UqBorel` methods (`x * y` calls `nc_mul`); an element is zero exactly when
+it is false, and `*` by a RatFunc or an int scales it.
 
 The normal-form table at a multidegree mu is constructed incrementally: the
 quotient at mu is spanned by {b . E_i} over the quotient bases at mu-alpha_i,
 and the only new relations are the folded images of b . R over the Serre
 relations R with content inside mu.  Row reduction of those images yields the
 quotient basis (the non-pivot words) and the rewrite map used for folding at
-the next degree up.
+the next degree up.  The candidate words at mu all have one length, and they
+are ordered as words (deglex, the one word order).
 
 Each word is folded to its normal form once per algebra (one `verify`
 command): a memo on the algebra maps words to normal-form vectors, which
@@ -183,18 +187,12 @@ class TensorElem:
 # ---------------------------------------------------------------------------
 
 class UqBorel:
-    def __init__(self, rs: RootSystem, max_degree: int = 10, word_order: str = "deglex"):
+    def __init__(self, rs: RootSystem, max_degree: int = 10):
         self.rs = rs
         self.rank = rs.rank
         self.A = rs.cartan_matrix
         self.d = rs.symmetrizers
         self.max_degree = max_degree
-        self.word_order = word_order
-        # crossing data: moving K^v leftward past E_l costs q^(-v . cross[l])
-        self.cross = [
-            tuple(self.d[i] * self.A[i][l] for i in range(self.rank))
-            for l in range(self.rank)
-        ]
         self._tables = {}
         # word -> normal form over the quotient basis; entries are shared
         # with every caller and never change, as the tables never do
@@ -249,13 +247,6 @@ class UqBorel:
             content[l] += 1
         return tuple(content)
 
-    def weight_of(self, x: NCPoly):
-        """Common word content of x, or raise if mixed."""
-        contents = {self.content_of(w) for _, w in x.terms}
-        if len(contents) != 1:
-            raise UqAlgebraError("element is not multihomogeneous")
-        return contents.pop()
-
     # -- multiplication -----------------------------------------------------
 
     def term_mul(self, t1, t2):
@@ -263,9 +254,9 @@ class UqBorel:
         (k1, w1), (k2, w2) = t1, t2
         shift = 0
         if any(k2):
+            B = self.rs.bilinear
             for l in w1:
-                cr = self.cross[l]
-                shift -= sum(k2[i] * cr[i] for i in range(self.rank) if k2[i])
+                shift -= sum(k2[i] * B[i][l] for i in range(self.rank) if k2[i])
         term = (tuple(a + b for a, b in zip(k1, k2)), w1 + w2)
         return term, RatFunc.q_power(shift)
 
@@ -316,9 +307,10 @@ class UqBorel:
     def _coproduct_step(self, parts, l):
         """Terms of parts * (E_l (x) K_l + 1 (x) E_l)."""
         kl = tuple(1 if i == l else 0 for i in range(self.rank))
+        B = self.rs.bilinear
         for ((lk, lw), (rk, rw)), c in parts.items():
             # left := left * E_l, right := right * K_l (crossing)
-            shift = -sum(self.cross[m][l] for m in rw)
+            shift = -sum(B[l][m] for m in rw)
             right = (tuple(a + b for a, b in zip(rk, kl)), rw)
             yield ((lk, lw + (l,)), right), c * RatFunc.q_power(shift)
             # right := right * E_l
@@ -327,11 +319,10 @@ class UqBorel:
     # -- the normal-form engine ------------------------------------------------
 
     def order_key(self, word):
-        if self.word_order == "deglex":
-            return (len(word), word)
-        if self.word_order == "degrevlex":
-            return (len(word), tuple(-l for l in reversed(word)))
-        raise UqAlgebraError(f"unknown word order {self.word_order!r}")
+        """Sort key of the candidate words of a table, which all have one
+        length: the word itself (deglex).  Tests override it to check that
+        verdicts do not depend on the order."""
+        return word
 
     def table(self, mu):
         mu = tuple(mu)
@@ -464,11 +455,7 @@ class UqBorel:
                 payload = pickle.load(fh)
         except Exception:  # noqa: BLE001 - a torn or garbage file
             return False
-        if (
-            not isinstance(payload, dict)
-            or payload.get("word_order") != self.word_order
-            or not isinstance(payload.get("tables"), dict)
-        ):
+        if not isinstance(payload, dict) or not isinstance(payload.get("tables"), dict):
             return False
         for mu, tbl in payload["tables"].items():
             self._tables.setdefault(mu, tbl)
@@ -484,7 +471,7 @@ class UqBorel:
             return
         tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "wb") as fh:
-            pickle.dump({"word_order": self.word_order, "tables": self._tables}, fh)
+            pickle.dump({"tables": self._tables}, fh)
         os.replace(tmp, path)
 
     # -- explicit ideal membership ----------------------------------------------

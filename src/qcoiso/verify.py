@@ -258,7 +258,7 @@ def check_flatness(recipe: GeneratorRecipe, alg: UqBorel) -> list:
     kmono = alg.k_monomial(recipe.k_monomial)
     for name, g in egens:
         entry = {"i": "K", "j": name}
-        l = _crossing_exponent(alg, recipe.k_monomial, g)
+        l = alg.rs.inner(recipe.k_monomial, g.multidegree()[1])
         kg = alg.nc_mul(kmono, g)
         coeff = RF_ONE - RatFunc.q_power(-l)
         ok = kg - alg.nc_mul(g, kmono) == coeff * kg
@@ -285,7 +285,6 @@ def _flatness_entry(alg, gen_i, gen_j, egens):
     if not c_poly:
         cert = Certificate("flatness-pair", {}, True, {"commutator": "zero"})
         return {**entry, "verdict": "pass", "xprime": "0", "certificate": cert.to_json()}
-    need = sum(alg.weight_of(c_poly))
     if need > alg.max_degree:
         return _over_cap(alg, entry, need)
     return {**entry, **_solve_flatness_pair(alg, c_poly, egens)}
@@ -294,13 +293,6 @@ def _flatness_entry(alg, gen_i, gen_j, egens):
 def _over_cap(alg, entry, need):
     note = f"pair degree {need} exceeds the configured degree cap {alg.max_degree}"
     return {**entry, "verdict": "unverified", "note": note}
-
-
-def _crossing_exponent(alg, kexp, g: NCPoly):
-    word = next(iter(g.terms))[1]
-    return sum(
-        kexp[i] * alg.d[i] * alg.A[i][l] for i in range(alg.rank) for l in word
-    )
 
 
 def _solve_flatness_pair(alg, c_poly, egens):
@@ -638,7 +630,7 @@ def builtin_identity(name: str):
         # padding by the commuting-pair relation [E1, E3], used implicitly by
         # the term-by-term identification
         comm = rels[(0, 2)]
-        mu = alg.weight_of(target)
+        mu = target.multidegree()[1]
         npad = 0
         for label, poly in alg.ideal_templates(mu):
             u, (i, j), v = label
@@ -695,7 +687,7 @@ def builtin_identity(name: str):
         gens = recipe.evaluate(alg)
         by_name = dict(gens)
         target = alg.q_bracket(by_name["E2"], by_name["T"], 0)
-        mu = alg.weight_of(target)
+        mu = target.multidegree()[1]
         templates = []
         for label in alg.generator_products(gens, (0, 0), mu, min_factors=2):
             templates.append((label, alg.label_product(label, by_name)))

@@ -1,5 +1,7 @@
-"""Helpers for the tests: on the quantized Borel algebra, elements from term
-lists, the quotient basis of one degree and the q-commutation transfer
+"""Helpers for the tests: on root systems, root strings by scan, squared
+root lengths and the Coxeter number; on Q(q), regularity at q = 1; on the
+quantized Borel algebra, elements from term lists, the quotient basis of one
+degree, the algebra under a second word order and the q-commutation transfer
 harness; on the classical realization, leg-by-leg oracles for brackets and
 the coisotropy check.  No command needs them."""
 
@@ -8,7 +10,51 @@ from itertools import product
 
 from qcoiso.classical import ClassicalReport, FractionSpan, bivector
 from qcoiso.linalg import accumulate, vec_add_scaled
-from qcoiso.uqalg import NCPoly
+from qcoiso.qfield import peval_one
+from qcoiso.rootsys import RootSystemError
+from qcoiso.uqalg import NCPoly, UqBorel
+
+STRING_SCAN_BOUND = 4
+
+
+def root_string(rs, alpha, beta) -> set:
+    """The exact set {k in Z : alpha + k*beta in R}, by bounded scan."""
+    for r in (alpha, beta):
+        if not rs.is_root(r.decomp):
+            raise RootSystemError(f"{r} is not a root of {rs.type}")
+    hits = set()
+    n = rs.rank
+    a, b = alpha.decomp, beta.decomp
+    for k in range(-STRING_SCAN_BOUND, STRING_SCAN_BOUND + 1):
+        if rs.is_root(tuple(a[i] + k * b[i] for i in range(n))):
+            hits.add(k)
+    # finite-type strings fit well inside the scan window
+    for k in (-(STRING_SCAN_BOUND + 1), STRING_SCAN_BOUND + 1):
+        if rs.is_root(tuple(a[i] + k * b[i] for i in range(n))):
+            raise RootSystemError("root string not saturated within scan bound")
+    return hits
+
+
+def root_length_sq(rs, root) -> int:
+    return rs.inner(root.decomp, root.decomp)
+
+
+def coxeter_number(rs) -> int:
+    """The number of roots over the rank."""
+    return len(rs._root_set) // rs.rank
+
+
+def regular_at_one(f) -> bool:
+    """True when the Q(q) value f has no pole at q = 1."""
+    return peval_one(f.den) != 0
+
+
+class RevlexBorel(UqBorel):
+    """The algebra with its table words ordered from the right, reversed:
+    dimensions and verdicts must not depend on the word order."""
+
+    def order_key(self, word):
+        return tuple(-l for l in reversed(word))
 
 
 def from_terms(alg, terms) -> NCPoly:

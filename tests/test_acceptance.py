@@ -192,7 +192,7 @@ def test_criterion_2_coefficient_goldens():
             rest = rest - c * t_map[label]
     pads = [
         (str(label), dict(poly.terms))
-        for label, poly in alg.ideal_templates(alg.weight_of(target))
+        for label, poly in alg.ideal_templates(target.multidegree()[1])
     ]
     coeffs, _ = solve_linear_combination(pads, dict(rest.terms))
     assert coeffs is not None

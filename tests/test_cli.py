@@ -76,6 +76,24 @@ def test_classical_inadmissible_requires_force(capsys):
     assert json.loads(out)["admissible"] is False
 
 
+def test_consecutive_calls_share_no_state(capsys, tmp_path):
+    # one parser serves every call in a process; no option carries over
+    argv = ["classical", "--type", "C", "--rank", "2", "--beta", "L1-L2"]
+    code, out, _ = run_cli(capsys, *argv, "--force", "--format", "json")
+    assert json.loads(out)["admissible"] is False
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "rerun with --force" in err
+    argv = ["verify", "--type", "A", "--rank", "1", "--beta", "a1", "--no-timings"]
+    report = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, *argv, "--output", str(report))
+    assert code == 0
+    report.unlink()
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_classical_bad_beta(capsys):
     code, _, err = run_cli(
         capsys, "classical", "--type", "A", "--rank", "2", "--beta", "L1+L2"

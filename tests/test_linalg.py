@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebra_helpers import regular_at_one
 from qcoiso import verify
 from qcoiso.classical import FractionSpan
 from qcoiso.linalg import SpanSolver, solve_affine, vec_add_scaled
 from qcoiso.qfield import RatFunc
 from qcoiso.recipes import builtin_recipe
-from qcoiso.rootsys import CartanType, _solve_decomp, build_root_system, parse_root
+from qcoiso.rootsys import CartanType, build_root_system, parse_root
 from qcoiso.uqalg import UqBorel
 
 sympy = pytest.importorskip("sympy")
@@ -114,37 +115,6 @@ def test_solve_affine_against_sympy(rows, data):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(1, 4), st.data())
-def test_solve_decomp_against_sympy(n, data):
-    dim = data.draw(st.integers(n, n + 2))
-    simples = data.draw(
-        st.lists(st.lists(_entries, min_size=dim, max_size=dim), min_size=n, max_size=n)
-    )
-    if data.draw(st.booleans()):
-        x = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-        target = [sum((c * s[k] for c, s in zip(x, simples)), F0) for k in range(dim)]
-    else:
-        target = data.draw(st.lists(_entries, min_size=dim, max_size=dim))
-    sol = _solve_decomp(simples, target)
-    m = _sym(simples).T
-    b = _sym([[t] for t in target])
-    consistent = m.rank() == m.row_join(b).rank()
-    if sol is not None:
-        assert all(isinstance(c, int) for c in sol)
-        for k in range(dim):
-            assert sum((c * s[k] for c, s in zip(sol, simples)), F0) == target[k]
-    if not consistent:
-        assert sol is None
-    elif m.rank() == n:
-        # the solution is unique: found exactly when it is integral
-        unique, _ = m.gauss_jordan_solve(b)
-        integral = all(v.q == 1 for v in unique)
-        assert (sol is not None) == integral
-        if integral:
-            assert list(sol) == [int(v) for v in unique]
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
 @given(_matrices())
 def test_rational_dependency_against_sympy(rows):
     dep = verify._rational_dependency([_sparse(row) for row in rows])
@@ -198,7 +168,7 @@ def test_fit_q1_contract(monkeypatch):
                   for v in nullspace]
         saturated += verify._rational_dependency(values) is not None
         for label, c in result.items():
-            assert c.regular_at_one()
+            assert regular_at_one(c)
             if label not in degree_one:
                 assert c.eval_at_one() == 0
         span = SpanSolver()

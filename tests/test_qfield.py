@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebra_helpers import regular_at_one
 from qcoiso.qfield import (
     QFieldError,
     RatFunc,
@@ -162,7 +163,7 @@ def test_eval_at_one_is_ring_morphism():
     rng = random.Random(3)
     for _ in range(100):
         a, b = _random_ratfunc(rng), _random_ratfunc(rng)
-        if not (a.regular_at_one() and b.regular_at_one()):
+        if not (regular_at_one(a) and regular_at_one(b)):
             continue
         assert (a + b).eval_at_one() == a.eval_at_one() + b.eval_at_one()
         assert (a * b).eval_at_one() == a.eval_at_one() * b.eval_at_one()

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from algebra_helpers import coxeter_number, root_length_sq, root_string
 from qcoiso.rootsys import (
     _cartan_from_euclid,
     CartanType,
@@ -13,7 +14,6 @@ from qcoiso.rootsys import (
     build_root_system,
     is_admissible,
     parse_root,
-    root_string,
 )
 
 
@@ -218,13 +218,13 @@ def test_admissibility_tables():
         adm = admissible_positive_roots(rs)
         assert len(adm) == n
         for b in adm:
-            assert rs.root_length_sq(b) == 4  # the long roots 2L_i
+            assert root_length_sq(rs, b) == 4  # the long roots 2L_i
     for n in range(2, 7):
         rs = rs_of("B", n)
         adm = admissible_positive_roots(rs)
         assert len(adm) == n * (n - 1)
         for b in adm:
-            assert rs.root_length_sq(b) == 4  # the long roots L_i +/- L_j
+            assert root_length_sq(rs, b) == 4  # the long roots L_i +/- L_j
 
 
 def test_is_admissible_matches_the_root_string_definition():
@@ -257,7 +257,7 @@ def test_f4_string_filter_admits_exactly_the_long_roots():
     rs = rs_of("F", 4)
     adm = admissible_positive_roots(rs)
     assert len(adm) == 12
-    assert all(rs.root_length_sq(b) == 4 for b in adm)
+    assert all(root_length_sq(rs, b) == 4 for b in adm)
     # independent cross-check on the Euclidean model of F4
     assert _f4_euclid_admissible_count() == 12
 
@@ -303,7 +303,7 @@ def test_g2_admissible_are_long():
     adm = admissible_positive_roots(rs)
     assert {r.decomp for r in adm} == {(0, 1), (3, 1), (3, 2)}
     for b in adm:
-        assert rs.root_length_sq(b) == 6
+        assert root_length_sq(rs, b) == 6
 
 
 def test_e6_all_admissible():
@@ -358,6 +358,53 @@ def test_parse_root_rejects_negative_roots():
         assert repr(lit) in str(err.value) and name in str(err.value)
 
 
+def _l_literal(rs, root):
+    """The L-literal of a root with integral Euclidean coordinates, or None."""
+    coords = rs.euclid_coords(root)
+    if any(c.denominator != 1 for c in coords):
+        return None
+    return "".join(
+        f"{'-' if c < 0 else '+'}{'' if abs(c) == 1 else abs(c)}L{i + 1}"
+        for i, c in enumerate(coords)
+        if c
+    )
+
+
+def test_literals_are_looked_up_among_the_roots():
+    # every positive root parses back from its rendering, its a-form and its
+    # L-literal; every negative root is refused as negative in both forms
+    types = (
+        [("A", n) for n in range(1, 8)]
+        + [(s, n) for s in "BC" for n in range(2, 7)]
+        + [("D", n) for n in range(3, 8)]
+        + [("G", 2)]
+    )
+    literals = 0
+    for series, rank in types:
+        rs = rs_of(series, rank)
+        for root in rs.positive_roots:
+            texts = [rs.render_root(root), str(root), _l_literal(rs, root)]
+            for text in filter(None, texts):
+                assert parse_root(rs, text) == root, (series, rank, text)
+            literals += texts[2] is not None
+            negative = Root(tuple(-c for c in root.decomp))
+            for text in filter(None, [str(negative), _l_literal(rs, negative)]):
+                with pytest.raises(RootSystemError, match="is the negative root"):
+                    parse_root(rs, text)
+    # every positive root of A-D (374) has one, and of G2 the two with
+    # integral coordinates, a1 = L1 and 3a1+2a2 = L2
+    assert literals == 376
+
+
+def test_literals_outside_the_roots_are_named_in_the_error():
+    a3 = rs_of("A", 3)
+    # in the root lattice (2a1) and outside it
+    for text in ("2L1-2L2", "L1+L2"):
+        with pytest.raises(RootSystemError) as err:
+            parse_root(a3, text)
+        assert str(err.value) == f"{text!r} is not a root of A3"
+
+
 def test_deterministic_order_is_lexicographic():
     rs = rs_of("B", 2)
     decomps = [r.decomp for r in rs.positive_roots]
@@ -365,6 +412,6 @@ def test_deterministic_order_is_lexicographic():
 
 
 def test_coxeter_numbers():
-    assert rs_of("A", 2).coxeter_number == 3
-    assert rs_of("E", 6).coxeter_number == 12
-    assert rs_of("G", 2).coxeter_number == 6
+    assert coxeter_number(rs_of("A", 2)) == 3
+    assert coxeter_number(rs_of("E", 6)) == 12
+    assert coxeter_number(rs_of("G", 2)) == 6
