@@ -17,11 +17,10 @@ from .classical import (
     coisotropic_generators,
 )
 from .qfield import RatFunc
-from .recipes import RecipeError, parse_recipe
+from .recipes import parse_recipe
 from .rootsys import (
     CartanType,
     RootSystem,
-    RootSystemError,
     build_root_system,
     is_admissible,
     parse_root,
@@ -35,7 +34,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RootSystemError, RecipeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
 

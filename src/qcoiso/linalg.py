@@ -105,9 +105,6 @@ class SpanSolver:
     def contains(self, vec: dict) -> bool:
         return self.reduce(vec)[2] is None
 
-    def rank(self) -> int:
-        return len(self.rows)
-
     def reduced_rows(self) -> dict:
         """The reduced row echelon form: {pivot: tail} in pivot order, each
         tail free of pivot keys (the pivot's own coefficient is 1)."""

@@ -388,9 +388,6 @@ class RatFunc:
             return NotImplemented
         return RatFunc.from_int(other) / self
 
-    def inverse(self) -> "RatFunc":
-        return RF_ONE / self
-
     # -- specialization ----------------------------------------------------
 
     def eval_at_one(self) -> Fraction:
@@ -614,7 +611,7 @@ def _power(base: RatFunc, e: int) -> RatFunc:
     if base == RF_Q:
         return RatFunc.q_power(e)
     out = RF_ONE
-    factor = base if e >= 0 else base.inverse()
+    factor = base if e >= 0 else RF_ONE / base
     for _ in range(abs(e)):
         out = out * factor
     return out

@@ -96,7 +96,6 @@ class GeneratorRecipe:
     generators: list  # [(name, group, BracketExpr)]
     auxiliaries: dict = field(default_factory=dict)
     power_assignment: str = "explicit"  # or "heuristic"
-    notes: str = ""
 
     def names(self):
         return [name for name, _, _ in self.generators]
@@ -230,7 +229,8 @@ def _odd_orthogonal_top_recipe(n):
 def _orthogonal_recipe(series, n, j):
     """beta = L1 + Lj with 2 <= j < n, the six-group pattern; B brackets carry q^2.
 
-    Only the start of the (d) group depends on the series.
+    Only the head of the (d) group depends on the series; both chain it
+    down through nodes n-1, ..., j+1.
     """
     p = 2 if series == "B" else 1
     bs = _chain_gens("B", "(b)", None, range(j, n), p)
@@ -238,12 +238,11 @@ def _orthogonal_recipe(series, n, j):
         # the spin-node element [B_{n-2}, E_n]; for j = n-1 the connecting
         # chain is empty and the element degenerates to the bare generator
         spin = QBr(bs[-2][2], Gen(n - 1), p) if j <= n - 2 else Gen(n - 1)
-        ds = [(f"B{n}", "(d)", spin)] + _chain_gens("Y", "(d)", spin, range(n - 1, j, -1), p)
+        head = [(f"B{n}", "(d)", spin)]
     else:
         bn = QBr(bs[-1][2], Gen(n - 1), p)
-        yn = QBr(bn, Gen(n - 1), 0)
-        ds = [(f"B{n}", "(d)", bn), (f"Y{n}", "(d)", yn)]
-        ds += _chain_gens("Y", "(d)", yn, range(n - 2, j, -1), p)
+        head = [(f"B{n}", "(d)", bn), (f"Y{n}", "(d)", QBr(bn, Gen(n - 1), 0))]
+    ds = head + _chain_gens("Y", "(d)", head[-1][2], range(n - 1, j, -1), p)
     f = QBr(ds[-1][2], QBr(Gen(j - 1), Gen(j - 2), p), p)
     gens = (
         _chain_gens("X", "(a)", None, range(1, j - 1), p)
@@ -301,25 +300,23 @@ def load_e6_recipes(rs: RootSystem):
             k_monomial=beta.decomp,
             generators=[(f"E{i + 1}", "(a)", Gen(i))],
             power_assignment="heuristic",
-            notes="simple-root row",
         )
     flip = {1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4}
     for row in raw["rows"]:
         beta = parse_root(rs, row["root"])
         exprs = [_parse_bracket_text(text) for text in row["generators"]]
-        variants = [(beta, exprs, "")]
+        variants = [(beta, exprs)]
         if row.get("star"):
             beta2 = rs.find_root(_flip_decomp(beta.decomp, flip))
             flipped = [_fold(e, None, lambda i: Gen(flip[i + 1] - 1), QBr) for e in exprs]
-            variants.append((beta2, flipped, " (diagram-flipped variant)"))
-        for b, exprs, extra in variants:
+            variants.append((beta2, flipped))
+        for b, exprs in variants:
             out[b.decomp] = GeneratorRecipe(
                 cartan_type=rs.type,
                 beta=b,
                 k_monomial=b.decomp,
                 generators=[(f"G{k + 1}", "(a)", e) for k, e in enumerate(exprs)],
                 power_assignment="heuristic",
-                notes=(row.get("comment", "") + extra).strip(),
             )
     return out
 

@@ -160,10 +160,10 @@ class RootSystem:
         return hit
 
     def render_root(self, root: Root) -> str:
-        if self._euclid is not None and self.type.series != "G":
-            s = _render_euclid(self.euclid_coords(root))
-            if s is not None:
-                return s
+        """Li-form for A-D, whose Euclidean coordinates are integers; a-form
+        for every other type."""
+        if self.type.series in "ABCD":
+            return _render_euclid(self.euclid_coords(root))
         return render_simple_form(root.decomp)
 
     def find_root(self, decomp) -> Root:
@@ -357,8 +357,6 @@ def _render_euclid(coords):
     for i, c in enumerate(coords):
         if c == 0:
             continue
-        if c.denominator != 1:
-            return None
         mag = "" if abs(c) == 1 else str(abs(c))
         parts.append(("-" if c < 0 else "+", f"{mag}L{i + 1}"))
-    return join_signed(parts) if parts else None
+    return join_signed(parts)

