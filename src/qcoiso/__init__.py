@@ -41,7 +41,6 @@ from .recipes import (
     serialize_recipe,
 )
 from .verify import (
-    Certificate,
     VerificationReport,
     check_flatness,
     check_left_coideal,

@@ -16,7 +16,6 @@ from .classical import (
     check_coisotropic,
     coisotropic_generators,
 )
-from .qfield import RatFunc
 from .recipes import parse_recipe
 from .rootsys import (
     CartanType,
@@ -247,15 +246,12 @@ def cmd_solve(args) -> int:
     payload = {
         "identity": args.name,
         "description": meta.get("description", ""),
-        "coefficients": {
-            label: cert.coefficients.get(label, RatFunc.from_int(0)).render()
-            for label in named
-        },
+        "coefficients": {label: cert["coefficients"].get(label, "0") for label in named},
         "extra_support": sorted(
-            label for label in cert.coefficients if label not in set(named)
+            label for label in cert["coefficients"] if label not in set(named)
         ),
-        "nullspace_dim": cert.detail["nullspace_dim"],
-        "residual_check": cert.residual_check,
+        "nullspace_dim": cert["nullspace_dim"],
+        "residual_check": cert["residual_check"],
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2))

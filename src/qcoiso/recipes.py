@@ -133,7 +133,7 @@ def _chain_gens(prefix, group, expr, nodes, power):
 def builtin_recipe(rs: RootSystem, beta: Root) -> GeneratorRecipe:
     if not rs.is_root(beta.decomp) or not beta.is_positive():
         raise RecipeError(f"{beta} is not a positive root of {rs.type}")
-    if rs.type.series == "E":
+    if rs.type == CartanType("E", 6):
         return _e6_recipe(rs, beta)
     gens, aux = _family_recipe(rs, beta)
     return GeneratorRecipe(

@@ -87,7 +87,7 @@ class RootSystem:
         self.type = cartan_type
         self.rank = cartan_type.rank
         # _euclid: (denominator, integer rows) of the Euclidean simple roots,
-        # or None for the types built from their Cartan matrix (F4, E6)
+        # or None for the types built from their Cartan matrix (F4, E6-E8)
         self.cartan_matrix, self.symmetrizers, self._euclid = _cartan_data(cartan_type)
         self._coords = {}
         # scaled inner products (alpha_i, alpha_j); symmetric by construction
@@ -245,10 +245,8 @@ def _cartan_data(t: CartanType):
         return A, (2, 2, 1, 1), None
 
     if s == "E":
-        if n != 6:
-            raise RootSystemError(f"E{n} is not supported (only E6)")
-        # nodes: chain 1-3-4-5-6 with 2 attached to 4
-        edges = {(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)}
+        # Bourbaki's labelling: the chain 1-3-4-...-n with 2 attached to 4
+        edges = {(1, 3), (2, 4)} | {(k, k + 1) for k in range(3, n)}
         A = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
         for i, j in edges:
             A[i - 1][j - 1] = A[j - 1][i - 1] = -1

@@ -46,9 +46,10 @@ elimination and lives as long as the algebra.  That search, like the relation
 rows of the tables, runs over one relation per commuting pair: for a_ij = 0,
 R_ji = -R_ij, and R_ij comes first, so no R_ji template is ever in the basis.
 A certificate is re-expanded by concatenating words, as every K-prefix
-stands left of every E.  The on-disk cache stores tables only; the memo, the
-bases and the label lists stay in memory.  A cache file is read through an
-unpickler that admits only the table and coefficient classes.
+stands left of every E.  The on-disk cache stores tables only, keyed by the
+Cartan matrix and symmetrizers; the memo, the bases and the label lists stay
+in memory.  A cache file is read through an unpickler that admits only the
+table and coefficient classes.
 """
 
 from __future__ import annotations
@@ -403,11 +404,18 @@ class UqBorel:
             vec_add_scaled(out.setdefault(key, {}), self._word_vec((), word), c)
         return {k: v for k, v in out.items() if v}
 
+    def _cache_key(self):
+        """What a cache file must name to serve this algebra: the word order
+        is fixed, so the Cartan matrix and symmetrizers decide the Serre
+        relations and with them every table."""
+        return (self.rs.cartan_matrix, self.rs.symmetrizers)
+
     def load_tables(self, path) -> bool:
         """Merge previously cached normal-form tables from disk; a file that
-        cannot be read, holds no table payload or names any class but a table
-        or a coefficient is a miss.  Nothing else the file names is looked
-        up, so loading it cannot call foreign code."""
+        cannot be read, holds no table payload, was written for another
+        algebra or names any class but a table or a coefficient is a miss.
+        Nothing else the file names is looked up, so loading it cannot call
+        foreign code."""
         import pickle
 
         class TableUnpickler(pickle.Unpickler):
@@ -424,7 +432,11 @@ class UqBorel:
                 payload = TableUnpickler(fh).load()
         except Exception:  # noqa: BLE001 - a torn or garbage file
             return False
-        if not isinstance(payload, dict) or not isinstance(payload.get("tables"), dict):
+        if (
+            not isinstance(payload, dict)
+            or payload.get("algebra") != self._cache_key()
+            or not isinstance(payload.get("tables"), dict)
+        ):
             return False
         for mu, tbl in payload["tables"].items():
             self._tables.setdefault(mu, tbl)
@@ -440,7 +452,7 @@ class UqBorel:
             return
         tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "wb") as fh:
-            pickle.dump({"tables": self._tables}, fh)
+            pickle.dump({"algebra": self._cache_key(), "tables": self._tables}, fh)
         os.replace(tmp, path)
 
     # -- explicit ideal membership ----------------------------------------------

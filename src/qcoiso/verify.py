@@ -55,7 +55,7 @@ from .linalg import (
 from .qfield import RF_ONE, RatFunc, parse_ratfunc
 from .recipes import GeneratorRecipe, builtin_recipe, classical_limit_expr
 from .rootsys import Root, RootSystem, is_admissible
-from .uqalg import DegreeOverflowError, NCPoly, UqBorel, render_monomial
+from .uqalg import DegreeOverflowError, NCPoly, UqAlgebraError, UqBorel, render_monomial
 
 # explicit u.R.v certificates are produced below this component degree
 IDEAL_CERTIFICATE_DEGREE = 6
@@ -65,22 +65,15 @@ class VerificationError(ValueError):
     pass
 
 
-@dataclass
-class Certificate:
-    kind: str  # coideal-term | flatness-pair | identity-solution
-    coefficients: dict  # label -> RatFunc
-    residual_check: bool
-    detail: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "coefficients": {
-                str(k): v.render() for k, v in sorted(self.coefficients.items())
-            },
-            "residual_check": self.residual_check,
-            **{k: v for k, v in sorted(self.detail.items())},
-        }
+def _certificate(kind, coefficients, residual_check, detail):
+    """A rendered certificate; kind is coideal-term, flatness-pair or
+    identity-solution, and coefficients map labels to RatFunc values."""
+    return {
+        "kind": kind,
+        "coefficients": {str(k): v.render() for k, v in sorted(coefficients.items())},
+        "residual_check": residual_check,
+        **dict(sorted(detail.items())),
+    }
 
 
 def _ideal_part_certificate(alg, residual: NCPoly):
@@ -152,15 +145,9 @@ class VerificationReport:
         return out
 
 
-def _adjoined_generators(recipe: GeneratorRecipe, alg: UqBorel):
-    gens = [("K", alg.k_monomial(recipe.k_monomial))]
-    gens.extend(recipe.evaluate(alg))
-    return gens
-
-
 def check_left_coideal(recipe: GeneratorRecipe, alg: UqBorel) -> list:
     """Per-generator report entries for Delta(g) in B (x) U_q."""
-    gens = _adjoined_generators(recipe, alg)
+    gens = [("K", alg.k_monomial(recipe.k_monomial)), *recipe.evaluate(alg)]
     return [_coideal_entry(alg, name, g, gens) for name, g in gens]
 
 
@@ -196,7 +183,7 @@ def _coideal_entry(alg, name, g, gens):
             return _generator_entry(name, "fail", certs, witness)
         ok, detail = _certify(alg, b_alpha, coeffs, gens)
         detail["right_leg"] = right
-        certs.append(Certificate("coideal-term", coeffs, ok, detail).to_json())
+        certs.append(_certificate("coideal-term", coeffs, ok, detail))
     status = "pass" if all(c["residual_check"] for c in certs) else "fail"
     return _generator_entry(name, status, certs)
 
@@ -230,7 +217,7 @@ def _certify(alg, target, coeffs, gens):
 # Flatness check.
 # ---------------------------------------------------------------------------
 
-def _commutator_provably_nonzero(alg, a: NCPoly, b: NCPoly) -> bool:
+def _commutator_provably_nonzero(a: NCPoly, b: NCPoly) -> bool:
     """True when the leading terms of a and b prove a*b - b*a nonzero.
 
     Applies only to multihomogeneous a and b.  Under the key
@@ -239,14 +226,13 @@ def _commutator_provably_nonzero(alg, a: NCPoly, b: NCPoly) -> bool:
     coefficient; its word is the largest word, as all words of a
     multihomogeneous element have one length.  So when the leading words do
     not commute, the larger of the leading terms of a*b and b*a cannot cancel.
-    False means undecided.
+    False means undecided, as for a mixed element, whose multidegree() raises.
     """
-    leads = []
-    for x in (a, b):
-        if len({alg.content_of(w) for _, w in x.terms}) != 1:
-            return False
-        leads.append(max(w for _, w in x.terms))
-    wa, wb = leads
+    try:
+        a.multidegree(), b.multidegree()
+    except UqAlgebraError:
+        return False
+    wa, wb = (max(w for _, w in x.terms) for x in (a, b))
     return wa + wb != wb + wa
 
 
@@ -264,12 +250,12 @@ def check_flatness(recipe: GeneratorRecipe, alg: UqBorel) -> list:
         ok = kg - alg.nc_mul(g, kmono) == coeff * kg
         entry["verdict"] = "pass" if ok else "fail"
         entry["xprime"] = "0"
-        entry["certificate"] = Certificate(
+        entry["certificate"] = _certificate(
             "flatness-pair",
             {f"K*{name}": coeff},
             ok,
             {"closed_form": f"(1 - q^{-l}) K {name}", "crossing_exponent": l},
-        ).to_json()
+        )
         out.append(entry)
     return out
 
@@ -279,12 +265,12 @@ def _flatness_entry(alg, gen_i, gen_j, egens):
     (name_i, gi), (name_j, gj) = gen_i, gen_j
     entry = {"i": name_i, "j": name_j}
     need = gi.degree() + gj.degree()
-    if need > alg.max_degree and _commutator_provably_nonzero(alg, gi, gj):
+    if need > alg.max_degree and _commutator_provably_nonzero(gi, gj):
         return _over_cap(alg, entry, need)
     c_poly = alg.nc_mul(gi, gj) - alg.nc_mul(gj, gi)
     if not c_poly:
-        cert = Certificate("flatness-pair", {}, True, {"commutator": "zero"})
-        return {**entry, "verdict": "pass", "xprime": "0", "certificate": cert.to_json()}
+        cert = _certificate("flatness-pair", {}, True, {"commutator": "zero"})
+        return {**entry, "verdict": "pass", "xprime": "0", "certificate": cert}
     if need > alg.max_degree:
         return _over_cap(alg, entry, need)
     return {**entry, **_solve_flatness_pair(alg, c_poly, egens)}
@@ -296,6 +282,13 @@ def _over_cap(alg, entry, need):
 
 
 def _solve_flatness_pair(alg, c_poly, egens):
+    """Verdict, xprime and certificate of one nonzero commutator within the
+    cap.
+
+    The "outside span(products) + ideal" fail is kept as a guard, though no
+    input is known to reach it: for multihomogeneous generators the
+    commutator is g_i*g_j - g_j*g_i, and `generator_products` lists both of
+    those products, so a particular solution always exists."""
     particular, nullspace = alg.subspace_membership(c_poly, egens, min_factors=1)
     if particular is None:
         return {
@@ -322,16 +315,10 @@ def _solve_flatness_pair(alg, c_poly, egens):
             if v1:
                 xprime_parts.append(f"{v1}*{label}")
     ok, detail = _certify(alg, c_poly, coeffs, egens)
-    cert = Certificate(
-        kind="flatness-pair",
-        coefficients=coeffs,
-        residual_check=ok,
-        detail=detail,
-    )
     return {
         "verdict": "pass" if ok else "fail",
         "xprime": " + ".join(xprime_parts) if xprime_parts else "0",
-        "certificate": cert.to_json(),
+        "certificate": _certificate("flatness-pair", coeffs, ok, detail),
     }
 
 
@@ -473,8 +460,8 @@ def solve_identity(target: NCPoly, templates, ideal_mode: bool = False):
     """Exact solve of target = sum c_i template_i in the free word model.
 
     templates: [(label, NCPoly)].  With ideal_mode, u.R.v spanning elements at
-    the target's contents are adjoined automatically.  Returns the Certificate
-    of a particular solution, with detail["nullspace_dim"], or None.
+    the target's contents are adjoined automatically.  Returns the rendered
+    certificate of a particular solution, with its "nullspace_dim", or None.
     """
     alg = target.alg
     templates = list(templates)
@@ -487,11 +474,11 @@ def solve_identity(target: NCPoly, templates, ideal_mode: bool = False):
     coeffs, nullspace = solve_linear_combination(vec_templates, dict(target.terms))
     if coeffs is None:
         return None
-    return Certificate(
-        kind="identity-solution",
-        coefficients=coeffs,
-        residual_check=(alg.combination(coeffs, dict(templates)) == target),
-        detail={"nullspace_dim": len(nullspace)},
+    return _certificate(
+        "identity-solution",
+        coeffs,
+        alg.combination(coeffs, dict(templates)) == target,
+        {"nullspace_dim": len(nullspace)},
     )
 
 
@@ -629,16 +616,10 @@ def builtin_identity(name: str):
         ]
         # padding by the commuting-pair relation [E1, E3], used implicitly by
         # the term-by-term identification
-        comm = rels[(0, 2)]
         mu = target.multidegree()[1]
-        npad = 0
-        for label, poly in alg.ideal_templates(mu):
-            u, (i, j), v = label
-            if (i, j) != (0, 2):
-                continue
-            npad += 1
-            templates.append((f"comm{npad}", poly))
-        return target, templates, {"description": description, "padding": npad}
+        padding = [poly for (_, ij, _), poly in alg.ideal_templates(mu) if ij == (0, 2)]
+        templates.extend((f"comm{k}", poly) for k, poly in enumerate(padding, 1))
+        return target, templates, {"description": description}
     if name == "so-odd-5term":
         # A, B are the short-node and adjacent generators of the odd
         # orthogonal rank-3 algebra; C is the composite [B, E1]_{q^2}.  The
@@ -694,7 +675,6 @@ def builtin_identity(name: str):
         templates.extend(_named_ideal_templates(alg, mu))
         return target, templates, {
             "description": "commutator of the degree-one and degree-five generators in the exceptional rank-two case",
-            "flatness_constraints": "all product coefficients must vanish at q=1",
         }
     raise VerificationError(
         f"unknown identity {name!r}; known: ijkj, eiej-ekej, so-odd-5term, g2-e2t"

@@ -1,6 +1,8 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,10 @@ from algebra_helpers import (
     bracket_by_legs,
     check_coisotropic_direct,
     coxeter_number,
+    folded_realization,
     root_length_sq,
 )
-from qcoiso import classical
+from qcoiso import classical, cli
 from qcoiso.cli import main
 from qcoiso.classical import (
     RealizationError,
@@ -107,6 +110,55 @@ def test_jacobi_random_triples():
                     v[rng.randrange(cb.dim)] = Fraction(rng.randint(-3, 3))
                 xs.append({k: c for k, c in v.items() if c})
             assert jacobi_defect(cb, *xs) == {}
+
+
+def _jacobi_holds_near(cb, rs, a, b, rng):
+    """Jacobi on 25 random triples, and on e_a, e_b with every basis vector:
+    a single wrong N(a, b) shows in the second set."""
+    for _ in range(25):
+        xs = [{rng.randrange(cb.dim): Fraction(rng.randint(1, 3)) for _ in range(3)}
+              for _ in range(3)]
+        if jacobi_defect(cb, *xs):
+            return False
+    ea, eb = cb.e(rs.simple_roots[a]), cb.e(rs.simple_roots[b])
+    return all(not jacobi_defect(cb, ea, eb, {k: F1}) for k in range(cb.dim))
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_e7_e8_realizations_are_lie_algebras(rank):
+    rs, cb = realization("E", rank)
+    assert _jacobi_holds_near(cb, rs, 0, 2, random.Random(rank))
+    # [e_a, f_a] is the coroot, sum c_i h_i for a = sum c_i a_i (simply laced)
+    roots = rs.positive_roots if rank == 7 else random.Random(3).sample(rs.positive_roots, 30)
+    for r in roots:
+        expected = {cb.h_index(i): Fraction(c) for i, c in enumerate(r.decomp) if c}
+        assert cb.bracket(cb.e(r), cb.f(r)) == expected, r
+
+
+def test_flipped_e7_structure_constant_breaks_jacobi(monkeypatch):
+    # the control for the E7 checks: one sign of N(a1, a3) flipped
+    original = classical._simply_laced_pos_constants
+
+    def flipped(rs):
+        out = original(rs)
+        key = ((0, 0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0))
+        out[key] = -out[key]
+        return out
+
+    monkeypatch.setattr(classical, "_simply_laced_pos_constants", flipped)
+    rs = build_root_system(CartanType("E", 7))
+    assert not _jacobi_holds_near(build_realization(rs), rs, 0, 2, random.Random(7))
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_every_e7_e8_root_passes_every_classical_check(rank):
+    rs, cb = realization("E", rank)
+    pi = build_r_matrix(cb)
+    for beta in rs.positive_roots:
+        assert is_admissible(rs, beta)
+        e = cb.e(beta)
+        report = check_coisotropic(cb, pi, coisotropic_generators(cb, ad_bivector(cb, e, pi)))
+        assert report.passed and check_master_equation(cb, e, pi), beta
 
 
 def test_g2_jacobi_exhaustive():
@@ -407,6 +459,8 @@ _PINNED = [
      "80724f70924c51bf1508b8a1c90c5d33224705696c0016d30c2f65e31ef7e40c"),
     ("E", 6, 3003, "241fba8bfd9e4108e5d57d30dff89123b151e839d18ac6be03aecfbdcd530469",
      "64ba721ea4253bc2772e3fc1386e06c9fa42e8de1be54c78e5344b86be126bf8"),
+    ("E", 7, 8778, "6f6ee1418c2df68cfc9104b7bb837ff74468f911ebae8da4e1c58817be26b957",
+     "c51ea5f4e8718cf36b2a7964de596f8bee4b81f78646eb75e8f434003275b7b7"),
 ]
 
 
@@ -466,6 +520,8 @@ _CLASSICAL_PINNED = [
     ("D", 7, "b9b24df5389d7ec4f52274e2b13f47a72e9367341c6f63d9c61bf7ec186c6559"),
     ("G", 2, "3ff57f81294e36a78e3c7d6bb7b8322e5358b5d8998cd7c4b79b885247ea6580"),
     ("E", 6, "1c1def5495d1fb46fe10ed61ac6a0bff77775b683b8aad25f94bcb1482a812b4"),
+    ("E", 7, "48cbf1c60fc2409b11eb2c37f62e076141e72b9617d6de0d574f7f04e9bf18d4"),
+    ("E", 8, "8ed5f7d8348680720e36203db2a8ab4e0c2e5e258016a1f1ef70bc11a3a591e4"),
 ]
 
 
@@ -479,3 +535,67 @@ def test_classical_command_is_pinned(capsys, series, rank, digest):
                      "--beta", rs.render_root(beta), "--force", "--format", "json"])
         h.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert h.hexdigest() == digest
+
+
+def _classical_outputs(capsys, rs):
+    out = []
+    for beta in rs.positive_roots:
+        code = main(["classical", "--type", rs.type.series, "--rank", str(rs.rank),
+                     "--beta", rs.render_root(beta), "--force", "--format", "json"])
+        out.append((code, capsys.readouterr().out))
+    return out
+
+
+def _positive_constants(cb):
+    """{(a, b): N(a, b)} over positive a < b with a + b a root."""
+    roots = [r.decomp for r in cb.rs.positive_roots]
+    out = {}
+    for a, b in combinations(roots, 2):
+        s = tuple(map(sum, zip(a, b)))
+        if s in cb.pos_index:
+            out[(a, b)] = cb.bracket_basis(cb.pos_index[a], cb.pos_index[b])[cb.pos_index[s]]
+    return out
+
+
+@pytest.mark.parametrize("series, rank", [("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3),
+                                          ("C", 4), ("G", 2)])
+def test_folded_realization_gives_the_same_classical_output(capsys, monkeypatch, series, rank):
+    # an independent oracle for the matrix and G2 tables: the fixed-point
+    # subalgebra of the simply-laced parent.  Its tables differ in sign
+    # convention and in B's short-root normalization, but every output
+    # of the command must not.
+    rs = build_root_system(CartanType(series, rank))
+    # the outputs do not see a wrong sign or size of one N, so the shipped
+    # N must also equal the folded ones up to e_a -> c_a e_a, with c = 1 on
+    # the simple roots: N(a, b) c_{a+b} = c_a c_b N'(a, b)
+    shipped = _positive_constants(build_realization(rs))
+    folded = _positive_constants(folded_realization(rs))
+    c = {r.decomp: F1 for r in rs.simple_roots}
+    # by the height of a + b, so that c_a and c_b are known
+    for (a, b), n in sorted(shipped.items(), key=lambda item: sum(map(sum, item[0]))):
+        s = tuple(map(sum, zip(a, b)))
+        c.setdefault(s, c[a] * c[b] * folded[(a, b)] / n)
+        assert n * c[s] == c[a] * c[b] * folded[(a, b)], (a, b)
+    expected = _classical_outputs(capsys, rs)
+    monkeypatch.setattr(cli, "build_realization", folded_realization)
+    assert _classical_outputs(capsys, rs) == expected
+
+
+def test_folded_f4_classical_pattern_is_pinned(capsys, monkeypatch):
+    rs = build_root_system(CartanType("F", 4))
+    cb = folded_realization(rs)
+    for i, j, k in combinations(range(cb.dim), 3):
+        assert not jacobi_defect(cb, {i: F1}, {j: F1}, {k: F1}), (i, j, k)
+    monkeypatch.setattr(cli, "build_realization", folded_realization)
+    # the 12 admissible (long) roots pass, and so do three short ones; the
+    # other 9 short roots fail closure and the master equation
+    passing = {str(b) for b in admissible_positive_roots(rs)} | {"a3", "a4", "a3+a4"}
+    assert len(passing) == 15
+    for beta, (code, out) in zip(rs.positive_roots, _classical_outputs(capsys, rs)):
+        checks = json.loads(out)["checks"]
+        if str(beta) in passing:
+            assert (code, checks) == (0, dict.fromkeys(checks, True)), beta
+        else:
+            assert (code, checks) == (
+                1, {"closure": False, "coideal": True, "master_equation": False}
+            ), beta

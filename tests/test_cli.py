@@ -1,11 +1,13 @@
 import hashlib
 import json
+import pickle
 
 import pytest
 
 from qcoiso.cli import main
-from qcoiso.rootsys import CartanType, build_root_system
-from qcoiso.uqalg import UqBorel
+from qcoiso.recipes import builtin_recipe, serialize_recipe
+from qcoiso.rootsys import CartanType, build_root_system, parse_root
+from qcoiso.uqalg import UqBorel, _NFTable
 
 
 def run_cli(capsys, *argv):
@@ -322,6 +324,26 @@ def test_verify_cache_roundtrip(capsys, tmp_path, monkeypatch):
     assert [p.name for p in cache.parent.iterdir()] == ["A2-tables.pkl"]
 
 
+def test_cache_file_of_another_algebra_is_a_miss(capsys, tmp_path, monkeypatch):
+    flags = ["--format", "json", "--no-timings"]
+    a2 = ("verify", "--type", "A", "--rank", "2", "--beta", "L1-L3", *flags)
+    b2 = ("verify", "--type", "B", "--rank", "2", "--beta", "L1+L2", *flags)
+    monkeypatch.delenv("QCOISO_CACHE", raising=False)
+    cold = {argv: run_cli(capsys, *argv) for argv in (a2, b2)}
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("QCOISO_CACHE", str(cache))
+    code, _, _ = run_cli(capsys, "verify", "--type", "C", "--rank", "2", "--beta", "2L1", *flags)
+    assert code == 0
+    # C2's tables under B2's name: served, they turned the B2 pass into a fail
+    (cache / "C2-tables.pkl").rename(cache / "B2-tables.pkl")
+    # a payload without the algebra key, as every file was written before
+    # it; served, its empty table raised KeyError: ()
+    stale = {"tables": {(1, 0): _NFTable(basis=[], raise_map={0: {}})}}
+    (cache / "A2-tables.pkl").write_bytes(pickle.dumps(stale))
+    for argv in (a2, b2):
+        assert run_cli(capsys, *argv) == cold[argv]
+
+
 def test_solve_command(capsys):
     code, out, _ = run_cli(capsys, "solve", "ijkj", "--format", "json")
     assert code == 0
@@ -457,3 +479,75 @@ def test_recipe_with_negative_beta_is_a_usage_error(capsys, tmp_path):
         assert code == 64, argv
         assert out == "", argv
         assert err.startswith("error: bad beta: ") and "negative root" in err, argv
+
+
+_TEXT_GOLDENS = {
+    ("roots", "--type", "G", "--rank", "2"): """\
+G2: 6 positive roots, 3 admissible
+  a2               [a2]  admissible
+  a1               [a1]  -
+  a1+a2            [a1+a2]  -
+  2a1+a2           [2a1+a2]  -
+  3a1+a2           [3a1+a2]  admissible
+  3a1+2a2          [3a1+2a2]  admissible
+""",
+    ("classical", "--type", "A", "--rank", "3", "--beta", "L1-L4"): """\
+A3 beta=L1-L4: 6 generators
+  e[L3-L4]
+  e[L2-L4]
+  e[L1-L2]
+  e[L1-L3]
+  e[L1-L4]
+  h1+h2+h3
+  closure: pass
+  coideal: pass
+  master_equation: pass
+""",
+    ("solve", "ijkj"): """\
+identity ijkj: commutator of the middle generator with the iterated bracket
+       a = -q/(q^2+1)
+       b = q^3/(q^2+1)
+       c = q/(q^2+1)
+       d = -q^3/(q^2+1)
+   comm1 = -q/(q^2+1)
+   comm2 = q
+   comm3 = -q^3/(q^2+1)
+  nullspace dimension: 0
+  residual check: True
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_TEXT_GOLDENS))
+def test_text_format_is_pinned(capsys, argv):
+    assert run_cli(capsys, *argv) == (0, _TEXT_GOLDENS[argv], "")
+
+
+def test_verify_without_a_case_exits_64(capsys):
+    assert run_cli(capsys, "verify") == (
+        64, "", "error: provide --type/--rank/--beta or --recipe\n"
+    )
+
+
+def test_generator_outside_the_classical_span_is_a_stage_error(capsys, tmp_path):
+    # A3 L1-L4 with D3 replaced by E2, whose classical limit e[a2] is not
+    # among the coisotropic generators
+    rs = build_root_system(CartanType("A", 3))
+    doc = serialize_recipe(builtin_recipe(rs, parse_root(rs, "L1-L4")))
+    (d3,) = [g for g in doc["generators"] if g["name"] == "D3"]
+    d3["expr"] = {"gen": 2}
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", "--recipe", str(path), "--format", "json",
+                           "--no-timings")
+    assert code == 1
+    assert json.loads(out)["stage_error"] == "classical limit of D3 is outside the span"
+
+
+def test_e7_has_no_recipe_yet(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--type", "E", "--rank", "7", "--beta", "a1",
+                           "--format", "json", "--no-timings")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["classical"] == {"coisotropic": True, "dim": 2}
+    assert payload["stage_error"] == "recipe: no built-in recipes for type E7"

@@ -125,6 +125,8 @@ ROOTSYS_DIGESTS = {
     "G2": "eff5d098ed5cec513e287a6eca577b17ff7ba53f54d66a2cb2dc9e0325086f58",
     "F4": "b9a4b0f8430faf72e45cd646c8e6d75286ecd0432e9e56c412e943c405ee8b9d",
     "E6": "4430cb258fb189d63760bb1bcd31ca1e38391d102fdec19d929be346b5b4a9c0",
+    "E7": "7f28696932ef68a773adddfc5ecf2ac6297374a6545692d69206ee6c9f9da3be",
+    "E8": "08d874a74d6fe0c2ac6b5cb22a4ed3bd39d35f234b44263f097522faa155f5f2",
 }
 
 
@@ -309,6 +311,21 @@ def test_g2_admissible_are_long():
 def test_e6_all_admissible():
     rs = rs_of("E", 6)
     assert len(admissible_positive_roots(rs)) == 36
+
+
+@pytest.mark.parametrize("rank, count, highest, coxeter", [
+    (6, 36, (1, 2, 2, 3, 2, 1), 12),
+    (7, 63, (2, 2, 3, 4, 3, 2, 1), 18),
+    (8, 120, (2, 3, 4, 6, 5, 4, 3, 2), 30),
+])
+def test_e_series_follows_bourbaki(rank, count, highest, coxeter):
+    # the highest root in Bourbaki's labelling (Plates V-VII) fixes the
+    # node order; in a simply-laced type no root string holds three roots
+    rs = rs_of("E", rank)
+    assert len(rs.positive_roots) == count
+    assert max(rs.positive_roots, key=lambda r: sum(r.decomp)).decomp == highest
+    assert coxeter_number(rs) == coxeter
+    assert len(admissible_positive_roots(rs)) == count
 
 
 def test_admissibility_weyl_invariance():

@@ -16,7 +16,13 @@ from qcoiso.uqalg import (
     UqAlgebraError,
     UqBorel,
 )
-from algebra_helpers import RevlexBorel, from_terms, quotient_basis
+from algebra_helpers import (
+    RevlexBorel,
+    from_terms,
+    good_lyndon_words,
+    lyndon_basis,
+    quotient_basis,
+)
 from tensor_oracles import tensor_coproduct_left, tensor_coproduct_right, tensor_mul
 
 _ALGS = {}
@@ -614,3 +620,38 @@ def test_product_normal_forms_match_expansion(case):
         # the warm memo agrees with the reference's fold from the empty word
         for _, word in poly.terms:
             assert alg.nf_word(word) == reference.nf_word(word)
+
+
+# (type, rank, degree): every multidegree of total degree 1..degree is checked
+_LYNDON_CASES = [
+    ("A", 2, 8), ("A", 3, 8), ("A", 4, 7), ("B", 2, 8), ("B", 3, 7), ("B", 4, 6),
+    ("C", 2, 8), ("C", 3, 7), ("C", 4, 7), ("D", 4, 6), ("G", 2, 8), ("F", 4, 6),
+    ("E", 6, 6),
+]
+
+
+def _lyndon_mismatches(series, rank, degree, pick=max, nonincreasing=True):
+    """How many multidegrees have a table basis other than the one the good
+    Lyndon words predict."""
+    alg = alg_of(series, rank, max_degree=degree)
+    words = good_lyndon_words(alg.rs, pick)
+    return sum(
+        lyndon_basis(words, mu, nonincreasing) != sorted(alg.table(mu).basis)
+        for mu in product(range(degree + 1), repeat=rank)
+        if 0 < sum(mu) <= degree
+    )
+
+
+@pytest.mark.parametrize("series, rank, degree", _LYNDON_CASES)
+def test_table_bases_are_the_good_lyndon_words(series, rank, degree):
+    # which words form each basis, where the PBW counts check only how many
+    assert _lyndon_mismatches(series, rank, degree) == 0
+
+
+def test_lyndon_controls_disagree_with_the_tables():
+    # the minimum rule happens to agree on A, B2 and C2 as well;
+    # nondecreasing order never agrees
+    for series, rank, degree in _LYNDON_CASES:
+        if (series, rank) in (("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)):
+            assert _lyndon_mismatches(series, rank, degree, pick=min), (series, rank)
+        assert _lyndon_mismatches(series, rank, min(degree, 4), nonincreasing=False)

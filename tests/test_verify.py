@@ -319,12 +319,12 @@ def _assert_golden_extends(name, golden):
     # coefficients are forced to the classical table exactly
     target, templates, _ = builtin_identity(name)
     sol = solve_identity(target, templates)
-    assert sol is not None and sol.residual_check
-    assert sol.detail["nullspace_dim"] == 0
+    assert sol is not None and sol["residual_check"]
+    assert sol["nullspace_dim"] == 0
     for label, value in golden.items():
-        got = sol.coefficients.get(label)
+        got = sol["coefficients"].get(label)
         if value:
-            assert got == value, (label, got.render() if got else None, value.render())
+            assert got == value.render(), (label, got, value.render())
         else:
             assert got is None
 
@@ -356,7 +356,7 @@ def test_solve_identity_eiej_ekej_golden():
 def test_solve_identity_so_odd_5term_golden():
     target, templates, meta = builtin_identity("so-odd-5term")
     sol = solve_identity(target, templates, ideal_mode=meta.get("ideal_mode", False))
-    assert sol is not None and sol.residual_check
+    assert sol is not None and sol["residual_check"]
     den = "(q^4+q^2+1)"
     golden = {
         "a": rf("0"),
@@ -398,8 +398,8 @@ def test_solve_identity_so_odd_5term_golden():
 def test_solve_identity_g2_e2t():
     target, templates, meta = builtin_identity("g2-e2t")
     sol = solve_identity(target, templates)
-    assert sol is not None and sol.residual_check
-    assert sol.detail["nullspace_dim"] >= 0
+    assert sol is not None and sol["residual_check"]
+    assert sol["nullspace_dim"] >= 0
 
 
 def test_qcommute_closure_examples():
@@ -619,5 +619,5 @@ def _multihomogeneous_pair(draw):
 @given(_multihomogeneous_pair())
 def test_leading_terms_prove_commutator_nonzero(pair):
     alg, a, b = pair
-    if _commutator_provably_nonzero(alg, a, b):
+    if _commutator_provably_nonzero(a, b):
         assert alg.nc_mul(a, b) - alg.nc_mul(b, a)
