@@ -16,6 +16,18 @@ the general canonicalization `_canonical_pair` (polynomial gcd by
 primitive pseudo-remainders, von zur Gathen & Gerhard, Modern Computer
 Algebra, ch. 6).
 
+A verification multiplies the same few hundred pairs of values over and
+over.  Inside `products_memoized()` a memo keyed by the operand values
+answers a repeated product from a dict: 97% of the products with no zero or
+one operand on the E6 rows at degree cap 6 (at most 686 distinct pairs per
+command), 76% on the short classical and E6 rows.  The memo starts empty
+when the scope is entered and is dropped when it exits, also on an
+exception; it is cleared whenever it holds `_PRODUCT_MEMO_CAP` = 2048
+entries, so its memory stays flat.  Outside the scope there is none.  It
+stores the canonical product, so values, hashes and rendering are those of a
+product computed afresh.  Only products are memoized: a memo that also held
+sums, under the same cap, measured slower.
+
 `RatFunc.render` writes a value as text, and `parse_ratfunc` reads it back
 through `ast`: the text format is the Python expression grammar cut down to
 integer literals, the name q, unary + and -, + - * /, parentheses, and ^ for
@@ -26,6 +38,7 @@ prints is joined by `join_signed`.
 from __future__ import annotations
 
 import ast
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -364,10 +377,22 @@ class RatFunc:
             return other
         if other.num == P_ONE and other.den == P_ONE:
             return self
+        memo = _product_memo
+        if memo is not None:
+            key = (self, other)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
         k1, k2 = self.k, other.k
         if k1 >= 0 and k2 >= 0:
-            return _laurent(pmul(self.num, other.num), k1 + k2)
-        return RatFunc(pmul(self.num, other.num), pmul(self.den, other.den))
+            r = _laurent(pmul(self.num, other.num), k1 + k2)
+        else:
+            r = RatFunc(pmul(self.num, other.num), pmul(self.den, other.den))
+        if memo is not None:
+            if len(memo) >= _PRODUCT_MEMO_CAP:
+                memo.clear()
+            memo[key] = r
+        return r
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):
@@ -526,6 +551,24 @@ RF_ZERO = RatFunc((), P_ONE, _raw=True)
 RF_ONE = RatFunc(P_ONE, P_ONE, _raw=True)
 RF_Q = RatFunc(P_Q, P_ONE, _raw=True)
 _Q_POWERS = {0: RF_ONE}  # k -> q^k, see RatFunc.q_power
+
+# The product memo (see the module docstring): {(a, b): a * b} inside
+# products_memoized(), None outside it.
+_PRODUCT_MEMO_CAP = 2048
+_product_memo = None
+
+
+@contextmanager
+def products_memoized():
+    """Memoize RatFunc products until the block exits.  The block starts
+    with an empty memo, and on exit the enclosing scope's memo, or none, is
+    back in force."""
+    global _product_memo
+    outer, _product_memo = _product_memo, {}
+    try:
+        yield
+    finally:
+        _product_memo = outer
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,9 @@ over every template expresses an element over this basis only, since each
 stored row's tag combines independent templates; the basis is independent, so
 that expression is unique, and a solve over the basis alone returns the same
 coefficients.  The basis is found once per content by one untagged
-elimination and lives as long as the algebra.  That search, like the relation
+elimination and lives as long as the algebra; the search stops once the basis
+has the ideal's dimension at the content (its words less its quotient basis),
+as every later template is then dependent.  That search, like the relation
 rows of the tables, runs over one relation per commuting pair: for a_ij = 0,
 R_ji = -R_ij, and R_ij comes first, so no R_ji template is ever in the basis.
 A certificate is re-expanded by concatenating words, as every K-prefix
@@ -492,15 +494,20 @@ class UqBorel:
         the templates independent of every template before them.  It is
         searched over the generating relations only: a template of R_ji for
         a commuting pair is the negative of the R_ij template at the same
-        place, which comes first, so it is never in the basis."""
+        place, which comes first, so it is never in the basis.  The search
+        stops at the ideal's dimension at mu, as every later template depends
+        on the basis; a wrong table could only cut it short and fail a
+        certificate, since every certificate is re-expanded."""
         basis = self._ideal_bases.get(mu)
         if basis is None:
+            dim = len(_words_of_content(mu)) - len(self.table(mu).basis)
             span = SpanSolver()
-            basis = [
-                (label, vec)
-                for label, vec in self._template_vectors(mu, self._generating)
-                if span.add(vec)
-            ]
+            basis = []
+            for label, vec in self._template_vectors(mu, self._generating):
+                if len(basis) == dim:
+                    break
+                if span.add(vec):
+                    basis.append((label, vec))
             self._ideal_bases[mu] = basis
         return basis
 

@@ -52,7 +52,7 @@ from .linalg import (
     solve_linear_combination,
     vec_add_scaled,
 )
-from .qfield import RF_ONE, RatFunc, parse_ratfunc
+from .qfield import RF_ONE, RatFunc, parse_ratfunc, products_memoized
 from .recipes import GeneratorRecipe, builtin_recipe, classical_limit_expr
 from .rootsys import Root, RootSystem, is_admissible
 from .uqalg import DegreeOverflowError, NCPoly, UqAlgebraError, UqBorel, render_monomial
@@ -563,23 +563,26 @@ def run_full_verification(
         alg.load_tables(cache_path)
     report.degrees_used = table_cap
 
-    t0 = time.monotonic()
-    try:
-        report.coideal = check_left_coideal(recipe, alg)
-    except DegreeOverflowError as exc:
-        report.stage_error = f"coideal: {exc}"
-        return report
-    report.timings["coideal"] = time.monotonic() - t0
+    # the UqBorel stages multiply the same few hundred pairs of Q(q) values
+    # over and over; the memo lives for these stages only
+    with products_memoized():
+        t0 = time.monotonic()
+        try:
+            report.coideal = check_left_coideal(recipe, alg)
+        except DegreeOverflowError as exc:
+            report.stage_error = f"coideal: {exc}"
+            return report
+        report.timings["coideal"] = time.monotonic() - t0
 
-    t0 = time.monotonic()
-    report.flatness = check_flatness(recipe, alg)
-    report.timings["flatness"] = time.monotonic() - t0
+        t0 = time.monotonic()
+        report.flatness = check_flatness(recipe, alg)
+        report.timings["flatness"] = time.monotonic() - t0
 
-    t0 = time.monotonic()
-    if all(p["verdict"] == "pass" for p in report.flatness):
-        if not check_semiclassical(limits, report.flatness, cb):
-            report.stage_error = "semiclassical specialization mismatch"
-    report.timings["semiclassical"] = time.monotonic() - t0
+        t0 = time.monotonic()
+        if all(p["verdict"] == "pass" for p in report.flatness):
+            if not check_semiclassical(limits, report.flatness, cb):
+                report.stage_error = "semiclassical specialization mismatch"
+        report.timings["semiclassical"] = time.monotonic() - t0
     if cache_path:
         alg.save_tables(cache_path)
     return report

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from qcoiso import qfield, verify
 from qcoiso.cli import main
 from qcoiso.recipes import builtin_recipe, serialize_recipe
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
@@ -115,6 +116,39 @@ def test_verify_exit_codes_and_determinism(capsys, tmp_path):
     assert out1 == out2  # byte-identical without timings
     payload = json.loads(out1)
     assert payload["verdict"] == "pass"
+
+
+def test_product_memo_lives_for_one_verification(capsys, monkeypatch):
+    """Repeated in-process verify calls print the same bytes and leave no
+    product memo behind, also when a stage error is raised inside its scope."""
+    argv = [
+        "verify", "--type", "C", "--rank", "2", "--beta", "2L1",
+        "--format", "json", "--no-timings",
+    ]
+    runs = []
+    for _ in range(2):
+        runs.append(run_cli(capsys, *argv))
+        assert qfield._product_memo is None
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][1])["verdict"] == "pass"
+
+    check_left_coideal = verify.check_left_coideal
+
+    def overflowing(recipe, alg):
+        # the real check fills the memo; then a table above the cap is asked for
+        check_left_coideal(recipe, alg)
+        assert qfield._product_memo
+        alg.table((alg.max_degree + 1,) + (0,) * (alg.rank - 1))
+
+    monkeypatch.setattr(verify, "check_left_coideal", overflowing)
+    runs = []
+    for _ in range(2):
+        runs.append(run_cli(capsys, *argv))
+        assert qfield._product_memo is None
+    assert runs[0] == runs[1]
+    payload = json.loads(runs[0][1])
+    assert payload["stage_error"].startswith("coideal: multidegree")
+    assert (runs[0][0], payload["verdict"]) == (1, "fail")
 
 
 def test_verify_jobs_flag_is_ignored(capsys):

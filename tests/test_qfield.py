@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebra_helpers import regular_at_one
+from qcoiso import qfield
 from qcoiso.qfield import (
     QFieldError,
     RatFunc,
@@ -20,6 +21,7 @@ from qcoiso.qfield import (
     pmono,
     pmul,
     pneg,
+    products_memoized,
     pshift,
     psub,
     q_binomial,
@@ -314,3 +316,54 @@ def test_q_powers_are_shared():
         assert RatFunc.q_power(k) == RatFunc(pmono(1, max(k, 0)), pmono(1, max(-k, 0)))
     assert RatFunc.q_power(0) is RF_ONE
     assert RatFunc.q_power(3) * RatFunc.q_power(-3) == RF_ONE
+
+
+def _same(x, y):
+    return (x.num, x.den, x.k, hash(x), x.render()) == (y.num, y.den, y.k, hash(y), y.render())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_values(), _values()), min_size=1, max_size=12), st.integers(1, 4))
+def test_memoized_products_equal_fresh_ones(pairs, cap):
+    """Inside products_memoized() every product, first computed or looked up,
+    equals the one computed outside it, also after a small cap has cleared the
+    memo; nested scopes restore the outer memo, and an exception leaves none."""
+    fresh = [a * b for a, b in pairs]
+    assert qfield._product_memo is None
+    with products_memoized():
+        outer = qfield._product_memo
+        for _ in range(2):
+            for (a, b), expected in zip(pairs, fresh):
+                assert _same(a * b, expected)
+        assert len(outer) <= len(pairs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qfield, "_PRODUCT_MEMO_CAP", cap)
+            with products_memoized():
+                inner = qfield._product_memo
+                assert inner == {} and inner is not outer
+                for _ in range(2):
+                    for (a, b), expected in zip(pairs, fresh):
+                        assert _same(a * b, expected)
+                        assert len(inner) <= cap
+        assert qfield._product_memo is outer
+        with pytest.raises(QFieldError):
+            with products_memoized():
+                pairs[0][0] * pairs[0][1]
+                RF_ONE / RF_ZERO
+        assert qfield._product_memo is outer
+    assert qfield._product_memo is None
+    with pytest.raises(QFieldError):
+        with products_memoized():
+            RF_ONE / RF_ZERO
+    assert qfield._product_memo is None
+
+
+def test_memo_answers_a_repeated_product():
+    a, b = rf("q^2+3-q^-1"), rf("1/(q+q^-1)")
+    with products_memoized():
+        first = a * b
+        assert qfield._product_memo == {(a, b): first}
+        assert a * b is first
+        # zero and one operands never reach the memo
+        assert a * RF_ONE is a and RF_ZERO * b is RF_ZERO
+        assert len(qfield._product_memo) == 1

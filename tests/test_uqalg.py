@@ -1,7 +1,7 @@
 import hashlib
 import pickle
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -495,6 +495,30 @@ def test_ideal_certificate_expansion_matches_multiplication():
                     alg.nc_mul(alg.nc_mul(alg.k_monomial(kexp), eu), rels[ij]), ev
                 )
             assert alg.expand_ideal_certificate(coeffs) == expected
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_ideal_basis_search_stops_at_the_ideal_dimension(series, rank):
+    """The basis search stops once it has the ideal's dimension at a content;
+    on every content up to degree 6 it equals the greedy basis of the whole
+    template list, which has that dimension."""
+    alg = UqBorel(build_root_system(CartanType(series, rank)), max_degree=6)
+    nonzero = 0
+    for mu in product(range(7), repeat=rank):
+        if sum(mu) > 6:
+            continue
+        span = SpanSolver()
+        full = [
+            (label, vec)
+            for label, vec in alg._template_vectors(mu, alg._generating)
+            if span.add(vec)
+        ]
+        assert alg._ideal_basis(mu) == full
+        # the words of content mu are the distinct orderings of its letters
+        words = set(permutations([i for i, m in enumerate(mu) for _ in range(m)]))
+        assert len(full) == len(words) - len(alg.table(mu).basis)
+        nonzero += bool(full)
+    assert nonzero
 
 
 def test_ideal_membership_ijkj():
