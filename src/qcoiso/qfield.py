@@ -11,10 +11,17 @@ in Z[q, q^-1].  Its canonical form is num/q^k with den exactly q^k (integer
 content 1 by construction, and num has a nonzero constant term when k > 0),
 so sums, differences, products and negations of Laurent values, and
 quotients by a unit +-q^j, are built in that form directly, with no gcd or
-content computation.  Any other value, such as 1/(q + q^-1), goes through
-the general canonicalization `_canonical_pair` (polynomial gcd by
-primitive pseudo-remainders, von zur Gathen & Gerhard, Modern Computer
-Algebra, ch. 6).
+content computation.  When an operand is not Laurent, such as
+1/(q + q^-1), the four operations cancel across the canonical operands
+before forming the result (Henrici's method, Knuth, TAOCP vol. 2, 4.5.1): a
+product divides n1 by gcd(n1, d2) and n2 by gcd(n2, d1), a sum over
+g = gcd(d1, d2) divides only by gcd(t, g), and the result then needs no
+gcd, just its integer content and sign cleared.  A gcd with a monomial,
+such as a q^k denominator, is read off the valuations, so a sum of a
+Laurent and a non-Laurent value needs no polynomial gcd.  `RatFunc(num,
+den)` canonicalizes an arbitrary pair through `_canonical_pair`
+(polynomial gcd by primitive pseudo-remainders, von zur Gathen & Gerhard,
+Modern Computer Algebra, ch. 6).
 
 A verification multiplies the same few hundred pairs of values over and
 over.  Inside `products_memoized()` a memo keyed by the operand values
@@ -292,8 +299,10 @@ class RatFunc:
     Sums, differences, products and negations of two Laurent values, and
     quotients by a unit +-q^j, stay Laurent and take the Laurent path: one
     pmul or aligned padd and a trim of the common q-power, with no gcd and
-    no content.  Everything else is canonicalized by `_canonical_pair`, and
-    both paths give the same (num, den).
+    no content.  Every other sum, difference, product and quotient cancels
+    across the operands (`_cross_sum`, `_cross_product`), and
+    `RatFunc(num, den)` canonicalizes any pair by `_canonical_pair`; all
+    paths give the same (num, den).
     """
 
     __slots__ = ("num", "den", "k", "_hash")
@@ -351,12 +360,7 @@ class RatFunc:
         k1, k2 = self.k, other.k
         if k1 >= 0 and k2 >= 0:
             return _laurent_sum(self.num, k1, other.num, k2)
-        if self.den == other.den:
-            return RatFunc(padd(self.num, other.num), self.den)
-        return RatFunc(
-            padd(pmul(self.num, other.den), pmul(other.num, self.den)),
-            pmul(self.den, other.den),
-        )
+        return _cross_sum(self.num, self.den, other.num, other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):
@@ -387,7 +391,7 @@ class RatFunc:
         if k1 >= 0 and k2 >= 0:
             r = _laurent(pmul(self.num, other.num), k1 + k2)
         else:
-            r = RatFunc(pmul(self.num, other.num), pmul(self.den, other.den))
+            r = _cross_product(self.num, self.den, other.num, other.den)
         if memo is not None:
             if len(memo) >= _PRODUCT_MEMO_CAP:
                 memo.clear()
@@ -406,7 +410,7 @@ class RatFunc:
             # other = +-q^(j - k2) with j = deg(unit)
             num = self.num if unit[-1] == 1 else pneg(self.num)
             return _laurent(num, k1 + len(unit) - 1 - k2)
-        return RatFunc(pmul(self.num, other.den), pmul(self.den, other.num))
+        return _cross_product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other: int) -> "RatFunc":
         if not isinstance(other, int):
@@ -545,6 +549,69 @@ def _laurent_sum(a: IntPoly, ka: int, b: IntPoly, kb: int) -> RatFunc:
     elif kb < ka:
         b = (0,) * (ka - kb) + b
     return _laurent(padd(a, b), ka)
+
+
+# Arithmetic on canonical pairs that are not both Laurent: Henrici's
+# cross-cancellation (Knuth, TAOCP vol. 2, 4.5.1).  Each factor shared by the
+# operands is divided out before the result is formed, so the result has no
+# common polynomial factor and only its integer content and sign are left to
+# normalize.
+
+def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """pgcd(a, b) of nonzero a and b; a gcd with a monomial, such as a q^k
+    denominator, is read off the valuations."""
+    if not any(a[:-1]):
+        return pmono(1, min(len(a) - 1, pval(b)))
+    if not any(b[:-1]):
+        return pmono(1, min(len(b) - 1, pval(a)))
+    return pgcd(a, b)
+
+
+def _quo(a: IntPoly, g: IntPoly) -> IntPoly:
+    """a / g for a divisor g that `_gcd` returned."""
+    if len(g) == 1:
+        return a
+    if not any(g[:-1]):
+        return a[len(g) - 1:]
+    return pdiv_exact(a, g)
+
+
+def _reduced(num: IntPoly, den: IntPoly) -> RatFunc:
+    """The value num/den for nonzero num and den with no common polynomial
+    factor."""
+    c = pcontent(num)
+    if c != 1:
+        c = _int_gcd(c, pcontent(den))
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num = tuple(x // c for x in num)
+        den = tuple(x // c for x in den)
+    return _make(num, den, len(den) - 1 if den[-1] == 1 and not any(den[:-1]) else -1)
+
+
+def _cross_product(n1: IntPoly, d1: IntPoly, n2: IntPoly, d2: IntPoly) -> RatFunc:
+    """(n1/d1)(n2/d2) for coprime pairs; (n2, d2) may be a canonical pair
+    swapped, so that d2 is a nonzero numerator."""
+    g1, g2 = _gcd(n1, d2), _gcd(n2, d1)
+    return _reduced(pmul(_quo(n1, g1), _quo(n2, g2)), pmul(_quo(d1, g2), _quo(d2, g1)))
+
+
+def _cross_sum(n1: IntPoly, d1: IntPoly, n2: IntPoly, d2: IntPoly) -> RatFunc:
+    """n1/d1 + n2/d2 for nonzero canonical pairs.  With g = gcd(d1, d2), the
+    sum t = n1 (d2/g) + n2 (d1/g) is prime to d1/g and d2/g, so gcd(t, g) is
+    all it shares with the denominator (d1/g) d2."""
+    if d1 == d2:
+        e1, g = P_ONE, d1
+        t = padd(n1, n2)
+    else:
+        g = _gcd(d1, d2)
+        e1 = _quo(d1, g)
+        t = padd(pmul(n1, _quo(d2, g)), pmul(n2, e1))
+    if not t:
+        return RF_ZERO
+    g2 = _gcd(t, g)
+    return _reduced(_quo(t, g2), pmul(e1, _quo(d2, g2)))
 
 
 RF_ZERO = RatFunc((), P_ONE, _raw=True)

@@ -18,12 +18,14 @@ from qcoiso.qfield import (
     padd,
     parse_ratfunc,
     pconst,
+    pgcd,
     pmono,
     pmul,
     pneg,
     products_memoized,
     pshift,
     psub,
+    ptrim,
     q_binomial,
     q_int,
 )
@@ -265,9 +267,12 @@ def _values(draw):
     return RatFunc(num, den)
 
 
+def _sympy_poly(p, q):
+    return sum(c * q**i for i, c in enumerate(p))
+
+
 def _sympy(x, q):
-    poly = lambda p: sum(c * q**i for i, c in enumerate(p))  # noqa: E731
-    return poly(x.num) / poly(x.den)
+    return _sympy_poly(x.num, q) / _sympy_poly(x.den, q)
 
 
 def _is_laurent(x):
@@ -367,3 +372,151 @@ def test_memo_answers_a_repeated_product():
         # zero and one operands never reach the memo
         assert a * RF_ONE is a and RF_ZERO * b is RF_ZERO
         assert len(qfield._product_memo) == 1
+
+
+def _raw_ops(a, b):
+    """Each operation on a and b through the general canonicalization of its
+    raw pair, RatFunc(num, den)."""
+    cases = {
+        "+": RatFunc(padd(pmul(a.num, b.den), pmul(b.num, a.den)), pmul(a.den, b.den)),
+        "-": RatFunc(psub(pmul(a.num, b.den), pmul(b.num, a.den)), pmul(a.den, b.den)),
+        "*": RatFunc(pmul(a.num, b.num), pmul(a.den, b.den)),
+    }
+    if b:
+        cases["/"] = RatFunc(pmul(a.num, b.den), pmul(a.den, b.num))
+    if a:
+        cases["1/x"] = RatFunc(a.den, a.num)
+    return cases
+
+
+def _fast_ops(a, b):
+    cases = {"+": a + b, "-": a - b, "*": a * b}
+    if b:
+        cases["/"] = a / b
+    if a:
+        cases["1/x"] = 1 / a
+    return cases
+
+
+# numerators of balanced q-integers [n] in q^d, such as q^2+1 for [2]: the
+# factors that non-Laurent coefficients are made of
+_Q_INT_FACTORS = [q_int(n, d).num for n in range(2, 5) for d in (1, 2)]
+
+
+@st.composite
+def _factored(draw):
+    """c * q^v * a product of q-integer numerators, as a raw polynomial."""
+    p = pmono(draw(st.sampled_from([1, -1, 2, -3, 6])), draw(st.integers(0, 3)))
+    for f in draw(st.lists(st.sampled_from(_Q_INT_FACTORS), max_size=3)):
+        p = pmul(p, f)
+    return p
+
+
+@st.composite
+def _structured(draw):
+    """A canonical value from a raw pair of products of q-integer factors,
+    q-powers and integer contents, so that operands share factors; zero now
+    and then."""
+    num = () if draw(st.integers(0, 9)) == 0 else draw(_factored())
+    return RatFunc(num, draw(_factored()))
+
+
+@st.composite
+def _structured_pairs(draw):
+    """(a, b, relation): b unrelated to a, its negation, a - L or a * L for a
+    Laurent L, so that zero and Laurent results come from non-Laurent
+    operands."""
+    a = draw(_structured())
+    relation = draw(st.sampled_from(["free", "free", "neg", "sum", "ratio"]))
+    laurent = RatFunc(draw(_factored()), pmono(1, draw(st.integers(0, 4))))
+    if relation == "free":
+        b = draw(_structured())
+    elif relation == "neg":
+        b = RatFunc(pneg(a.num), a.den)
+    elif relation == "sum":
+        # a + b = L
+        b = RatFunc(psub(pmul(laurent.num, a.den), pmul(a.num, laurent.den)), pmul(laurent.den, a.den))
+    else:
+        # b / a = L
+        b = RatFunc(pmul(a.num, laurent.num), pmul(a.den, laurent.den))
+    return a, b, relation, laurent
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_structured_pairs())
+def test_cross_cancelled_arithmetic_matches_canonical_path(pair):
+    """+ - * / and 1/x on canonical values that share q-integer factors give
+    exactly the canonical form of the raw pair; one case in eight is also
+    checked against sympy."""
+    a, b, relation, laurent = pair
+    fast, slow = _fast_ops(a, b), _raw_ops(a, b)
+    assert fast.keys() == slow.keys()
+    for op, got in fast.items():
+        want = slow[op]
+        assert _same(got, want), op
+    if relation == "neg":
+        assert fast["+"] is RF_ZERO or not fast["+"]
+    if relation == "sum":
+        assert _is_laurent(fast["+"]) and fast["+"] == laurent
+    if relation == "ratio" and a:
+        assert _is_laurent(b / a) and b / a == laurent
+    if hash((a, b)) % 8 == 0:
+        sympy = pytest.importorskip("sympy")
+        q = sympy.Symbol("q")
+        sa, sb = _sympy(a, q), _sympy(b, q)
+        exact = {"+": sa + sb, "-": sa - sb, "*": sa * sb}
+        if b:
+            exact["/"] = sa / sb
+        if a:
+            exact["1/x"] = 1 / sa
+        for op, got in fast.items():
+            assert sympy.cancel(_sympy(got, q) - exact[op]) == 0, op
+
+
+def test_operators_never_canonicalize_canonical_operands(monkeypatch):
+    """Sums, differences, products and quotients of canonical values, Laurent
+    or not, are built without `_canonical_pair`, which stays the
+    canonicalization behind RatFunc(num, den)."""
+    values = [rf(t) for t in [
+        "0", "1", "-2", "q", "3*q^-2", "q+q^-1", "1/2", "1/(q+q^-1)",
+        "(q^4+1)/(q^2+1)", "-6*q/(q^4+q^2+1)", "(q^2+1)^2/(3*q^3)",
+        "2/((q^2+1)*(q^4+1))", "q^-1/(q^4+q^2+1)",
+    ]]
+    calls = []
+    original = qfield._canonical_pair
+    monkeypatch.setattr(qfield, "_canonical_pair", lambda num, den: calls.append((num, den)) or original(num, den))
+    for a in values:
+        for b in values:
+            _fast_ops(a, b)
+    assert calls == []
+    assert RatFunc((0, 2), (4,)) == rf("q/2") and calls == [((0, 2), (4,))]
+
+
+_gcd_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(ptrim)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_gcd_polys, _gcd_polys, _gcd_polys, st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+def test_pgcd_matches_sympy(common, a, b, shared_v, va, vb):
+    """pgcd of two polynomials with a planted common factor and q-power
+    factors is sympy's gcd, made primitive with a positive leading
+    coefficient; the gcd used by the cross-cancelled operators agrees."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    common = pmul(pmono(1, shared_v), common or (1,))
+    a = pmul(pmul(common, pmono(1, va)), a)
+    b = pmul(pmul(common, pmono(1, vb)), b)
+    want = sympy.Poly(sympy.gcd(_sympy_poly(a, q), _sympy_poly(b, q)), q)
+    if want.is_zero:
+        want_t = ()
+    else:
+        want = want.primitive()[1]
+        if want.LC() < 0:
+            want = -want
+        want_t = tuple(int(c) for c in reversed(want.all_coeffs()))
+    got = pgcd(a, b)
+    assert got == want_t
+    if got:
+        assert got[-1] > 0 and qfield.pcontent(got) == 1
+    if a and b:
+        assert qfield._gcd(a, b) == got
