@@ -185,13 +185,21 @@ def cmd_verify(args) -> int:
         print(f"error: --degree-cap must be at least 1, got {args.degree_cap}", file=sys.stderr)
         return 64
     recipe = None
+    case_flags = {"--type": args.series, "--rank": args.rank, "--beta": args.beta}
     if args.recipe:
+        given = [flag for flag, value in case_flags.items() if value is not None]
+        if given:
+            print(
+                f"error: --recipe names its own case; drop {', '.join(given)}",
+                file=sys.stderr,
+            )
+            return 64
         with open(args.recipe, "r", encoding="utf-8") as fh:
             recipe = parse_recipe(json.load(fh))
         rs = build_root_system(recipe.cartan_type)
         beta = recipe.beta
     else:
-        if not (args.series and args.rank and args.beta):
+        if None in case_flags.values():
             print("error: provide --type/--rank/--beta or --recipe", file=sys.stderr)
             return 64
         rs = _root_system(args)

@@ -50,11 +50,14 @@ class SpanSolver:
     coefficient is 1 and is kept implicit, so a row is stored as its tail.
     A tag is a vector over labels of the added vectors that records which
     combination of them a row is; solving a target over a tagged span yields
-    its coefficients over those labels.
+    its coefficients over those labels.  Tails and tags are stored negated
+    (normalized by -1 / lead once, when the row is added), so eliminating a
+    pivot entry c adds c times the stored row, with no negation per step.
     """
 
     def __init__(self):
-        # pivot -> (tail with the unit pivot entry left out, tag or None)
+        # pivot -> (negated tail, the unit pivot entry left out; negated tag
+        # or None)
         self.rows: dict = {}
         self.nullrows: list = []  # tags of added vectors that were dependent
 
@@ -71,7 +74,7 @@ class SpanSolver:
             hit = rows.get(pivot)
             if hit is None:
                 return vec, tag, pivot
-            c = -vec.pop(pivot)
+            c = vec.pop(pivot)
             vec_add_scaled(vec, hit[0], c)
             if tag is not None:
                 vec_add_scaled(tag, hit[1], c)
@@ -87,7 +90,7 @@ class SpanSolver:
             if tag:
                 self.nullrows.append(tag)
             return False
-        inv = 1 / vec.pop(pivot)
+        inv = -1 / vec.pop(pivot)
         vec = {k: v * inv for k, v in vec.items()}
         if tag is not None:
             tag = {k: v * inv for k, v in tag.items()}
@@ -108,11 +111,21 @@ class SpanSolver:
     def reduced_rows(self) -> dict:
         """The reduced row echelon form: {pivot: tail} in pivot order, each
         tail free of pivot keys (the pivot's own coefficient is 1)."""
+        return {
+            p: {k: -v for k, v in tail.items()}
+            for p, tail in self.negated_reduced_rows().items()
+        }
+
+    def negated_reduced_rows(self) -> dict:
+        """`reduced_rows` with every tail negated: each pivot key equals its
+        negated tail modulo the span, so these are the pivots' rewrites."""
+        # back-substitution on the stored negated tails: row -= row[k] * tail_k
+        # negates to neg += neg[k] * neg_k
         out = {}
         for p in sorted(self.rows, reverse=True):
             row = dict(self.rows[p][0])
             for k in [k for k in row if k in out]:
-                vec_add_scaled(row, out[k], -row.pop(k))
+                vec_add_scaled(row, out[k], row.pop(k))
             out[p] = row
         return dict(reversed(out.items()))
 

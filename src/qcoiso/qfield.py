@@ -329,6 +329,8 @@ class RatFunc:
             return RF_ZERO
         if n == 1:
             return RF_ONE
+        if n == -1:
+            return RF_MINUS_ONE
         return RatFunc(pconst(n), P_ONE, _raw=True)
 
     @staticmethod
@@ -616,6 +618,8 @@ def _cross_sum(n1: IntPoly, d1: IntPoly, n2: IntPoly, d2: IntPoly) -> RatFunc:
 
 RF_ZERO = RatFunc((), P_ONE, _raw=True)
 RF_ONE = RatFunc(P_ONE, P_ONE, _raw=True)
+# shared, as every row a SpanSolver stores is normalized by -1 / lead
+RF_MINUS_ONE = RatFunc(pconst(-1), P_ONE, _raw=True)
 RF_Q = RatFunc(P_Q, P_ONE, _raw=True)
 _Q_POWERS = {0: RF_ONE}  # k -> q^k, see RatFunc.q_power
 

@@ -58,6 +58,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import comb
+from operator import add, le, mul, sub
 
 from .linalg import SpanSolver, accumulate, vec_add_scaled
 from .qfield import RF_ONE, RatFunc, q_binomial
@@ -222,10 +224,10 @@ class UqBorel:
         (k1, w1), (k2, w2) = t1, t2
         shift = 0
         if any(k2):
+            # (k2, alpha_l) summed over the letters l of w1; B is symmetric
             B = self.rs.bilinear
-            for l in w1:
-                shift -= sum(k2[i] * B[i][l] for i in range(self.rank) if k2[i])
-        term = (tuple(a + b for a, b in zip(k1, k2)), w1 + w2)
+            shift = -sum(sum(map(mul, k2, B[l])) for l in w1)
+        term = (tuple(map(add, k1, k2)), w1 + w2)
         return term, RatFunc.q_power(shift)
 
     def nc_mul(self, a: NCPoly, b: NCPoly) -> NCPoly:
@@ -277,11 +279,11 @@ class UqBorel:
     def _coproduct_step(self, parts, l):
         """Terms of parts * (E_l (x) K_l + 1 (x) E_l)."""
         kl = tuple(1 if i == l else 0 for i in range(self.rank))
-        B = self.rs.bilinear
+        crossing = self.rs.bilinear[l].__getitem__
         for ((lk, lw), (rk, rw)), c in parts.items():
             # left := left * E_l, right := right * K_l (crossing)
-            shift = -sum(B[l][m] for m in rw)
-            right = (tuple(a + b for a, b in zip(rk, kl)), rw)
+            shift = -sum(map(crossing, rw))
+            right = (tuple(map(add, rk, kl)), rw)
             yield ((lk, lw + (l,)), right), c * RatFunc.q_power(shift)
             # right := right * E_l
             yield ((lk, lw), (rk, rw + (l,))), c
@@ -340,14 +342,15 @@ class UqBorel:
                     last = w[-1]
                     accumulate(row, ((col[bw + (last,)], c * cc) for bw, cc in vec.items()))
                 relations.add(row)
-        pivots = relations.reduced_rows()
-        basis = [w for w in candidates if col[w] not in pivots]
+        # pivot column -> the vector its word equals modulo the relations
+        rewrites = relations.negated_reduced_rows()
+        basis = [w for w in candidates if col[w] not in rewrites]
         # rewrite map: candidate word -> vector over the new basis
         expand = {}
         for w in candidates:
             n = col[w]
-            if n in pivots:
-                expand[w] = self._interned((candidates[m], -c) for m, c in pivots[n].items())
+            if n in rewrites:
+                expand[w] = self._interned((candidates[m], c) for m, c in rewrites[n].items())
             else:
                 expand[w] = {w: RF_ONE}
         raise_map = {
@@ -500,7 +503,7 @@ class UqBorel:
         certificate, since every certificate is re-expanded."""
         basis = self._ideal_bases.get(mu)
         if basis is None:
-            dim = len(_words_of_content(mu)) - len(self.table(mu).basis)
+            dim = _word_count(mu) - len(self.table(mu).basis)
             span = SpanSolver()
             basis = []
             for label, vec in self._template_vectors(mu, self._generating):
@@ -551,27 +554,26 @@ class UqBorel:
         hit = self._products.get(key)
         if hit is not None:
             return list(hit)
-        data = [(name, gk, gw) for name, gk, gw in degrees if any(gk) or any(gw)]
+        # one degree tuple per generator: its K-exponents, then its content
+        data = [(name, gk + gw) for name, gk, gw in degrees if any(gk) or any(gw)]
         out = []
-        # depth-first over (label, factor count, remaining kexp, remaining
-        # content) on an explicit stack: a self-calling closure would be a
-        # reference cycle holding the algebra until the next full collection
-        stack = [("1", 0, tuple(kexp), tuple(weight))]
+        # depth-first over (label, factor count, remaining degree) on an
+        # explicit stack: a self-calling closure would be a reference cycle
+        # holding the algebra until the next full collection
+        stack = [("1", 0, tuple(kexp) + tuple(weight))]
         while stack:
-            label, nfactors, rk, rw = stack.pop()
-            if not any(rk) and not any(rw):
+            label, nfactors, rem = stack.pop()
+            if not any(rem):
                 if nfactors >= min_factors:
                     out.append(label)
                 continue
-            for name, gk, gw in data:
-                if any(a > b for a, b in zip(gk, rk)) or any(a > b for a, b in zip(gw, rw)):
-                    continue
-                stack.append((
-                    f"{label}*{name}" if nfactors else name,
-                    nfactors + 1,
-                    tuple(a - b for a, b in zip(rk, gk)),
-                    tuple(a - b for a, b in zip(rw, gw)),
-                ))
+            for name, deg in data:
+                if all(map(le, deg, rem)):
+                    stack.append((
+                        f"{label}*{name}" if nfactors else name,
+                        nfactors + 1,
+                        tuple(map(sub, rem, deg)),
+                    ))
         out.sort()
         self._products[key] = out
         return list(out)
@@ -658,11 +660,12 @@ class UqBorel:
         """The sum of c * K^k E_u R_ij E_v over the certificate's terms
         {(k, (u, (i, j), v)): c}.  K^k stands left of every E, so no
         crossing factor arises and each term is a concatenation of words."""
-        acc = {}
-        for (kexp, (u, ij, v)), c in coeffs.items():
-            _, rel = self._serre[ij]
-            accumulate(acc, (((kexp, u + w + v), c * cr) for w, cr in rel.items()))
-        return NCPoly(self, acc)
+        serre = self._serre
+        return NCPoly(self, accumulate({}, (
+            ((kexp, u + w + v), c * cr)
+            for (kexp, (u, ij, v)), c in coeffs.items()
+            for w, cr in serre[ij][1].items()
+        )))
 
 
 @dataclass
@@ -677,6 +680,15 @@ _CACHE_CLASSES = {(c.__module__, c.__qualname__): c for c in (_NFTable, RatFunc)
 
 def _subcontents(content):
     return sorted(product(*(range(c + 1) for c in content)))
+
+
+def _word_count(content):
+    """The number of distinct words of a content: a multinomial coefficient."""
+    count, length = 1, 0
+    for c in content:
+        length += c
+        count *= comb(length, c)
+    return count
 
 
 def _words_of_content(content):

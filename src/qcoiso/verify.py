@@ -47,7 +47,6 @@ from .classical import (
 )
 from .linalg import (
     SpanSolver,
-    accumulate,
     solve_affine,
     solve_linear_combination,
     vec_add_scaled,
@@ -162,12 +161,15 @@ def _coideal_entry(alg, name, g, gens):
             f"generator degree {g.degree()} exceeds the configured degree "
             f"cap {alg.max_degree}",
         )
-    delta = alg.coproduct(g)
-    # expand right legs over the quotient basis, bucket by (kexp, word)
+    # group the coproduct by right term, then expand each right leg over
+    # the quotient basis, bucket by (kexp, word)
+    by_right = {}
+    for (left, right), c in alg.coproduct(g).items():
+        by_right.setdefault(right, {})[left] = c
     buckets = {}
-    for ((lk, lw), (rk, rw)), c in delta.items():
+    for (rk, rw), lefts in by_right.items():
         for bw, c2 in alg.nf_word(rw).items():
-            accumulate(buckets.setdefault((rk, bw), {}), [((lk, lw), c * c2)])
+            vec_add_scaled(buckets.setdefault((rk, bw), {}), lefts, c2)
     certs = []
     for (rk, bw) in sorted(buckets, key=lambda t: (t[0], len(t[1]), t[1])):
         b_alpha = NCPoly(alg, buckets[(rk, bw)])

@@ -563,6 +563,28 @@ def test_verify_without_a_case_exits_64(capsys):
     )
 
 
+def test_verify_rank_zero_is_an_invalid_rank(capsys):
+    # rank 0 is given, so it is checked as roots checks it, not reported missing
+    argv = ("--type", "A", "--rank", "0")
+    want = (64, "", "error: invalid rank 0 for series A\n")
+    assert run_cli(capsys, "roots", *argv) == want
+    assert run_cli(capsys, "verify", *argv, "--beta", "L1-L2") == want
+
+
+def test_verify_recipe_conflicts_with_case_flags(capsys, tmp_path):
+    rs = build_root_system(CartanType("A", 2))
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(serialize_recipe(builtin_recipe(rs, parse_root(rs, "L1-L3")))))
+    for flags, named in (
+        (["--type", "B", "--rank", "3", "--beta", "L1"], "--type, --rank, --beta"),
+        (["--beta", "L1-L2"], "--beta"),
+        (["--rank", "2"], "--rank"),
+    ):
+        assert run_cli(capsys, "verify", "--recipe", str(path), *flags) == (
+            64, "", f"error: --recipe names its own case; drop {named}\n"
+        ), flags
+
+
 def test_generator_outside_the_classical_span_is_a_stage_error(capsys, tmp_path):
     # A3 L1-L4 with D3 replaced by E2, whose classical limit e[a2] is not
     # among the coisotropic generators

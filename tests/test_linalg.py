@@ -11,7 +11,7 @@ from algebra_helpers import regular_at_one
 from qcoiso import verify
 from qcoiso.classical import FractionSpan
 from qcoiso.linalg import SpanSolver, solve_affine, vec_add_scaled
-from qcoiso.qfield import RatFunc
+from qcoiso.qfield import RF_ONE, RF_ZERO, RatFunc, q_int
 from qcoiso.recipes import builtin_recipe
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
 from qcoiso.uqalg import UqBorel
@@ -26,10 +26,18 @@ _entries = st.one_of(
 )
 
 
-def _matrices(max_rows=5, max_cols=5):
+# Q(q) entries: 0, +-1, +-q^k, [2] and 1/[2], so that stored rows hold
+# Laurent and non-Laurent values and unit and non-unit leads
+_rf_entries = st.sampled_from(
+    [RF_ZERO, q_int(2), 1 / q_int(2)]
+    + [x for k in range(-2, 3) for x in (RatFunc.q_power(k), -RatFunc.q_power(k))]
+)
+
+
+def _matrices(max_rows=5, max_cols=5, entries=_entries):
     return st.integers(1, max_cols).flatmap(
         lambda n: st.lists(
-            st.lists(_entries, min_size=n, max_size=n), min_size=1, max_size=max_rows
+            st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=max_rows
         )
     )
 
@@ -144,6 +152,34 @@ def test_tagged_solve_reexpands(rows, data):
     assert len(solver.nullrows) == len(rows) - len(solver.rows)
     for tag in solver.nullrows:
         assert _combine(tag, rows) == {}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_matrices(entries=_rf_entries), st.data())
+def test_tagged_solve_reexpands_over_qq(rows, data):
+    # sympy's rank over Q(q) takes seconds per matrix, so there is no rank
+    # oracle: a target built from the rows must solve, and any solution
+    # found must re-expand exactly
+    n = len(rows[0])
+    solver = SpanSolver()
+    for k, row in enumerate(rows):
+        solver.add(_sparse(row), {k: RF_ONE})
+    c = data.draw(st.lists(_rf_entries, min_size=len(rows), max_size=len(rows)))
+    combined = _combine(dict(enumerate(c)), rows)
+    coeffs = solver.solve(combined)
+    assert coeffs is not None and _combine(coeffs, rows) == combined
+    drawn = _sparse(data.draw(st.lists(_rf_entries, min_size=n, max_size=n)))
+    coeffs = solver.solve(drawn)
+    if coeffs is not None:
+        assert _combine(coeffs, rows) == drawn
+    assert len(solver.nullrows) == len(rows) - len(solver.rows)
+    for tag in solver.nullrows:
+        assert tag and _combine(tag, rows) == {}
+    reduced = solver.reduced_rows()
+    assert list(reduced) == sorted(solver.rows)
+    for p, tail in reduced.items():
+        assert all(v for v in tail.values()) and not set(tail) & set(reduced)
+        assert solver.contains({p: RF_ONE, **tail})
 
 
 def test_fit_q1_contract(monkeypatch):
