@@ -1,18 +1,18 @@
 """Classical semisimple Lie algebras: realizations, the r-matrix, coisotropy.
 
-Every algebra is presented through a fixed basis (root vectors e_alpha,
+Every algebra is presented through a Chevalley basis (root vectors e_alpha,
 f_alpha for each positive root, plus the simple coroots h_i) with exact
-rational structure constants.  One closed form (_closed_form_basis) writes
-the whole bracket table from two inputs on positive roots: the structure
-constants N(a, b) of [e_a, e_b] = N(a, b) e_{a+b} and n(a) = (e_a, f_a) under
-an invariant form.  For A-D both are read off the standard matrix
-realizations (traceless, orthogonal, symplectic), where f_a is the transpose
-of e_a; G2 and E6 take Chevalley constants and n(a) = 2/(a, a).  Then
-[e_alpha, f_alpha] = h_alpha, the coroot of alpha, except on the short roots
-of B, where the matrix realization gives h_alpha / 2.
+rational structure constants, built by one rule for every type.  One closed
+form (_closed_form_basis) writes the whole bracket table from the structure
+constants N(a, b) of [e_a, e_b] = N(a, b) e_{a+b} on positive roots, with
+[e_alpha, f_alpha] = h_alpha, the coroot of alpha, on every root.  The
+simply-laced types A, D and E take N from the lattice 2-cocycle sign of
+their Cartan matrix; B_n, C_n, G2 and F4 take N from the subalgebra of their
+simply-laced parent (D_{n+1}, A_{2n-1}, D4, E6) fixed by a diagram
+automorphism, the same cocycle folded.
 
-The table and the r-matrix are computed from integer root data: the matrix
-entries, Cartan matrix and form pairings are ints, each mixed bracket comes
+The table and the r-matrix are computed from integer root data: the cocycle
+signs, Cartan matrix and form pairings are ints, each mixed bracket comes
 from one nonzero N(a, b), and a Fraction is built only where a coefficient
 is stored.  The table is sparse and antisymmetric: row i holds [x_i, x_j]
 for each j with a nonzero bracket, in both orders, so a bracket is a walk
@@ -35,12 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from operator import add, mul
+from operator import add, mul, sub
 
 from .linalg import SpanSolver, accumulate, vec_add_scaled
 from .qfield import join_signed
-from .rootsys import Root, RootSystem
+from .rootsys import CartanType, Root, RootSystem, _cartan_data
 
 F1 = Fraction(1)
 
@@ -66,11 +65,8 @@ class ChevalleyBasis:
     2m..2m+rank-1 the simple coroots h_i.  rows[i][j] is the nonzero bracket
     [x_i, x_j], stored in both orders (rows[j][i] is its negative); a pair
     with a zero bracket has no entry.  The rows are written by
-    _closed_form_basis from the positive structure constants N and the
-    pairings n(alpha) = (e_alpha, f_alpha), and every stored vector is shared
-    with callers, who only read it.  [e_alpha, f_alpha] = nu(alpha) h_alpha
-    with nu = 1, except nu = 1/2 on the short roots of B, where the matrix
-    realization's [e, f] is half the coroot.
+    _closed_form_basis from the positive structure constants N, and every
+    stored vector is shared with callers, who only read it.
     """
 
     rs: RootSystem
@@ -150,108 +146,114 @@ class ChevalleyBasis:
 # Positive structure constants.
 # ---------------------------------------------------------------------------
 
-def _root_matrices(rs: RootSystem) -> dict:
-    """The sparse matrix of e_a in the standard realization, per positive root a.
-
-    sl(n+1) acts on the weights L_1..L_{n+1}; sp(2n) and so(2n) on L_1..L_n,
-    -L_1..-L_n; so(2n+1) has one more weight 0 at index 2n.  In all four
-    f_a is the transpose of e_a, so only the e-matrices are kept.  Entries
-    are the integers 1 and -1.
-    """
-    series, n = rs.type.series, rs.rank
-    if series not in "ABCD":
-        raise RealizationError(f"no matrix realization for {rs.type}")
-    out = {}
-    for r in rs.positive_roots:
-        coords = rs.euclid_coords(r)
-        pos = [k for k, c in enumerate(coords) if c > 0]
-        neg = [k for k, c in enumerate(coords) if c < 0]
-        if series == "A":
-            mat = {(pos[0], neg[0]): 1}
-        elif neg:  # L_i - L_j
-            i, j = pos[0], neg[0]
-            mat = {(i, j): 1, (n + j, n + i): -1}
-        elif len(pos) == 2:  # L_i + L_j, i < j
-            i, j = pos
-            mat = {(i, n + j): 1, (j, n + i): 1 if series == "C" else -1}
-        elif series == "C":  # 2L_i
-            mat = {(pos[0], n + pos[0]): 1}
-        else:  # L_i, type B
-            mat = {(pos[0], 2 * n): 1, (2 * n, n + pos[0]): -1}
-        out[r.decomp] = mat
-    return out
+def _cocycle_sign(A, u, v) -> int:
+    """eps(u, v) = (-1)^(sum_i u_i v_i + sum_{i<j} u_i v_j A_ij), the lattice
+    2-cocycle of a simply-laced Cartan matrix A (Kac, Infinite-Dimensional
+    Lie Algebras, 7.8).  The simply-laced bases take [e_u, e_v] =
+    eps(u, v) e_{u+v} for roots u, v whose sum is a root; there
+    eps(u, v) eps(v, u) = (-1)^(u, v) = -1, so this holds in either order."""
+    total = 0
+    for i, ui in enumerate(u):
+        if ui:
+            row = A[i]
+            total += ui * (v[i] + sum(row[j] * v[j] for j in range(i + 1, len(v)) if v[j]))
+    return -1 if total & 1 else 1
 
 
-def _mat_bracket(a, b):
-    """ab - ba for sparse matrices keyed by (row, column)."""
-    out = {}
-    for (r, c), v in a.items():
-        for (r2, c2), w in b.items():
-            if c == r2:
-                accumulate(out, [((r, c2), v * w)])
-            if c2 == r:
-                accumulate(out, [((r2, c), -v * w)])
-    return out
-
-
-def _matrix_constants(rs: RootSystem):
-    """(N, n) of the matrix realization: [e_a, e_b] = N(a, b) e_{a+b} for
-    positive a, b, and n(a) = tr(e_a f_a), the sum of squares of e_a's entries."""
-    mats = _root_matrices(rs)
-    N = {}
-    for (a, ea), (b, eb) in combinations(mats.items(), 2):
-        ab = tuple(map(add, a, b))
-        target = mats.get(ab)
-        if target is None:
-            continue
-        comm = _mat_bracket(ea, eb)
-        cell = next(iter(target))
-        c = Fraction(comm.get(cell, 0), target[cell])
-        if comm != {k: c * v for k, v in target.items()}:
-            raise RealizationError(f"[e_{a}, e_{b}] is not a multiple of e_{ab}")
-        N[(a, b)] = c
-    return N, {a: sum(v * v for v in m.values()) for a, m in mats.items()}
-
-
-# Positive-part constants of G2 over simple roots a=(1,0) short, b=(0,1) long,
-# anchored at [x_b, x_a] = x_{a+b} and closed under the Jacobi identity:
-#   [x_{a+b}, x_a] = 2 x_{2a+b},  [x_{2a+b}, x_a] = 3 x_{3a+b},
-#   [x_{3a+b}, x_b] = x_{3a+2b},  [x_{a+b}, x_{2a+b}] = 3 x_{3a+2b}.
-_G2_POS_CONSTANTS = {
-    ((0, 1), (1, 0)): 1,
-    ((1, 1), (1, 0)): 2,
-    ((2, 1), (1, 0)): 3,
-    ((3, 1), (0, 1)): 1,
-    ((1, 1), (2, 1)): 3,
-}
-
-
-def _simply_laced_pos_constants(rs: RootSystem) -> dict:
-    """Positive structure constants from a lattice 2-cocycle sign."""
-    n = rs.rank
-    A = rs.cartan_matrix
-
-    def eps(u, v):
-        total = 0
-        for i in range(n):
-            if not u[i]:
-                continue
-            for j in range(n):
-                if not v[j]:
-                    continue
-                if i == j:
-                    total += u[i] * v[j]
-                elif i < j:
-                    total += u[i] * v[j] * A[i][j]
-        return 1 if total % 2 == 0 else -1
-
-    out = {}
+def _positive_pairs(rs: RootSystem):
+    """(a, b, a + b) over positive roots a before b whose sum is a root."""
     positives = [r.decomp for r in rs.positive_roots]
     pos_set = set(positives)
     for i, a in enumerate(positives):
         for b in positives[i + 1:]:
-            if tuple(map(add, a, b)) in pos_set:
-                out[(a, b)] = eps(a, b)
+            s = tuple(map(add, a, b))
+            if s in pos_set:
+                yield a, b, s
+
+
+def _simply_laced_pos_constants(rs: RootSystem) -> dict:
+    """N(a, b) of a simply-laced type: the cocycle sign of its Cartan matrix."""
+    A = rs.cartan_matrix
+    return {(a, b): _cocycle_sign(A, a, b) for a, b, _ in _positive_pairs(rs)}
+
+
+# non-simply-laced series -> (its simply-laced parent, the diagram automorphism
+# sigma on the parent's 0-based nodes, the folded node of each parent node)
+_FOLDS = {
+    "B": lambda n: (CartanType("D", n + 1), [*range(n - 1), n, n - 1], [*range(n), n - 1]),
+    "C": lambda n: (
+        CartanType("A", 2 * n - 1),
+        [2 * n - 2 - i for i in range(2 * n - 1)],
+        [min(i, 2 * n - 2 - i) for i in range(2 * n - 1)],
+    ),
+    "G": lambda n: (CartanType("D", 4), [2, 1, 3, 0], [0, 1, 0, 0]),
+    "F": lambda n: (CartanType("E", 6), [5, 1, 4, 3, 2, 0], [3, 0, 2, 1, 2, 3]),
+}
+
+
+def _folded_pos_constants(rs: RootSystem) -> dict:
+    """N(a, b) of B_n, C_n, G2 or F4 in the sigma-fixed subalgebra of its
+    simply-laced parent D_{n+1}, A_{2n-1}, D4 or E6 (Carter, Simple Groups of
+    Lie Type, ch. 13; Kac, Infinite-Dimensional Lie Algebras, 7.9).
+
+    The automorphism with sigma(e_i) = e_{sigma i} on the parent's simple
+    roots maps e_b to s(b) e_{sigma b}, with s fixed by induction on height
+    from s(g + a_i) = s(g) eps(sigma g, a_{sigma i}) eps(g, a_i).  Each folded
+    root a is one sigma-orbit of parent roots, and e_a is the orbit sum of
+    sigma^k(e_b) from its first root b; sigma must fix that sum.  N(a, b) is
+    the coefficient of that first root's e in [e_a, e_b].  The orbit sizes,
+    n(a) = (e_a, f_a) of the parent's form, are proportional to 2/(a, a), so
+    these N belong to a Chevalley basis.
+    """
+    parent, sigma, node = _FOLDS[rs.type.series](rs.rank)
+    A = _cartan_data(parent)[0]
+    p = parent.rank
+    units = [tuple(int(k == i) for k in range(p)) for i in range(p)]
+    links = [[j for j, x in enumerate(row) if x] for row in A]  # node and neighbours
+    # the parent's positive roots, a height at a time, each with its sign s
+    # and its image under sigma; in a simply-laced type b + a_i is a root
+    # exactly when (b, a_i) = -1
+    sign, moved = dict.fromkeys(units, 1), {}
+    level = units
+    while level:
+        up = []
+        for b in level:
+            w = [0] * p
+            for i, c in enumerate(b):
+                w[sigma[i]] += c
+            moved[b] = tuple(w)
+            for i, row in enumerate(A):
+                if sum(row[j] * b[j] for j in links[i]) == -1:
+                    s = (*b[:i], b[i] + 1, *b[i + 1:])
+                    if s not in sign:
+                        sign[s] = (sign[b] * _cocycle_sign(A, moved[b], units[sigma[i]])
+                                   * _cocycle_sign(A, b, units[i]))
+                        up.append(s)
+        level = up
+    orbits = {}  # folded root -> {parent root: its coefficient in e_a}
+    for b in sorted(sign):
+        a = tuple(sum(c for i, c in enumerate(b) if node[i] == k) for k in range(rs.rank))
+        if a in orbits:
+            continue
+        orbit = orbits[a] = {}
+        c = 1
+        while b not in orbit:
+            orbit[b] = c
+            b, c = moved[b], c * sign[b]
+        if c != 1:
+            raise RealizationError(
+                f"the automorphism of {parent} does not fix the orbit sum of e[{Root(b)}]"
+            )
+    out = {}
+    for a, b, s in _positive_pairs(rs):
+        t = next(iter(orbits[s]))  # its coefficient is 1
+        orbit_b, total = orbits[b], 0
+        for x, cx in orbits[a].items():
+            y = tuple(map(sub, t, x))
+            cy = orbit_b.get(y)
+            if cy:
+                total += cx * cy * _cocycle_sign(A, x, y)
+        out[(a, b)] = total
     return out
 
 
@@ -259,36 +261,24 @@ def _simply_laced_pos_constants(rs: RootSystem) -> dict:
 # The bracket table in closed form.
 # ---------------------------------------------------------------------------
 
-def _closed_form_basis(
-    rs: RootSystem, pos_constants: dict, n: dict | None = None
-) -> ChevalleyBasis:
-    """The basis whose [e_a, e_b] = N(a, b) e_{a+b} and (e_a, f_a) = n(a) for
-    positive a, b, under an invariant form ( , ).
+def _closed_form_basis(rs: RootSystem, pos_constants: dict) -> ChevalleyBasis:
+    """The Chevalley basis whose [e_a, e_b] = N(a, b) e_{a+b} for positive
+    a, b, with (e_a, f_a) = 2/(a, a) under an invariant form ( , ).
 
-    Every other bracket follows from N and n by invariance (Carter, Simple
-    Groups of Lie Type, Thm 4.1.2; Humphreys, Introduction to Lie Algebras and
+    Every other bracket follows from N by invariance (Carter, Simple Groups
+    of Lie Type, Thm 4.1.2; Humphreys, Introduction to Lie Algebras and
     Representation Theory, 25.2), with f_a scaled so that [f_a, f_b] =
     -N(a, b) f_{a+b}:
-      [e_a, f_a] = nu(a) h_a,  nu(a) = n(a)(a, a) / (n(theta)(theta, theta)),
-      [e_a, f_b] = -N(b, a-b) n(a)/n(a-b) e_{a-b}   if a - b > 0,
-      [e_a, f_b] =  N(b-a, a) n(b)/n(b-a) f_{b-a}   if b - a > 0,
-      [h_i, e_a] = a(h_i) e_a,  [h_i, f_a] = -a(h_i) f_a,
-    where h_a is the coroot of a and theta the highest root, so that
-    [e_theta, f_theta] = h_theta.  n defaults to the Chevalley value 2/(a, a),
-    for which nu = 1.  Only the nonzero N are walked: a mixed [e_a, f_b] is
-    nonzero exactly when a = b + c or b = a + c for a positive root c.
+      [e_a, f_a] = h_a, the coroot of a,
+      [e_a, f_b] = -N(b, a-b) (a-b, a-b)/(a, a) e_{a-b}   if a - b > 0,
+      [e_a, f_b] =  N(b-a, a) (b-a, b-a)/(b, b) f_{b-a}   if b - a > 0,
+      [h_i, e_a] = a(h_i) e_a,  [h_i, f_a] = -a(h_i) f_a.
+    Only the nonzero N are walked: a mixed [e_a, f_b] is nonzero exactly when
+    a = b + c or b = a + c for a positive root c.
     """
     roots = [r.decomp for r in rs.positive_roots]
     index = {a: i for i, a in enumerate(roots)}
     norm = {a: rs.inner(a, a) for a in roots}
-    # n(a) as an integer pair (numerator, denominator)
-    if n is None:
-        ratio = {a: (2, norm[a]) for a in roots}
-    else:
-        ratio = {a: (n[a].numerator, n[a].denominator) for a in roots}
-    theta = max(roots, key=sum)
-    tp, tq = ratio[theta]
-    theta_den = tp * norm[theta]
     m, rank, A, d = len(roots), rs.rank, rs.cartan_matrix, rs.symmetrizers
     built = {}
 
@@ -312,22 +302,18 @@ def _closed_form_basis(
     # (when x comes first), [e_s, f_x] (the case s - x = y > 0) and [e_y, f_s]
     # (the case s - y = x > 0); over all pairs that is every mixed bracket
     for (a, b), c in pos_constants.items():
-        for x, y, cn, cd in ((a, b, c.numerator, c.denominator),
-                             (b, a, -c.numerator, c.denominator)):
+        for x, y, cn in ((a, b, c), (b, a, -c)):
             ix, iy = index[x], index[y]
             s = tuple(map(add, x, y))
             i_s = index[s]
             if ix < iy:
-                put(ix, iy, i_s, cn, cd)
-                put(m + ix, m + iy, m + i_s, -cn, cd)
-            (ps, qs), (px, qx), (py, qy) = ratio[s], ratio[x], ratio[y]
-            put(i_s, m + ix, iy, -cn * ps * qy, cd * qs * py)
-            put(iy, m + i_s, m + ix, cn * ps * qx, cd * qs * px)
+                put(ix, iy, i_s, cn)
+                put(m + ix, m + iy, m + i_s, -cn)
+            put(i_s, m + ix, iy, -cn * norm[y], norm[s])
+            put(iy, m + i_s, m + ix, cn * norm[x], norm[s])
     for i, a in enumerate(roots):
-        p, q = ratio[a]
-        # nu(a) * 2 c d_k / (a, a) with nu(a) = n(a)(a, a) / (n(theta)(theta, theta))
-        h = [(2 * m + k, signed(2 * c * d[k] * p * tq, q * theta_den))
-             for k, c in enumerate(a) if c]
+        # h_a = sum_k c_k (2 d_k / (a, a)) h_k for a = sum_k c_k a_k
+        h = [(2 * m + k, signed(2 * c * d[k], norm[a])) for k, c in enumerate(a) if c]
         rows[i][m + i] = {k: pos for k, (pos, _) in h}
         rows[m + i][i] = {k: neg for k, (_, neg) in h}
         for k in range(rank):
@@ -339,14 +325,9 @@ def _closed_form_basis(
 
 
 def build_realization(rs: RootSystem) -> ChevalleyBasis:
-    series = rs.type.series
-    if series in "ABCD":
-        return _closed_form_basis(rs, *_matrix_constants(rs))
-    if series == "G":
-        return _closed_form_basis(rs, _G2_POS_CONSTANTS)
-    if series == "E":
+    if rs.type.series in "ADE":
         return _closed_form_basis(rs, _simply_laced_pos_constants(rs))
-    raise RealizationError(f"no classical realization for {rs.type}: not implemented yet")
+    return _closed_form_basis(rs, _folded_pos_constants(rs))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +342,10 @@ def killing_lambda(cb: ChevalleyBasis, alpha: Root) -> Fraction:
     1 / K(e, f) = 2 / (alpha(h) * sum_{gamma > 0} <gamma, alpha^v>^2).
     alpha(h) is read from the table entry [e_alpha, f_alpha], each coefficient
     of h_k weighted by alpha(h_k) = (A alpha)_k, the weight [h_k, e_alpha]
-    stores; a basis need not scale h to the coroot (for a short root of B,
-    [e, f] is H_i, not 2 H_i).  The pairing sum is
+    stores.  In build_realization's bases h is the coroot on every root, so
+    alpha(h) = 2; reading it keeps the formula right for a basis that scales
+    f_alpha otherwise, such as the matrix realization of so(2n+1), where
+    [e, f] is half the coroot on the short roots.  The pairing sum is
     4 * sum_{gamma > 0} (gamma, alpha)^2 / (alpha, alpha)^2
     = 4 * kappa / (alpha, alpha), with kappa = rs.pairing_ratio, the one
     constant that W-invariance of the form gives an irreducible root system.

@@ -182,26 +182,20 @@ def cmd_classical(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.degree_cap < 1:
-        print(f"error: --degree-cap must be at least 1, got {args.degree_cap}", file=sys.stderr)
-        return 64
+        raise ValueError(f"--degree-cap must be at least 1, got {args.degree_cap}")
     recipe = None
     case_flags = {"--type": args.series, "--rank": args.rank, "--beta": args.beta}
     if args.recipe:
         given = [flag for flag, value in case_flags.items() if value is not None]
         if given:
-            print(
-                f"error: --recipe names its own case; drop {', '.join(given)}",
-                file=sys.stderr,
-            )
-            return 64
+            raise ValueError(f"--recipe names its own case; drop {', '.join(given)}")
         with open(args.recipe, "r", encoding="utf-8") as fh:
             recipe = parse_recipe(json.load(fh))
         rs = build_root_system(recipe.cartan_type)
         beta = recipe.beta
     else:
         if None in case_flags.values():
-            print("error: provide --type/--rank/--beta or --recipe", file=sys.stderr)
-            return 64
+            raise ValueError("provide --type/--rank/--beta or --recipe")
         rs = _root_system(args)
         beta = parse_root(rs, args.beta)
     report = run_full_verification(

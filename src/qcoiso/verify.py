@@ -431,6 +431,24 @@ def classical_limits(recipe: GeneratorRecipe, cb) -> dict:
     return limits
 
 
+def generated_dim(cb, vectors, bound: int) -> int:
+    """The dimension of the Lie subalgebra the vectors generate, counted up
+    to bound: each new basis vector is bracketed with every earlier one."""
+    span, basis = FractionSpan(), []
+    for v in vectors:
+        if span.add(v):
+            basis.append(v)
+    k = 0
+    while k < len(basis) < bound:
+        x = basis[k]
+        for y in basis[:k]:
+            br = cb.bracket(x, y)
+            if br and span.add(br):
+                basis.append(br)
+        k += 1
+    return len(basis)
+
+
 def check_semiclassical(limits: dict, flatness: list, cb) -> bool:
     """The rendered flatness certificates specialize at q=1 to the classical
     brackets of the limits (see `classical_limits`)."""
@@ -554,6 +572,11 @@ def run_full_verification(
             return report
     if not span.contains(limits["K"]):
         report.stage_error = "K-monomial semiclassical element is outside the span"
+        return report
+    # and they must generate all of it, not a proper subalgebra
+    generated = generated_dim(cb, limits.values(), len(gens))
+    if generated < len(gens):
+        report.stage_error = f"classical limits generate {generated} of {len(gens)} dimensions"
         return report
     report.timings["classical_limit"] = time.monotonic() - t0
 

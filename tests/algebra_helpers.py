@@ -3,24 +3,24 @@ root lengths and the Coxeter number; on Q(q), regularity at q = 1; on the
 quantized Borel algebra, elements from term lists, the quotient basis of one
 degree, the algebra under a second word order and the q-commutation transfer
 harness; on the classical realization, leg-by-leg oracles for brackets and
-the coisotropy check, and the realization of a non-simply-laced type folded
-from its simply-laced parent; good Lyndon words as a prediction of the table
-bases.  No command needs them."""
+the coisotropy check, and bases of A-D and G2 built without the lattice
+cocycle (matrix realizations, the hand-typed G2 constants); good Lyndon words
+as a prediction of the table bases.  No command needs them."""
 
 from fractions import Fraction
 from itertools import combinations, product
 from operator import sub
 
 from qcoiso.classical import (
+    ChevalleyBasis,
     ClassicalReport,
     FractionSpan,
     _closed_form_basis,
-    _simply_laced_pos_constants,
     bivector,
 )
 from qcoiso.linalg import accumulate, vec_add_scaled
 from qcoiso.qfield import peval_one
-from qcoiso.rootsys import CartanType, RootSystemError, build_root_system
+from qcoiso.rootsys import RootSystemError
 from qcoiso.uqalg import NCPoly, UqBorel
 
 STRING_SCAN_BOUND = 4
@@ -184,80 +184,92 @@ def lyndon_basis(words, mu, nonincreasing=True):
     return sorted(out)
 
 
-# non-simply-laced type -> (simply-laced parent, its diagram automorphism
-# sigma on 0-based nodes, the folded node of each parent node)
-_FOLDS = {
-    "B": lambda n: (CartanType("D", n + 1), [*range(n - 1), n, n - 1], [*range(n), n - 1]),
-    "C": lambda n: (
-        CartanType("A", 2 * n - 1),
-        [2 * n - 2 - i for i in range(2 * n - 1)],
-        [min(i, 2 * n - 2 - i) for i in range(2 * n - 1)],
-    ),
-    "G": lambda n: (CartanType("D", 4), [2, 1, 3, 0], [0, 1, 0, 0]),
-    "F": lambda n: (CartanType("E", 6), [5, 1, 4, 3, 2, 0], [3, 0, 2, 1, 2, 3]),
+def root_matrices(rs) -> dict:
+    """The sparse matrix of e_a in the standard realization, per positive root a.
+
+    sl(n+1) acts on the weights L_1..L_{n+1}; sp(2n) and so(2n) on L_1..L_n,
+    -L_1..-L_n; so(2n+1) has one more weight 0 at index 2n.  In all four
+    f_a is the transpose of e_a, so only the e-matrices are kept.  Entries
+    are the integers 1 and -1.
+    """
+    series, n = rs.type.series, rs.rank
+    out = {}
+    for r in rs.positive_roots:
+        coords = rs.euclid_coords(r)
+        pos = [k for k, c in enumerate(coords) if c > 0]
+        neg = [k for k, c in enumerate(coords) if c < 0]
+        if series == "A":
+            mat = {(pos[0], neg[0]): 1}
+        elif neg:  # L_i - L_j
+            i, j = pos[0], neg[0]
+            mat = {(i, j): 1, (n + j, n + i): -1}
+        elif len(pos) == 2:  # L_i + L_j, i < j
+            i, j = pos
+            mat = {(i, n + j): 1, (j, n + i): 1 if series == "C" else -1}
+        elif series == "C":  # 2L_i
+            mat = {(pos[0], n + pos[0]): 1}
+        else:  # L_i, type B
+            mat = {(pos[0], 2 * n): 1, (2 * n, n + pos[0]): -1}
+        out[r.decomp] = mat
+    return out
+
+
+def mat_bracket(a, b):
+    """ab - ba for sparse matrices keyed by (row, column)."""
+    out = {}
+    for (r, c), v in a.items():
+        for (r2, c2), w in b.items():
+            if c == r2:
+                accumulate(out, [((r, c2), v * w)])
+            if c2 == r:
+                accumulate(out, [((r2, c), -v * w)])
+    return out
+
+
+# Positive-part constants of G2 over simple roots a=(1,0) short, b=(0,1) long,
+# anchored at [x_b, x_a] = x_{a+b} and closed under the Jacobi identity:
+#   [x_{a+b}, x_a] = 2 x_{2a+b},  [x_{2a+b}, x_a] = 3 x_{3a+b},
+#   [x_{3a+b}, x_b] = x_{3a+2b},  [x_{a+b}, x_{2a+b}] = 3 x_{3a+2b}.
+G2_POS_CONSTANTS = {
+    ((0, 1), (1, 0)): 1,
+    ((1, 1), (1, 0)): 2,
+    ((2, 1), (1, 0)): 3,
+    ((3, 1), (0, 1)): 1,
+    ((1, 1), (2, 1)): 3,
 }
 
 
-def folded_realization(rs):
-    """The realization of B_n, C_n, G2 or F4 as the sigma-fixed subalgebra of
-    its simply-laced parent (D_{n+1}, A_{2n-1}, D4, E6) built from the
-    parent's lattice cocycle (Carter, Simple Groups of Lie Type, ch. 13; Kac,
-    Infinite-Dimensional Lie Algebras, 7.9).
+def oracle_realization(rs):
+    """The basis of an A-D type or G2 from sources independent of the lattice
+    cocycle and its fold.
 
-    The automorphism with sigma(e_i) = e_{sigma i} on simple roots maps e_b to
-    s(b) e_{sigma b}; s is fixed by induction on height, from
-    s(g + a_i) = s(g) N(sigma g, a_{sigma i}) / N(g, a_i).  e_a is the orbit
-    sum of sigma^k(e_b) over the parent roots b folding to a, N(a, b) is read
-    off [e_a, e_b] and n(a) = (e_a, f_a) is the orbit size."""
-    parent, sigma, node = _FOLDS[rs.type.series](rs.rank)
-    prs = build_root_system(parent)
-    pcb = _closed_form_basis(prs, _simply_laced_pos_constants(prs))
-    idx, one = pcb.pos_index, Fraction(1)
-
-    def moved(b):
-        out = [0] * len(b)
-        for i, c in enumerate(b):
-            out[sigma[i]] += c
-        return tuple(out)
-
-    def unit(i):
-        return tuple(int(k == i) for k in range(prs.rank))
-
-    def n_const(x, i):
-        """N(x, a_i) of the parent."""
-        s = tuple(map(sum, zip(x, unit(i))))
-        return pcb.bracket({idx[x]: one}, {idx[unit(i)]: one})[idx[s]]
-
-    sign = {}
-    for root in sorted(prs.positive_roots, key=lambda r: sum(r.decomp)):
-        b = root.decomp
-        if sum(b) == 1:
-            sign[b] = one
-            continue
-        for i in range(prs.rank):
-            g = tuple(map(sub, b, unit(i)))
-            if prs.is_root(g):
-                break
-        sign[b] = sign[g] * n_const(moved(g), sigma[i]) / n_const(g, i)
-    vec = {}
-    for root in prs.positive_roots:
-        a = tuple(sum(c for i, c in enumerate(root.decomp) if node[i] == k) for k in range(rs.rank))
-        if a in vec:
-            continue
-        vec[a], b, c = {}, root.decomp, one
-        while idx[b] not in vec[a]:
-            vec[a][idx[b]] = c
-            b, c = moved(b), c * sign[b]
-        if c != 1:
-            raise AssertionError(f"sigma does not fix the orbit sum of e_{root}")
-    N = {}
-    for a, b in combinations([r.decomp for r in rs.positive_roots], 2):
-        s = tuple(map(sum, zip(a, b)))
-        if s in vec:
-            bracket = pcb.bracket(vec[a], vec[b])
-            k = next(iter(vec[s]))
-            c = bracket.get(k, 0) / vec[s][k]
-            if bracket != {j: c * x for j, x in vec[s].items()}:
-                raise AssertionError(f"[e_{a}, e_{b}] is not a multiple of e_{s}")
-            N[(a, b)] = c
-    return _closed_form_basis(rs, N, {a: Fraction(len(v)) for a, v in vec.items()})
+    For A-D every bracket is a matrix commutator in the standard realization,
+    written over e_a, f_a = e_a^T and the simple coroots h_i = c [e_i, f_i],
+    with c such that [h_i, e_i] = 2 e_i; no structure constant is derived.
+    [e_a, f_a] is then the coroot h_a, except on the short roots of B, where
+    it is h_a / 2.  G2 takes the hand-typed constants above through
+    `_closed_form_basis`."""
+    if rs.type.series == "G":
+        return _closed_form_basis(rs, G2_POS_CONSTANTS)
+    mats = root_matrices(rs)
+    positives = [r.decomp for r in rs.positive_roots]
+    es = [{k: Fraction(v) for k, v in mats[a].items()} for a in positives]
+    fs = [{(c, r): v for (r, c), v in e.items()} for e in es]
+    hs = []
+    for simple in rs.simple_roots:
+        j = positives.index(simple.decomp)
+        e, t = es[j], mat_bracket(es[j], fs[j])
+        cell = next(iter(e))
+        weight = mat_bracket(t, e)[cell] / e[cell]
+        hs.append({k: 2 * v / weight for k, v in t.items()})
+    basis = es + fs + hs
+    span = FractionSpan()
+    for i, x in enumerate(basis):
+        span.add(x, {i: Fraction(1)})
+    rows = [{} for _ in basis]
+    for i, j in combinations(range(len(basis)), 2):
+        comm = mat_bracket(basis[i], basis[j])
+        if comm:
+            vec = span.solve(comm)
+            rows[i][j], rows[j][i] = vec, {k: -v for k, v in vec.items()}
+    return ChevalleyBasis(rs=rs, rows=rows, pos_index={a: i for i, a in enumerate(positives)})

@@ -13,14 +13,14 @@ from algebra_helpers import (
     bracket_by_legs,
     check_coisotropic_direct,
     coxeter_number,
-    folded_realization,
+    oracle_realization,
     root_length_sq,
+    root_matrices,
 )
 from qcoiso import classical, cli
 from qcoiso.cli import main
 from qcoiso.classical import (
     RealizationError,
-    _root_matrices,
     ad_bivector,
     bivector,
     build_r_matrix,
@@ -52,41 +52,43 @@ def realization(series, rank):
     return _CACHE[key]
 
 
+# the matrix goldens test the oracle of tests/algebra_helpers.py
+
 def test_sl_matrix_golden():
     rs = build_root_system(CartanType("A", 2))
     r = parse_root(rs, "L1-L2")
-    assert _root_matrices(rs)[r.decomp] == {(0, 1): F1}
+    assert root_matrices(rs)[r.decomp] == {(0, 1): F1}
 
 
 def test_sp_matrix_golden():
     rs = build_root_system(CartanType("C", 2))
     r = parse_root(rs, "2L1")
-    assert _root_matrices(rs)[r.decomp] == {(0, 2): F1}
+    assert root_matrices(rs)[r.decomp] == {(0, 2): F1}
 
 
 def test_so_odd_matrix_golden():
     rs = build_root_system(CartanType("B", 2))
     r = parse_root(rs, "L1")
-    assert _root_matrices(rs)[r.decomp] == {(0, 4): F1, (4, 2): -F1}
+    assert root_matrices(rs)[r.decomp] == {(0, 4): F1, (4, 2): -F1}
 
 
 def test_traceless_and_form_antisymmetry():
     for series, rank in [("A", 3), ("B", 2), ("C", 3), ("D", 4)]:
         rs = build_root_system(CartanType(series, rank))
-        for m in _root_matrices(rs).values():
+        for m in root_matrices(rs).values():
             if series == "A":
                 assert sum(v for (r, c), v in m.items() if r == c) == 0
 
 
-def test_broken_root_matrix_is_rejected(monkeypatch):
-    # N(a, b) is read from one matrix cell; the rest of the commutator must
-    # agree with it
+def test_unfixed_orbit_sum_is_rejected(monkeypatch):
+    # reversing the nodes of A4 is a diagram automorphism, but it maps
+    # e[a2+a3] = [e2, e3] to [e3, e2] = -e[a2+a3], so that orbit sum is not
+    # fixed and the fold must refuse it (for B2, whose fold it replaces)
     rs = build_root_system(CartanType("B", 2))
-    mats = _root_matrices(rs)
-    r = parse_root(rs, "L1-L2").decomp
-    mats[r] = {k: abs(v) for k, v in mats[r].items()}
-    monkeypatch.setattr(classical, "_root_matrices", lambda rs: mats)
-    with pytest.raises(RealizationError):
+    monkeypatch.setitem(
+        classical._FOLDS, "B", lambda n: (CartanType("A", 4), [3, 2, 1, 0], [0, 1, 1, 0])
+    )
+    with pytest.raises(RealizationError, match=r"of A4 does not fix the orbit sum of e\[a2\+a3\]"):
         build_realization(rs)
 
 
@@ -100,7 +102,7 @@ def jacobi_defect(cb, x, y, z):
 
 def test_jacobi_random_triples():
     rng = random.Random(17)
-    for series, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("E", 6)]:
+    for series, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("E", 6), ("F", 4)]:
         rs, cb = realization(series, rank)
         for _ in range(25):
             xs = []
@@ -189,7 +191,7 @@ def test_killing_invariance():
             lhs = _ad_killing(cb, cb.bracket(x, y), z) + _ad_killing(cb, y, cb.bracket(x, z))
             assert lhs == 0
     cases = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
-             ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("E", 6)]
+             ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("E", 6), ("F", 4)]
     for series, rank in cases:
         rs, cb = realization(series, rank)
         for r in rs.positive_roots:
@@ -231,8 +233,8 @@ def test_r_matrix_rank_one():
 
 
 def test_ad_bivector_sl_golden():
-    # For beta = L1-L3 in sl(3):
-    #   [e_beta, pi] = lambda * (-2 e_{12} ^ e_{23} + e_{13} ^ (h1+h2))
+    # For beta = L1-L3 in sl(3), with [e_{12}, e_{23}] = N e_{13}:
+    #   [e_beta, pi] = lambda * (-2N e_{12} ^ e_{23} + e_{13} ^ (h1+h2))
     # matching the two-leg structure of the known formula up to the global
     # orientation of the bracket.
     rs, cb = realization("A", 2)
@@ -242,9 +244,11 @@ def test_ad_bivector_sl_golden():
     lam = killing_lambda(cb, beta)
     r12 = parse_root(rs, "L1-L2")
     r23 = parse_root(rs, "L2-L3")
+    n = cb.bracket(cb.e(r12), cb.e(r23))[cb.e_index(beta)]
+    assert n in (1, -1)
     expected = bivector(
         [
-            (cb.e_index(r12), cb.e_index(r23), -2 * lam),
+            (cb.e_index(r12), cb.e_index(r23), -2 * n * lam),
             (cb.e_index(beta), cb.h_index(0), lam),
             (cb.e_index(beta), cb.h_index(1), lam),
         ]
@@ -412,85 +416,147 @@ def test_master_equation_trivial():
 
 
 def test_abstract_ef_brackets_are_coroots():
-    # [e_a, f_a] = h_a, except h_a / 2 on the short roots of B (the matrix
-    # realization's [e, f] = H_i there, and the coroot is 2 H_i)
+    # [e_a, f_a] = h_a, the coroot, on every root of every type
     cases = [("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4),
-             ("G", 2), ("E", 6)]
+             ("G", 2), ("E", 6), ("F", 4)]
     for series, rank in cases:
         rs, cb = realization(series, rank)
-        longest = max(root_length_sq(rs, r) for r in rs.positive_roots)
         for r in rs.positive_roots:
             t = cb.bracket(cb.e(r), cb.f(r))
             # coroot coordinates over the simple coroot basis
             d = rs.symmetrizers
             lensq = root_length_sq(rs, r)
-            nu = Fraction(1, 2) if series == "B" and lensq < longest else F1
             expected = {}
             for i, c in enumerate(r.decomp):
                 if c:
-                    expected[cb.h_index(i)] = nu * Fraction(2 * c * d[i], lensq)
+                    expected[cb.h_index(i)] = Fraction(2 * c * d[i], lensq)
             assert t == expected, (series, r)
 
 
+# (test id, series, rank, pairs, table digest, r-matrix digest); a row keeps
+# the id it was first pinned under when it is re-pinned: the A-D and G2 rows
+# were re-pinned when their tables moved from the matrix realizations and the
+# hand-typed G2 constants to the cocycle and its fold, and the digest in
+# their ids is now the oracle's (_ORACLE_PINNED)
 _PINNED = [
-    ("A", 2, 28, "e37a8a1d7840a282ed87036c76f39535be9cc828801db98d92374cd57d9daa78",
+    ("A-2-28-e37a8a1d7840a282ed87036c76f39535be9cc828801db98d92374cd57d9daa78",
+     "A", 2, 28, "15d6b56961d854feeedde6c3cadfc34e02c8320ce9fe41fc7d974c9e97adc484",
      "ee2ad94f2485fb720b777454e508f1b3c21a9f0fbdfd109e3e6cfdd467f59d7c"),
-    ("A", 3, 105, "574517b9e6bd067d4563138998c670a9b179fdfcd4a2e86f83ecc72608f47fbd",
+    ("A-3-105-574517b9e6bd067d4563138998c670a9b179fdfcd4a2e86f83ecc72608f47fbd",
+     "A", 3, 105, "1ed27ca555107841416ce278dba6bf5e70ffdd57ce6a3919e6f4b14577fce60b",
      "b20c79859d12858c23307b7c1ddb5501501fb9ebc7fa5e3265c00a6d8b796137"),
-    ("A", 5, 595, "e6524a84b57ec7a4be9c6df7a1a292a0ea4fbcdb78a3ba0a4951619adfcb2783",
+    ("A-5-595-e6524a84b57ec7a4be9c6df7a1a292a0ea4fbcdb78a3ba0a4951619adfcb2783",
+     "A", 5, 595, "1ea371abe8513de1dc1630dfb8a6d863b53820aaab8642a7a06b39bc14c0c6ea",
      "348e707573c6eb01b07c2ee11b264f099709e2075b742b03cf5f74b44bf827d4"),
-    ("B", 2, 45, "2bb2cc70b52dba8adfea439d79a472f076767ea6ca4a87470e0a824a21355d17",
-     "29a21eb4204b296bdb679858ee7eb8b267fa73fb61de8f2161f1a31c36b67440"),
-    ("B", 3, 210, "4165aa4d55cdf53965545dc45fe577eaddb9769680fb4a257fd926a06afbb194",
-     "04273e8a7225aa290096bacb04ec218358d184627dd613699f358f3cb630c47a"),
-    ("B", 4, 630, "8d41780b1ffb9bbb490ac1183cadde198abf6778274fd8746ba8e669a694d538",
-     "9d4b483fcecc8715d5cf9bddb468a05a2f14ded92132b68f4ac73da056543a18"),
-    ("C", 2, 45, "421e8f1dadc7ea4699d3fb7480d858af8f3f0fe58ec2d15fbc377925ceb3c0a8",
+    ("B-2-45-2bb2cc70b52dba8adfea439d79a472f076767ea6ca4a87470e0a824a21355d17",
+     "B", 2, 45, "98d642318d62d82abfbc960c2aa29357e1881787ceec0e8ca40eeee466c67192",
+     "ee89d0ecc57b683658f87d1b2269ed9c9e86ae39c95863250b1f736c4ae6b98c"),
+    ("B-3-210-4165aa4d55cdf53965545dc45fe577eaddb9769680fb4a257fd926a06afbb194",
+     "B", 3, 210, "e648ae213dbd9d162f8cfd484f4a51c5111ce27c3308a718a5f8ea824e5cc6f2",
+     "c8e40f9133a879e1b2e439e3f9505b2b505d02acb1bcf1d413954f951b3a7a0e"),
+    ("B-4-630-8d41780b1ffb9bbb490ac1183cadde198abf6778274fd8746ba8e669a694d538",
+     "B", 4, 630, "66e8a2ad876c2571069beb2809e81bad7eb4f84fdf8938bcaf56519580c0f85f",
+     "325045107081ea9fd426287a59d565f492fce4a42d087979bdab9d22744f12d6"),
+    ("C-2-45-421e8f1dadc7ea4699d3fb7480d858af8f3f0fe58ec2d15fbc377925ceb3c0a8",
+     "C", 2, 45, "cf3a53b1cdee1354cabd4e89684e9b6a3289dfec331e422a0409bd41cae62a22",
      "b6e52724b4af1ff35ead24cb28168e79c1e903183f06d16d7adf913f014de584"),
-    ("C", 3, 210, "bf2ada1ecede53023119a5a06a0871f744656bae88d6849b02658e03d601c15f",
+    ("C-3-210-bf2ada1ecede53023119a5a06a0871f744656bae88d6849b02658e03d601c15f",
+     "C", 3, 210, "936fd26d01eefe319e80d2eb6004bd39a20c2f7c1c7ca02a12fead0829554c46",
      "6c1c6914dd7be686777688164460f81d94116ec0f107af69c2267a0114723ac8"),
-    ("C", 4, 630, "e70ced7279142ceb6756763617e3397d474b49956ed50fa898547f2d3c2e4b3d",
+    ("C-4-630-e70ced7279142ceb6756763617e3397d474b49956ed50fa898547f2d3c2e4b3d",
+     "C", 4, 630, "490e0abc6cade654d4a8adccd521e0374da2362b313ff2af2c7c109b3359975f",
      "a57c9eb04663404be12a521d69d6e2e7359a20737895887c2b517c10b31d381b"),
-    ("D", 4, 378, "86fe7e8f9aed4995fecb139fd904b0453dfd223db9a98b8cd4cb7df7959123dd",
+    ("D-4-378-86fe7e8f9aed4995fecb139fd904b0453dfd223db9a98b8cd4cb7df7959123dd",
+     "D", 4, 378, "84195c366c7c06443a0c15df97397da28337030be9e45ec3ed2dc7bf601555a1",
      "ae4d4d277312c99a2d300e63a02d84b34f75cbc20a8dc5b3a8b09c7ca47f69ab"),
-    ("D", 5, 990, "1ac987fa18f71e5ee33aae166d93f412aa367525079d3940d5eddf2d77087a92",
+    ("D-5-990-1ac987fa18f71e5ee33aae166d93f412aa367525079d3940d5eddf2d77087a92",
+     "D", 5, 990, "a027df4c8d41b98a0dd3c480b06a723ed6eb62010d5f4d8f29239fd5dc43fdcf",
      "fd4082acbe8441d4efce904594efb6825770e9257ef097d758bfb3ad4c8fb555"),
-    ("G", 2, 91, "05c431ec45db22173b7f8ad3ab7b5f7d269b56c674b27dfe230d634393954fd1",
+    ("G-2-91-05c431ec45db22173b7f8ad3ab7b5f7d269b56c674b27dfe230d634393954fd1",
+     "G", 2, 91, "1512612ec7e24bdb4f72cf1a54d39bc89de2ff78db0e5370216a0498c1c98324",
      "80724f70924c51bf1508b8a1c90c5d33224705696c0016d30c2f65e31ef7e40c"),
-    ("E", 6, 3003, "241fba8bfd9e4108e5d57d30dff89123b151e839d18ac6be03aecfbdcd530469",
+    ("E-6-3003-241fba8bfd9e4108e5d57d30dff89123b151e839d18ac6be03aecfbdcd530469",
+     "E", 6, 3003, "241fba8bfd9e4108e5d57d30dff89123b151e839d18ac6be03aecfbdcd530469",
      "64ba721ea4253bc2772e3fc1386e06c9fa42e8de1be54c78e5344b86be126bf8"),
-    ("E", 7, 8778, "6f6ee1418c2df68cfc9104b7bb837ff74468f911ebae8da4e1c58817be26b957",
+    ("E-7-8778-6f6ee1418c2df68cfc9104b7bb837ff74468f911ebae8da4e1c58817be26b957",
+     "E", 7, 8778, "6f6ee1418c2df68cfc9104b7bb837ff74468f911ebae8da4e1c58817be26b957",
      "c51ea5f4e8718cf36b2a7964de596f8bee4b81f78646eb75e8f434003275b7b7"),
+    ("F-4-1326-507e8f5b0176f0478cef6670ed387634b9afdf25d09e7c5ef012e7ee0a0d1d07",
+     "F", 4, 1326, "507e8f5b0176f0478cef6670ed387634b9afdf25d09e7c5ef012e7ee0a0d1d07",
+     "af7fd1ec66dfe94ff6f813d43b14b891de65d455f6d2998ffbad3383535920b5"),
 ]
 
 
-@pytest.mark.parametrize(
-    "series, rank, pairs, digest, r_digest",
-    _PINNED,
-    # the ids of the rows from before the r-matrix column
-    ids=["-".join(map(str, row[:4])) for row in _PINNED],
-)
-def test_exceptional_bracket_tables_are_pinned(series, rank, pairs, digest, r_digest):
-    # one line "i j k:v ..." per basis pair i < j, with the nonzero
-    # coefficients of [x_i, x_j] in index order, and one line "i j:c" per
-    # r-matrix term; every report is built on these, so any rebuild of them
-    # must match exactly.  Every coefficient must be a Fraction, in both
-    # orders: an int would turn SpanSolver's 1 / pivot into a float.  The
-    # name predates the A-D rows and the r-matrix.
-    rs, cb = realization(series, rank)
+def _table_digests(cb):
+    """(pair count, table digest, r-matrix digest, every coefficient): one
+    line "i j k:v ..." per basis pair i < j, with the nonzero coefficients of
+    [x_i, x_j] in index order, and one line "i j:c" per r-matrix term."""
     table = {(i, j): cb.bracket_basis(i, j) for i in range(cb.dim) for j in range(i + 1, cb.dim)}
-    assert len(table) == pairs
     text = "\n".join(
         f"{i} {j} " + " ".join(f"{k}:{v}" for k, v in sorted(vec.items()))
         for (i, j), vec in sorted(table.items())
     )
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
     pi = build_r_matrix(cb)
-    text = "\n".join(f"{i} {j}:{c}" for (i, j), c in sorted(pi.items()))
-    assert hashlib.sha256(text.encode()).hexdigest() == r_digest
+    r_text = "\n".join(f"{i} {j}:{c}" for (i, j), c in sorted(pi.items()))
     both = [cb.bracket_basis(j, i) for i, j in table] + list(table.values())
     coeffs = [v for vec in both for v in vec.values()] + list(pi.values())
+    return (len(table), hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(r_text.encode()).hexdigest(), coeffs)
+
+
+@pytest.mark.parametrize(
+    "series, rank, pairs, digest, r_digest",
+    [row[1:] for row in _PINNED],
+    ids=[row[0] for row in _PINNED],
+)
+def test_exceptional_bracket_tables_are_pinned(series, rank, pairs, digest, r_digest):
+    # every report is built on these tables, so any rebuild of them must
+    # match exactly.  Every coefficient must be a Fraction, in both orders:
+    # an int would turn SpanSolver's 1 / pivot into a float.  The name
+    # predates the A-D rows and the r-matrix.
+    rs, cb = realization(series, rank)
+    got_pairs, got_digest, got_r_digest, coeffs = _table_digests(cb)
+    assert (got_pairs, got_digest, got_r_digest) == (pairs, digest, r_digest)
     assert all(type(c) is Fraction for c in coeffs)
+
+
+# the A-D and G2 digests of the table above before the cocycle and its fold
+# replaced the matrix realizations and the hand-typed G2 constants
+_ORACLE_PINNED = [
+    ("A", 2, "e37a8a1d7840a282ed87036c76f39535be9cc828801db98d92374cd57d9daa78",
+     "ee2ad94f2485fb720b777454e508f1b3c21a9f0fbdfd109e3e6cfdd467f59d7c"),
+    ("A", 3, "574517b9e6bd067d4563138998c670a9b179fdfcd4a2e86f83ecc72608f47fbd",
+     "b20c79859d12858c23307b7c1ddb5501501fb9ebc7fa5e3265c00a6d8b796137"),
+    ("A", 5, "e6524a84b57ec7a4be9c6df7a1a292a0ea4fbcdb78a3ba0a4951619adfcb2783",
+     "348e707573c6eb01b07c2ee11b264f099709e2075b742b03cf5f74b44bf827d4"),
+    ("B", 2, "2bb2cc70b52dba8adfea439d79a472f076767ea6ca4a87470e0a824a21355d17",
+     "29a21eb4204b296bdb679858ee7eb8b267fa73fb61de8f2161f1a31c36b67440"),
+    ("B", 3, "4165aa4d55cdf53965545dc45fe577eaddb9769680fb4a257fd926a06afbb194",
+     "04273e8a7225aa290096bacb04ec218358d184627dd613699f358f3cb630c47a"),
+    ("B", 4, "8d41780b1ffb9bbb490ac1183cadde198abf6778274fd8746ba8e669a694d538",
+     "9d4b483fcecc8715d5cf9bddb468a05a2f14ded92132b68f4ac73da056543a18"),
+    ("C", 2, "421e8f1dadc7ea4699d3fb7480d858af8f3f0fe58ec2d15fbc377925ceb3c0a8",
+     "b6e52724b4af1ff35ead24cb28168e79c1e903183f06d16d7adf913f014de584"),
+    ("C", 3, "bf2ada1ecede53023119a5a06a0871f744656bae88d6849b02658e03d601c15f",
+     "6c1c6914dd7be686777688164460f81d94116ec0f107af69c2267a0114723ac8"),
+    ("C", 4, "e70ced7279142ceb6756763617e3397d474b49956ed50fa898547f2d3c2e4b3d",
+     "a57c9eb04663404be12a521d69d6e2e7359a20737895887c2b517c10b31d381b"),
+    ("D", 4, "86fe7e8f9aed4995fecb139fd904b0453dfd223db9a98b8cd4cb7df7959123dd",
+     "ae4d4d277312c99a2d300e63a02d84b34f75cbc20a8dc5b3a8b09c7ca47f69ab"),
+    ("D", 5, "1ac987fa18f71e5ee33aae166d93f412aa367525079d3940d5eddf2d77087a92",
+     "fd4082acbe8441d4efce904594efb6825770e9257ef097d758bfb3ad4c8fb555"),
+    ("G", 2, "05c431ec45db22173b7f8ad3ab7b5f7d269b56c674b27dfe230d634393954fd1",
+     "80724f70924c51bf1508b8a1c90c5d33224705696c0016d30c2f65e31ef7e40c"),
+]
+
+
+@pytest.mark.parametrize("series, rank, digest, r_digest", _ORACLE_PINNED,
+                         ids=[f"{s}{n}" for s, n, _, _ in _ORACLE_PINNED])
+def test_oracle_tables_are_the_former_shipped_tables(series, rank, digest, r_digest):
+    # the oracle derives no structure constant for A-D, yet it rebuilds the
+    # tables the closed form wrote from the matrix constants, entry for entry
+    rs = build_root_system(CartanType(series, rank))
+    assert _table_digests(oracle_realization(rs))[1:3] == (digest, r_digest)
 
 
 # sha256 over "exit code\nstdout" of `classical --type T --rank n --beta B
@@ -522,6 +588,7 @@ _CLASSICAL_PINNED = [
     ("E", 6, "1c1def5495d1fb46fe10ed61ac6a0bff77775b683b8aad25f94bcb1482a812b4"),
     ("E", 7, "48cbf1c60fc2409b11eb2c37f62e076141e72b9617d6de0d574f7f04e9bf18d4"),
     ("E", 8, "8ed5f7d8348680720e36203db2a8ab4e0c2e5e258016a1f1ef70bc11a3a591e4"),
+    ("F", 4, "9fa255843132a07409e02811fff1d357d31d456657b953687ece7f14aad61a0a"),
 ]
 
 
@@ -560,33 +627,31 @@ def _positive_constants(cb):
 @pytest.mark.parametrize("series, rank", [("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3),
                                           ("C", 4), ("G", 2)])
 def test_folded_realization_gives_the_same_classical_output(capsys, monkeypatch, series, rank):
-    # an independent oracle for the matrix and G2 tables: the fixed-point
-    # subalgebra of the simply-laced parent.  Its tables differ in sign
-    # convention and in B's short-root normalization, but every output
-    # of the command must not.
+    # the shipped fold against an independent oracle: the matrix realizations
+    # of so(2n+1) and sp(2n), and the hand-typed G2 constants.  Their tables
+    # differ in sign convention and in B's short-root normalization, but no
+    # output of the command may.
     rs = build_root_system(CartanType(series, rank))
-    # the outputs do not see a wrong sign or size of one N, so the shipped
-    # N must also equal the folded ones up to e_a -> c_a e_a, with c = 1 on
-    # the simple roots: N(a, b) c_{a+b} = c_a c_b N'(a, b)
-    shipped = _positive_constants(build_realization(rs))
-    folded = _positive_constants(folded_realization(rs))
+    # the outputs do not see a wrong sign or size of one N, so the folded N
+    # must also equal the oracle's up to e_a -> c_a e_a, with c = 1 on the
+    # simple roots: N(a, b) c_{a+b} = c_a c_b N'(a, b)
+    oracle = _positive_constants(oracle_realization(rs))
+    folded = _positive_constants(build_realization(rs))
     c = {r.decomp: F1 for r in rs.simple_roots}
     # by the height of a + b, so that c_a and c_b are known
-    for (a, b), n in sorted(shipped.items(), key=lambda item: sum(map(sum, item[0]))):
+    for (a, b), n in sorted(oracle.items(), key=lambda item: sum(map(sum, item[0]))):
         s = tuple(map(sum, zip(a, b)))
         c.setdefault(s, c[a] * c[b] * folded[(a, b)] / n)
         assert n * c[s] == c[a] * c[b] * folded[(a, b)], (a, b)
     expected = _classical_outputs(capsys, rs)
-    monkeypatch.setattr(cli, "build_realization", folded_realization)
+    monkeypatch.setattr(cli, "build_realization", oracle_realization)
     assert _classical_outputs(capsys, rs) == expected
 
 
-def test_folded_f4_classical_pattern_is_pinned(capsys, monkeypatch):
-    rs = build_root_system(CartanType("F", 4))
-    cb = folded_realization(rs)
+def test_folded_f4_classical_pattern_is_pinned(capsys):
+    rs, cb = realization("F", 4)
     for i, j, k in combinations(range(cb.dim), 3):
         assert not jacobi_defect(cb, {i: F1}, {j: F1}, {k: F1}), (i, j, k)
-    monkeypatch.setattr(cli, "build_realization", folded_realization)
     # the 12 admissible (long) roots pass, and so do three short ones; the
     # other 9 short roots fail closure and the master equation
     passing = {str(b) for b in admissible_positive_roots(rs)} | {"a3", "a4", "a3+a4"}

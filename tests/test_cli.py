@@ -233,12 +233,13 @@ def test_verify_root_without_recipe_fails_at_the_recipe_stage(capsys):
     )
 
 
-def test_f4_realization_is_reported_as_not_implemented(capsys):
-    # both commands need the classical realization, which F4 does not have
-    # yet; classical exits as a usage error, verify fails at its stage
-    message = "no classical realization for F4: not implemented yet"
-    code, out, err = run_cli(capsys, "classical", "--type", "F", "--rank", "4", "--beta", "a1")
-    assert (code, out, err) == (64, "", f"error: {message}\n")
+def test_f4_classical_passes_and_verify_stops_at_the_recipe_stage(capsys):
+    # F4 is realized by the fold of E6; its quantum side has no recipe yet
+    code, out, err = run_cli(
+        capsys, "classical", "--type", "F", "--rank", "4", "--beta", "a1", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checks"] == {"closure": True, "coideal": True, "master_equation": True}
     code, out, _ = run_cli(
         capsys, "verify", "--type", "F", "--rank", "4", "--beta", "a1",
         "--format", "json", "--no-timings",
@@ -246,7 +247,8 @@ def test_f4_realization_is_reported_as_not_implemented(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["verdict"] == "fail"
-    assert payload["stage_error"] == f"classical realization: {message}"
+    assert payload["classical"]["coisotropic"] is True
+    assert payload["stage_error"] == "recipe: no built-in recipes for type F4"
 
 
 def test_verify_g2_trivial_case(capsys):
@@ -561,6 +563,12 @@ def test_verify_without_a_case_exits_64(capsys):
     assert run_cli(capsys, "verify") == (
         64, "", "error: provide --type/--rank/--beta or --recipe\n"
     )
+
+
+def test_verify_zero_degree_cap_exits_64(capsys):
+    assert run_cli(
+        capsys, "verify", "--type", "A", "--rank", "2", "--beta", "L1-L3", "--degree-cap", "0"
+    ) == (64, "", "error: --degree-cap must be at least 1, got 0\n")
 
 
 def test_verify_rank_zero_is_an_invalid_rank(capsys):

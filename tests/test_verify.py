@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoiso import verify
-from qcoiso.classical import build_realization
+from qcoiso.classical import FractionSpan, build_realization
 from qcoiso.qfield import RatFunc, parse_ratfunc
 from qcoiso.recipes import Gen, QBr, GeneratorRecipe, builtin_recipe
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
@@ -23,6 +23,7 @@ from qcoiso.verify import (
     check_left_coideal,
     check_semiclassical,
     classical_limits,
+    generated_dim,
     run_full_verification,
     solve_identity,
 )
@@ -297,6 +298,59 @@ def test_k_monomial_outside_the_classical_span_fails(kmono, error):
     report = run_full_verification(rs, beta, recipe=recipe)
     assert report.stage_error == error
     assert report.verdict == ("fail" if error else "pass")
+
+
+@pytest.mark.parametrize(
+    "series, rank, lit, keep, generated",
+    [
+        ("A", 3, "L1-L4", {"X1"}, "2 of 6"),
+        # their data rows list no generator for a2+a3+a4+a5
+        ("E", 6, "a1+a2+a3+a4+a5", None, "9 of 10"),
+        ("E", 6, "a2+a3+a4+a5+a6", None, "9 of 10"),
+    ],
+)
+def test_limits_generating_a_proper_subalgebra_fail(series, rank, lit, keep, generated):
+    # each limit lies in the classical subalgebra, but together with the
+    # K-element they generate only part of it
+    rs = rs_of(series, rank)
+    beta = parse_root(rs, lit)
+    recipe = builtin_recipe(rs, beta)
+    if keep is not None:
+        recipe = dataclasses.replace(
+            recipe, generators=[g for g in recipe.generators if g[0] in keep]
+        )
+    report = run_full_verification(rs, beta, recipe=recipe)
+    assert report.stage_error == f"classical limits generate {generated} dimensions"
+    assert report.verdict == "fail"
+
+
+def _closure_by_rounds(cb, vectors):
+    """The Lie closure's dimension: bracket every pair of a basis, round
+    after round, until a round adds nothing."""
+    span = FractionSpan()
+    basis = [v for v in vectors if span.add(v)]
+    while True:
+        new = [br for x in basis for y in basis
+               if (br := cb.bracket(x, y)) and span.add(br)]
+        if not new:
+            return len(basis)
+        basis += new
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([("A", 3, "L1-L4"), ("B", 3, "L1+L2"), ("D", 4, "L1+L2"),
+                        ("G", 2, "3a1+2a2")]), st.data())
+def test_generated_dim_matches_closure_by_rounds(case, data):
+    series, rank, lit = case
+    rs = rs_of(series, rank)
+    cb = build_realization(rs)
+    limits = list(classical_limits(builtin_recipe(rs, parse_root(rs, lit)), cb).values())
+    subset = data.draw(st.lists(st.sampled_from(limits), max_size=len(limits)))
+    full = _closure_by_rounds(cb, subset)
+    assert generated_dim(cb, subset, cb.dim) == full
+    # a smaller bound may stop the count early, never short of the bound
+    bound = data.draw(st.integers(1, full + 1))
+    assert min(full, bound) <= generated_dim(cb, subset, bound) <= full
 
 
 def test_fit_q1_clears_a_pole_with_the_saturated_nullspace():
