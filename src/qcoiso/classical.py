@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from operator import add, mul, sub
 
 from .linalg import SpanSolver, accumulate, vec_add_scaled
@@ -65,8 +66,8 @@ class ChevalleyBasis:
     2m..2m+rank-1 the simple coroots h_i.  rows[i][j] is the nonzero bracket
     [x_i, x_j], stored in both orders (rows[j][i] is its negative); a pair
     with a zero bracket has no entry.  The rows are written by
-    _closed_form_basis from the positive structure constants N, and every
-    stored vector is shared with callers, who only read it.
+    _closed_form_basis from the positive structure constants N.  Callers only
+    read the stored vectors: each is shared, a one-entry one between entries.
     """
 
     rs: RootSystem
@@ -291,12 +292,18 @@ def _closed_form_basis(rs: RootSystem, pos_constants: dict) -> ChevalleyBasis:
         return hit
 
     rows = [{} for _ in range(2 * m + rank)]
+    leaves = {}
 
     def put(i, j, k, num, den=1):
-        """[x_i, x_j] = num/den x_k, and [x_j, x_i] its negative."""
-        pos, neg = signed(num, den)
-        rows[i][j] = {k: pos}
-        rows[j][i] = {k: neg}
+        """[x_i, x_j] = num/den x_k, and [x_j, x_i] its negative.  Rows are
+        read only, so they share one {k: v} per k and value v."""
+        g = gcd(num, den)
+        for a, b, n in ((i, j, num // g), (j, i, -num // g)):
+            key = (k, n, den // g)
+            leaf = leaves.get(key)
+            if leaf is None:
+                leaf = leaves[key] = {k: signed(n, den // g)[0]}
+            rows[a][b] = leaf
 
     # each nonzero N(x, y), in both orders, with s = x + y, gives [e_x, e_y]
     # (when x comes first), [e_s, f_x] (the case s - x = y > 0) and [e_y, f_s]

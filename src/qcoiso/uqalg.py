@@ -42,11 +42,13 @@ over every template expresses an element over this basis only, since each
 stored row's tag combines independent templates; the basis is independent, so
 that expression is unique, and a solve over the basis alone returns the same
 coefficients.  The basis is found once per content by one untagged
-elimination and lives as long as the algebra; the search stops once the basis
-has the ideal's dimension at the content (its words less its quotient basis),
-as every later template is then dependent.  That search, like the relation
-rows of the tables, runs over one relation per commuting pair: for a_ij = 0,
-R_ji = -R_ij, and R_ij comes first, so no R_ji template is ever in the basis.
+elimination and its labels live as long as the algebra, each template's word
+vector rebuilt from its relation when a solve needs it; the search stops once
+the basis has the ideal's dimension at the content (its words less its
+quotient basis), as every later template is then dependent.  That search,
+like the relation rows of the tables, runs over one relation per commuting
+pair: for a_ij = 0, R_ji = -R_ij, and R_ij comes first, so no R_ji template
+is ever in the basis.
 A certificate is re-expanded by concatenating words, as every K-prefix
 stands left of every E.  The on-disk cache stores tables only, keyed by the
 Cartan matrix and symmetrizers; the memo, the bases and the label lists stay
@@ -172,8 +174,8 @@ class UqBorel:
         self._nf = {}
         # one object per distinct coefficient value in tables and memo
         self._coeffs = {}
-        # content -> greedy basis [(label, {word: coeff})] of the u.R.v
-        # templates, as bare dicts: an NCPoly would refer back to the algebra
+        # content -> greedy basis [(u, ij, v)] of the u.R.v templates, as
+        # labels: each vector is rebuilt from self._serre when it is solved
         self._ideal_bases = {}
         # (generator degrees, kexp, weight, min_factors) -> product labels
         self._products = {}
@@ -482,7 +484,7 @@ class UqBorel:
                 hit = words[content] = _words_of_content(content)
             return hit
 
-        for ij, (rel_content, rel) in relations.items():
+        for ij, (rel_content, _) in relations.items():
             rem = tuple(m - c for m, c in zip(mu, rel_content))
             if any(c < 0 for c in rem):
                 continue
@@ -490,11 +492,11 @@ class UqBorel:
                 vs = words_of(tuple(a - b for a, b in zip(rem, ucontent)))
                 for u in words_of(ucontent):
                     for v in vs:
-                        yield (u, ij, v), {u + w + v: c for w, c in rel.items()}
+                        yield (u, ij, v), _placed(relations, (u, ij, v))
 
     def _ideal_basis(self, mu):
-        """The greedy basis of the templates at content mu, as word vectors:
-        the templates independent of every template before them.  It is
+        """The greedy basis of the templates at content mu, as labels: the
+        templates independent of every template before them.  It is
         searched over the generating relations only: a template of R_ji for
         a commuting pair is the negative of the R_ij template at the same
         place, which comes first, so it is never in the basis.  The search
@@ -510,7 +512,7 @@ class UqBorel:
                 if len(basis) == dim:
                     break
                 if span.add(vec):
-                    basis.append((label, vec))
+                    basis.append(label)
             self._ideal_bases[mu] = basis
         return basis
 
@@ -520,15 +522,16 @@ class UqBorel:
         The element is split into multihomogeneous components; each must lie
         in the ideal at its own content.  K-prefixes factor out unchanged.
         Each component is solved over the greedy basis of the templates at its
-        content, memoized on the algebra: the expression over the basis is
-        unique, and it is the one a solve over every template returns.
+        content, memoized as labels on the algebra: the expression over the
+        basis is unique, and it is the one a solve over every template returns.
         """
         from .linalg import solve_linear_combination
 
         solution = {}
         for (kexp, mu), comp in x.components().items():
             target = {w: c for (_, w), c in comp.terms.items()}
-            coeffs, _ = solve_linear_combination(self._ideal_basis(mu), target)
+            basis = ((t, _placed(self._serre, t)) for t in self._ideal_basis(mu))
+            coeffs, _ = solve_linear_combination(basis, target)
             if coeffs is None:
                 return None
             accumulate(solution, (((kexp, label), c) for label, c in coeffs.items()))
@@ -676,6 +679,12 @@ class _NFTable:
 
 # the only classes a table cache file may name: {(module, name): class}
 _CACHE_CLASSES = {(c.__module__, c.__qualname__): c for c in (_NFTable, RatFunc)}
+
+
+def _placed(relations, label):
+    """The word vector of the template u . R_ij . v labelled (u, ij, v)."""
+    u, ij, v = label
+    return {u + w + v: c for w, c in relations[ij][1].items()}
 
 
 def _subcontents(content):

@@ -38,6 +38,7 @@ from itertools import combinations
 
 from .classical import (
     FractionSpan,
+    RealizationError,
     ad_bivector,
     build_r_matrix,
     build_realization,
@@ -538,7 +539,7 @@ def run_full_verification(
     t0 = time.monotonic()
     try:
         cb = build_realization(rs)
-    except Exception as exc:  # noqa: BLE001 - reported, not raised
+    except RealizationError as exc:
         report.stage_error = f"classical realization: {exc}"
         return report
     pi = build_r_matrix(cb)

@@ -17,7 +17,7 @@ from algebra_helpers import (
     root_length_sq,
     root_matrices,
 )
-from qcoiso import classical, cli
+from qcoiso import classical, cli, verify
 from qcoiso.cli import main
 from qcoiso.classical import (
     RealizationError,
@@ -31,6 +31,7 @@ from qcoiso.classical import (
     killing_lambda,
 )
 from qcoiso.linalg import vec_add_scaled
+from qcoiso.recipes import RecipeError, builtin_recipe
 from qcoiso.rootsys import (
     CartanType,
     build_root_system,
@@ -518,6 +519,37 @@ def test_exceptional_bracket_tables_are_pinned(series, rank, pairs, digest, r_di
     got_pairs, got_digest, got_r_digest, coeffs = _table_digests(cb)
     assert (got_pairs, got_digest, got_r_digest) == (pairs, digest, r_digest)
     assert all(type(c) is Fraction for c in coeffs)
+
+
+@pytest.mark.parametrize("series, rank", [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("G", 2),
+                                          ("F", 4), ("E", 6)])
+def test_shared_table_leaves_are_never_written(series, rank):
+    # the closed form stores one {k: v} per k and value, shared by every
+    # entry that brackets to it, so a caller that wrote into a returned
+    # vector would change other brackets; every reader leaves the table as
+    # it was built
+    rs = build_root_system(CartanType(series, rank))
+    cb = build_realization(rs)
+    before = _table_digests(cb)
+    limits_run = 0
+    for beta in admissible_positive_roots(rs):
+        pi = build_r_matrix(cb)
+        delta = ad_bivector(cb, cb.e(beta), pi)
+        gens = coisotropic_generators(cb, delta)
+        check_coisotropic(cb, pi, gens)
+        check_master_equation(cb, cb.e(beta), pi)
+        try:
+            recipe = builtin_recipe(rs, beta)
+        except RecipeError:
+            continue
+        limits = verify.classical_limits(recipe, cb)
+        verify.generated_dim(cb, limits.values(), len(gens))
+        limits_run += 1
+    assert limits_run or series == "F"
+    assert _table_digests(cb) == before
+    # and a return to one vector per entry shows
+    leaves = [vec for row in cb.rows for vec in row.values() if len(vec) == 1]
+    assert len({id(vec) for vec in leaves}) == len({next(iter(vec.items())) for vec in leaves})
 
 
 # the A-D and G2 digests of the table above before the cocycle and its fold

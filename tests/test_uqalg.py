@@ -15,6 +15,7 @@ from qcoiso.uqalg import (
     NCPoly,
     UqAlgebraError,
     UqBorel,
+    _placed,
 )
 from algebra_helpers import (
     RevlexBorel,
@@ -464,9 +465,20 @@ def test_ideal_basis_skips_the_second_relation_of_a_commuting_pair(case):
     warm = alg.ideal_membership(x)
     assert list(warm.items()) == list(expected.items())
     for _, mu in x.components():
-        basis = [label for label, _ in alg._ideal_basis(mu)]
+        basis = alg._ideal_basis(mu)
         assert basis == _greedy_labels(alg.ideal_templates(mu))
         assert any(ij == (0, 2) for _, ij, _ in basis)
+    _assert_bases_are_labels(alg)
+
+
+def _assert_bases_are_labels(alg):
+    """Every memoized ideal basis holds template labels (u, ij, v) of words
+    and a relation index, and no word vector."""
+    for basis in alg._ideal_bases.values():
+        for label in basis:
+            assert type(label) is tuple and len(label) == 3
+            assert all(type(part) is tuple for part in label)
+            assert not any(isinstance(x, dict) for part in label for x in part)
 
 
 def test_ideal_certificate_expansion_matches_multiplication():
@@ -513,12 +525,16 @@ def test_ideal_basis_search_stops_at_the_ideal_dimension(series, rank):
             for label, vec in alg._template_vectors(mu, alg._generating)
             if span.add(vec)
         ]
-        assert alg._ideal_basis(mu) == full
+        basis = alg._ideal_basis(mu)
+        assert basis == [label for label, _ in full]
+        # each label rebuilds the word vector the template search yielded
+        assert [_placed(alg._serre, label) for label in basis] == [vec for _, vec in full]
         # the words of content mu are the distinct orderings of its letters
         words = set(permutations([i for i, m in enumerate(mu) for _ in range(m)]))
         assert len(full) == len(words) - len(alg.table(mu).basis)
         nonzero += bool(full)
     assert nonzero
+    _assert_bases_are_labels(alg)
 
 
 def test_ideal_membership_ijkj():

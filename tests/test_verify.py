@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoiso import verify
-from qcoiso.classical import FractionSpan, build_realization
+from qcoiso.classical import FractionSpan, RealizationError, build_realization
 from qcoiso.qfield import RatFunc, parse_ratfunc
 from qcoiso.recipes import Gen, QBr, GeneratorRecipe, builtin_recipe
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
@@ -568,6 +568,29 @@ def test_finished_algebra_is_freed_without_gc(monkeypatch):
         assert memos and all(bases and products for bases, products in memos)
     finally:
         gc.enable()
+
+
+def test_realization_error_is_a_stage_error(monkeypatch):
+    def refuse(rs):
+        raise RealizationError("no table for this type")
+
+    monkeypatch.setattr(verify, "build_realization", refuse)
+    rs = rs_of("A", 2)
+    report = run_full_verification(rs, parse_root(rs, "L1-L3"))
+    assert report.stage_error == "classical realization: no table for this type"
+    assert report.verdict == "fail"
+
+
+def test_programming_error_in_the_realization_propagates(monkeypatch):
+    # only a refused realization is a verdict; any other error is a bug and
+    # must surface as one, not read as "fail"
+    def broken(rs):
+        raise KeyError((1, 0))
+
+    monkeypatch.setattr(verify, "build_realization", broken)
+    rs = rs_of("A", 2)
+    with pytest.raises(KeyError):
+        run_full_verification(rs, parse_root(rs, "L1-L3"))
 
 
 def test_run_full_verification_inadmissible():
