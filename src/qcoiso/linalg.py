@@ -83,7 +83,10 @@ class SpanSolver:
     def add(self, vec: dict, tag: dict | None = None) -> bool:
         """Insert a vector; returns True if it increased the rank.
 
-        A dependent tagged vector leaves its reduced tag in `nullrows`.
+        A dependent tagged vector leaves its reduced tag in `nullrows`; the
+        stored tags hold only earlier vectors' labels, so a fresh tag
+        {label: 1} keeps its own label there with coefficient 1, which
+        `UqBorel.difference_membership` relies on.
         """
         vec, tag, pivot = self.reduce(vec, tag)
         if pivot is None:

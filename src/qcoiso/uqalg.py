@@ -28,12 +28,14 @@ command): a memo on the algebra maps words to normal-form vectors, which
 callers share and only read, and tables and memo intern their coefficients
 (one object per value).  The product-span solve never expands a generator
 product: the normal form of p * g comes from that of its label prefix p, by
-folding each basis word b of nf(p) through the words of g with the K-crossing
-factor of b.  This holds because the ideal is two-sided and a basis word folds
-to itself.  Products are enumerated as labels ("A*B*C"), and
-`label_product` is the one place a labelled product is multiplied out, for
-the certificates that name it; the label lists are memoized per algebra by
-the generators' degrees and the target multidegree.
+folding each basis word b of nf(p) through the basis words of nf(g) with the
+K-crossing factor of b.  This holds because the ideal is two-sided and a basis
+word folds to itself.  A commutator, the difference of two products, is read
+off the relations its multidegree's products leave, unreduced.  Products are
+enumerated as labels ("A*B*C"), and `label_product` is the one place a
+labelled product is multiplied out, for the certificates that name it; the
+label lists are memoized per algebra by the generators' degrees and the
+target multidegree.
 
 Ideal certificates are solved over the greedy basis of the u . R . v
 templates at a content: the templates, in `ideal_templates` order, that are
@@ -577,6 +579,8 @@ class UqBorel:
                         nfactors + 1,
                         tuple(map(sub, rem, deg)),
                     ))
+        # sorted as strings: `difference_membership` reads a dependent label
+        # as the largest key of the relation it leaves
         out.sort()
         self._products[key] = out
         return list(out)
@@ -602,31 +606,50 @@ class UqBorel:
         products modulo the ideal.  Solving stops at the first component
         outside the span.
         """
-        from .linalg import solve_linear_combination
-
-        coeffs, nullspace = {}, []
-        gen_map, nfs = dict(gens), {}
+        coeffs, nullspace, nfs = {}, [], {}
         for (kexp, mu), comp in x.components().items():
-            templates = [
-                (label, self._product_nf(label, gen_map, nfs))
-                for label in self.generator_products(gens, kexp, mu, min_factors)
-            ]
-            sol, null = solve_linear_combination(templates, self._word_nf(comp))
+            sol, null = self._product_solve(gens, kexp, mu, min_factors, nfs, self._word_nf(comp))
             nullspace.extend(null)
             if sol is None:
                 return None, nullspace
             vec_add_scaled(coeffs, sol)
         return coeffs, nullspace
 
+    def difference_membership(self, left, right, gens, multidegree):
+        """`subspace_membership(left - right, gens, 1)` for two labelled
+        products of one multidegree, read off their elimination in sorted
+        label order (`generator_products`): the relation a dependent label
+        leaves holds it with coefficient 1 (`SpanSolver.add`) as its largest
+        key, and its other entries, negated, express it over the independent
+        labels, uniquely, as a solve of left - right would."""
+        _, nullspace = self._product_solve(gens, *multidegree, 1, {}, {})
+        own = {max(row): row for row in nullspace}
+        left_expr, right_expr = (
+            {k: -c for k, c in own[label].items() if k != label} if label in own
+            else {label: RF_ONE}
+            for label in (left, right)
+        )
+        return vec_add_scaled(left_expr, right_expr, -RF_ONE), nullspace
+
+    def _product_solve(self, gens, kexp, mu, min_factors, nfs, target):
+        """Solve target over the product normal forms at (kexp, mu), in label order."""
+        from .linalg import solve_linear_combination
+
+        gen_map = dict(gens)
+        return solve_linear_combination((
+            (label, self._product_nf(label, gen_map, nfs))
+            for label in self.generator_products(gens, kexp, mu, min_factors)
+        ), target)
+
     def _product_nf(self, label, gen_map, nfs):
         """Normal form of the labelled generator product, by basis word.
 
         The product p * g is never expanded: with nf(p) from the label prefix
         and the ideal two-sided, nf(p * g) is the sum of
-        nf(p)[b] * c * q^s * nf(b + w) over basis words b and terms c K^k E_w
-        of g, where q^s is the cost of moving K^k left past E_b (the same for
-        every b, as p is multihomogeneous).  nfs memoizes labels for one
-        generator set.
+        nf(p)[b] * q^s * nf(g)[w] * nf(b + w) over basis words b of nf(p)
+        and w of nf(g), where q^s is the cost of moving g's K^k left past E_b
+        (the same for every b, as p is multihomogeneous).  nfs memoizes
+        labels, single generators too, for one generator set.
         """
         vec = nfs.get(label)
         if vec is not None:
@@ -636,14 +659,14 @@ class UqBorel:
             vec = self._word_nf(self.one() if label == "1" else gen_map[label])
         else:
             pvec = self._product_nf(prefix, gen_map, nfs)
-            g = gen_map[name]
+            gvec = self._product_nf(name, gen_map, nfs)
             vec = {}
             if pvec:
-                gk = next(iter(g.terms))[0]
+                gk = next(iter(gen_map[name].terms))[0]
                 _, scale = self.term_mul((gk, next(iter(pvec))), (gk, ()))
                 for b, c in pvec.items():
                     c = c * scale
-                    for (_, w), cg in g.terms.items():
+                    for w, cg in gvec.items():
                         vec_add_scaled(vec, self._word_vec(b, w), c * cg)
         nfs[label] = vec
         return vec

@@ -7,13 +7,17 @@ q-Serre ideal.  The flatness check expresses each commutator of generators as
 (degree-one part) + (coefficients vanishing at q = 1) * (generator products)
 modulo the ideal, in two phases: an exact affine solve over Q(q), then a
 rational solve for the q = 1 constraints over the solution set.  Both checks
-solve through the one product-span solve, `UqBorel.subspace_membership`.
+solve through the one product-span elimination: the coideal check with
+`UqBorel.subspace_membership`, the flatness check with
+`UqBorel.difference_membership`, which reads each commutator off its
+relations.
 
 A certificate is checked against the algebra, not against the solve: the
 products with a nonzero coefficient are multiplied out from the generators,
 and the residual (target minus the combination) must lie in the q-Serre
 ideal, witnessed by an explicit relation combination when small and by the
-quotient normal form otherwise.
+quotient normal form otherwise; the residual is folded only when no
+combination is found.
 
 Certificates are what each stage hands on.  Both checks return report
 entries, plain dicts with the certificates rendered as they are made: one per
@@ -53,7 +57,7 @@ from .linalg import (
     vec_add_scaled,
 )
 from .qfield import RF_ONE, RatFunc, parse_ratfunc, products_memoized
-from .recipes import GeneratorRecipe, builtin_recipe, classical_limit_expr
+from .recipes import GeneratorRecipe, RecipeError, builtin_recipe, classical_limit_expr
 from .rootsys import Root, RootSystem, is_admissible
 from .uqalg import DegreeOverflowError, NCPoly, UqAlgebraError, UqBorel, render_monomial
 
@@ -77,20 +81,20 @@ def _certificate(kind, coefficients, residual_check, detail):
 
 
 def _ideal_part_certificate(alg, residual: NCPoly):
-    """(ok, detail) for an ideal residual: explicit combination when small."""
+    """(ok, detail) for an ideal residual: an explicit combination when
+    small, solved first; the normal form only when there is none."""
     if not residual:
         return True, {"ideal_part": "zero"}
+    small = residual.degree() <= IDEAL_CERTIFICATE_DEGREE
+    cert = alg.ideal_membership(residual) if small else None
+    if cert is not None:
+        ok = alg.expand_ideal_certificate(cert) == residual
+        return ok, {"ideal_part": "explicit", "ideal_terms": len(cert)}
+    # no witness: the normal form tells a residual outside the ideal apart
     if alg.nf_components(residual):
         return False, {"ideal_part": "not in the ideal"}
-    if residual.degree() <= IDEAL_CERTIFICATE_DEGREE:
-        cert = alg.ideal_membership(residual)
-        if cert is None:
-            return False, {"ideal_part": "normal form vanished but no certificate"}
-        ok = alg.expand_ideal_certificate(cert) == residual
-        return ok, {
-            "ideal_part": "explicit",
-            "ideal_terms": len(cert),
-        }
+    if small:
+        return False, {"ideal_part": "normal form vanished but no certificate"}
     return True, {"ideal_part": "normal-form verified"}
 
 
@@ -276,7 +280,7 @@ def _flatness_entry(alg, gen_i, gen_j, egens):
         return {**entry, "verdict": "pass", "xprime": "0", "certificate": cert}
     if need > alg.max_degree:
         return _over_cap(alg, entry, need)
-    return {**entry, **_solve_flatness_pair(alg, c_poly, egens)}
+    return {**entry, **_solve_flatness_pair(alg, name_i, name_j, c_poly, egens)}
 
 
 def _over_cap(alg, entry, need):
@@ -284,20 +288,18 @@ def _over_cap(alg, entry, need):
     return {**entry, "verdict": "unverified", "note": note}
 
 
-def _solve_flatness_pair(alg, c_poly, egens):
+def _solve_flatness_pair(alg, name_i, name_j, c_poly, egens):
     """Verdict, xprime and certificate of one nonzero commutator within the
     cap.
 
-    The "outside span(products) + ideal" fail is kept as a guard, though no
-    input is known to reach it: for multihomogeneous generators the
-    commutator is g_i*g_j - g_j*g_i, and `generator_products` lists both of
-    those products, so a particular solution always exists."""
-    particular, nullspace = alg.subspace_membership(c_poly, egens, min_factors=1)
-    if particular is None:
-        return {
-            "verdict": "fail",
-            "note": "commutator is outside span(products) + ideal",
-        }
+    The commutator is the difference of the products name_i*name_j and
+    name_j*name_i, both among the labels of its multidegree, so its
+    particular solution and nullspace are read off the products' own
+    elimination, and always exist; the certificate's residual ties them to
+    the algebra."""
+    particular, nullspace = alg.difference_membership(
+        f"{name_i}*{name_j}", f"{name_j}*{name_i}", egens, c_poly.multidegree()
+    )
     # the single generators are the labels without a product sign
     labels = set(particular).union(*nullspace)
     degree_one = {label for label in labels if "*" not in label}
@@ -559,7 +561,7 @@ def run_full_verification(
     if recipe is None:
         try:
             recipe = builtin_recipe(rs, beta)
-        except Exception as exc:  # noqa: BLE001
+        except RecipeError as exc:
             report.stage_error = f"recipe: {exc}"
             return report
     # classical-limit consistency, generators first, in recipe order

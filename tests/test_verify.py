@@ -4,6 +4,7 @@ import json
 import random
 import weakref
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from qcoiso import verify
 from qcoiso.classical import FractionSpan, RealizationError, build_realization
 from qcoiso.qfield import RatFunc, parse_ratfunc
-from qcoiso.recipes import Gen, QBr, GeneratorRecipe, builtin_recipe
+from qcoiso.linalg import solve_linear_combination
+from qcoiso.recipes import Gen, QBr, GeneratorRecipe, RecipeError, builtin_recipe
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
 from qcoiso.uqalg import UqBorel
 from qcoiso.verify import (
@@ -154,18 +156,29 @@ def test_certify_rejects_a_scaled_coefficient(monkeypatch, check):
 
 
 def test_subspace_membership_multiplies_nothing(monkeypatch):
-    # the targets are the coideal left coefficients and the commutators of
-    # A3 at L1-L4, formed before nc_mul is made to raise
+    # the targets are the coideal left coefficients of A3 at L1-L4 and the
+    # commutators of its flatness pairs, read through difference_membership;
+    # each commutator is formed, as the difference of its two products,
+    # before nc_mul is made to raise, and solved again by subspace_membership
     rs, beta, recipe, alg = _case("A", 3, "L1-L4")
-    solves = []
-    solve = alg.subspace_membership
+    solves, differences = [], []
+    solve, difference = alg.subspace_membership, alg.difference_membership
 
     def recording(x, gens, min_factors=0):
         result = solve(x, gens, min_factors)
         solves.append(((x, gens, min_factors), result))
         return result
 
+    def recording_difference(left, right, gens, multidegree):
+        args = (left, right, gens, multidegree)
+        result = difference(*args)
+        gen_map = dict(gens)
+        x = alg.label_product(left, gen_map) - alg.label_product(right, gen_map)
+        differences.append((args, x, result))
+        return result
+
     monkeypatch.setattr(alg, "subspace_membership", recording)
+    monkeypatch.setattr(alg, "difference_membership", recording_difference)
     check_left_coideal(recipe, alg)
     check_flatness(recipe, alg)
 
@@ -173,10 +186,96 @@ def test_subspace_membership_multiplies_nothing(monkeypatch):
         raise AssertionError("the product-span solve multiplied a product out")
 
     monkeypatch.setattr(UqBorel, "nc_mul", refuse)
-    assert {args[2] for args, _ in solves} == {0, 1}
+    assert {args[2] for args, _ in solves} == {0}
+    assert differences
     for args, result in solves:
         assert result[0] is not None
         assert solve(*args) == result
+    for args, x, result in differences:
+        assert difference(*args) == result
+        assert solve(x, args[2], 1) == result
+
+
+@pytest.mark.parametrize(
+    "series, rank, lit",
+    [("A", 3, "L1-L4"), ("B", 3, "L1+L2"), ("C", 3, "2L1"), ("G", 2, "3a1+2a2")],
+)
+def test_flatness_pairs_read_off_the_product_relations(series, rank, lit):
+    # the particular solution and nullspace read off the products'
+    # elimination are those of a solve of the commutator's normal form over
+    # the product normal forms, the route they replace
+    rs, beta, recipe, alg = _case(series, rank, lit)
+    egens = recipe.evaluate(alg)
+    gen_map = dict(egens)
+    pairs = 0
+    for (a, ga), (b, gb) in combinations(egens, 2):
+        c_poly = alg.nc_mul(ga, gb) - alg.nc_mul(gb, ga)
+        if not c_poly or c_poly.degree() > alg.max_degree:
+            continue
+        kexp, mu = c_poly.multidegree()
+        nfs = {}
+        templates = [
+            (label, alg._product_nf(label, gen_map, nfs))
+            for label in alg.generator_products(egens, kexp, mu, 1)
+        ]
+        target = alg.nf_components(c_poly).get((kexp, mu), {})
+        expected = solve_linear_combination(templates, target)
+        assert expected[0] is not None
+        got = alg.difference_membership(f"{a}*{b}", f"{b}*{a}", egens, (kexp, mu))
+        assert got == expected, (a, b)
+        pairs += 1
+    assert pairs
+
+
+def _explicit_residuals(monkeypatch):
+    """[(alg, residual, result)] of every `_ideal_part_certificate` call with
+    an explicit ideal part made by the two checks on A3 at L1-L4."""
+    rs, beta, recipe, alg = _case("A", 3, "L1-L4")
+    calls = []
+    part = verify._ideal_part_certificate
+
+    def recording(alg, residual):
+        result = part(alg, residual)
+        # the coideal check adds its right leg to the detail it is handed
+        calls.append((alg, residual, (result[0], dict(result[1]))))
+        return result
+
+    monkeypatch.setattr(verify, "_ideal_part_certificate", recording)
+    check_left_coideal(recipe, alg)
+    check_flatness(recipe, alg)
+    monkeypatch.undo()
+    explicit = [call for call in calls if call[2][1]["ideal_part"] == "explicit"]
+    assert explicit
+    return explicit
+
+
+def test_explicit_ideal_part_folds_nothing(monkeypatch):
+    # at degree <= IDEAL_CERTIFICATE_DEGREE the certificate is solved first,
+    # so a residual it witnesses is never folded to its normal form
+    def refuse(x):
+        raise AssertionError("an explicit residual was folded")
+
+    for alg, residual, result in _explicit_residuals(monkeypatch):
+        assert residual.degree() <= verify.IDEAL_CERTIFICATE_DEGREE
+        assert result[0]
+        monkeypatch.setattr(alg, "nf_components", refuse)
+        assert verify._ideal_part_certificate(alg, residual) == result
+        monkeypatch.undo()
+
+
+def test_ideal_residual_without_certificate_is_not_a_pass(monkeypatch):
+    # with no certificate the fold still tells "in the ideal" apart, and at
+    # small degree that is a failed certificate, not a pass
+    for alg, residual, _ in _explicit_residuals(monkeypatch):
+        monkeypatch.setattr(alg, "ideal_membership", lambda x: None)
+        assert verify._ideal_part_certificate(alg, residual) == (
+            False, {"ideal_part": "normal form vanished but no certificate"}
+        )
+        monkeypatch.undo()
+        outside = residual + alg.gen(0) * alg.gen(1)
+        assert verify._ideal_part_certificate(alg, outside) == (
+            False, {"ideal_part": "not in the ideal"}
+        )
 
 
 def test_flatness_a3_golden_pair():
@@ -588,6 +687,28 @@ def test_programming_error_in_the_realization_propagates(monkeypatch):
         raise KeyError((1, 0))
 
     monkeypatch.setattr(verify, "build_realization", broken)
+    rs = rs_of("A", 2)
+    with pytest.raises(KeyError):
+        run_full_verification(rs, parse_root(rs, "L1-L3"))
+
+
+def test_recipe_error_is_a_stage_error(monkeypatch):
+    def refuse(rs, beta):
+        raise RecipeError("no built-in recipe for this root")
+
+    monkeypatch.setattr(verify, "builtin_recipe", refuse)
+    rs = rs_of("A", 2)
+    report = run_full_verification(rs, parse_root(rs, "L1-L3"))
+    assert report.stage_error == "recipe: no built-in recipe for this root"
+    assert report.verdict == "fail"
+
+
+def test_programming_error_in_a_recipe_builder_propagates(monkeypatch):
+    # only a refused recipe is a verdict; a failing builder is a bug
+    def broken(rs, beta):
+        raise KeyError("a2")
+
+    monkeypatch.setattr(verify, "builtin_recipe", broken)
     rs = rs_of("A", 2)
     with pytest.raises(KeyError):
         run_full_verification(rs, parse_root(rs, "L1-L3"))
