@@ -23,17 +23,27 @@ quotient basis (the non-pivot words) and the rewrite map used for folding at
 the next degree up.  The candidate words at mu all have one length, and they
 are ordered as words (deglex, the one word order).
 
-Each word is folded to its normal form once per algebra (one `verify`
-command): a memo on the algebra maps words to normal-form vectors, which
-callers share and only read, and tables and memo intern their coefficients
-(one object per value).  The product-span solve never expands a generator
-product: the normal form of p * g comes from that of its label prefix p, by
-folding each basis word b of nf(p) through the basis words of nf(g) with the
-K-crossing factor of b.  This holds because the ideal is two-sided and a basis
-word folds to itself.  A commutator, the difference of two products, is read
-off the relations its multidegree's products leave, unreduced.  Products are
+Every normal form comes from one fold, `_fold`, over a vector of states
+{suffix: {basis word: coeff}} whose suffixes all have one length: a step
+moves the first letter of each suffix onto its state's basis words through
+the raise map of the next table, and states left with equal suffixes merge,
+so a tail that many words share is folded once.  `nf_components` folds the
+raw words of a component as one vector and `nf_word` one word.  The words of
+a table's relation row are folded one at a time: merging their states would
+reorder the row's entries, and with them the stored tables.  The
+product-span solve never expands a generator product: the normal form of
+p * g is the fold of the states {w: q^s * nf(g)[w] * nf(p)} over the basis
+words w of nf(g), nf(p) from the label prefix p and q^s the K-crossing
+factor of p.  This holds because the ideal is two-sided and a basis word
+folds to itself.  Folds return fresh vectors and nothing is memoized by
+word: the intermediate states live for one call.  An element keeps its own
+word normal form once computed (`UqBorel._word_nf`), so a generator is
+folded once per check, and tables intern their coefficients (one object per
+value).  A commutator, the difference of two products, is read off the
+relations its multidegree's products leave, unreduced.  Products are
 enumerated as labels ("A*B*C"), and `label_product` is the one place a
-labelled product is multiplied out, for the certificates that name it; the
+labelled product is multiplied out, for the certificates that name it, but
+for the two products a flatness pair has formed for its commutator; the
 label lists are memoized per algebra by the generators' degrees and the
 target multidegree.
 
@@ -53,8 +63,8 @@ pair: for a_ij = 0, R_ji = -R_ij, and R_ij comes first, so no R_ji template
 is ever in the basis.
 A certificate is re-expanded by concatenating words, as every K-prefix
 stands left of every E.  The on-disk cache stores tables only, keyed by the
-Cartan matrix and symmetrizers; the memo, the bases and the label lists stay
-in memory.  A cache file is read through an unpickler that admits only the
+Cartan matrix and symmetrizers; the bases and the label lists stay in
+memory.  A cache file is read through an unpickler that admits only the
 table and coefficient classes.
 """
 
@@ -93,12 +103,15 @@ class NCPoly:
     """A Borel element: {(kexp, word): coefficient} with zero coefficients
     stripped.  Instances are treated as immutable."""
 
-    __slots__ = ("alg", "terms", "_multidegree")
+    __slots__ = ("alg", "terms", "_multidegree", "_normal_form")
 
     def __init__(self, alg, terms):
         self.alg = alg
         self.terms = terms
         self._multidegree = None
+        # the word normal form of a multihomogeneous element, set by
+        # `UqBorel._word_nf`
+        self._normal_form = None
 
     def __bool__(self):
         return bool(self.terms)
@@ -171,10 +184,7 @@ class UqBorel:
         self.rank = rs.rank
         self.max_degree = max_degree
         self._tables = {}
-        # word -> normal form over the quotient basis; entries are shared
-        # with every caller and never change, as the tables never do
-        self._nf = {}
-        # one object per distinct coefficient value in tables and memo
+        # one object per distinct coefficient value in the tables
         self._coeffs = {}
         # content -> greedy basis [(u, ij, v)] of the u.R.v templates, as
         # labels: each vector is rebuilt from self._serre when it is solved
@@ -342,7 +352,7 @@ class UqBorel:
             for b in self._tables[nu].basis:
                 row = {}
                 for w, c in rel.items():
-                    vec = self._fold_word(b, w[:-1], nu)
+                    vec = self._fold({w[:-1]: {b: RF_ONE}}, nu)
                     last = w[-1]
                     accumulate(row, ((col[bw + (last,)], c * cc) for bw, cc in vec.items()))
                 relations.add(row)
@@ -363,55 +373,65 @@ class UqBorel:
         }
         return _NFTable(basis=basis, raise_map=raise_map)
 
-    def _fold_word(self, b, letters, start_mu):
-        """Normal form of the word b + letters, starting from basis word b."""
-        vec = {b: RF_ONE}
-        mu = list(start_mu)
-        for l in letters:
-            mu[l] += 1
-            tbl = self._tables[tuple(mu)]
-            rm = tbl.raise_map[l]
-            nxt = {}
-            for bw, c in vec.items():
-                vec_add_scaled(nxt, rm[bw], c)
-            vec = nxt
-        return vec
+    def _fold(self, states, mu):
+        """Fold a nonempty vector of states through the tables down to the
+        empty suffix, and return the vector they sum to over the quotient
+        basis.
 
-    def _word_vec(self, b, letters):
-        """Memoized normal form of the word b + letters, for a basis word b.
-
-        The returned vector is the memo's own entry: read it, never mutate it.
+        A state {suffix: {b: c}} stands for the sum of c * (b + suffix); every
+        suffix has one length, and every basis word b passed in has content
+        mu.  A step moves the first letter of each suffix onto the basis words
+        of its state through the raise map of the table one letter up, and
+        merges the states left with equal suffixes, so a tail that many words
+        share is folded once.  The tables the fold reads must exist.  The
+        vectors passed in are only read; the one returned is fresh unless the
+        suffixes were empty.
         """
-        word = b + letters
-        vec = self._nf.get(word)
-        if vec is None:
-            self.table(self.content_of(word))
-            folded = self._fold_word(b, letters, self.content_of(b))
-            vec = self._nf[word] = self._interned(folded.items())
-        return vec
+        tables = self._tables
+        staged = {suffix: (mu, vec) for suffix, vec in states.items()}
+        for _ in range(len(next(iter(states)))):
+            nxt = {}
+            for suffix, (mu, vec) in staged.items():
+                l, rest = suffix[0], suffix[1:]
+                mu = mu[:l] + (mu[l] + 1,) + mu[l + 1:]
+                rm = tables[mu].raise_map[l]
+                hit = nxt.get(rest)
+                if hit is None:
+                    hit = nxt[rest] = (mu, {})
+                out = hit[1]
+                for b, c in vec.items():
+                    vec_add_scaled(out, rm[b], c)
+            staged = nxt
+        return staged[()][1]
 
     def _interned(self, items):
         """A vector from (key, coefficient) pairs, storing one object per
-        distinct coefficient value: tables and memo hold thousands of
-        coefficients but only tens of values."""
+        distinct coefficient value: tables hold thousands of coefficients but
+        only tens of values."""
         coeffs = self._coeffs
         return {k: coeffs.setdefault(c, c) for k, c in items}
 
     def nf_word(self, word):
-        """Normal form of a raw word as a vector over the quotient basis.
-
-        The vector is shared through the algebra's memo: read it, never
-        mutate it.
-        """
-        return self._word_vec((), tuple(word))
+        """Normal form of a raw word as a fresh vector over the quotient basis."""
+        word = tuple(word)
+        self.table(self.content_of(word))
+        return self._fold({word: {(): RF_ONE}}, (0,) * self.rank)
 
     def nf_components(self, x: NCPoly):
-        """Normal forms per (kexp, content): {key: {basis word: coeff}}."""
-        out = {}
+        """Normal forms per (kexp, content), {key: {basis word: coeff}}, as
+        fresh vectors: the raw words of each component are folded together,
+        as one vector of states."""
+        zero = (0,) * self.rank
+        states = {}
         for (kexp, word), c in x.terms.items():
-            key = (kexp, self.content_of(word))
-            vec_add_scaled(out.setdefault(key, {}), self._word_vec((), word), c)
-        return {k: v for k, v in out.items() if v}
+            states.setdefault((kexp, self.content_of(word)), {})[word] = {(): c}
+        out = {}
+        for key, words in states.items():
+            self.table(key[1])
+            vec = self._fold(words, zero)
+            if vec:
+                out[key] = vec
+        return out
 
     def _cache_key(self):
         """What a cache file must name to serve this algebra: the word order
@@ -648,8 +668,10 @@ class UqBorel:
         and the ideal two-sided, nf(p * g) is the sum of
         nf(p)[b] * q^s * nf(g)[w] * nf(b + w) over basis words b of nf(p)
         and w of nf(g), where q^s is the cost of moving g's K^k left past E_b
-        (the same for every b, as p is multihomogeneous).  nfs memoizes
-        labels, single generators too, for one generator set.
+        (the same for every b, as p is multihomogeneous).  So it is one fold,
+        from the states {w: q^s * nf(g)[w] * nf(p)}.  nfs memoizes labels,
+        single generators too, for one generator set; a single generator's
+        vector is its own cached normal form (`_word_nf`), read only.
         """
         vec = nfs.get(label)
         if vec is not None:
@@ -661,19 +683,27 @@ class UqBorel:
             pvec = self._product_nf(prefix, gen_map, nfs)
             gvec = self._product_nf(name, gen_map, nfs)
             vec = {}
-            if pvec:
+            if pvec and gvec:
                 gk = next(iter(gen_map[name].terms))[0]
-                _, scale = self.term_mul((gk, next(iter(pvec))), (gk, ()))
-                for b, c in pvec.items():
-                    c = c * scale
-                    for w, cg in gvec.items():
-                        vec_add_scaled(vec, self._word_vec(b, w), c * cg)
+                b = next(iter(pvec))
+                _, scale = self.term_mul((gk, b), (gk, ()))
+                mu = self.content_of(b)
+                self.table(tuple(map(add, mu, self.content_of(next(iter(gvec))))))
+                states = {}
+                for w, cg in gvec.items():
+                    cg = scale * cg
+                    states[w] = {b: c * cg for b, c in pvec.items()}
+                vec = self._fold(states, mu)
         nfs[label] = vec
         return vec
 
     def _word_nf(self, x: NCPoly):
-        """Normal form of a multihomogeneous x, keyed by basis word alone."""
-        return next(iter(self.nf_components(x).values()), {})
+        """Normal form of a multihomogeneous x, keyed by basis word alone;
+        computed once per element and kept on it, so callers only read it."""
+        vec = x._normal_form
+        if vec is None:
+            vec = x._normal_form = next(iter(self.nf_components(x).values()), {})
+        return vec
 
     def combination(self, coeffs, polys) -> NCPoly:
         """sum(c * polys[label] for label, c in coeffs.items()), in one pass."""

@@ -207,16 +207,21 @@ def _generator_entry(name, status, certificates, witness=""):
     return entry
 
 
-def _certify(alg, target, coeffs, gens):
+def _certify(alg, target, coeffs, gens, formed=None):
     """(ok, detail) for target = sum of coeffs[label] * (labelled product)
     modulo the ideal.
 
     The products with a nonzero coefficient are multiplied out from the
     generator polynomials, independently of the normal forms the solve used,
-    and the residual target - combination must lie in the ideal.
+    and the residual target - combination must lie in the ideal.  formed
+    maps labels to products the caller has already multiplied out with
+    `nc_mul`; those are not multiplied again.
     """
-    gen_map = dict(gens)
-    polys = {label: alg.label_product(label, gen_map) for label in coeffs}
+    gen_map, formed = dict(gens), formed or {}
+    polys = {
+        label: formed[label] if label in formed else alg.label_product(label, gen_map)
+        for label in coeffs
+    }
     return _ideal_part_certificate(alg, target - alg.combination(coeffs, polys))
 
 
@@ -274,13 +279,15 @@ def _flatness_entry(alg, gen_i, gen_j, egens):
     need = gi.degree() + gj.degree()
     if need > alg.max_degree and _commutator_provably_nonzero(gi, gj):
         return _over_cap(alg, entry, need)
-    c_poly = alg.nc_mul(gi, gj) - alg.nc_mul(gj, gi)
+    ij, ji = f"{name_i}*{name_j}", f"{name_j}*{name_i}"
+    formed = {ij: alg.nc_mul(gi, gj), ji: alg.nc_mul(gj, gi)}
+    c_poly = formed[ij] - formed[ji]
     if not c_poly:
         cert = _certificate("flatness-pair", {}, True, {"commutator": "zero"})
         return {**entry, "verdict": "pass", "xprime": "0", "certificate": cert}
     if need > alg.max_degree:
         return _over_cap(alg, entry, need)
-    return {**entry, **_solve_flatness_pair(alg, name_i, name_j, c_poly, egens)}
+    return {**entry, **_solve_flatness_pair(alg, c_poly, formed, egens)}
 
 
 def _over_cap(alg, entry, need):
@@ -288,18 +295,16 @@ def _over_cap(alg, entry, need):
     return {**entry, "verdict": "unverified", "note": note}
 
 
-def _solve_flatness_pair(alg, name_i, name_j, c_poly, egens):
+def _solve_flatness_pair(alg, c_poly, formed, egens):
     """Verdict, xprime and certificate of one nonzero commutator within the
     cap.
 
-    The commutator is the difference of the products name_i*name_j and
-    name_j*name_i, both among the labels of its multidegree, so its
-    particular solution and nullspace are read off the products' own
-    elimination, and always exist; the certificate's residual ties them to
-    the algebra."""
-    particular, nullspace = alg.difference_membership(
-        f"{name_i}*{name_j}", f"{name_j}*{name_i}", egens, c_poly.multidegree()
-    )
+    The commutator is the difference of the two products in formed,
+    {"Gi*Gj": Gi Gj, "Gj*Gi": Gj Gi}, both among the labels of its
+    multidegree, so its particular solution and nullspace are read off the
+    products' own elimination, and always exist; the certificate's residual
+    ties them to the algebra, without multiplying those two again."""
+    particular, nullspace = alg.difference_membership(*formed, egens, c_poly.multidegree())
     # the single generators are the labels without a product sign
     labels = set(particular).union(*nullspace)
     degree_one = {label for label in labels if "*" not in label}
@@ -319,7 +324,7 @@ def _solve_flatness_pair(alg, name_i, name_j, c_poly, egens):
             v1 = coeffs[label].eval_at_one()
             if v1:
                 xprime_parts.append(f"{v1}*{label}")
-    ok, detail = _certify(alg, c_poly, coeffs, egens)
+    ok, detail = _certify(alg, c_poly, coeffs, egens, formed)
     return {
         "verdict": "pass" if ok else "fail",
         "xprime": " + ".join(xprime_parts) if xprime_parts else "0",

@@ -1,8 +1,8 @@
 """Helpers for the tests: on root systems, root strings by scan, squared
 root lengths and the Coxeter number; on Q(q), regularity at q = 1; on the
 quantized Borel algebra, elements from term lists, the quotient basis of one
-degree, the algebra under a second word order and the q-commutation transfer
-harness; on the classical realization, leg-by-leg oracles for brackets and
+degree, the algebra under a second word order, a word-by-word reference fold
+and the q-commutation transfer harness; on the classical realization, leg-by-leg oracles for brackets and
 the coisotropy check, and bases of A-D and G2 built without the lattice
 cocycle (matrix realizations, the hand-typed G2 constants); good Lyndon words
 as a prediction of the table bases.  No command needs them."""
@@ -19,7 +19,7 @@ from qcoiso.classical import (
     bivector,
 )
 from qcoiso.linalg import accumulate, vec_add_scaled
-from qcoiso.qfield import peval_one
+from qcoiso.qfield import RF_ONE, peval_one
 from qcoiso.rootsys import RootSystemError
 from qcoiso.uqalg import NCPoly, UqBorel
 
@@ -79,6 +79,30 @@ def quotient_basis(alg, degree: int):
             out.extend(alg.table(mu).basis)
     out.sort(key=alg.order_key)
     return out
+
+
+def reference_nf_word(alg, word) -> dict:
+    """The normal form of a raw word, folded on its own from the empty word,
+    one letter at a time through the raise maps of the algebra's tables."""
+    vec, mu = {(): RF_ONE}, [0] * alg.rank
+    for l in word:
+        mu[l] += 1
+        rm = alg.table(tuple(mu)).raise_map[l]
+        nxt = {}
+        for b, c in vec.items():
+            vec_add_scaled(nxt, rm[b], c)
+        vec = nxt
+    return vec
+
+
+def reference_nf_components(alg, x) -> dict:
+    """`UqBorel.nf_components` word by word: {(kexp, content): vector} over
+    the nonzero components, each the sum of c * reference_nf_word(w)."""
+    out = {}
+    for (kexp, word), c in x.terms.items():
+        key = (kexp, alg.content_of(word))
+        vec_add_scaled(out.setdefault(key, {}), reference_nf_word(alg, word), c)
+    return {key: vec for key, vec in out.items() if vec}
 
 
 def check_qcommute_closure(alg, a, b, c, pa, pb, pc, mirror=False):

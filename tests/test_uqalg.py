@@ -646,7 +646,7 @@ def test_generator_products_reject_mixed_generators():
 def test_product_normal_forms_match_expansion(case):
     """Normal forms taken from the label prefix (never expanding p * g)
     equal the normal forms of the expanded products; the shared algebra's
-    memo is warm from earlier examples, a fresh algebra's is cold."""
+    tables are warm from earlier examples, a fresh algebra's are cold."""
     alg, gens, (kexp, content), min_factors = case
     cold, reference = UqBorel(alg.rs), UqBorel(alg.rs)
     warm_nfs, cold_nfs = {}, {}
@@ -657,9 +657,19 @@ def test_product_normal_forms_match_expansion(case):
         expected = expected.get((kexp, content), {})
         assert alg._product_nf(label, dict(gens), warm_nfs) == expected, label
         assert cold._product_nf(label, dict(gens), cold_nfs) == expected, label
-        # the warm memo agrees with the reference's fold from the empty word
+        # the warm tables agree with the reference's
         for _, word in poly.terms:
             assert alg.nf_word(word) == reference.nf_word(word)
+
+
+def test_product_normal_form_with_a_vanishing_factor_is_empty():
+    # a generator in the ideal has the empty normal form, and so has every
+    # product it is a factor of, on either side
+    alg = alg_of("A", 2)
+    gen_map = {"E1": alg.gen(0), "R": alg.serre_relations()[(0, 1)]}
+    for label in ("R", "E1*R", "R*E1", "E1*R*E1"):
+        assert alg._product_nf(label, gen_map, {}) == {}, label
+    assert alg._product_nf("E1*E1", gen_map, {}) == alg.nf_word((0, 0))
 
 
 # (type, rank, degree): every multidegree of total degree 1..degree is checked

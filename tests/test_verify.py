@@ -3,7 +3,6 @@ import gc
 import json
 import random
 import weakref
-from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from qcoiso import verify
 from qcoiso.classical import FractionSpan, RealizationError, build_realization
-from qcoiso.qfield import RatFunc, parse_ratfunc
+from qcoiso.qfield import RF_ONE, RatFunc, parse_ratfunc
 from qcoiso.linalg import solve_linear_combination
 from qcoiso.recipes import Gen, QBr, GeneratorRecipe, RecipeError, builtin_recipe
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
@@ -29,7 +28,13 @@ from qcoiso.verify import (
     run_full_verification,
     solve_identity,
 )
-from algebra_helpers import RevlexBorel, check_qcommute_closure, from_terms
+from algebra_helpers import (
+    RevlexBorel,
+    check_qcommute_closure,
+    from_terms,
+    reference_nf_components,
+    reference_nf_word,
+)
 from tensor_oracles import tensor, tensor_nf_is_zero, tensor_sub
 
 _RS = {}
@@ -123,14 +128,15 @@ def test_coideal_negative_control_a3():
 
 def _recorded_certificates(monkeypatch, check):
     """[(alg, target, coeffs, gens, result)] of every `_certify` call made by
-    check (check_left_coideal or check_flatness) on A3 at L1-L4."""
+    check (check_left_coideal or check_flatness) on A3 at L1-L4; the
+    products a flatness pair hands in already formed are not recorded."""
     rs, beta, recipe, alg = _case("A", 3, "L1-L4")
     calls = []
     certify = verify._certify
 
-    def recording(*args):
-        result = certify(*args)
-        calls.append((*args, result))
+    def recording(alg, target, coeffs, gens, formed=None):
+        result = certify(alg, target, coeffs, gens, formed)
+        calls.append((alg, target, coeffs, gens, result))
         return result
 
     monkeypatch.setattr(verify, "_certify", recording)
@@ -608,41 +614,120 @@ def test_run_full_verification_a2():
     assert js["verdict"] == "pass"
 
 
-def test_each_word_folds_from_empty_once(monkeypatch):
-    """The algebra memoizes word normal forms across the whole run, so no
-    word is folded from the empty word twice, and no caller has mutated a
-    shared memo vector by the end.  Table builds fold relation words into
-    their rows and are not counted."""
-    fold, build = UqBorel._fold_word, UqBorel._build_table
-    from_empty = Counter()
-    algs = {}
-    building = []
+# one algebra per type, shared by the examples, so its tables fill up as
+# they go; every element stays within degree 6
+_FOLD_ALGS = {}
+_FOLD_COEFFS = ["1", "-1", "q", "q^-2", "q + q^-1", "2*q^3 - 1"]
 
-    def counting(self, b, letters, start_mu):
-        algs[id(self)] = self
-        if not b and not building:
-            from_empty[id(self), tuple(letters)] += 1
-        return fold(self, b, letters, start_mu)
 
-    def flagged(self, mu):
-        building.append(mu)
-        try:
-            return build(self, mu)
-        finally:
-            building.pop()
+@st.composite
+def _fold_elements(draw):
+    """(algebra, element) on A3, B3, C3 or G2: raw terms that mix components,
+    plus parts whose normal form is zero, a placed Serre relation K^k u R v
+    and a word minus its own normal form, alone in a component or not."""
+    series, rank = draw(st.sampled_from([("A", 3), ("B", 3), ("C", 3), ("G", 2)]))
+    if (series, rank) not in _FOLD_ALGS:
+        _FOLD_ALGS[series, rank] = UqBorel(rs_of(series, rank), max_degree=6)
+    alg = _FOLD_ALGS[series, rank]
+    coeff = st.sampled_from(_FOLD_COEFFS).map(parse_ratfunc)
+    kexp = st.tuples(*[st.integers(0, 1)] * rank)
 
-    monkeypatch.setattr(UqBorel, "_fold_word", counting)
-    monkeypatch.setattr(UqBorel, "_build_table", flagged)
+    def words(max_size):
+        return st.lists(st.integers(0, rank - 1), max_size=max_size).map(tuple)
+
+    x = from_terms(alg, draw(st.lists(st.tuples(kexp, words(6), coeff), max_size=6)))
+    rel = alg.serre_relations()[draw(st.sampled_from(sorted(alg.serre_relations())))]
+    u = draw(words(6 - rel.degree()))
+    v = draw(words(6 - rel.degree() - len(u)))
+    left = from_terms(alg, [(draw(kexp), u, RF_ONE)])
+    right = from_terms(alg, [((0,) * rank, v, RF_ONE)])
+    x = x + draw(coeff) * (left * rel * right)
+    k, w = draw(kexp), draw(words(6))
+    own = from_terms(alg, [(k, b, c) for b, c in reference_nf_word(alg, w).items()])
+    return alg, x + draw(coeff) * (from_terms(alg, [(k, w, RF_ONE)]) - own)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_fold_elements())
+def test_vector_fold_matches_the_word_by_word_fold(case):
+    """`nf_components` folds all the words of a component as one vector of
+    states, merging equal suffixes; it equals the sum of the words' own
+    folds, components folding to zero are left out, and `nf_word` equals the
+    fold of its word.  Both return fresh vectors, so clearing one changes
+    no later result."""
+    alg, x = case
+    expected = reference_nf_components(alg, x)
+    got = alg.nf_components(x)
+    assert got == expected
+    for vec in got.values():
+        vec.clear()
+    assert alg.nf_components(x) == expected
+    for _, word in x.terms:
+        vec = alg.nf_word(word)
+        assert vec == reference_nf_word(alg, word)
+        vec.clear()
+        assert alg.nf_word(word) == reference_nf_word(alg, word)
+
+
+def test_algebra_keeps_only_the_named_state(monkeypatch):
+    """After a full verification an algebra holds its configuration, the
+    normal-form tables, the interned coefficients, the ideal-basis and
+    product labels and the Serre relations, and nothing else: a new memo on
+    the algebra has to be added to this list."""
+    algs = []
+    init = UqBorel.__init__
+
+    def tracking(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        algs.append(self)
+
+    monkeypatch.setattr(UqBorel, "__init__", tracking)
     rs = rs_of("B", 3)
-    report = run_full_verification(rs, parse_root(rs, "L1+L2"))
-    assert report.verdict == "pass"
-    assert from_empty and max(from_empty.values()) == 1
-    # every memoized normal form, including those filled by products, still
-    # equals a fresh fold of its word
-    for alg in algs.values():
-        assert alg._nf
-        for word in list(alg._nf):
-            assert alg.nf_word(word) == fold(alg, (), word, (0,) * alg.rank)
+    assert run_full_verification(rs, parse_root(rs, "L1+L2")).verdict == "pass"
+    assert algs
+    for alg in algs:
+        assert set(vars(alg)) == {
+            "rs", "rank", "max_degree",
+            "_tables", "_coeffs", "_ideal_bases", "_products", "_serre", "_generating",
+        }
+        assert alg._tables and alg._coeffs and alg._ideal_bases and alg._products
+
+
+def test_flatness_certificates_reuse_the_pair_products(monkeypatch):
+    """A flatness pair hands the two products it formed for its commutator
+    to `_certify`, which multiplies out only the other products its
+    certificate names; the entries equal those made with every named product
+    multiplied out again."""
+    rs, beta, recipe, alg = _case("B", 3, "L1+L2")
+    pairs = []  # [[the pair's own two labels, labels multiplied out, result]]
+    solve, label_product = verify._solve_flatness_pair, alg.label_product
+
+    def solving(alg, c_poly, formed, egens):
+        pairs.append([set(formed), [], None])
+        pairs[-1][2] = solve(alg, c_poly, formed, egens)
+        return pairs[-1][2]
+
+    def recording(label, gen_map):
+        pairs[-1][1].append(label)
+        return label_product(label, gen_map)
+
+    monkeypatch.setattr(verify, "_solve_flatness_pair", solving)
+    monkeypatch.setattr(alg, "label_product", recording)
+    entries = check_flatness(recipe, alg)
+    assert pairs and all(not own & set(multiplied) for own, multiplied, _ in pairs)
+    # the check is not vacuous: some certificate names its pair's own products
+    assert any(
+        own & set(result["certificate"]["coefficients"])
+        for own, _, result in pairs
+        if "certificate" in result
+    )
+    certify = verify._certify
+    monkeypatch.setattr(
+        verify,
+        "_certify",
+        lambda alg, target, coeffs, gens, formed=None: certify(alg, target, coeffs, gens),
+    )
+    assert check_flatness(recipe, UqBorel(rs, max_degree=alg.max_degree)) == entries
 
 
 def test_finished_algebra_is_freed_without_gc(monkeypatch):
