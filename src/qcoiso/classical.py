@@ -409,7 +409,8 @@ def coisotropic_generators(cb: ChevalleyBasis, b: dict):
     span = FractionSpan()
     for vec in _contractions(b).values():
         span.add(vec)
-    return [{p: F1, **tail} for p, tail in span.reduced_rows().items()]
+    rows = span.negated_reduced_rows()
+    return [{p: F1, **{k: -c for k, c in tail.items()}} for p, tail in rows.items()]
 
 
 @dataclass

@@ -4,9 +4,10 @@ Vectors are dicts mapping hashable coordinate keys to nonzero field values.
 The engine uses only ``+ - * /`` on the values, so RatFunc (Q(q)) and
 Fraction (Q) vectors go through the same code.  Every elimination in the
 package (normal-form tables, membership solves, the q = 1 fit, classical
-spans and coordinates, root-lattice decompositions) is a `SpanSolver`, and
-every "add into a sparse dict and drop zeros" loop is `accumulate` or
-`vec_add_scaled`.
+spans and coordinates, root-lattice decompositions) is a `SpanSolver`: vectors
+go in with `add`, optionally tagged, and come out as a `solve`, the
+dependent tags in `nullrows`, or the `negated_reduced_rows`.  Every "add
+into a sparse dict and drop zeros" loop is `accumulate` or `vec_add_scaled`.
 """
 
 from __future__ import annotations
@@ -111,16 +112,9 @@ class SpanSolver:
     def contains(self, vec: dict) -> bool:
         return self.reduce(vec)[2] is None
 
-    def reduced_rows(self) -> dict:
-        """The reduced row echelon form: {pivot: tail} in pivot order, each
-        tail free of pivot keys (the pivot's own coefficient is 1)."""
-        return {
-            p: {k: -v for k, v in tail.items()}
-            for p, tail in self.negated_reduced_rows().items()
-        }
-
     def negated_reduced_rows(self) -> dict:
-        """`reduced_rows` with every tail negated: each pivot key equals its
+        """The reduced row echelon form, {pivot: tail} in pivot order, with
+        every tail negated and free of pivot keys: each pivot key equals its
         negated tail modulo the span, so these are the pivots' rewrites."""
         # back-substitution on the stored negated tails: row -= row[k] * tail_k
         # negates to neg += neg[k] * neg_k
@@ -131,26 +125,6 @@ class SpanSolver:
                 vec_add_scaled(row, out[k], row.pop(k))
             out[p] = row
         return dict(reversed(out.items()))
-
-
-def solve_affine(rows, nvars: int):
-    """One solution of the system sum_j coeffs[j] * x_j = rhs over rows
-    [(coeffs, rhs)] with dense coefficient lists of length nvars.
-
-    Returns {j: x_j} for the nonzero x_j, with every free variable 0, or None
-    when the system is inconsistent.  The rhs sits in column nvars, after
-    every variable, so a pivot there is exactly an inconsistency.
-    """
-    solver = SpanSolver()
-    for coeffs, rhs in rows:
-        vec = {j: a for j, a in enumerate(coeffs) if a}
-        if rhs:
-            vec[nvars] = rhs
-        solver.add(vec)
-    reduced = solver.reduced_rows()
-    if nvars in reduced:
-        return None
-    return {p: tail[nvars] for p, tail in reduced.items() if nvars in tail}
 
 
 def solve_linear_combination(templates, target: dict):

@@ -115,19 +115,6 @@ def pneg(a: IntPoly) -> IntPoly:
     return tuple(-x for x in a)
 
 
-def psub(a: IntPoly, b: IntPoly) -> IntPoly:
-    if not b:
-        return a
-    c = list(a)
-    if len(c) < len(b):
-        c.extend([0] * (len(b) - len(c)))
-    for i, x in enumerate(b):
-        c[i] -= x
-    while c and not c[-1]:
-        c.pop()
-    return tuple(c)
-
-
 def pmul(a: IntPoly, b: IntPoly) -> IntPoly:
     if not a or not b:
         return ()
@@ -146,17 +133,6 @@ def pmul(a: IntPoly, b: IntPoly) -> IntPoly:
                     c[i + j] += x * y
     # the leading coefficient is a[-1] * b[-1], nonzero for trimmed a and b
     return tuple(c) if c[-1] else ptrim(c)
-
-
-def pshift(a: IntPoly, k: int) -> IntPoly:
-    """Multiply by q^k (k >= 0) or divide exactly by q^-k (k < 0)."""
-    if not a:
-        return ()
-    if k >= 0:
-        return (0,) * k + a
-    if any(a[:-k]):
-        raise QFieldError("inexact q-power division")
-    return a[-k:]
 
 
 def pcontent(a: IntPoly) -> int:
@@ -227,7 +203,7 @@ def pgcd(a: IntPoly, b: IntPoly) -> IntPoly:
             break
         r = _prem(a, b)
         a, b = b, pprimitive(r)
-    return pshift(pprimitive(a), v)
+    return (0,) * v + pprimitive(a)
 
 
 def pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -648,8 +624,8 @@ def products_memoized():
 
 def q_int(n: int, d: int = 1) -> RatFunc:
     """Balanced q-integer [n] in q^d: (q^{dn} - q^{-dn}) / (q^d - q^{-d})."""
-    num = psub(pmono(1, 2 * d * abs(n)), P_ONE)
-    den = psub(pmono(1, 2 * d), P_ONE)
+    num = padd(pmono(1, 2 * d * abs(n)), pneg(P_ONE))
+    den = padd(pmono(1, 2 * d), pneg(P_ONE))
     r = RatFunc(pmul(num, pmono(1, d)), pmul(den, pmono(1, d * abs(n))))
     return -r if n < 0 else r
 

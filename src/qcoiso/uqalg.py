@@ -189,7 +189,8 @@ class UqBorel:
         # content -> greedy basis [(u, ij, v)] of the u.R.v templates, as
         # labels: each vector is rebuilt from self._serre when it is solved
         self._ideal_bases = {}
-        # (generator degrees, kexp, weight, min_factors) -> product labels
+        # (generator degrees, kexp, weight, min_factors) -> product labels;
+        # both checks ask with min_factors 0, only the g2-e2t identity with 2
         self._products = {}
         # (i, j) -> (content, {word: coeff}) of each relation, as bare
         # vectors: stored NCPolys would refer back to the algebra, a cycle
@@ -615,8 +616,8 @@ class UqBorel:
             prod = self.nc_mul(prod, gen_map[name])
         return prod
 
-    def subspace_membership(self, x: NCPoly, gens, min_factors=0):
-        """Decide x in span{ordered products of >= min_factors gens} + ideal.
+    def subspace_membership(self, x: NCPoly, gens):
+        """Decide x in span{ordered products of gens, 1 included} + ideal.
 
         Each component (kexp, content) of x is solved on its own, against the
         normal forms of the generator products with that K-exponent and
@@ -628,7 +629,7 @@ class UqBorel:
         """
         coeffs, nullspace, nfs = {}, [], {}
         for (kexp, mu), comp in x.components().items():
-            sol, null = self._product_solve(gens, kexp, mu, min_factors, nfs, self._word_nf(comp))
+            sol, null = self._product_solve(gens, kexp, mu, nfs, self._word_nf(comp))
             nullspace.extend(null)
             if sol is None:
                 return None, nullspace
@@ -636,13 +637,14 @@ class UqBorel:
         return coeffs, nullspace
 
     def difference_membership(self, left, right, gens, multidegree):
-        """`subspace_membership(left - right, gens, 1)` for two labelled
-        products of one multidegree, read off their elimination in sorted
-        label order (`generator_products`): the relation a dependent label
-        leaves holds it with coefficient 1 (`SpanSolver.add`) as its largest
-        key, and its other entries, negated, express it over the independent
-        labels, uniquely, as a solve of left - right would."""
-        _, nullspace = self._product_solve(gens, *multidegree, 1, {}, {})
+        """`subspace_membership(left - right, gens)` for two labelled
+        products of one nonzero multidegree, which the empty product "1"
+        never has, read off their elimination in sorted label order
+        (`generator_products`): the relation a dependent label leaves holds
+        it with coefficient 1 (`SpanSolver.add`) as its largest key, and its
+        other entries, negated, express it over the independent labels,
+        uniquely, as a solve of left - right would."""
+        _, nullspace = self._product_solve(gens, *multidegree, {}, {})
         own = {max(row): row for row in nullspace}
         left_expr, right_expr = (
             {k: -c for k, c in own[label].items() if k != label} if label in own
@@ -651,14 +653,14 @@ class UqBorel:
         )
         return vec_add_scaled(left_expr, right_expr, -RF_ONE), nullspace
 
-    def _product_solve(self, gens, kexp, mu, min_factors, nfs, target):
+    def _product_solve(self, gens, kexp, mu, nfs, target):
         """Solve target over the product normal forms at (kexp, mu), in label order."""
         from .linalg import solve_linear_combination
 
         gen_map = dict(gens)
         return solve_linear_combination((
             (label, self._product_nf(label, gen_map, nfs))
-            for label in self.generator_products(gens, kexp, mu, min_factors)
+            for label in self.generator_products(gens, kexp, mu)
         ), target)
 
     def _product_nf(self, label, gen_map, nfs):

@@ -5,9 +5,10 @@ of each generator over a quotient basis on the right tensor leg and certifies
 that every left coefficient lies in the span of generator products modulo the
 q-Serre ideal.  The flatness check expresses each commutator of generators as
 (degree-one part) + (coefficients vanishing at q = 1) * (generator products)
-modulo the ideal, in two phases: an exact affine solve over Q(q), then a
-rational solve for the q = 1 constraints over the solution set.  Both checks
-solve through the one product-span elimination: the coideal check with
+modulo the ideal, in two phases: a particular solution and nullspace over
+Q(q), then constant parameters for the nullspace from one tagged solve over
+the values at q = 1 (`_fit_q1_constraints`).  Both checks solve through the
+one product-span elimination: the coideal check with
 `UqBorel.subspace_membership`, the flatness check with
 `UqBorel.difference_membership`, which reads each commutator off its
 relations.
@@ -52,7 +53,6 @@ from .classical import (
 )
 from .linalg import (
     SpanSolver,
-    solve_affine,
     solve_linear_combination,
     vec_add_scaled,
 )
@@ -353,13 +353,13 @@ def _fit_q1_constraints(particular, nullspace, degree_one):
     first normalized against (q-1): each vector is scaled to be regular with
     a nonzero value at 1, and the family is saturated so that the values at
     1 are linearly independent; the reachable value set with constant
-    parameters is then exactly the affine span of those values.
+    parameters is then exactly the affine span of those values, which one
+    tagged solve searches.
     """
     basis = []
     for vec in nullspace:
         k = _vec_order_at_one(vec)
         basis.append(_vec_shift(vec, -k))
-    labels = sorted(set(particular).union(*basis) if basis else set(particular))
     # saturate: replace rational dependencies at q=1 by their (q-1) quotients
     for _ in range(200):
         values = [_vec_value_at_one(vec) for vec in basis]
@@ -397,19 +397,17 @@ def _fit_q1_constraints(particular, nullspace, degree_one):
             vec_add_scaled(part, basis[idx], c)
     else:
         return None
-    part_values = _vec_value_at_one(part)
-    zero = Fraction(0)
-    rows = [
-        ([value.get(label, zero) for value in values], -part_values.get(label, zero))
-        for label in labels
-        if label not in degree_one
-    ]
-    ts = solve_affine(rows, len(basis))
+    # constants cancelling the values at 1 on the product labels, in index
+    # order: a direction dependent there on earlier ones gets 0
+    span = SpanSolver()
+    for idx, value in enumerate(values):
+        span.add({k: x for k, x in value.items() if k not in degree_one}, {idx: Fraction(1)})
+    ts = span.solve({k: -x for k, x in _vec_value_at_one(part).items() if k not in degree_one})
     if ts is None:
         return None
     out = dict(part)
-    for idx, t in ts.items():
-        vec_add_scaled(out, basis[idx], RatFunc.from_fraction(t))
+    for idx in sorted(ts):
+        vec_add_scaled(out, basis[idx], RatFunc.from_fraction(ts[idx]))
     return out
 
 

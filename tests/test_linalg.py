@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from algebra_helpers import regular_at_one
 from qcoiso import verify
 from qcoiso.classical import FractionSpan
-from qcoiso.linalg import SpanSolver, solve_affine, vec_add_scaled
+from qcoiso.linalg import SpanSolver, vec_add_scaled
 from qcoiso.qfield import RF_ONE, RF_ZERO, RatFunc, q_int
 from qcoiso.recipes import builtin_recipe
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
@@ -56,8 +56,9 @@ def _frac(x):
     return Fraction(int(x.p), int(x.q))
 
 
-def _dense(reduced, keys):
-    return [[F1 if k == p else tail.get(k, F0) for k in keys] for p, tail in reduced.items()]
+def _dense(negated, keys):
+    """Dense rows of a negated reduced row echelon form, un-negated."""
+    return [[F1 if k == p else -tail.get(k, F0) for k in keys] for p, tail in negated.items()]
 
 
 def _combine(coeffs, rows):
@@ -74,9 +75,9 @@ def test_reduced_rows_match_sympy_rref(rows):
     for row in rows:
         solver.add(_sparse(row))
     rref, pivots = _sym(rows).rref()
-    assert list(solver.reduced_rows()) == list(pivots)
+    assert list(solver.negated_reduced_rows()) == list(pivots)
     want = [[_frac(x) for x in rref.row(i)] for i in range(len(pivots))]
-    assert _dense(solver.reduced_rows(), range(len(rows[0]))) == want
+    assert _dense(solver.negated_reduced_rows(), range(len(rows[0]))) == want
 
 
 _tuple_keys = st.one_of(
@@ -97,29 +98,37 @@ def test_reduced_rows_match_sympy_rref_under_key_order(rows, data):
     # sympy sees the columns in the keys' own order
     order = sorted(range(n), key=lambda j: keys[j])
     rref, pivots = _sym([[row[j] for j in order] for row in rows]).rref()
-    assert list(span.reduced_rows()) == [keys[order[p]] for p in pivots]
+    assert list(span.negated_reduced_rows()) == [keys[order[p]] for p in pivots]
     want = [[_frac(x) for x in rref.row(i)] for i in range(len(pivots))]
-    assert _dense(span.reduced_rows(), [keys[j] for j in order]) == want
+    assert _dense(span.negated_reduced_rows(), [keys[j] for j in order]) == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_matrices(), st.data())
-def test_solve_affine_against_sympy(rows, data):
+def test_tagged_column_solve_against_sympy(rows, data):
+    # the solve of the q = 1 fit: the system's columns, tagged by index and
+    # added in column order, solved for the right-hand side
     n = len(rows[0])
     if data.draw(st.booleans()):
         x = data.draw(st.lists(_entries, min_size=n, max_size=n))
         rhs = [sum((a * b for a, b in zip(row, x)), F0) for row in rows]
     else:
         rhs = data.draw(st.lists(_entries, min_size=len(rows), max_size=len(rows)))
-    sol = solve_affine(list(zip(rows, rhs)), n)
+    solver = SpanSolver()
+    for j in range(n):
+        solver.add(_sparse([row[j] for row in rows]), {j: F1})
+    sol = solver.solve(_sparse(rhs))
     a = _sym(rows)
     consistent = a.rank() == a.row_join(_sym([[b] for b in rhs])).rank()
     assert (sol is not None) == consistent
+    pivots = set(a.rref()[1])
+    # the dependent columns are exactly the non-pivot columns of the rref
+    assert {max(tag) for tag in solver.nullrows} == set(range(n)) - pivots
     if sol is not None:
         for row, b in zip(rows, rhs):
             assert sum((a * sol.get(j, F0) for j, a in enumerate(row)), F0) == b
-        # free variables are set to 0
-        assert set(sol) <= set(a.rref()[1])
+        # every dependent column is set to 0
+        assert set(sol) <= pivots
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -175,11 +184,11 @@ def test_tagged_solve_reexpands_over_qq(rows, data):
     assert len(solver.nullrows) == len(rows) - len(solver.rows)
     for tag in solver.nullrows:
         assert tag and _combine(tag, rows) == {}
-    reduced = solver.reduced_rows()
-    assert list(reduced) == sorted(solver.rows)
-    for p, tail in reduced.items():
-        assert all(v for v in tail.values()) and not set(tail) & set(reduced)
-        assert solver.contains({p: RF_ONE, **tail})
+    negated = solver.negated_reduced_rows()
+    assert list(negated) == sorted(solver.rows)
+    for p, tail in negated.items():
+        assert all(v for v in tail.values()) and not set(tail) & set(negated)
+        assert solver.contains({p: RF_ONE, **{k: -v for k, v in tail.items()}})
 
 
 def test_fit_q1_contract(monkeypatch):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from qcoiso.linalg import SpanSolver, solve_linear_combination
 from qcoiso.qfield import RF_ONE, RatFunc, parse_ratfunc
-from qcoiso.rootsys import CartanType, build_root_system
+from qcoiso.recipes import builtin_recipe
+from qcoiso.rootsys import CartanType, build_root_system, parse_root
 from qcoiso.uqalg import (
     DegreeOverflowError,
     NCPoly,
@@ -17,6 +18,7 @@ from qcoiso.uqalg import (
     UqBorel,
     _placed,
 )
+from qcoiso.verify import check_flatness, check_left_coideal
 from algebra_helpers import (
     RevlexBorel,
     from_terms,
@@ -639,6 +641,41 @@ def test_generator_products_reject_mixed_generators():
     gens = [("E1", alg.gen(0)), ("E2", alg.gen(1))]
     assert alg.generator_products(gens, (0, 0), (1, 1)) == ["E1*E2", "E2*E1"]
     assert alg.generator_products(gens, (0, 0), (2, 0)) == ["E1*E1"]
+
+
+@pytest.mark.parametrize(
+    "series, rank, lit",
+    [("A", 3, "L1-L4"), ("B", 3, "L1+L2"), ("C", 3, "2L1"), ("G", 2, "3a1+2a2")],
+)
+def test_solved_product_labels_need_no_factor_minimum(monkeypatch, series, rank, lit):
+    # both checks solve over the products of any number of generators; the
+    # products of at least one are the same labels at every multidegree they
+    # solve but the zero one, which only the empty product "1" has, and
+    # which no commutator has
+    rs = build_root_system(CartanType(series, rank))
+    recipe = builtin_recipe(rs, parse_root(rs, lit))
+    alg = UqBorel(rs, max_degree=max(recipe.max_degree() + 2, 2 * recipe.max_degree()))
+    asked, differences = [], []
+    products, difference = alg.generator_products, alg.difference_membership
+
+    def recording(gens, kexp, weight, min_factors=0):
+        asked.append((gens, kexp, weight, min_factors))
+        return products(gens, kexp, weight, min_factors)
+
+    def recording_difference(left, right, gens, multidegree):
+        differences.append(multidegree)
+        return difference(left, right, gens, multidegree)
+
+    monkeypatch.setattr(alg, "generator_products", recording)
+    monkeypatch.setattr(alg, "difference_membership", recording_difference)
+    check_left_coideal(recipe, alg)
+    check_flatness(recipe, alg)
+    assert differences and all(any(kexp) or any(mu) for kexp, mu in differences)
+    assert {min_factors for *_, min_factors in asked} == {0}
+    solved = [(gens, kexp, mu) for gens, kexp, mu, _ in asked if any(kexp) or any(mu)]
+    assert len(solved) > len(differences)
+    for gens, kexp, mu in solved:
+        assert products(gens, kexp, mu, 0) == products(gens, kexp, mu, 1), (kexp, mu)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

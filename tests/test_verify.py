@@ -170,9 +170,9 @@ def test_subspace_membership_multiplies_nothing(monkeypatch):
     solves, differences = [], []
     solve, difference = alg.subspace_membership, alg.difference_membership
 
-    def recording(x, gens, min_factors=0):
-        result = solve(x, gens, min_factors)
-        solves.append(((x, gens, min_factors), result))
+    def recording(x, gens):
+        result = solve(x, gens)
+        solves.append(((x, gens), result))
         return result
 
     def recording_difference(left, right, gens, multidegree):
@@ -192,14 +192,13 @@ def test_subspace_membership_multiplies_nothing(monkeypatch):
         raise AssertionError("the product-span solve multiplied a product out")
 
     monkeypatch.setattr(UqBorel, "nc_mul", refuse)
-    assert {args[2] for args, _ in solves} == {0}
-    assert differences
+    assert solves and differences
     for args, result in solves:
         assert result[0] is not None
         assert solve(*args) == result
     for args, x, result in differences:
         assert difference(*args) == result
-        assert solve(x, args[2], 1) == result
+        assert solve(x, args[2]) == result
 
 
 @pytest.mark.parametrize(
