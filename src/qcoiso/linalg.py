@@ -86,8 +86,10 @@ class SpanSolver:
 
         A dependent tagged vector leaves its reduced tag in `nullrows`; the
         stored tags hold only earlier vectors' labels, so a fresh tag
-        {label: 1} keeps its own label there with coefficient 1, which
-        `UqBorel.difference_membership` relies on.
+        {label: 1} keeps its own label there with coefficient 1, and with
+        labels added in increasing order as its largest key.  The flatness
+        check reads each commutator off a product span's relations by this
+        (`verify._solve_flatness_pair`).
         """
         vec, tag, pivot = self.reduce(vec, tag)
         if pivot is None:

@@ -160,10 +160,6 @@ def peval_one(a: IntPoly) -> int:
     return sum(a)
 
 
-def is_pmono(a: IntPoly) -> bool:
-    return bool(a) and all(c == 0 for c in a[:-1])
-
-
 def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Pseudo-remainder of a by b over Z (b nonzero, deg a >= deg b)."""
     r = list(a)
@@ -459,28 +455,17 @@ def _one_multiplicity(p: IntPoly) -> int:
 
 
 def _canonical_pair(num: IntPoly, den: IntPoly):
+    """The canonical (num, den) of num/den: their common polynomial factor,
+    q-powers included, divided out (`_gcd`), then their integer content and
+    sign (`_reduced`)."""
     num, den = ptrim(num), ptrim(den)
     if not den:
         raise QFieldError("division by zero in Q(q)")
     if not num:
         return (), P_ONE
-    # common q-power
-    v = min(pval(num), pval(den))
-    if v:
-        num, den = num[v:], den[v:]
-    # polynomial gcd, skipped when the denominator is a monomial
-    if not is_pmono(den) and not is_pmono(num) and pdeg(den) > 0 and pdeg(num) > 0:
-        g = pgcd(num, den)
-        if g != P_ONE:
-            num, den = pdiv_exact(num, g), pdiv_exact(den, g)
-    # integer content and sign
-    c = _int_gcd(pcontent(num), pcontent(den))
-    if den[-1] < 0:
-        c = -c
-    if c != 1:
-        num = tuple(x // c for x in num)
-        den = tuple(x // c for x in den)
-    return num, den
+    g = _gcd(num, den)
+    value = _reduced(_quo(num, g), _quo(den, g))
+    return value.num, value.den
 
 
 # The Laurent path builds canonical values directly, skipping __init__.

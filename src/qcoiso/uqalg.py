@@ -30,22 +30,25 @@ the raise map of the next table, and states left with equal suffixes merge,
 so a tail that many words share is folded once.  `nf_components` folds the
 raw words of a component as one vector and `nf_word` one word.  The words of
 a table's relation row are folded one at a time: merging their states would
-reorder the row's entries, and with them the stored tables.  The
-product-span solve never expands a generator product: the normal form of
-p * g is the fold of the states {w: q^s * nf(g)[w] * nf(p)} over the basis
-words w of nf(g), nf(p) from the label prefix p and q^s the K-crossing
-factor of p.  This holds because the ideal is two-sided and a basis word
-folds to itself.  Folds return fresh vectors and nothing is memoized by
-word: the intermediate states live for one call.  An element keeps its own
-word normal form once computed (`UqBorel._word_nf`), so a generator is
-folded once per check, and tables intern their coefficients (one object per
-value).  A commutator, the difference of two products, is read off the
-relations its multidegree's products leave, unreduced.  Products are
+reorder the row's entries, and with them the stored tables.  Folds return
+fresh vectors and nothing is memoized by word: the intermediate states live
+for one call.  An element keeps its own word normal form once computed
+(`UqBorel._word_nf`), so a generator is folded once per check, and tables
+intern their coefficients (one object per value).
+
+Both checks ask about one object per multidegree, the span of the ordered
+generator products modulo the ideal: `product_span` eliminates their normal
+forms, tagged by label, into a dict of spans that the caller keeps for one
+check (a span depends on the generators' values, not only on their names).
+A target is solved against it, and a commutator, the difference of two
+products, is read off the relations it leaves.  No generator product is
+expanded for this: the normal form of p * g is the fold of the states
+{w: q^s * nf(g)[w] * nf(p)} over the basis words w of nf(g), nf(p) from the
+label prefix p and q^s the K-crossing factor of p.  This holds because the
+ideal is two-sided and a basis word folds to itself.  Products are
 enumerated as labels ("A*B*C"), and `label_product` is the one place a
 labelled product is multiplied out, for the certificates that name it, but
-for the two products a flatness pair has formed for its commutator; the
-label lists are memoized per algebra by the generators' degrees and the
-target multidegree.
+for the two products a flatness pair has formed for its commutator.
 
 Ideal certificates are solved over the greedy basis of the u . R . v
 templates at a content: the templates, in `ideal_templates` order, that are
@@ -63,9 +66,9 @@ pair: for a_ij = 0, R_ji = -R_ij, and R_ij comes first, so no R_ji template
 is ever in the basis.
 A certificate is re-expanded by concatenating words, as every K-prefix
 stands left of every E.  The on-disk cache stores tables only, keyed by the
-Cartan matrix and symmetrizers; the bases and the label lists stay in
-memory.  A cache file is read through an unpickler that admits only the
-table and coefficient classes.
+Cartan matrix and symmetrizers; the ideal bases stay in memory.  A cache
+file is read through an unpickler that admits only the table and
+coefficient classes.
 """
 
 from __future__ import annotations
@@ -189,9 +192,6 @@ class UqBorel:
         # content -> greedy basis [(u, ij, v)] of the u.R.v templates, as
         # labels: each vector is rebuilt from self._serre when it is solved
         self._ideal_bases = {}
-        # (generator degrees, kexp, weight, min_factors) -> product labels;
-        # both checks ask with min_factors 0, only the g2-e2t identity with 2
-        self._products = {}
         # (i, j) -> (content, {word: coeff}) of each relation, as bare
         # vectors: stored NCPolys would refer back to the algebra, a cycle
         # that keeps a finished algebra's tables and memo alive until the
@@ -562,49 +562,37 @@ class UqBorel:
 
     # -- membership in generator spans --------------------------------------
 
-    def generator_products(self, gens, kexp, weight, min_factors=0):
+    def generator_products(self, gens, kexp, weight):
         """Labels of the ordered generator products matching a multidegree.
 
         gens: [(name, NCPoly)] with each value multihomogeneous.  Returns the
-        sorted labels ("A*B*C", or "1" for the empty product) of every
-        sequence of at least min_factors generators (with repetition, all
-        orderings) whose K-exponents and word contents sum to the target.
-        Nothing is multiplied: `label_product` expands a label.  With
-        non-negative K-exponents the target bounds the search, as every
-        generator used has a nonzero K-exponent or content.  The labels
-        depend only on the generators' names and degrees and the target, and
-        are memoized per algebra on those; each call returns a fresh list.
+        labels ("A*B*C", or "1" for the empty product) of every sequence of
+        generators (with repetition, all orderings) whose K-exponents and
+        word contents sum to the target, sorted as strings.  Nothing is
+        multiplied: `label_product` expands a label.  With non-negative
+        K-exponents the target bounds the search, as every generator used
+        has a nonzero K-exponent or content.
         """
-        degrees = tuple((name, *poly.multidegree()) for name, poly in gens)
-        key = (degrees, tuple(kexp), tuple(weight), min_factors)
-        hit = self._products.get(key)
-        if hit is not None:
-            return list(hit)
         # one degree tuple per generator: its K-exponents, then its content
+        degrees = [(name, *poly.multidegree()) for name, poly in gens]
         data = [(name, gk + gw) for name, gk, gw in degrees if any(gk) or any(gw)]
         out = []
-        # depth-first over (label, factor count, remaining degree) on an
-        # explicit stack: a self-calling closure would be a reference cycle
-        # holding the algebra until the next full collection
-        stack = [("1", 0, tuple(kexp) + tuple(weight))]
+        # depth-first over (label, remaining degree) on an explicit stack: a
+        # self-calling closure would be a reference cycle holding the
+        # algebra until the next full collection
+        stack = [("1", tuple(kexp) + tuple(weight))]
         while stack:
-            label, nfactors, rem = stack.pop()
+            label, rem = stack.pop()
             if not any(rem):
-                if nfactors >= min_factors:
-                    out.append(label)
+                out.append(label)
                 continue
             for name, deg in data:
                 if all(map(le, deg, rem)):
                     stack.append((
-                        f"{label}*{name}" if nfactors else name,
-                        nfactors + 1,
+                        name if label == "1" else f"{label}*{name}",
                         tuple(map(sub, rem, deg)),
                     ))
-        # sorted as strings: `difference_membership` reads a dependent label
-        # as the largest key of the relation it leaves
-        out.sort()
-        self._products[key] = out
-        return list(out)
+        return sorted(out)
 
     def label_product(self, label, gen_map) -> NCPoly:
         """The labelled generator product, multiplied out left to right."""
@@ -616,52 +604,24 @@ class UqBorel:
             prod = self.nc_mul(prod, gen_map[name])
         return prod
 
-    def subspace_membership(self, x: NCPoly, gens):
-        """Decide x in span{ordered products of gens, 1 included} + ideal.
-
-        Each component (kexp, content) of x is solved on its own, against the
-        normal forms of the generator products with that K-exponent and
-        content; no product is multiplied out.  Returns (coefficients or None,
-        nullspace): the coefficients, keyed by product label, express x
-        modulo the ideal, and the nullspace holds the relations among the
-        products modulo the ideal.  Solving stops at the first component
-        outside the span.
+    def product_span(self, gens, kexp, mu, spans):
+        """The span of the generator products at (kexp, mu) modulo the
+        ideal: a `SpanSolver` of their normal forms, each tagged by its
+        label and added in sorted label order (`generator_products`), so a
+        target's `solve` gives its coefficients over the labels and
+        `nullrows` the relations among the products.  spans holds the spans
+        built for one generator set, keyed by (kexp, mu): a span depends on
+        the generators' values, so a caller keeps spans for one check only.
+        No product is multiplied out.
         """
-        coeffs, nullspace, nfs = {}, [], {}
-        for (kexp, mu), comp in x.components().items():
-            sol, null = self._product_solve(gens, kexp, mu, nfs, self._word_nf(comp))
-            nullspace.extend(null)
-            if sol is None:
-                return None, nullspace
-            vec_add_scaled(coeffs, sol)
-        return coeffs, nullspace
-
-    def difference_membership(self, left, right, gens, multidegree):
-        """`subspace_membership(left - right, gens)` for two labelled
-        products of one nonzero multidegree, which the empty product "1"
-        never has, read off their elimination in sorted label order
-        (`generator_products`): the relation a dependent label leaves holds
-        it with coefficient 1 (`SpanSolver.add`) as its largest key, and its
-        other entries, negated, express it over the independent labels,
-        uniquely, as a solve of left - right would."""
-        _, nullspace = self._product_solve(gens, *multidegree, {}, {})
-        own = {max(row): row for row in nullspace}
-        left_expr, right_expr = (
-            {k: -c for k, c in own[label].items() if k != label} if label in own
-            else {label: RF_ONE}
-            for label in (left, right)
-        )
-        return vec_add_scaled(left_expr, right_expr, -RF_ONE), nullspace
-
-    def _product_solve(self, gens, kexp, mu, nfs, target):
-        """Solve target over the product normal forms at (kexp, mu), in label order."""
-        from .linalg import solve_linear_combination
-
-        gen_map = dict(gens)
-        return solve_linear_combination((
-            (label, self._product_nf(label, gen_map, nfs))
-            for label in self.generator_products(gens, kexp, mu)
-        ), target)
+        key = (tuple(kexp), tuple(mu))
+        span = spans.get(key)
+        if span is None:
+            span = spans[key] = SpanSolver()
+            gen_map, nfs = dict(gens), {}
+            for label in self.generator_products(gens, kexp, mu):
+                span.add(self._product_nf(label, gen_map, nfs), {label: RF_ONE})
+        return span
 
     def _product_nf(self, label, gen_map, nfs):
         """Normal form of the labelled generator product, by basis word.
@@ -672,8 +632,8 @@ class UqBorel:
         and w of nf(g), where q^s is the cost of moving g's K^k left past E_b
         (the same for every b, as p is multihomogeneous).  So it is one fold,
         from the states {w: q^s * nf(g)[w] * nf(p)}.  nfs memoizes labels,
-        single generators too, for one generator set; a single generator's
-        vector is its own cached normal form (`_word_nf`), read only.
+        single generators too, for one span; a single generator's vector is
+        its own cached normal form (`_word_nf`), read only.
         """
         vec = nfs.get(label)
         if vec is not None:

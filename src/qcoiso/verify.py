@@ -7,11 +7,12 @@ q-Serre ideal.  The flatness check expresses each commutator of generators as
 (degree-one part) + (coefficients vanishing at q = 1) * (generator products)
 modulo the ideal, in two phases: a particular solution and nullspace over
 Q(q), then constant parameters for the nullspace from one tagged solve over
-the values at q = 1 (`_fit_q1_constraints`).  Both checks solve through the
-one product-span elimination: the coideal check with
-`UqBorel.subspace_membership`, the flatness check with
-`UqBorel.difference_membership`, which reads each commutator off its
-relations.
+the values at q = 1 (`_fit_q1_constraints`).  Both checks ask the span of the
+generator products modulo the ideal at a multidegree
+(`UqBorel.product_span`), and each builds it once per multidegree and drops
+what it kept when it returns: the coideal check keeps the spans and solves
+each component of a left coefficient against one, and the flatness check
+keeps only the relations a span leaves and reads each commutator off them.
 
 A certificate is checked against the algebra, not against the solve: the
 products with a nonzero coefficient are multiplied out from the generators,
@@ -152,10 +153,11 @@ class VerificationReport:
 def check_left_coideal(recipe: GeneratorRecipe, alg: UqBorel) -> list:
     """Per-generator report entries for Delta(g) in B (x) U_q."""
     gens = [("K", alg.k_monomial(recipe.k_monomial)), *recipe.evaluate(alg)]
-    return [_coideal_entry(alg, name, g, gens) for name, g in gens]
+    spans = {}  # the product spans of these generators, for this check only
+    return [_coideal_entry(alg, name, g, gens, spans) for name, g in gens]
 
 
-def _coideal_entry(alg, name, g, gens):
+def _coideal_entry(alg, name, g, gens, spans):
     """{name, pass, status (pass | fail | unverified), certificates, witness
     when set} for one generator."""
     if g.degree() > alg.max_degree:
@@ -180,7 +182,7 @@ def _coideal_entry(alg, name, g, gens):
         b_alpha = NCPoly(alg, buckets[(rk, bw)])
         if not b_alpha:
             continue
-        coeffs, _ = alg.subspace_membership(b_alpha, gens)
+        coeffs = _span_coefficients(alg, b_alpha, gens, spans)
         right = render_monomial(rk, bw)
         if coeffs is None:
             witness = (
@@ -193,6 +195,19 @@ def _coideal_entry(alg, name, g, gens):
         certs.append(_certificate("coideal-term", coeffs, ok, detail))
     status = "pass" if all(c["residual_check"] for c in certs) else "fail"
     return _generator_entry(name, status, certs)
+
+
+def _span_coefficients(alg, x, gens, spans):
+    """Coefficients over the product labels expressing x modulo the ideal,
+    each component solved against the product span of its multidegree, or
+    None at the first component outside it."""
+    coeffs = {}
+    for (kexp, mu), comp in x.components().items():
+        sol = alg.product_span(gens, kexp, mu, spans).solve(alg._word_nf(comp))
+        if sol is None:
+            return None
+        coeffs.update(sol)
+    return coeffs
 
 
 def _generator_entry(name, status, certificates, witness=""):
@@ -251,7 +266,10 @@ def _commutator_provably_nonzero(a: NCPoly, b: NCPoly) -> bool:
 def check_flatness(recipe: GeneratorRecipe, alg: UqBorel) -> list:
     """Per-pair report entries; see the module docstring for the scheme."""
     egens = recipe.evaluate(alg)
-    out = [_flatness_entry(alg, a, b, egens) for a, b in combinations(egens, 2)]
+    # multidegree -> the relations among these generators' products, for
+    # this check only; the spans' rows are not read here, so none is kept
+    relations = {}
+    out = [_flatness_entry(alg, a, b, egens, relations) for a, b in combinations(egens, 2)]
     # the K-monomial against each generator, via the closed crossing form
     kmono = alg.k_monomial(recipe.k_monomial)
     for name, g in egens:
@@ -272,7 +290,7 @@ def check_flatness(recipe: GeneratorRecipe, alg: UqBorel) -> list:
     return out
 
 
-def _flatness_entry(alg, gen_i, gen_j, egens):
+def _flatness_entry(alg, gen_i, gen_j, egens, relations):
     """The report entry of one pair of E-side generators."""
     (name_i, gi), (name_j, gj) = gen_i, gen_j
     entry = {"i": name_i, "j": name_j}
@@ -287,7 +305,7 @@ def _flatness_entry(alg, gen_i, gen_j, egens):
         return {**entry, "verdict": "pass", "xprime": "0", "certificate": cert}
     if need > alg.max_degree:
         return _over_cap(alg, entry, need)
-    return {**entry, **_solve_flatness_pair(alg, c_poly, formed, egens)}
+    return {**entry, **_solve_flatness_pair(alg, c_poly, formed, egens, relations)}
 
 
 def _over_cap(alg, entry, need):
@@ -295,16 +313,30 @@ def _over_cap(alg, entry, need):
     return {**entry, "verdict": "unverified", "note": note}
 
 
-def _solve_flatness_pair(alg, c_poly, formed, egens):
+def _solve_flatness_pair(alg, c_poly, formed, egens, relations):
     """Verdict, xprime and certificate of one nonzero commutator within the
     cap.
 
     The commutator is the difference of the two products in formed,
     {"Gi*Gj": Gi Gj, "Gj*Gi": Gj Gi}, both among the labels of its
-    multidegree, so its particular solution and nullspace are read off the
-    products' own elimination, and always exist; the certificate's residual
-    ties them to the algebra, without multiplying those two again."""
-    particular, nullspace = alg.difference_membership(*formed, egens, c_poly.multidegree())
+    multidegree, which the empty product "1" never has.  So its particular
+    solution and nullspace are read off the relations of the product span
+    there, and always exist: the relation a dependent label leaves holds it
+    with coefficient 1 as its largest key (the labels go in sorted), and its
+    other entries, negated, express it over the independent labels, uniquely,
+    as a solve of the commutator would.  The certificate's residual ties them
+    to the algebra, without multiplying those two products again."""
+    key = c_poly.multidegree()
+    if key not in relations:
+        relations[key] = alg.product_span(egens, *key, {}).nullrows
+    nullspace = relations[key]
+    own = {max(row): row for row in nullspace}
+    left, right = (
+        {k: -c for k, c in own[label].items() if k != label} if label in own
+        else {label: RF_ONE}
+        for label in formed
+    )
+    particular = vec_add_scaled(left, right, -RF_ONE)
     # the single generators are the labels without a product sign
     labels = set(particular).union(*nullspace)
     degree_one = {label for label in labels if "*" not in label}
@@ -703,9 +735,12 @@ def builtin_identity(name: str):
         by_name = dict(gens)
         target = alg.q_bracket(by_name["E2"], by_name["T"], 0)
         mu = target.multidegree()[1]
-        templates = []
-        for label in alg.generator_products(gens, (0, 0), mu, min_factors=2):
-            templates.append((label, alg.label_product(label, by_name)))
+        # the products of two or more generators
+        templates = [
+            (label, alg.label_product(label, by_name))
+            for label in alg.generator_products(gens, (0, 0), mu)
+            if "*" in label
+        ]
         templates.extend(_named_ideal_templates(alg, mu))
         return target, templates, {
             "description": "commutator of the degree-one and degree-five generators in the exceptional rank-two case",

@@ -8,7 +8,7 @@ from qcoiso.qfield import parse_ratfunc
 from qcoiso.recipes import builtin_recipe
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
 from qcoiso.uqalg import UqBorel
-from qcoiso.verify import check_flatness, run_full_verification
+from qcoiso.verify import _span_coefficients, check_flatness, run_full_verification
 
 
 def test_fixed_grammar_parse_example():
@@ -28,27 +28,38 @@ def test_ad_bivector_antisymmetry():
         assert fwd == {k: -v for k, v in rev.items()}
 
 
-def test_subspace_membership_contract():
+def test_product_span_contract():
     rs = build_root_system(CartanType("A", 3))
     alg = UqBorel(rs, max_degree=8)
     recipe = builtin_recipe(rs, parse_root(rs, "L1-L4"))
     gens = [("K", alg.k_monomial(recipe.k_monomial))] + recipe.evaluate(alg)
     by = dict(gens)
+    spans = {}
+
+    def solve(x):
+        # the coideal check's solve of one element over the product spans
+        return _span_coefficients(alg, x, gens, spans)
 
     def residual(x, coeffs):
         return x - alg.combination(coeffs, {label: alg.label_product(label, by) for label in coeffs})
 
     # a product of generators carries the trivial certificate
     x = alg.nc_mul(by["X1"], by["X2"])
-    coeffs, _ = alg.subspace_membership(x, gens)
+    coeffs = solve(x)
     assert coeffs == {"X1*X2": parse_ratfunc("1")}
     assert not residual(x, coeffs)
     # a generator outside the span solves to none
-    e2 = alg.gen(1)
-    assert alg.subspace_membership(e2, gens)[0] is None
+    assert solve(alg.gen(1)) is None
     # the unit is the empty product
-    coeffs, _ = alg.subspace_membership(alg.one(), gens)
+    coeffs = solve(alg.one())
     assert coeffs == {"1": parse_ratfunc("1")} and not residual(alg.one(), coeffs)
+    # each multidegree asked has one span, with a label per product
+    zero = (0, 0, 0)
+    assert set(spans) == {(zero, (2, 1, 0)), (zero, (0, 1, 0)), (zero, zero)}
+    span = spans[(zero, (2, 1, 0))]
+    assert alg.product_span(gens, zero, (2, 1, 0), spans) is span
+    labels = alg.generator_products(gens, zero, (2, 1, 0))
+    assert "X1*X2" in labels and len(span.rows) + len(span.nullrows) == len(labels)
 
 
 def test_chain_commutator_alternating_form():

@@ -589,7 +589,7 @@ def test_normal_form_tables_are_pinned(series, rank, degree, tables, digest):
 @st.composite
 def _generator_sets(draw):
     """An A2/B2/G2 algebra, multihomogeneous generators (a zero-content
-    K-monomial first), a target (kexp, content) and min_factors."""
+    K-monomial first) and a target (kexp, content)."""
     alg = alg_of(draw(st.sampled_from(["A", "B", "G"])), 2)
     nonneg = st.tuples(st.integers(0, 1), st.integers(0, 1))
     kmono = draw(nonneg.filter(any))
@@ -608,24 +608,24 @@ def _generator_sets(draw):
         for i in range(2):
             kexp[i] += gk[i]
             content[i] += gw[i]
-    return alg, gens, (tuple(kexp), tuple(content)), draw(st.sampled_from([0, 1, 2]))
+    return alg, gens, (tuple(kexp), tuple(content))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_generator_sets())
 def test_generator_products_match_brute_force(case):
-    alg, gens, (kexp, content), min_factors = case
+    alg, gens, (kexp, content) = case
     # (kexp, content) of each generator, flattened into one tuple
     degree = {name: sum(next(iter(poly.components())), ()) for name, poly in gens}
     goal = kexp + content
     # every generator adds at least 1 to sum(goal)
     expected = sorted(
         "*".join(seq) if seq else "1"
-        for n in range(min_factors, sum(goal) + 1)
+        for n in range(sum(goal) + 1)
         for seq in product([name for name, _ in gens], repeat=n)
         if tuple(sum(degree[name][i] for name in seq) for i in range(len(goal))) == goal
     )
-    got = alg.generator_products(gens, kexp, content, min_factors)
+    got = alg.generator_products(gens, kexp, content)
     assert got == expected
     for label in got:
         poly = alg.label_product(label, dict(gens))
@@ -648,34 +648,28 @@ def test_generator_products_reject_mixed_generators():
     [("A", 3, "L1-L4"), ("B", 3, "L1+L2"), ("C", 3, "2L1"), ("G", 2, "3a1+2a2")],
 )
 def test_solved_product_labels_need_no_factor_minimum(monkeypatch, series, rank, lit):
-    # both checks solve over the products of any number of generators; the
-    # products of at least one are the same labels at every multidegree they
-    # solve but the zero one, which only the empty product "1" has, and
-    # which no commutator has
+    # both checks span the products of any number of generators; the empty
+    # product "1" is a label only at the zero multidegree, which the flatness
+    # check never asks, as no commutator has it, so every label it reads off
+    # a relation names a product of at least one generator
     rs = build_root_system(CartanType(series, rank))
     recipe = builtin_recipe(rs, parse_root(rs, lit))
     alg = UqBorel(rs, max_degree=max(recipe.max_degree() + 2, 2 * recipe.max_degree()))
-    asked, differences = [], []
-    products, difference = alg.generator_products, alg.difference_membership
+    asked = []
+    products = alg.generator_products
 
-    def recording(gens, kexp, weight, min_factors=0):
-        asked.append((gens, kexp, weight, min_factors))
-        return products(gens, kexp, weight, min_factors)
-
-    def recording_difference(left, right, gens, multidegree):
-        differences.append(multidegree)
-        return difference(left, right, gens, multidegree)
+    def recording(gens, kexp, weight):
+        labels = products(gens, kexp, weight)
+        asked.append((any(kexp) or any(weight), labels))
+        return labels
 
     monkeypatch.setattr(alg, "generator_products", recording)
-    monkeypatch.setattr(alg, "difference_membership", recording_difference)
     check_left_coideal(recipe, alg)
+    coideal = len(asked)
     check_flatness(recipe, alg)
-    assert differences and all(any(kexp) or any(mu) for kexp, mu in differences)
-    assert {min_factors for *_, min_factors in asked} == {0}
-    solved = [(gens, kexp, mu) for gens, kexp, mu, _ in asked if any(kexp) or any(mu)]
-    assert len(solved) > len(differences)
-    for gens, kexp, mu in solved:
-        assert products(gens, kexp, mu, 0) == products(gens, kexp, mu, 1), (kexp, mu)
+    assert coideal and len(asked) > coideal
+    assert all(nonzero for nonzero, _ in asked[coideal:])
+    assert all(("1" in labels) != nonzero for nonzero, labels in asked if labels)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -684,10 +678,10 @@ def test_product_normal_forms_match_expansion(case):
     """Normal forms taken from the label prefix (never expanding p * g)
     equal the normal forms of the expanded products; the shared algebra's
     tables are warm from earlier examples, a fresh algebra's are cold."""
-    alg, gens, (kexp, content), min_factors = case
+    alg, gens, (kexp, content) = case
     cold, reference = UqBorel(alg.rs), UqBorel(alg.rs)
     warm_nfs, cold_nfs = {}, {}
-    for label in alg.generator_products(gens, kexp, content, min_factors):
+    for label in alg.generator_products(gens, kexp, content):
         poly = alg.label_product(label, dict(gens))
         expected = reference.nf_components(poly)
         assert set(expected) <= {(kexp, content)}

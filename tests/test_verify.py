@@ -99,12 +99,9 @@ def test_coideal_delta_decomposition_matches_displayed_left_factors():
         assert tensor_nf_is_zero(alg, diff)
 
 
-def test_coideal_negative_control_a3():
-    # replacing [E1,E2]_q by the plain bracket breaks the coideal property,
-    # witnessed by a left coefficient proportional to E2 against K2 E1
-    rs = rs_of("A", 3)
-    beta = parse_root(rs, "L1-L4")
-    good = builtin_recipe(rs, beta)
+def _plain_bracket_a3(good):
+    """The A3 L1-L4 recipe with [E1,E2]_q replaced by the plain bracket: the
+    same generator names and degrees, other values."""
     mutated = []
     for name, group, expr in good.generators:
         if name == "X2":
@@ -112,12 +109,19 @@ def test_coideal_negative_control_a3():
         elif name == "X3":
             expr = QBr(QBr(Gen(0), Gen(1), 0), Gen(2), 1)
         mutated.append((name, group, expr))
-    bad = GeneratorRecipe(
+    return GeneratorRecipe(
         cartan_type=good.cartan_type,
         beta=good.beta,
         k_monomial=good.k_monomial,
         generators=mutated,
     )
+
+
+def test_coideal_negative_control_a3():
+    # replacing [E1,E2]_q by the plain bracket breaks the coideal property,
+    # witnessed by a left coefficient proportional to E2 against K2 E1
+    rs = rs_of("A", 3)
+    bad = _plain_bracket_a3(builtin_recipe(rs, parse_root(rs, "L1-L4")))
     alg = UqBorel(rs, max_degree=8)
     outcomes = check_left_coideal(bad, alg)
     failing = {o["name"]: o for o in outcomes if not o["pass"]}
@@ -161,30 +165,33 @@ def test_certify_rejects_a_scaled_coefficient(monkeypatch, check):
         ), label
 
 
-def test_subspace_membership_multiplies_nothing(monkeypatch):
+def test_product_spans_multiply_nothing(monkeypatch):
     # the targets are the coideal left coefficients of A3 at L1-L4 and the
-    # commutators of its flatness pairs, read through difference_membership;
-    # each commutator is formed, as the difference of its two products,
-    # before nc_mul is made to raise, and solved again by subspace_membership
+    # commutators of its flatness pairs; each commutator is formed, as the
+    # difference of its two products, before nc_mul is made to raise, and
+    # then every span is built again, and every target solved again over it
     rs, beta, recipe, alg = _case("A", 3, "L1-L4")
-    solves, differences = [], []
-    solve, difference = alg.subspace_membership, alg.difference_membership
+    solves, pairs, fits = [], [], []
+    coefficients, pair_solve, fit = (
+        verify._span_coefficients, verify._solve_flatness_pair, verify._fit_q1_constraints
+    )
 
-    def recording(x, gens):
-        result = solve(x, gens)
-        solves.append(((x, gens), result))
+    def recording(alg, x, gens, spans):
+        result = coefficients(alg, x, gens, spans)
+        solves.append(((alg, x, gens), result))
         return result
 
-    def recording_difference(left, right, gens, multidegree):
-        args = (left, right, gens, multidegree)
-        result = difference(*args)
-        gen_map = dict(gens)
-        x = alg.label_product(left, gen_map) - alg.label_product(right, gen_map)
-        differences.append((args, x, result))
-        return result
+    def recording_pair(alg, c_poly, formed, egens, relations):
+        pairs.append((c_poly, egens))
+        return pair_solve(alg, c_poly, formed, egens, relations)
 
-    monkeypatch.setattr(alg, "subspace_membership", recording)
-    monkeypatch.setattr(alg, "difference_membership", recording_difference)
+    def recording_fit(particular, nullspace, degree_one):
+        fits.append((particular, nullspace))
+        return fit(particular, nullspace, degree_one)
+
+    monkeypatch.setattr(verify, "_span_coefficients", recording)
+    monkeypatch.setattr(verify, "_solve_flatness_pair", recording_pair)
+    monkeypatch.setattr(verify, "_fit_q1_constraints", recording_fit)
     check_left_coideal(recipe, alg)
     check_flatness(recipe, alg)
 
@@ -192,44 +199,103 @@ def test_subspace_membership_multiplies_nothing(monkeypatch):
         raise AssertionError("the product-span solve multiplied a product out")
 
     monkeypatch.setattr(UqBorel, "nc_mul", refuse)
-    assert solves and differences
+    assert solves and pairs and len(pairs) == len(fits)
     for args, result in solves:
-        assert result[0] is not None
-        assert solve(*args) == result
-    for args, x, result in differences:
-        assert difference(*args) == result
-        assert solve(x, args[2]) == result
+        assert result is not None
+        assert coefficients(*args, {}) == result
+    # a commutator's expression read off the relations is its solve
+    for (c_poly, egens), (particular, nullspace) in zip(pairs, fits):
+        span = alg.product_span(egens, *c_poly.multidegree(), {})
+        assert span.nullrows == nullspace
+        assert span.solve(alg._word_nf(c_poly)) == particular
 
 
 @pytest.mark.parametrize(
     "series, rank, lit",
     [("A", 3, "L1-L4"), ("B", 3, "L1+L2"), ("C", 3, "2L1"), ("G", 2, "3a1+2a2")],
 )
-def test_flatness_pairs_read_off_the_product_relations(series, rank, lit):
-    # the particular solution and nullspace read off the products'
-    # elimination are those of a solve of the commutator's normal form over
-    # the product normal forms, the route they replace
+def test_flatness_pairs_read_off_the_product_relations(monkeypatch, series, rank, lit):
+    # the particular solution and nullspace read off the relations of the
+    # product span are those of a solve of the commutator's normal form over
+    # the product normal forms
     rs, beta, recipe, alg = _case(series, rank, lit)
     egens = recipe.evaluate(alg)
     gen_map = dict(egens)
-    pairs = 0
+    fits = []
+    fit = verify._fit_q1_constraints
+
+    def recording_fit(particular, nullspace, degree_one):
+        fits.append((particular, nullspace))
+        return fit(particular, nullspace, degree_one)
+
+    monkeypatch.setattr(verify, "_fit_q1_constraints", recording_fit)
+    relations = {}
     for (a, ga), (b, gb) in combinations(egens, 2):
-        c_poly = alg.nc_mul(ga, gb) - alg.nc_mul(gb, ga)
+        formed = {f"{a}*{b}": alg.nc_mul(ga, gb), f"{b}*{a}": alg.nc_mul(gb, ga)}
+        c_poly = formed[f"{a}*{b}"] - formed[f"{b}*{a}"]
         if not c_poly or c_poly.degree() > alg.max_degree:
             continue
         kexp, mu = c_poly.multidegree()
         nfs = {}
         templates = [
             (label, alg._product_nf(label, gen_map, nfs))
-            for label in alg.generator_products(egens, kexp, mu, 1)
+            for label in alg.generator_products(egens, kexp, mu)
         ]
         target = alg.nf_components(c_poly).get((kexp, mu), {})
         expected = solve_linear_combination(templates, target)
         assert expected[0] is not None
-        got = alg.difference_membership(f"{a}*{b}", f"{b}*{a}", egens, (kexp, mu))
-        assert got == expected, (a, b)
-        pairs += 1
-    assert pairs
+        verify._solve_flatness_pair(alg, c_poly, formed, egens, relations)
+        assert fits.pop() == expected, (a, b)
+    assert relations
+
+
+@pytest.mark.parametrize("check", [check_left_coideal, check_flatness])
+def test_each_product_span_is_built_once_per_check(monkeypatch, check):
+    # a check lists and eliminates the products at a multidegree once,
+    # however many of its targets have that multidegree; the next check
+    # starts afresh
+    rs, beta, recipe, alg = _case("B", 3, "L1+L2")
+    targets, built = [], []
+    products = alg.generator_products
+    coefficients, pair_solve = verify._span_coefficients, verify._solve_flatness_pair
+
+    def listing(gens, kexp, mu):
+        built.append((kexp, mu))
+        return products(gens, kexp, mu)
+
+    def solving(alg, x, gens, spans):
+        targets.extend(x.components())
+        return coefficients(alg, x, gens, spans)
+
+    def pairing(alg, c_poly, formed, egens, relations):
+        targets.append(c_poly.multidegree())
+        return pair_solve(alg, c_poly, formed, egens, relations)
+
+    monkeypatch.setattr(alg, "generator_products", listing)
+    monkeypatch.setattr(verify, "_span_coefficients", solving)
+    monkeypatch.setattr(verify, "_solve_flatness_pair", pairing)
+    check(recipe, alg)
+    assert sorted(built) == sorted(set(targets)) and len(built) < len(targets)
+    first = list(built)
+    check(recipe, alg)
+    assert built == first + first
+
+
+def test_recipes_sharing_generator_names_share_no_spans():
+    # the plain-bracket recipe names its generators as the built-in one
+    # does, with the same degrees and other values: on one algebra, each
+    # recipe's entries are those it gets on a fresh algebra
+    rs = rs_of("A", 3)
+    good = builtin_recipe(rs, parse_root(rs, "L1-L4"))
+    recipes = (good, _plain_bracket_a3(good))
+
+    def entries(recipe, alg):
+        return check_left_coideal(recipe, alg), check_flatness(recipe, alg)
+
+    shared = UqBorel(rs, max_degree=8)
+    got = [entries(recipe, shared) for recipe in recipes]
+    assert got == [entries(recipe, UqBorel(rs, max_degree=8)) for recipe in recipes]
+    assert got[0] != got[1]
 
 
 def _explicit_residuals(monkeypatch):
@@ -670,9 +736,10 @@ def test_vector_fold_matches_the_word_by_word_fold(case):
 
 def test_algebra_keeps_only_the_named_state(monkeypatch):
     """After a full verification an algebra holds its configuration, the
-    normal-form tables, the interned coefficients, the ideal-basis and
-    product labels and the Serre relations, and nothing else: a new memo on
-    the algebra has to be added to this list."""
+    normal-form tables, the interned coefficients, the ideal-basis labels and
+    the Serre relations, and nothing else: a new memo on the algebra has to
+    be added to this list.  The product spans and labels are dropped with
+    the check that built them."""
     algs = []
     init = UqBorel.__init__
 
@@ -687,9 +754,9 @@ def test_algebra_keeps_only_the_named_state(monkeypatch):
     for alg in algs:
         assert set(vars(alg)) == {
             "rs", "rank", "max_degree",
-            "_tables", "_coeffs", "_ideal_bases", "_products", "_serre", "_generating",
+            "_tables", "_coeffs", "_ideal_bases", "_serre", "_generating",
         }
-        assert alg._tables and alg._coeffs and alg._ideal_bases and alg._products
+        assert alg._tables and alg._coeffs and alg._ideal_bases
 
 
 def test_flatness_certificates_reuse_the_pair_products(monkeypatch):
@@ -701,9 +768,9 @@ def test_flatness_certificates_reuse_the_pair_products(monkeypatch):
     pairs = []  # [[the pair's own two labels, labels multiplied out, result]]
     solve, label_product = verify._solve_flatness_pair, alg.label_product
 
-    def solving(alg, c_poly, formed, egens):
+    def solving(alg, c_poly, formed, egens, relations):
         pairs.append([set(formed), [], None])
-        pairs[-1][2] = solve(alg, c_poly, formed, egens)
+        pairs[-1][2] = solve(alg, c_poly, formed, egens, relations)
         return pairs[-1][2]
 
     def recording(label, gen_map):
@@ -732,15 +799,15 @@ def test_flatness_certificates_reuse_the_pair_products(monkeypatch):
 def test_finished_algebra_is_freed_without_gc(monkeypatch):
     """A run's algebra, with its tables and memos, is freed by reference
     counting when the run ends, not at the next full garbage collection.
-    The memos of ideal bases and product labels are held past the run: they
-    are filled, and holding them does not keep the algebra alive."""
+    The memos of ideal bases and tables are held past the run: they are
+    filled, and holding them does not keep the algebra alive."""
     refs, memos = [], []
     init = UqBorel.__init__
 
     def tracking(self, *args, **kwargs):
         init(self, *args, **kwargs)
         refs.append(weakref.ref(self))
-        memos.append((self._ideal_bases, self._products))
+        memos.append((self._ideal_bases, self._tables))
 
     monkeypatch.setattr(UqBorel, "__init__", tracking)
     rs = rs_of("A", 2)
@@ -748,7 +815,7 @@ def test_finished_algebra_is_freed_without_gc(monkeypatch):
     try:
         assert run_full_verification(rs, parse_root(rs, "L1-L3")).verdict == "pass"
         assert refs and all(ref() is None for ref in refs)
-        assert memos and all(bases and products for bases, products in memos)
+        assert memos and all(bases and tables for bases, tables in memos)
     finally:
         gc.enable()
 
