@@ -70,13 +70,14 @@ class Root:
         return render_simple_form(self.decomp)
 
 
-def render_simple_form(decomp) -> str:
+def render_simple_form(decomp, letter="a") -> str:
+    """E.g. "a1+2a2", or "L1-L3" for Euclidean coordinates with letter "L"."""
     parts = []
     for i, c in enumerate(decomp):
         if c == 0:
             continue
         mag = "" if abs(c) == 1 else str(abs(c))
-        parts.append(("-" if c < 0 else "+", f"{mag}a{i + 1}"))
+        parts.append(("-" if c < 0 else "+", f"{mag}{letter}{i + 1}"))
     return join_signed(parts) if parts else "0"
 
 
@@ -163,7 +164,7 @@ class RootSystem:
         """Li-form for A-D, whose Euclidean coordinates are integers; a-form
         for every other type."""
         if self.type.series in "ABCD":
-            return _render_euclid(self.euclid_coords(root))
+            return render_simple_form(self.euclid_coords(root), "L")
         return render_simple_form(root.decomp)
 
     def find_root(self, decomp) -> Root:
@@ -349,12 +350,3 @@ def _literal_decomp(rs: RootSystem, text: str) -> tuple:
             return decomp
     raise RootSystemError(f"{text!r} is not a root of {rs.type}")
 
-
-def _render_euclid(coords):
-    parts = []
-    for i, c in enumerate(coords):
-        if c == 0:
-            continue
-        mag = "" if abs(c) == 1 else str(abs(c))
-        parts.append(("-" if c < 0 else "+", f"{mag}L{i + 1}"))
-    return join_signed(parts)

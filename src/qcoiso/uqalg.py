@@ -32,17 +32,17 @@ raw words of a component as one vector and `nf_word` one word.  The words of
 a table's relation row are folded one at a time: merging their states would
 reorder the row's entries, and with them the stored tables.  Folds return
 fresh vectors and nothing is memoized by word: the intermediate states live
-for one call.  An element keeps its own word normal form once computed
-(`UqBorel._word_nf`), so a generator is folded once per check, and tables
-intern their coefficients (one object per value).
+for one call.  An element is a plain value that stores no normal form, and
+tables intern their coefficients (one object per value).
 
 Both checks ask about one object per multidegree, the span of the ordered
 generator products modulo the ideal: `product_span` eliminates their normal
-forms, tagged by label, into a dict of spans that the caller keeps for one
-check (a span depends on the generators' values, not only on their names).
-A target is solved against it, and a commutator, the difference of two
-products, is read off the relations it leaves.  No generator product is
-expanded for this: the normal form of p * g is the fold of the states
+forms, tagged by label, folding each generator once per span, and keeps
+nothing: a check keeps the spans it needs for that check only (a span
+depends on the generators' values, not only on their names).  A target is
+solved against it, and a commutator, the difference of two products, is
+read off the relations it leaves.  No generator product is expanded for
+this: the normal form of p * g is the fold of the states
 {w: q^s * nf(g)[w] * nf(p)} over the basis words w of nf(g), nf(p) from the
 label prefix p and q^s the K-crossing factor of p.  This holds because the
 ideal is two-sided and a basis word folds to itself.  Products are
@@ -106,15 +106,12 @@ class NCPoly:
     """A Borel element: {(kexp, word): coefficient} with zero coefficients
     stripped.  Instances are treated as immutable."""
 
-    __slots__ = ("alg", "terms", "_multidegree", "_normal_form")
+    __slots__ = ("alg", "terms", "_multidegree")
 
     def __init__(self, alg, terms):
         self.alg = alg
         self.terms = terms
         self._multidegree = None
-        # the word normal form of a multihomogeneous element, set by
-        # `UqBorel._word_nf`
-        self._normal_form = None
 
     def __bool__(self):
         return bool(self.terms)
@@ -324,8 +321,7 @@ class UqBorel:
         return self._build_down_to(mu)
 
     def _build_down_to(self, mu):
-        subs = sorted(product(*(range(m + 1) for m in mu)), key=lambda v: (sum(v), v))
-        for sub in subs:
+        for sub in sorted(_subcontents(mu), key=sum):
             if sub not in self._tables:
                 self._tables[sub] = self._build_table(sub)
         return self._tables[mu]
@@ -604,23 +600,20 @@ class UqBorel:
             prod = self.nc_mul(prod, gen_map[name])
         return prod
 
-    def product_span(self, gens, kexp, mu, spans):
+    def product_span(self, gens, kexp, mu):
         """The span of the generator products at (kexp, mu) modulo the
         ideal: a `SpanSolver` of their normal forms, each tagged by its
         label and added in sorted label order (`generator_products`), so a
         target's `solve` gives its coefficients over the labels and
-        `nullrows` the relations among the products.  spans holds the spans
-        built for one generator set, keyed by (kexp, mu): a span depends on
-        the generators' values, so a caller keeps spans for one check only.
+        `nullrows` the relations among the products.  It is built afresh on
+        every call and nothing is kept: a span depends on the generators'
+        values, so a check that asks one multidegree again keeps its own.
         No product is multiplied out.
         """
-        key = (tuple(kexp), tuple(mu))
-        span = spans.get(key)
-        if span is None:
-            span = spans[key] = SpanSolver()
-            gen_map, nfs = dict(gens), {}
-            for label in self.generator_products(gens, kexp, mu):
-                span.add(self._product_nf(label, gen_map, nfs), {label: RF_ONE})
+        span = SpanSolver()
+        gen_map, nfs = dict(gens), {}
+        for label in self.generator_products(gens, kexp, mu):
+            span.add(self._product_nf(label, gen_map, nfs), {label: RF_ONE})
         return span
 
     def _product_nf(self, label, gen_map, nfs):
@@ -631,16 +624,18 @@ class UqBorel:
         nf(p)[b] * q^s * nf(g)[w] * nf(b + w) over basis words b of nf(p)
         and w of nf(g), where q^s is the cost of moving g's K^k left past E_b
         (the same for every b, as p is multihomogeneous).  So it is one fold,
-        from the states {w: q^s * nf(g)[w] * nf(p)}.  nfs memoizes labels,
-        single generators too, for one span; a single generator's vector is
-        its own cached normal form (`_word_nf`), read only.
+        from the states {w: q^s * nf(g)[w] * nf(p)}.  nfs memoizes labels for
+        one span, so each generator is folded once per span
+        (`nf_components`); the empty product "1" is the basis word ().
         """
         vec = nfs.get(label)
         if vec is not None:
             return vec
         prefix, _, name = label.rpartition("*")
-        if not prefix:
-            vec = self._word_nf(self.one() if label == "1" else gen_map[label])
+        if label == "1":
+            vec = {(): RF_ONE}
+        elif not prefix:
+            vec = next(iter(self.nf_components(gen_map[label]).values()), {})
         else:
             pvec = self._product_nf(prefix, gen_map, nfs)
             gvec = self._product_nf(name, gen_map, nfs)
@@ -657,14 +652,6 @@ class UqBorel:
                     states[w] = {b: c * cg for b, c in pvec.items()}
                 vec = self._fold(states, mu)
         nfs[label] = vec
-        return vec
-
-    def _word_nf(self, x: NCPoly):
-        """Normal form of a multihomogeneous x, keyed by basis word alone;
-        computed once per element and kept on it, so callers only read it."""
-        vec = x._normal_form
-        if vec is None:
-            vec = x._normal_form = next(iter(self.nf_components(x).values()), {})
         return vec
 
     def combination(self, coeffs, polys) -> NCPoly:

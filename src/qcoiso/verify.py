@@ -9,10 +9,11 @@ modulo the ideal, in two phases: a particular solution and nullspace over
 Q(q), then constant parameters for the nullspace from one tagged solve over
 the values at q = 1 (`_fit_q1_constraints`).  Both checks ask the span of the
 generator products modulo the ideal at a multidegree
-(`UqBorel.product_span`), and each builds it once per multidegree and drops
-what it kept when it returns: the coideal check keeps the spans and solves
-each component of a left coefficient against one, and the flatness check
-keeps only the relations a span leaves and reads each commutator off them.
+(`UqBorel.product_span`, which keeps nothing); each check builds it once per
+multidegree and keeps it for that check only: the coideal check keeps the
+spans and solves each nonzero component normal form of a left coefficient
+against one, and the flatness check keeps only the relations a span leaves
+and reads each commutator off them.
 
 A certificate is checked against the algebra, not against the solve: the
 products with a nonzero coefficient are multiplied out from the generators,
@@ -199,11 +200,14 @@ def _coideal_entry(alg, name, g, gens, spans):
 
 def _span_coefficients(alg, x, gens, spans):
     """Coefficients over the product labels expressing x modulo the ideal,
-    each component solved against the product span of its multidegree, or
-    None at the first component outside it."""
+    the normal form of each component solved against the span of its
+    multidegree in spans, the check's own, or None at the first component
+    outside it."""
     coeffs = {}
-    for (kexp, mu), comp in x.components().items():
-        sol = alg.product_span(gens, kexp, mu, spans).solve(alg._word_nf(comp))
+    for key, vec in alg.nf_components(x).items():
+        if key not in spans:
+            spans[key] = alg.product_span(gens, *key)
+        sol = spans[key].solve(vec)
         if sol is None:
             return None
         coeffs.update(sol)
@@ -328,7 +332,7 @@ def _solve_flatness_pair(alg, c_poly, formed, egens, relations):
     to the algebra, without multiplying those two products again."""
     key = c_poly.multidegree()
     if key not in relations:
-        relations[key] = alg.product_span(egens, *key, {}).nullrows
+        relations[key] = alg.product_span(egens, *key).nullrows
     nullspace = relations[key]
     own = {max(row): row for row in nullspace}
     left, right = (

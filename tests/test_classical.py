@@ -434,56 +434,40 @@ def test_abstract_ef_brackets_are_coroots():
             assert t == expected, (series, r)
 
 
-# (test id, series, rank, pairs, table digest, r-matrix digest); a row keeps
-# the id it was first pinned under when it is re-pinned: the A-D and G2 rows
-# were re-pinned when their tables moved from the matrix realizations and the
-# hand-typed G2 constants to the cocycle and its fold, and the digest in
-# their ids is now the oracle's (_ORACLE_PINNED)
+# (series, rank, pairs, table digest, r-matrix digest); a row's test id is
+# its series and rank, so a re-pin keeps it.  The A-D and G2 rows were
+# re-pinned when their tables moved from the matrix realizations and the
+# hand-typed G2 constants to the cocycle and its fold (_ORACLE_PINNED)
 _PINNED = [
-    ("A-2-28-e37a8a1d7840a282ed87036c76f39535be9cc828801db98d92374cd57d9daa78",
-     "A", 2, 28, "15d6b56961d854feeedde6c3cadfc34e02c8320ce9fe41fc7d974c9e97adc484",
+    ("A", 2, 28, "15d6b56961d854feeedde6c3cadfc34e02c8320ce9fe41fc7d974c9e97adc484",
      "ee2ad94f2485fb720b777454e508f1b3c21a9f0fbdfd109e3e6cfdd467f59d7c"),
-    ("A-3-105-574517b9e6bd067d4563138998c670a9b179fdfcd4a2e86f83ecc72608f47fbd",
-     "A", 3, 105, "1ed27ca555107841416ce278dba6bf5e70ffdd57ce6a3919e6f4b14577fce60b",
+    ("A", 3, 105, "1ed27ca555107841416ce278dba6bf5e70ffdd57ce6a3919e6f4b14577fce60b",
      "b20c79859d12858c23307b7c1ddb5501501fb9ebc7fa5e3265c00a6d8b796137"),
-    ("A-5-595-e6524a84b57ec7a4be9c6df7a1a292a0ea4fbcdb78a3ba0a4951619adfcb2783",
-     "A", 5, 595, "1ea371abe8513de1dc1630dfb8a6d863b53820aaab8642a7a06b39bc14c0c6ea",
+    ("A", 5, 595, "1ea371abe8513de1dc1630dfb8a6d863b53820aaab8642a7a06b39bc14c0c6ea",
      "348e707573c6eb01b07c2ee11b264f099709e2075b742b03cf5f74b44bf827d4"),
-    ("B-2-45-2bb2cc70b52dba8adfea439d79a472f076767ea6ca4a87470e0a824a21355d17",
-     "B", 2, 45, "98d642318d62d82abfbc960c2aa29357e1881787ceec0e8ca40eeee466c67192",
+    ("B", 2, 45, "98d642318d62d82abfbc960c2aa29357e1881787ceec0e8ca40eeee466c67192",
      "ee89d0ecc57b683658f87d1b2269ed9c9e86ae39c95863250b1f736c4ae6b98c"),
-    ("B-3-210-4165aa4d55cdf53965545dc45fe577eaddb9769680fb4a257fd926a06afbb194",
-     "B", 3, 210, "e648ae213dbd9d162f8cfd484f4a51c5111ce27c3308a718a5f8ea824e5cc6f2",
+    ("B", 3, 210, "e648ae213dbd9d162f8cfd484f4a51c5111ce27c3308a718a5f8ea824e5cc6f2",
      "c8e40f9133a879e1b2e439e3f9505b2b505d02acb1bcf1d413954f951b3a7a0e"),
-    ("B-4-630-8d41780b1ffb9bbb490ac1183cadde198abf6778274fd8746ba8e669a694d538",
-     "B", 4, 630, "66e8a2ad876c2571069beb2809e81bad7eb4f84fdf8938bcaf56519580c0f85f",
+    ("B", 4, 630, "66e8a2ad876c2571069beb2809e81bad7eb4f84fdf8938bcaf56519580c0f85f",
      "325045107081ea9fd426287a59d565f492fce4a42d087979bdab9d22744f12d6"),
-    ("C-2-45-421e8f1dadc7ea4699d3fb7480d858af8f3f0fe58ec2d15fbc377925ceb3c0a8",
-     "C", 2, 45, "cf3a53b1cdee1354cabd4e89684e9b6a3289dfec331e422a0409bd41cae62a22",
+    ("C", 2, 45, "cf3a53b1cdee1354cabd4e89684e9b6a3289dfec331e422a0409bd41cae62a22",
      "b6e52724b4af1ff35ead24cb28168e79c1e903183f06d16d7adf913f014de584"),
-    ("C-3-210-bf2ada1ecede53023119a5a06a0871f744656bae88d6849b02658e03d601c15f",
-     "C", 3, 210, "936fd26d01eefe319e80d2eb6004bd39a20c2f7c1c7ca02a12fead0829554c46",
+    ("C", 3, 210, "936fd26d01eefe319e80d2eb6004bd39a20c2f7c1c7ca02a12fead0829554c46",
      "6c1c6914dd7be686777688164460f81d94116ec0f107af69c2267a0114723ac8"),
-    ("C-4-630-e70ced7279142ceb6756763617e3397d474b49956ed50fa898547f2d3c2e4b3d",
-     "C", 4, 630, "490e0abc6cade654d4a8adccd521e0374da2362b313ff2af2c7c109b3359975f",
+    ("C", 4, 630, "490e0abc6cade654d4a8adccd521e0374da2362b313ff2af2c7c109b3359975f",
      "a57c9eb04663404be12a521d69d6e2e7359a20737895887c2b517c10b31d381b"),
-    ("D-4-378-86fe7e8f9aed4995fecb139fd904b0453dfd223db9a98b8cd4cb7df7959123dd",
-     "D", 4, 378, "84195c366c7c06443a0c15df97397da28337030be9e45ec3ed2dc7bf601555a1",
+    ("D", 4, 378, "84195c366c7c06443a0c15df97397da28337030be9e45ec3ed2dc7bf601555a1",
      "ae4d4d277312c99a2d300e63a02d84b34f75cbc20a8dc5b3a8b09c7ca47f69ab"),
-    ("D-5-990-1ac987fa18f71e5ee33aae166d93f412aa367525079d3940d5eddf2d77087a92",
-     "D", 5, 990, "a027df4c8d41b98a0dd3c480b06a723ed6eb62010d5f4d8f29239fd5dc43fdcf",
+    ("D", 5, 990, "a027df4c8d41b98a0dd3c480b06a723ed6eb62010d5f4d8f29239fd5dc43fdcf",
      "fd4082acbe8441d4efce904594efb6825770e9257ef097d758bfb3ad4c8fb555"),
-    ("G-2-91-05c431ec45db22173b7f8ad3ab7b5f7d269b56c674b27dfe230d634393954fd1",
-     "G", 2, 91, "1512612ec7e24bdb4f72cf1a54d39bc89de2ff78db0e5370216a0498c1c98324",
+    ("G", 2, 91, "1512612ec7e24bdb4f72cf1a54d39bc89de2ff78db0e5370216a0498c1c98324",
      "80724f70924c51bf1508b8a1c90c5d33224705696c0016d30c2f65e31ef7e40c"),
-    ("E-6-3003-241fba8bfd9e4108e5d57d30dff89123b151e839d18ac6be03aecfbdcd530469",
-     "E", 6, 3003, "241fba8bfd9e4108e5d57d30dff89123b151e839d18ac6be03aecfbdcd530469",
+    ("E", 6, 3003, "241fba8bfd9e4108e5d57d30dff89123b151e839d18ac6be03aecfbdcd530469",
      "64ba721ea4253bc2772e3fc1386e06c9fa42e8de1be54c78e5344b86be126bf8"),
-    ("E-7-8778-6f6ee1418c2df68cfc9104b7bb837ff74468f911ebae8da4e1c58817be26b957",
-     "E", 7, 8778, "6f6ee1418c2df68cfc9104b7bb837ff74468f911ebae8da4e1c58817be26b957",
+    ("E", 7, 8778, "6f6ee1418c2df68cfc9104b7bb837ff74468f911ebae8da4e1c58817be26b957",
      "c51ea5f4e8718cf36b2a7964de596f8bee4b81f78646eb75e8f434003275b7b7"),
-    ("F-4-1326-507e8f5b0176f0478cef6670ed387634b9afdf25d09e7c5ef012e7ee0a0d1d07",
-     "F", 4, 1326, "507e8f5b0176f0478cef6670ed387634b9afdf25d09e7c5ef012e7ee0a0d1d07",
+    ("F", 4, 1326, "507e8f5b0176f0478cef6670ed387634b9afdf25d09e7c5ef012e7ee0a0d1d07",
      "af7fd1ec66dfe94ff6f813d43b14b891de65d455f6d2998ffbad3383535920b5"),
 ]
 
@@ -507,8 +491,8 @@ def _table_digests(cb):
 
 @pytest.mark.parametrize(
     "series, rank, pairs, digest, r_digest",
-    [row[1:] for row in _PINNED],
-    ids=[row[0] for row in _PINNED],
+    _PINNED,
+    ids=[f"{series}{rank}" for series, rank, *_ in _PINNED],
 )
 def test_exceptional_bracket_tables_are_pinned(series, rank, pairs, digest, r_digest):
     # every report is built on these tables, so any rebuild of them must

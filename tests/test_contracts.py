@@ -34,7 +34,14 @@ def test_product_span_contract():
     recipe = builtin_recipe(rs, parse_root(rs, "L1-L4"))
     gens = [("K", alg.k_monomial(recipe.k_monomial))] + recipe.evaluate(alg)
     by = dict(gens)
-    spans = {}
+    spans, built = {}, []
+    span_of = alg.product_span
+
+    def counting(gens, kexp, mu):
+        built.append((kexp, mu))
+        return span_of(gens, kexp, mu)
+
+    alg.product_span = counting
 
     def solve(x):
         # the coideal check's solve of one element over the product spans
@@ -53,13 +60,20 @@ def test_product_span_contract():
     # the unit is the empty product
     coeffs = solve(alg.one())
     assert coeffs == {"1": parse_ratfunc("1")} and not residual(alg.one(), coeffs)
-    # each multidegree asked has one span, with a label per product
+    # each multidegree asked has one span, built once, with a label per product
     zero = (0, 0, 0)
     assert set(spans) == {(zero, (2, 1, 0)), (zero, (0, 1, 0)), (zero, zero)}
+    assert sorted(built) == sorted(spans)
     span = spans[(zero, (2, 1, 0))]
-    assert alg.product_span(gens, zero, (2, 1, 0), spans) is span
+    assert solve(x) == {"X1*X2": parse_ratfunc("1")}
+    assert spans[(zero, (2, 1, 0))] is span and sorted(built) == sorted(spans)
     labels = alg.generator_products(gens, zero, (2, 1, 0))
     assert "X1*X2" in labels and len(span.rows) + len(span.nullrows) == len(labels)
+    # product_span keeps nothing: each call builds a new, equal span
+    first, second = (span_of(gens, zero, (2, 1, 0)) for _ in range(2))
+    assert first is not second and first is not span
+    assert first.rows == second.rows == span.rows
+    assert first.nullrows == second.nullrows == span.nullrows
 
 
 def test_chain_commutator_alternating_form():

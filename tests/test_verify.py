@@ -205,9 +205,10 @@ def test_product_spans_multiply_nothing(monkeypatch):
         assert coefficients(*args, {}) == result
     # a commutator's expression read off the relations is its solve
     for (c_poly, egens), (particular, nullspace) in zip(pairs, fits):
-        span = alg.product_span(egens, *c_poly.multidegree(), {})
+        key = c_poly.multidegree()
+        span = alg.product_span(egens, *key)
         assert span.nullrows == nullspace
-        assert span.solve(alg._word_nf(c_poly)) == particular
+        assert span.solve(alg.nf_components(c_poly).get(key, {})) == particular
 
 
 @pytest.mark.parametrize(
@@ -252,7 +253,8 @@ def test_flatness_pairs_read_off_the_product_relations(monkeypatch, series, rank
 @pytest.mark.parametrize("check", [check_left_coideal, check_flatness])
 def test_each_product_span_is_built_once_per_check(monkeypatch, check):
     # a check lists and eliminates the products at a multidegree once,
-    # however many of its targets have that multidegree; the next check
+    # however many of its targets have that multidegree; the coideal check
+    # builds none for a component whose normal form is zero; the next check
     # starts afresh
     rs, beta, recipe, alg = _case("B", 3, "L1+L2")
     targets, built = [], []
@@ -264,7 +266,7 @@ def test_each_product_span_is_built_once_per_check(monkeypatch, check):
         return products(gens, kexp, mu)
 
     def solving(alg, x, gens, spans):
-        targets.extend(x.components())
+        targets.extend(alg.nf_components(x))
         return coefficients(alg, x, gens, spans)
 
     def pairing(alg, c_poly, formed, egens, relations):
@@ -279,6 +281,57 @@ def test_each_product_span_is_built_once_per_check(monkeypatch, check):
     first = list(built)
     check(recipe, alg)
     assert built == first + first
+
+
+def _per_component_coefficients(alg, x, gens):
+    """The reference for `_span_coefficients`: split x into its components,
+    and solve the normal form of each, zero or not, against a product span
+    of its multidegree."""
+    coeffs = {}
+    for (kexp, mu), comp in x.components().items():
+        vec = next(iter(alg.nf_components(comp).values()), {})
+        sol = alg.product_span(gens, kexp, mu).solve(vec)
+        if sol is None:
+            return None
+        coeffs.update(sol)
+    return coeffs
+
+
+@pytest.mark.parametrize("series, rank, lit", [("A", 3, "L1-L4"), ("B", 3, "L1+L2")])
+def test_span_coefficients_match_the_per_component_route(monkeypatch, series, rank, lit):
+    # the coideal check's left coefficients, and each of them, the unit, a
+    # simple root vector outside the span and zero, each plus a placed Serre
+    # relation at a content of its own: a component whose normal form is zero
+    rs, beta, recipe, alg = _case(series, rank, lit)
+    targets = []
+    coefficients = verify._span_coefficients
+
+    def recording(alg, x, gens, spans):
+        targets.append(x)
+        return coefficients(alg, x, gens, spans)
+
+    monkeypatch.setattr(verify, "_span_coefficients", recording)
+    check_left_coideal(recipe, alg)
+    gens = [("K", alg.k_monomial(recipe.k_monomial)), *recipe.evaluate(alg)]
+    outside = next(
+        e for e in map(alg.gen, range(rs.rank)) if _per_component_coefficients(alg, e, gens) is None
+    )
+    relation = alg.gen(0) * alg.serre_relations()[(1, 0)]
+    assert relation and not alg.nf_components(relation)
+    placed = [
+        x + relation
+        for x in [*targets, alg.one(), outside, alg.one() * 0]
+        if relation.multidegree() not in x.components()
+    ]
+    assert len(placed) == len(targets) + 3
+    results = []
+    for x in targets + placed:
+        spans = {}
+        got = coefficients(alg, x, gens, spans)
+        assert got == _per_component_coefficients(alg, x, gens)
+        assert set(spans) <= set(alg.nf_components(x))
+        results.append(got)
+    assert None in results and {} in results and any(results)
 
 
 def test_recipes_sharing_generator_names_share_no_spans():
@@ -841,6 +894,36 @@ def test_programming_error_in_the_realization_propagates(monkeypatch):
     rs = rs_of("A", 2)
     with pytest.raises(KeyError):
         run_full_verification(rs, parse_root(rs, "L1-L3"))
+
+
+@pytest.mark.parametrize(
+    "series, rank, lit", [("A", 3, "L1-L4"), ("G", 2, "3a1+2a2"), ("E", 6, "a1+a3+a4")]
+)
+def test_no_check_asks_a_table_above_the_cap(monkeypatch, series, rank, lit):
+    # a generator above the cap is unverified and so is a pair whose
+    # commutator is, so at every cap up to the row's own neither check asks
+    # a table above it and the DegreeOverflowError handler of
+    # run_full_verification is never reached; the verdict goes from
+    # inconclusive to pass as the cap rises
+    rs = rs_of(series, rank)
+    beta = parse_root(rs, lit)
+    asked = []
+    table = UqBorel.table
+
+    def recording(self, mu):
+        asked.append((sum(mu), self.max_degree))
+        return table(self, mu)
+
+    monkeypatch.setattr(UqBorel, "table", recording)
+    verdicts = []
+    for cap in range(1, run_full_verification(rs, beta).degrees_used + 1):
+        asked.clear()
+        report = run_full_verification(rs, beta, degree_cap=cap)
+        assert asked and all(degree <= top for degree, top in asked), cap
+        assert not report.stage_error, cap
+        verdicts.append(report.verdict)
+    passing = verdicts.index("pass")
+    assert set(verdicts[:passing]) == {"inconclusive"} and set(verdicts[passing:]) == {"pass"}
 
 
 def test_recipe_error_is_a_stage_error(monkeypatch):
