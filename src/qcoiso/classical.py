@@ -28,13 +28,17 @@ f[root], h<k>) on demand.
 Elements are sparse coefficient dicts over the basis.  Bivectors (antisymmetric
 two-tensors) are dicts keyed by index pairs (i, j) with i < j.  The coideal
 check is linear in the generator: [g, pi] = sum_k g_k [x_k, pi], so each
-[x_k, pi] is projected onto the quotient by the span once per check.
+[x_k, pi] is projected onto the quotient by the span once per check.  The
+closure and coideal checks return one form, {"closure": bool, "coideal":
+bool}, the dict the `classical` command prints under "checks" and that
+verification reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from operator import add, mul, sub
 
@@ -413,32 +417,15 @@ def coisotropic_generators(cb: ChevalleyBasis, b: dict):
     return [{p: F1, **{k: -c for k, c in tail.items()}} for p, tail in rows.items()]
 
 
-@dataclass
-class ClassicalReport:
-    closure_ok: bool
-    coideal_ok: bool
-    failing_pair: tuple | None = None
-    failing_generator: int | None = None
-
-    @property
-    def passed(self):
-        return self.closure_ok and self.coideal_ok
-
-
-def check_coisotropic(cb: ChevalleyBasis, pi: dict, gens: list) -> ClassicalReport:
-    """Closure ([g_i,g_j] in span) and coideal ([g_i, pi] in span wedge g)."""
+def check_coisotropic(cb: ChevalleyBasis, pi: dict, gens: list) -> dict:
+    """{"closure": [g_i, g_j] in span for every pair, "coideal": [g_i, pi] in
+    span wedge g for every generator}, the dict `classical` prints under
+    "checks".  Each stops at its first failure; a failed closure does not
+    skip the coideal check."""
     span = FractionSpan()
     for g in gens:
         span.add(g)
-    closure_ok, failing_pair = True, None
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            br = cb.bracket(gens[i], gens[j])
-            if not span.contains(br):
-                closure_ok, failing_pair = False, (i, j)
-                break
-        if not closure_ok:
-            break
+    closure = all(span.contains(cb.bracket(x, y)) for x, y in combinations(gens, 2))
     # coideal: delta(g) lies in span wedge g iff its image under P ^ P
     # vanishes, P the projection onto the quotient by the span.  By
     # linearity P ^ P [g, pi] = sum_k g_k sum_i P[x_k, x_i] ^ P(w_i), with
@@ -468,20 +455,13 @@ def check_coisotropic(cb: ChevalleyBasis, pi: dict, gens: list) -> ClassicalRepo
             hit = images[k] = bivector(terms)
         return hit
 
-    coideal_ok, failing_generator = True, None
-    for gi, g in enumerate(gens):
-        total = {}
+    def total(g):
+        out = {}
         for k, gk in g.items():
-            vec_add_scaled(total, image(k), None if gk == 1 else gk)
-        if total:
-            coideal_ok, failing_generator = False, gi
-            break
-    return ClassicalReport(
-        closure_ok=closure_ok,
-        coideal_ok=coideal_ok,
-        failing_pair=failing_pair,
-        failing_generator=failing_generator,
-    )
+            vec_add_scaled(out, image(k), None if gk == 1 else gk)
+        return out
+
+    return {"closure": closure, "coideal": not any(total(g) for g in gens)}
 
 
 def check_master_equation(cb: ChevalleyBasis, x: dict, pi: dict) -> bool:

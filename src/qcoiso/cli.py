@@ -16,7 +16,7 @@ from .classical import (
     check_coisotropic,
     coisotropic_generators,
 )
-from .recipes import parse_recipe
+from .recipes import RecipeError, parse_recipe
 from .rootsys import (
     CartanType,
     RootSystem,
@@ -154,7 +154,7 @@ def cmd_classical(args) -> int:
     cb = build_realization(rs)
     pi = build_r_matrix(cb)
     gens = coisotropic_generators(cb, ad_bivector(cb, cb.e(beta), pi))
-    report = check_coisotropic(cb, pi, gens)
+    checks = check_coisotropic(cb, pi, gens)
     from .classical import check_master_equation
 
     payload = {
@@ -163,11 +163,7 @@ def cmd_classical(args) -> int:
         "beta": rs.render_root(beta),
         "admissible": admissible,
         "generators": [cb.render_element(g) for g in gens],
-        "checks": {
-            "closure": report.closure_ok,
-            "coideal": report.coideal_ok,
-            "master_equation": check_master_equation(cb, cb.e(beta), pi),
-        },
+        "checks": {**checks, "master_equation": check_master_equation(cb, cb.e(beta), pi)},
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -177,7 +173,7 @@ def cmd_classical(args) -> int:
             print(f"  {g}")
         for k, v in payload["checks"].items():
             print(f"  {k}: {'pass' if v else 'fail'}")
-    return 0 if (report.passed and payload["checks"]["master_equation"]) else 1
+    return 0 if all(payload["checks"].values()) else 1
 
 
 def cmd_verify(args) -> int:
@@ -189,8 +185,7 @@ def cmd_verify(args) -> int:
         given = [flag for flag, value in case_flags.items() if value is not None]
         if given:
             raise ValueError(f"--recipe names its own case; drop {', '.join(given)}")
-        with open(args.recipe, "r", encoding="utf-8") as fh:
-            recipe = parse_recipe(json.load(fh))
+        recipe = _load_recipe(args.recipe)
         rs = build_root_system(recipe.cartan_type)
         beta = recipe.beta
     else:
@@ -240,7 +235,7 @@ def _print_report_text(payload):
 
 def cmd_solve(args) -> int:
     target, templates, meta = builtin_identity(args.name)
-    cert = solve_identity(target, templates, ideal_mode=meta.get("ideal_mode", False))
+    cert = solve_identity(target, templates + meta.get("ambient", []))
     if cert is None:
         print("no solution", file=sys.stderr)
         return 1
@@ -268,10 +263,18 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _load_recipe(path):
+    """The recipe document at path, parsed.  A document nested too deeply for
+    the decoder or the parser is an input error, as any malformed one is."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse_recipe(json.load(fh))
+        except RecursionError:
+            raise RecipeError("recipe document nested too deeply") from None
+
+
 def cmd_recipe_validate(args) -> int:
-    with open(args.path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    recipe = parse_recipe(doc)
+    recipe = _load_recipe(args.path)
     payload = {
         "valid": True,
         "case": {

@@ -622,11 +622,12 @@ class UqBorel:
         The product p * g is never expanded: with nf(p) from the label prefix
         and the ideal two-sided, nf(p * g) is the sum of
         nf(p)[b] * q^s * nf(g)[w] * nf(b + w) over basis words b of nf(p)
-        and w of nf(g), where q^s is the cost of moving g's K^k left past E_b
-        (the same for every b, as p is multihomogeneous).  So it is one fold,
-        from the states {w: q^s * nf(g)[w] * nf(p)}.  nfs memoizes labels for
-        one span, so each generator is folded once per span
-        (`nf_components`); the empty product "1" is the basis word ().
+        and w of nf(g), where q^s, s = -(k, mu), is the cost of moving g's
+        K^k left past E_b (the same for every b, as p is multihomogeneous of
+        content mu).  So it is one fold, from the states
+        {w: q^s * nf(g)[w] * nf(p)}.  nfs memoizes labels for one span, so
+        each generator is folded once per span (`nf_components`); the empty
+        product "1" is the basis word ().
         """
         vec = nfs.get(label)
         if vec is not None:
@@ -642,9 +643,8 @@ class UqBorel:
             vec = {}
             if pvec and gvec:
                 gk = next(iter(gen_map[name].terms))[0]
-                b = next(iter(pvec))
-                _, scale = self.term_mul((gk, b), (gk, ()))
-                mu = self.content_of(b)
+                mu = self.content_of(next(iter(pvec)))
+                scale = RatFunc.q_power(-self.rs.inner(gk, mu))
                 self.table(tuple(map(add, mu, self.content_of(next(iter(gvec))))))
                 states = {}
                 for w, cg in gvec.items():

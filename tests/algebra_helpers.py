@@ -13,7 +13,6 @@ from operator import sub
 
 from qcoiso.classical import (
     ChevalleyBasis,
-    ClassicalReport,
     FractionSpan,
     _closed_form_basis,
     bivector,
@@ -144,7 +143,7 @@ def ad_bivector_by_legs(cb, x: dict, b: dict) -> dict:
     return bivector(terms)
 
 
-def check_coisotropic_direct(cb, pi: dict, gens: list) -> ClassicalReport:
+def check_coisotropic_direct(cb, pi: dict, gens: list) -> dict:
     """check_coisotropic from its definition: closure of the span, then for
     every generator g the whole [g, pi], both legs of every term projected
     onto the quotient by the span."""
@@ -152,21 +151,19 @@ def check_coisotropic_direct(cb, pi: dict, gens: list) -> ClassicalReport:
     span = FractionSpan()
     for g in gens:
         span.add(g)
-    report = ClassicalReport(closure_ok=True, coideal_ok=True)
-    pairs = ((i, j) for i in range(len(gens)) for j in range(i + 1, len(gens)))
-    for i, j in pairs:
-        if not span.contains(bracket_by_legs(cb, gens[i], gens[j])):
-            report.closure_ok, report.failing_pair = False, (i, j)
-            break
-    for gi, g in enumerate(gens):
+    closure = all(
+        span.contains(bracket_by_legs(cb, x, y)) for x, y in combinations(gens, 2)
+    )
+
+    def projected(g):
         terms = []
         for (i, j), c in ad_bivector_by_legs(cb, g, pi).items():
             p_i, p_j = span.reduce({i: one})[0], span.reduce({j: one})[0]
             terms.extend((a, b, c * va * vb) for a, va in p_i.items() for b, vb in p_j.items())
-        if bivector(terms):
-            report.coideal_ok, report.failing_generator = False, gi
-            break
-    return report
+        return bivector(terms)
+
+    coideal = not any(projected(g) for g in gens)
+    return {"closure": closure, "coideal": coideal}
 
 
 def good_lyndon_words(rs, pick=max):

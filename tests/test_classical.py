@@ -161,7 +161,7 @@ def test_every_e7_e8_root_passes_every_classical_check(rank):
         assert is_admissible(rs, beta)
         e = cb.e(beta)
         report = check_coisotropic(cb, pi, coisotropic_generators(cb, ad_bivector(cb, e, pi)))
-        assert report.passed and check_master_equation(cb, e, pi), beta
+        assert all(report.values()) and check_master_equation(cb, e, pi), beta
 
 
 def test_g2_jacobi_exhaustive():
@@ -319,7 +319,7 @@ def test_check_coisotropic_pass_sl4_and_sp4():
         beta = parse_root(rs, lit)
         gens = coisotropic_generators(cb, ad_bivector(cb, cb.e(beta), pi))
         report = check_coisotropic(cb, pi, gens)
-        assert report.passed
+        assert report == {"closure": True, "coideal": True}
 
 
 def test_check_coisotropic_negative_control():
@@ -329,8 +329,8 @@ def test_check_coisotropic_negative_control():
     gens = coisotropic_generators(cb, ad_bivector(cb, cb.e(beta), pi))
     bad = gens + [cb.f(beta)]
     report = check_coisotropic(cb, pi, bad)
-    assert not report.passed
-    assert report.failing_pair is not None or report.failing_generator is not None
+    assert set(report) == {"closure", "coideal"}
+    assert False in report.values()
 
 
 _ORACLE_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 2),
@@ -354,7 +354,7 @@ def test_check_coisotropic_matches_direct_oracle(series, rank):
         for case in (gens, gens + [cb.f(beta)], gens[:gi] + [shifted] + gens[gi + 1:]):
             report = check_coisotropic(cb, pi, case)
             assert report == check_coisotropic_direct(cb, pi, case), (series, rank, beta)
-            failed += not report.passed
+            failed += not all(report.values())
     # the perturbed cases reach the failing branches
     assert failed >= len(rs.positive_roots)
 
@@ -406,7 +406,7 @@ def test_master_equation_versus_admissibility():
             if adm != meq:
                 disagree.add(rs.render_root(beta))
                 gens = coisotropic_generators(cb, ad_bivector(cb, cb.e(beta), pi))
-                assert check_coisotropic(cb, pi, gens).passed
+                assert all(check_coisotropic(cb, pi, gens).values())
         assert disagree == extra
 
 

@@ -485,6 +485,20 @@ def test_malformed_recipe_is_a_usage_error(capsys, tmp_path, edit):
         assert err.startswith("error: "), argv
 
 
+def test_deeply_nested_recipe_is_a_usage_error(capsys, tmp_path):
+    # too deep for the JSON decoder: an input error (64), not a traceback and
+    # exit 1, which would read as a failed verification; the document is
+    # written as text, as json.dumps would hit the same limit
+    depth = 5000
+    expr = '{"qbr": [' * depth + '{"gen": 1}' + ', {"gen": 2}, 0]}' * depth
+    doc = json.dumps({**_a2_recipe_doc(), "generators": []})
+    path = tmp_path / "r.json"
+    path.write_text(doc.replace('"generators": []', f'"generators": [{{"name": "X", "expr": {expr}}}]'))
+    for argv in (["recipe", "validate", str(path)], ["verify", "--recipe", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (64, "", "error: recipe document nested too deeply\n"), argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [

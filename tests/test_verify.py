@@ -632,7 +632,7 @@ def test_solve_identity_eiej_ekej_golden():
 
 def test_solve_identity_so_odd_5term_golden():
     target, templates, meta = builtin_identity("so-odd-5term")
-    sol = solve_identity(target, templates, ideal_mode=meta.get("ideal_mode", False))
+    sol = solve_identity(target, templates + meta["ambient"])
     assert sol is not None and sol["residual_check"]
     den = "(q^4+q^2+1)"
     golden = {
