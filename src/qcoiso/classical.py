@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd
 from operator import add, mul, sub
@@ -61,7 +62,7 @@ class FractionSpan(SpanSolver):
 # Chevalley bases.
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class ChevalleyBasis:
     """Fixed basis with bracket table for one root system.
 
@@ -72,6 +73,10 @@ class ChevalleyBasis:
     with a zero bracket has no entry.  The rows are written by
     _closed_form_basis from the positive structure constants N.  Callers only
     read the stored vectors: each is shared, a one-entry one between entries.
+
+    The basis itself is shared and read only: build_realization hands the
+    same one to every command of its root system in a process.  A basis
+    compares and hashes by identity, so build_r_matrix is kept per basis.
     """
 
     rs: RootSystem
@@ -335,7 +340,11 @@ def _closed_form_basis(rs: RootSystem, pos_constants: dict) -> ChevalleyBasis:
     return ChevalleyBasis(rs=rs, rows=rows, pos_index=index)
 
 
+@cache
 def build_realization(rs: RootSystem) -> ChevalleyBasis:
+    """The Chevalley basis of a root system, built on the first call for
+    that root system and shared, read only, by every later call in the
+    process."""
     if rs.type.series in "ADE":
         return _closed_form_basis(rs, _simply_laced_pos_constants(rs))
     return _closed_form_basis(rs, _folded_pos_constants(rs))
@@ -376,7 +385,11 @@ def bivector(terms) -> dict:
     return accumulate({}, wedges)
 
 
+@cache
 def build_r_matrix(cb: ChevalleyBasis) -> dict:
+    """The r-matrix sum over positive roots of killing_lambda * e ^ f, as a
+    bivector; built on the first call for that basis and shared, read only,
+    by every later call in the process."""
     terms = []
     for r in cb.rs.positive_roots:
         lam = killing_lambda(cb, r)

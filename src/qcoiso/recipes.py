@@ -26,7 +26,14 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .rootsys import CartanType, Root, RootSystem, RootSystemError, parse_root
+from .rootsys import (
+    CartanType,
+    Root,
+    RootSystem,
+    RootSystemError,
+    build_root_system,
+    parse_root,
+)
 from .uqalg import NCPoly, UqBorel
 
 
@@ -408,7 +415,7 @@ def parse_recipe(doc: dict) -> GeneratorRecipe:
         ctype = CartanType(doc["type"], doc["rank"])
     except (KeyError, TypeError, RootSystemError) as exc:
         raise RecipeError(f"bad type/rank: {exc}") from exc
-    rs = RootSystem(ctype)
+    rs = build_root_system(ctype)
     if not isinstance(doc.get("beta"), str):
         raise RecipeError("bad beta: expected a root literal string")
     try:

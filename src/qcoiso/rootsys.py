@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .qfield import join_signed
 
@@ -174,7 +174,12 @@ class RootSystem:
         return Root(t)
 
 
+@cache
 def build_root_system(cartan_type: CartanType) -> RootSystem:
+    """The root system of a Cartan type, built on the first call for that
+    type and shared by every later call in the process.  Callers only read
+    it; the per-root caches it fills as it is queried are the same for every
+    caller."""
     return RootSystem(cartan_type)
 
 

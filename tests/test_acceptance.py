@@ -52,15 +52,11 @@ VERIFICATION_CASES = [
     ("G", 2, "3a1+2a2"),
 ]
 
-_RS = {}
 _REPORTS = {}
 
 
 def rs_of(series, rank):
-    key = (series, rank)
-    if key not in _RS:
-        _RS[key] = build_root_system(CartanType(series, rank))
-    return _RS[key]
+    return build_root_system(CartanType(series, rank))
 
 
 def report_of(series, rank, lit):

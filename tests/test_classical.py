@@ -42,15 +42,10 @@ from qcoiso.rootsys import (
 
 F1 = Fraction(1)
 
-_CACHE = {}
-
 
 def realization(series, rank):
-    key = (series, rank)
-    if key not in _CACHE:
-        rs = build_root_system(CartanType(series, rank))
-        _CACHE[key] = (rs, build_realization(rs))
-    return _CACHE[key]
+    rs = build_root_system(CartanType(series, rank))
+    return rs, build_realization(rs)
 
 
 # the matrix goldens test the oracle of tests/algebra_helpers.py
@@ -81,7 +76,7 @@ def test_traceless_and_form_antisymmetry():
                 assert sum(v for (r, c), v in m.items() if r == c) == 0
 
 
-def test_unfixed_orbit_sum_is_rejected(monkeypatch):
+def test_unfixed_orbit_sum_is_rejected(monkeypatch, fresh_builds):
     # reversing the nodes of A4 is a diagram automorphism, but it maps
     # e[a2+a3] = [e2, e3] to [e3, e2] = -e[a2+a3], so that orbit sum is not
     # fixed and the fold must refuse it (for B2, whose fold it replaces)
@@ -138,7 +133,7 @@ def test_e7_e8_realizations_are_lie_algebras(rank):
         assert cb.bracket(cb.e(r), cb.f(r)) == expected, r
 
 
-def test_flipped_e7_structure_constant_breaks_jacobi(monkeypatch):
+def test_flipped_e7_structure_constant_breaks_jacobi(monkeypatch, fresh_builds):
     # the control for the E7 checks: one sign of N(a1, a3) flipped
     original = classical._simply_laced_pos_constants
 

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import pickle
+from collections import Counter
 
 import pytest
 
-from qcoiso import qfield, verify
+from qcoiso import classical, qfield, rootsys, verify
+from qcoiso.classical import build_r_matrix, build_realization
 from qcoiso.cli import main
 from qcoiso.recipes import builtin_recipe, serialize_recipe
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
@@ -629,3 +631,85 @@ def test_e7_has_no_recipe_yet(capsys):
     payload = json.loads(out)
     assert payload["classical"] == {"coisotropic": True, "dim": 2}
     assert payload["stage_error"] == "recipe: no built-in recipes for type E7"
+
+
+# one type of each kind: A3 simply laced, G2 folded from D4; each with one
+# quick verify row
+_MEMO_CASES = (("A", 3, "L1-L4"), ("G", 2, "3a1+2a2"))
+
+
+def _memo_commands():
+    """roots, classical --force over every positive root and one verify row
+    for each case."""
+    argvs = []
+    for series, rank, beta in _MEMO_CASES:
+        rs = build_root_system(CartanType(series, rank))
+        case = ["--type", series, "--rank", str(rank)]
+        argvs.append(["roots", *case, "--format", "json"])
+        argvs += [["classical", *case, "--beta", str(r), "--force", "--format", "json"]
+                  for r in rs.positive_roots]
+        argvs.append(["verify", *case, "--beta", beta, "--format", "json", "--no-timings"])
+    return argvs
+
+
+def test_commands_print_the_same_on_a_warm_and_an_empty_build_memo(capsys, fresh_builds):
+    argvs = _memo_commands()
+
+    def run_all(clear_each):
+        outs = []
+        for argv in argvs:
+            if clear_each:
+                fresh_builds()
+            code, out, _ = run_cli(capsys, *argv)
+            outs.append((code, out))
+        return outs
+
+    fresh_builds()
+    first, second = run_all(False), run_all(False)
+    # no command changed what the memo shares: each build still equals a
+    # fresh one
+    for series, rank, _ in _MEMO_CASES:
+        t = CartanType(series, rank)
+        rs, fresh_rs = build_root_system(t), rootsys.build_root_system.__wrapped__(t)
+        assert (rs.positive_roots, rs._root_set, rs.bilinear) == (
+            fresh_rs.positive_roots, fresh_rs._root_set, fresh_rs.bilinear
+        ), t
+        cb, fresh_cb = build_realization(rs), build_realization.__wrapped__(rs)
+        assert (cb.rows, cb.pos_index) == (fresh_cb.rows, fresh_cb.pos_index), t
+        assert build_r_matrix(cb) == build_r_matrix.__wrapped__(fresh_cb), t
+    cold = run_all(True)
+    for argv, a, b, c in zip(argvs, first, second, cold):
+        assert a == b == c, argv
+    assert {code for code, _ in first} == {0, 1}
+
+
+def test_commands_on_one_type_build_it_once(capsys, monkeypatch, tmp_path, fresh_builds):
+    rs = build_root_system(CartanType("A", 3))
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(serialize_recipe(builtin_recipe(rs, parse_root(rs, "L1-L4")))))
+    case = ["--type", "A", "--rank", "3"]
+    argvs = [
+        ["roots", *case],
+        *(["classical", *case, "--beta", str(r), "--force"] for r in rs.positive_roots),
+        ["verify", *case, "--beta", "L1-L4", "--no-timings"],
+        ["recipe", "validate", str(path)],
+        ["verify", "--recipe", str(path), "--no-timings"],
+    ]
+    calls = Counter()
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(rootsys, "RootSystem")
+    counting(classical, "_closed_form_basis")
+    counting(classical, "killing_lambda")  # once per positive root per r-matrix
+    fresh_builds()
+    for argv in argvs:
+        run_cli(capsys, *argv)
+    assert calls == {"RootSystem": 1, "_closed_form_basis": 1, "killing_lambda": 6}

@@ -27,14 +27,9 @@ from qcoiso.recipes import (
 from qcoiso.rootsys import CartanType, build_root_system, parse_root
 from qcoiso.uqalg import UqBorel
 
-_RS = {}
-
 
 def rs_of(series, rank):
-    key = (series, rank)
-    if key not in _RS:
-        _RS[key] = build_root_system(CartanType(series, rank))
-    return _RS[key]
+    return build_root_system(CartanType(series, rank))
 
 
 def test_eval_bracket_expr_single():

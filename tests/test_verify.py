@@ -37,14 +37,9 @@ from algebra_helpers import (
 )
 from tensor_oracles import tensor, tensor_nf_is_zero, tensor_sub
 
-_RS = {}
-
 
 def rs_of(series, rank):
-    key = (series, rank)
-    if key not in _RS:
-        _RS[key] = build_root_system(CartanType(series, rank))
-    return _RS[key]
+    return build_root_system(CartanType(series, rank))
 
 
 def rf(s):
