@@ -14,7 +14,6 @@ The package is organized bottom-up:
 from .qfield import RatFunc, parse_ratfunc, q_binomial
 from .rootsys import (
     CartanType,
-    Root,
     RootSystem,
     admissible_positive_roots,
     build_root_system,
@@ -41,7 +40,6 @@ from .recipes import (
     serialize_recipe,
 )
 from .verify import (
-    VerificationReport,
     check_flatness,
     check_left_coideal,
     run_full_verification,

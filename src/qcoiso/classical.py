@@ -45,7 +45,7 @@ from operator import add, mul, sub
 
 from .linalg import SpanSolver, accumulate, vec_add_scaled
 from .qfield import join_signed
-from .rootsys import CartanType, Root, RootSystem, _cartan_data
+from .rootsys import CartanType, RootSystem, _cartan_data, render_simple_form
 
 F1 = Fraction(1)
 
@@ -81,7 +81,7 @@ class ChevalleyBasis:
 
     rs: RootSystem
     rows: list
-    # positive root decomposition -> its position in rs.positive_roots
+    # positive root -> its position in rs.positive_roots
     pos_index: dict = field(repr=False)
 
     # -- indexing ------------------------------------------------------------
@@ -94,19 +94,19 @@ class ChevalleyBasis:
     def dim(self):
         return 2 * self.npos + self.rs.rank
 
-    def e_index(self, root: Root) -> int:
-        return self.pos_index[root.decomp]
+    def e_index(self, root: tuple) -> int:
+        return self.pos_index[root]
 
-    def f_index(self, root: Root) -> int:
-        return self.npos + self.pos_index[root.decomp]
+    def f_index(self, root: tuple) -> int:
+        return self.npos + self.pos_index[root]
 
     def h_index(self, i: int) -> int:
         return 2 * self.npos + i
 
-    def e(self, root: Root) -> dict:
+    def e(self, root: tuple) -> dict:
         return {self.e_index(root): F1}
 
-    def f(self, root: Root) -> dict:
+    def f(self, root: tuple) -> dict:
         return {self.f_index(root): F1}
 
     def h(self, i: int) -> dict:
@@ -172,7 +172,7 @@ def _cocycle_sign(A, u, v) -> int:
 
 def _positive_pairs(rs: RootSystem):
     """(a, b, a + b) over positive roots a before b whose sum is a root."""
-    positives = [r.decomp for r in rs.positive_roots]
+    positives = rs.positive_roots
     pos_set = set(positives)
     for i, a in enumerate(positives):
         for b in positives[i + 1:]:
@@ -252,7 +252,8 @@ def _folded_pos_constants(rs: RootSystem) -> dict:
             b, c = moved[b], c * sign[b]
         if c != 1:
             raise RealizationError(
-                f"the automorphism of {parent} does not fix the orbit sum of e[{Root(b)}]"
+                f"the automorphism of {parent} does not fix the orbit sum of "
+                f"e[{render_simple_form(b)}]"
             )
     out = {}
     for a, b, s in _positive_pairs(rs):
@@ -286,7 +287,7 @@ def _closed_form_basis(rs: RootSystem, pos_constants: dict) -> ChevalleyBasis:
     Only the nonzero N are walked: a mixed [e_a, f_b] is nonzero exactly when
     a = b + c or b = a + c for a positive root c.
     """
-    roots = [r.decomp for r in rs.positive_roots]
+    roots = rs.positive_roots
     index = {a: i for i, a in enumerate(roots)}
     norm = {a: rs.inner(a, a) for a in roots}
     m, rank, A, d = len(roots), rs.rank, rs.cartan_matrix, rs.symmetrizers
@@ -354,7 +355,7 @@ def build_realization(rs: RootSystem) -> ChevalleyBasis:
 # The r-matrix and coisotropy checks.
 # ---------------------------------------------------------------------------
 
-def killing_lambda(cb: ChevalleyBasis, alpha: Root) -> Fraction:
+def killing_lambda(cb: ChevalleyBasis, alpha: tuple) -> Fraction:
     """1 / K(e_alpha, f_alpha), in closed form from integer root data.
 
     h = [e_alpha, f_alpha] is a multiple of the coroot alpha^v.  Invariance
@@ -370,13 +371,13 @@ def killing_lambda(cb: ChevalleyBasis, alpha: Root) -> Fraction:
     = 4 * kappa / (alpha, alpha), with kappa = rs.pairing_ratio, the one
     constant that W-invariance of the form gives an irreducible root system.
     """
-    rs, a = cb.rs, alpha.decomp
+    rs = cb.rs
     h0 = cb.h_index(0)
     h = cb.bracket_basis(cb.e_index(alpha), cb.f_index(alpha))
-    alpha_h = sum(c * sum(map(mul, rs.cartan_matrix[k - h0], a)) for k, c in h.items())
+    alpha_h = sum(c * sum(map(mul, rs.cartan_matrix[k - h0], alpha)) for k, c in h.items())
     if alpha_h == 0:
-        raise RealizationError(f"degenerate Killing pairing at {alpha}")
-    return rs.inner(a, a) / (2 * rs.pairing_ratio) / alpha_h
+        raise RealizationError(f"degenerate Killing pairing at {render_simple_form(alpha)}")
+    return rs.inner(alpha, alpha) / (2 * rs.pairing_ratio) / alpha_h
 
 
 def bivector(terms) -> dict:

@@ -23,6 +23,7 @@ from .rootsys import (
     build_root_system,
     is_admissible,
     parse_root,
+    render_simple_form,
 )
 from .verify import builtin_identity, run_full_verification, solve_identity
 
@@ -125,7 +126,7 @@ def cmd_roots(args) -> int:
         rows.append(
             {
                 "root": rs.render_root(r),
-                "simple_form": str(r),
+                "simple_form": render_simple_form(r),
                 "admissible": is_admissible(rs, r),
             }
         )
@@ -193,14 +194,15 @@ def cmd_verify(args) -> int:
             raise ValueError("provide --type/--rank/--beta or --recipe")
         rs = _root_system(args)
         beta = parse_root(rs, args.beta)
-    report = run_full_verification(
+    payload = run_full_verification(
         rs,
         beta,
         recipe=recipe,
         degree_cap=args.degree_cap,
         cache_path=_cache_path(rs),
     )
-    payload = report.to_json(include_timings=not args.no_timings)
+    if args.no_timings:
+        del payload["timings"]
     rendered = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -280,7 +282,7 @@ def cmd_recipe_validate(args) -> int:
         "case": {
             "type": recipe.cartan_type.series,
             "rank": recipe.cartan_type.rank,
-            "beta": str(recipe.beta),
+            "beta": render_simple_form(recipe.beta),
         },
         "generators": recipe.names(),
         "max_degree": recipe.max_degree(),

@@ -15,9 +15,9 @@ and references to named auxiliary expressions (`Ref`).  One fold (`_fold`)
 walks it for every use: the quantum value (`eval_bracket_expr`), the classical
 limit with plain commutators (`classical_limit_expr`) and the degree.
 
-The K-exponent vector is always the simple-root decomposition of beta, which
-is the unique choice whose semiclassical Cartan element is proportional to
-the form-dual of beta.
+The K-exponent vector is always beta itself, its coordinates over the simple
+roots, which is the unique choice whose semiclassical Cartan element is
+proportional to the form-dual of beta.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from importlib import resources
 
 from .rootsys import (
     CartanType,
-    Root,
     RootSystem,
     RootSystemError,
     build_root_system,
     parse_root,
+    render_simple_form,
 )
 from .uqalg import NCPoly, UqBorel
 
@@ -98,7 +98,7 @@ def _expr_degree(expr, aux):
 @dataclass
 class GeneratorRecipe:
     cartan_type: CartanType
-    beta: Root
+    beta: tuple
     k_monomial: tuple
     generators: list  # [(name, group, BracketExpr)]
     auxiliaries: dict = field(default_factory=dict)
@@ -110,14 +110,15 @@ class GeneratorRecipe:
     def max_degree(self):
         return max(_expr_degree(expr, self.auxiliaries) for _, _, expr in self.generators)
 
-    def evaluate(self, alg: UqBorel):
-        """[(name, NCPoly)] for the E-side generators; all must be nonzero."""
-        out = []
+    def evaluate(self, alg: UqBorel) -> dict:
+        """{name: NCPoly} of the E-side generators, in recipe order; all must
+        be nonzero."""
+        out = {}
         for name, _, expr in self.generators:
             val = eval_bracket_expr(expr, alg, self.auxiliaries)
             if not val:
                 raise RecipeError(f"generator {name} evaluates to zero")
-            out.append((name, val))
+            out[name] = val
         return out
 
 
@@ -137,16 +138,16 @@ def _chain_gens(prefix, group, expr, nodes, power):
     return out
 
 
-def builtin_recipe(rs: RootSystem, beta: Root) -> GeneratorRecipe:
-    if not rs.is_root(beta.decomp) or not beta.is_positive():
-        raise RecipeError(f"{beta} is not a positive root of {rs.type}")
+def builtin_recipe(rs: RootSystem, beta: tuple) -> GeneratorRecipe:
+    if not rs.is_root(beta) or not any(c > 0 for c in beta):
+        raise RecipeError(f"{render_simple_form(beta)} is not a positive root of {rs.type}")
     if rs.type == CartanType("E", 6):
         return _e6_recipe(rs, beta)
     gens, aux = _family_recipe(rs, beta)
     return GeneratorRecipe(
         cartan_type=rs.type,
         beta=beta,
-        k_monomial=beta.decomp,
+        k_monomial=beta,
         generators=gens,
         auxiliaries=aux,
     )
@@ -264,14 +265,13 @@ def _orthogonal_recipe(series, n, j):
 
 
 def _g2_recipe(rs, beta):
-    d = beta.decomp
     e1, e2 = Gen(0), Gen(1)
-    if d == (0, 1):
+    if beta == (0, 1):
         return [("E2", "(a)", e2)], {}
-    if d == (3, 1):
+    if beta == (3, 1):
         x = QBr(QBr(e1, e2, 3), e1, -1)
         return [("E1", "(a)", e1), ("X", "(a)", x), ("Y", "(a)", QBr(x, e1, 1))], {}
-    if d == (3, 2):
+    if beta == (3, 2):
         x = QBr(e2, e1, 3)
         y = QBr(x, e1, 1)
         z = QBr(y, e1, -1)
@@ -288,7 +288,7 @@ def _g2_recipe(rs, beta):
 # ---------------------------------------------------------------------------
 
 def load_e6_recipes(rs: RootSystem):
-    """All shipped E6 recipes keyed by root decomposition.
+    """All shipped E6 recipes keyed by root.
 
     Starred rows are expanded through the diagram flip 1<->6, 3<->5.  Bracket
     powers are assigned by the uniform adjacent-node heuristic (every printed
@@ -300,11 +300,11 @@ def load_e6_recipes(rs: RootSystem):
     )
     out = {}
     for i in range(6):
-        beta = rs.find_root(tuple(1 if k == i else 0 for k in range(6)))
-        out[beta.decomp] = GeneratorRecipe(
+        beta = rs.simple_roots[i]
+        out[beta] = GeneratorRecipe(
             cartan_type=rs.type,
             beta=beta,
-            k_monomial=beta.decomp,
+            k_monomial=beta,
             generators=[(f"E{i + 1}", "(a)", Gen(i))],
             power_assignment="heuristic",
         )
@@ -314,14 +314,14 @@ def load_e6_recipes(rs: RootSystem):
         exprs = [_parse_bracket_text(text) for text in row["generators"]]
         variants = [(beta, exprs)]
         if row.get("star"):
-            beta2 = rs.find_root(_flip_decomp(beta.decomp, flip))
+            beta2 = rs.find_root(_flip_decomp(beta, flip))
             flipped = [_fold(e, None, lambda i: Gen(flip[i + 1] - 1), QBr) for e in exprs]
             variants.append((beta2, flipped))
         for b, exprs in variants:
-            out[b.decomp] = GeneratorRecipe(
+            out[b] = GeneratorRecipe(
                 cartan_type=rs.type,
                 beta=b,
-                k_monomial=b.decomp,
+                k_monomial=b,
                 generators=[(f"G{k + 1}", "(a)", e) for k, e in enumerate(exprs)],
                 power_assignment="heuristic",
             )
@@ -360,7 +360,7 @@ def _parse_bracket_text(text):
 
 def _e6_recipe(rs, beta):
     table = load_e6_recipes(rs)
-    hit = table.get(beta.decomp)
+    hit = table.get(beta)
     if hit is None:
         raise RecipeError(
             f"no shipped E6 recipe for beta={rs.render_root(beta)}; "
@@ -377,7 +377,7 @@ def serialize_recipe(recipe: GeneratorRecipe) -> dict:
     return {
         "type": recipe.cartan_type.series,
         "rank": recipe.cartan_type.rank,
-        "beta": str(recipe.beta),
+        "beta": render_simple_form(recipe.beta),
         "k_monomial": list(recipe.k_monomial),
         "power_assignment": recipe.power_assignment,
         "auxiliaries": {
@@ -424,7 +424,7 @@ def parse_recipe(doc: dict) -> GeneratorRecipe:
         raise RecipeError(f"bad beta: {exc}") from exc
     kmono = doc.get("k_monomial")
     if kmono is None:
-        kmono = beta.decomp
+        kmono = beta
     if not isinstance(kmono, (list, tuple)) or not all(_is_int(c) for c in kmono):
         raise RecipeError("k_monomial: expected a list of integers")
     kmono = tuple(kmono)

@@ -1,12 +1,13 @@
 """Root systems for types A-G with exact arithmetic.
 
-Roots are primarily handled through their integer coordinates over the simple
-roots.  The classical types and G2 also carry Euclidean simple roots, as
-integer rows over one denominator (1 for A-D, 2 for G2) under a diagonal
-integer form (G2's second coordinate carries an implicit factor sqrt(3), so
-the form weighs it by 3); the Cartan matrix and symmetrizers are read from
-their integer pairings, and the rows serve rendering, literal parsing and
-cross-checks.  An L-literal is looked up: its coordinate vector is compared
+A root is its tuple of integer coordinates over the simple roots, and nothing
+else: the root system's lists, lookups and the literal parser all hand out
+those tuples, and `render_simple_form` writes one as text.  The classical
+types and G2 also carry Euclidean simple roots, as integer rows over one
+denominator (1 for A-D, 2 for G2) under a diagonal integer form (G2's second
+coordinate carries an implicit factor sqrt(3), so the form weighs it by 3);
+the Cartan matrix and symmetrizers are read from their integer pairings, and
+the rows serve rendering, literal parsing and cross-checks.  An L-literal is looked up: its coordinate vector is compared
 with the Euclidean coordinates of every root, positive and negative, so a
 literal that names no root, in the root lattice or not, gets one error.
 
@@ -29,7 +30,7 @@ class RootSystemError(ValueError):
     pass
 
 
-VALID_SERIES = "ABCDEFG"
+VALID_SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
 
 @dataclass(frozen=True)
@@ -55,19 +56,6 @@ class CartanType:
 
     def __str__(self):
         return f"{self.series}{self.rank}"
-
-
-@dataclass(frozen=True)
-class Root:
-    """A root, identified by its integer decomposition over the simple roots."""
-
-    decomp: tuple
-
-    def is_positive(self) -> bool:
-        return any(c > 0 for c in self.decomp)
-
-    def __str__(self):
-        return render_simple_form(self.decomp)
 
 
 def render_simple_form(decomp, letter="a") -> str:
@@ -105,8 +93,7 @@ class RootSystem:
                     )
         all_decomps = _close_under_reflections(self.cartan_matrix, self.rank)
         self._root_set = all_decomps
-        positives = sorted(d for d in all_decomps if any(c > 0 for c in d))
-        self.positive_roots = [Root(d) for d in positives]
+        self.positive_roots = sorted(d for d in all_decomps if any(c > 0 for c in d))
         expected = _expected_positive_count(cartan_type)
         if expected is not None and len(self.positive_roots) != expected:
             raise RootSystemError(
@@ -114,8 +101,7 @@ class RootSystem:
                 f"expected {expected}"
             )
         self.simple_roots = [
-            Root(tuple(1 if j == i else 0 for j in range(self.rank)))
-            for i in range(self.rank)
+            tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)
         ]
 
     # -- basic queries -------------------------------------------------------
@@ -142,36 +128,36 @@ class RootSystem:
         irreducible root system it is a multiple of (v, v); kappa is read off
         the first simple root."""
         b = self.bilinear[0]
-        total = sum(sum(c * v for c, v in zip(g.decomp, b)) ** 2 for g in self.positive_roots)
+        total = sum(sum(c * v for c, v in zip(g, b)) ** 2 for g in self.positive_roots)
         return Fraction(total, b[0])
 
-    def euclid_coords(self, root: Root):
+    def euclid_coords(self, root: tuple):
         """Euclidean coordinates, or None for types built from the Cartan matrix.
 
         Computed once per root and kept on the instance."""
         if self._euclid is None:
             return None
-        hit = self._coords.get(root.decomp)
+        hit = self._coords.get(root)
         if hit is None:
             den, rows = self._euclid
-            hit = self._coords[root.decomp] = tuple(
-                Fraction(sum(c * v for c, v in zip(root.decomp, column)), den)
+            hit = self._coords[root] = tuple(
+                Fraction(sum(c * v for c, v in zip(root, column)), den)
                 for column in zip(*rows)
             )
         return hit
 
-    def render_root(self, root: Root) -> str:
+    def render_root(self, root: tuple) -> str:
         """Li-form for A-D, whose Euclidean coordinates are integers; a-form
         for every other type."""
         if self.type.series in "ABCD":
             return render_simple_form(self.euclid_coords(root), "L")
-        return render_simple_form(root.decomp)
+        return render_simple_form(root)
 
-    def find_root(self, decomp) -> Root:
+    def find_root(self, decomp) -> tuple:
         t = tuple(decomp)
         if t not in self._root_set:
             raise RootSystemError(f"{render_simple_form(t)} is not a root of {self.type}")
-        return Root(t)
+        return t
 
 
 @cache
@@ -187,19 +173,18 @@ def build_root_system(cartan_type: CartanType) -> RootSystem:
 # Root strings and admissibility.
 # ---------------------------------------------------------------------------
 
-def is_admissible(rs: RootSystem, beta: Root) -> bool:
+def is_admissible(rs: RootSystem, beta: tuple) -> bool:
     """True iff no root string through beta contains three consecutive integers.
 
     A string alpha + Z*beta holds three consecutive integers exactly when
     some root gamma on it has gamma + beta and gamma + 2*beta both roots, so
     that is what is tested, with no string scan.
     """
-    if not rs.is_root(beta.decomp):
-        raise RootSystemError(f"{beta} is not a root of {rs.type}")
-    b = beta.decomp
+    if not rs.is_root(beta):
+        raise RootSystemError(f"{render_simple_form(beta)} is not a root of {rs.type}")
     return not any(
-        rs.is_root(tuple(g + c for g, c in zip(gamma, b)))
-        and rs.is_root(tuple(g + 2 * c for g, c in zip(gamma, b)))
+        rs.is_root(tuple(g + c for g, c in zip(gamma, beta)))
+        and rs.is_root(tuple(g + 2 * c for g, c in zip(gamma, beta)))
         for gamma in rs._root_set
     )
 
@@ -301,12 +286,12 @@ def _close_under_reflections(A, n):
 _TERM_RE = re.compile(r"([+-]?)\s*(\d*)\s*(?:\*\s*)?(l|a)(\d+)", re.IGNORECASE)
 
 
-def parse_root(rs: RootSystem, text: str) -> Root:
+def parse_root(rs: RootSystem, text: str) -> tuple:
     """The positive root a literal names; RootSystemError for anything else."""
     root = rs.find_root(_literal_decomp(rs, text))
-    if not root.is_positive():
+    if not any(c > 0 for c in root):
         raise RootSystemError(
-            f"{text.strip()!r} is the negative root {root} of {rs.type}; "
+            f"{text.strip()!r} is the negative root {render_simple_form(root)} of {rs.type}; "
             "give a positive root"
         )
     return root
@@ -319,7 +304,8 @@ def _literal_decomp(rs: RootSystem, text: str) -> tuple:
     pos = 0
     terms = []
     for m in _TERM_RE.finditer(cleaned):
-        if cleaned[pos:m.start()].strip():
+        # every term after the first needs its sign: "a1a2" is no sum
+        if cleaned[pos:m.start()].strip() or (terms and not m.group(1)):
             raise RootSystemError(f"cannot parse root literal {text!r}")
         sign = -1 if m.group(1) == "-" else 1
         coef = int(m.group(2)) if m.group(2) else 1
@@ -351,7 +337,7 @@ def _literal_decomp(rs: RootSystem, text: str) -> tuple:
     # the Euclidean coordinates determine a root, so at most one matches
     target = tuple(target)
     for decomp in rs._root_set:
-        if rs.euclid_coords(Root(decomp)) == target:
+        if rs.euclid_coords(decomp) == target:
             return decomp
     raise RootSystemError(f"{text!r} is not a root of {rs.type}")
 

@@ -561,7 +561,7 @@ class UqBorel:
     def generator_products(self, gens, kexp, weight):
         """Labels of the ordered generator products matching a multidegree.
 
-        gens: [(name, NCPoly)] with each value multihomogeneous.  Returns the
+        gens: {name: NCPoly} with each value multihomogeneous.  Returns the
         labels ("A*B*C", or "1" for the empty product) of every sequence of
         generators (with repetition, all orderings) whose K-exponents and
         word contents sum to the target, sorted as strings.  Nothing is
@@ -570,7 +570,7 @@ class UqBorel:
         has a nonzero K-exponent or content.
         """
         # one degree tuple per generator: its K-exponents, then its content
-        degrees = [(name, *poly.multidegree()) for name, poly in gens]
+        degrees = [(name, *poly.multidegree()) for name, poly in gens.items()]
         data = [(name, gk + gw) for name, gk, gw in degrees if any(gk) or any(gw)]
         out = []
         # depth-first over (label, remaining degree) on an explicit stack: a
@@ -590,33 +590,33 @@ class UqBorel:
                     ))
         return sorted(out)
 
-    def label_product(self, label, gen_map) -> NCPoly:
-        """The labelled generator product, multiplied out left to right."""
+    def label_product(self, label, gens) -> NCPoly:
+        """The labelled product of the generators {name: NCPoly}, multiplied
+        out left to right."""
         if label == "1":
             return self.one()
         names = label.split("*")
-        prod = gen_map[names[0]]
+        prod = gens[names[0]]
         for name in names[1:]:
-            prod = self.nc_mul(prod, gen_map[name])
+            prod = self.nc_mul(prod, gens[name])
         return prod
 
     def product_span(self, gens, kexp, mu):
-        """The span of the generator products at (kexp, mu) modulo the
-        ideal: a `SpanSolver` of their normal forms, each tagged by its
-        label and added in sorted label order (`generator_products`), so a
-        target's `solve` gives its coefficients over the labels and
-        `nullrows` the relations among the products.  It is built afresh on
+        """The span of the products of the generators gens, {name: NCPoly},
+        at (kexp, mu) modulo the ideal: a `SpanSolver` of their normal
+        forms, each tagged by its label and added in sorted label order
+        (`generator_products`), so a target's `solve` gives its coefficients
+        over the labels and `nullrows` the relations among the products.  It is built afresh on
         every call and nothing is kept: a span depends on the generators'
         values, so a check that asks one multidegree again keeps its own.
         No product is multiplied out.
         """
-        span = SpanSolver()
-        gen_map, nfs = dict(gens), {}
+        span, nfs = SpanSolver(), {}
         for label in self.generator_products(gens, kexp, mu):
-            span.add(self._product_nf(label, gen_map, nfs), {label: RF_ONE})
+            span.add(self._product_nf(label, gens, nfs), {label: RF_ONE})
         return span
 
-    def _product_nf(self, label, gen_map, nfs):
+    def _product_nf(self, label, gens, nfs):
         """Normal form of the labelled generator product, by basis word.
 
         The product p * g is never expanded: with nf(p) from the label prefix
@@ -636,13 +636,13 @@ class UqBorel:
         if label == "1":
             vec = {(): RF_ONE}
         elif not prefix:
-            vec = next(iter(self.nf_components(gen_map[label]).values()), {})
+            vec = next(iter(self.nf_components(gens[label]).values()), {})
         else:
-            pvec = self._product_nf(prefix, gen_map, nfs)
-            gvec = self._product_nf(name, gen_map, nfs)
+            pvec = self._product_nf(prefix, gens, nfs)
+            gvec = self._product_nf(name, gens, nfs)
             vec = {}
             if pvec and gvec:
-                gk = next(iter(gen_map[name].terms))[0]
+                gk = next(iter(gens[name].terms))[0]
                 mu = self.content_of(next(iter(pvec)))
                 scale = RatFunc.q_power(-self.rs.inner(gk, mu))
                 self.table(tuple(map(add, mu, self.content_of(next(iter(gvec))))))

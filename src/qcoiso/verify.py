@@ -28,7 +28,11 @@ generator (name, pass, status, certificates, and a witness when one is found)
 and one per pair (i, j, verdict, xprime, certificate or note).  The report
 reads those entries as they are, the semiclassical check reads the q = 1
 values of each pair from its rendered certificate, and `solve_identity`
-solves over one template list and returns its certificate.
+solves over one template list and returns its certificate.  A generator set
+is one dict {name: NCPoly} in recipe order, the coideal check's with "K"
+first.  The pipeline (`run_full_verification`) returns the report as the one
+dict that `verify --format json` prints; its verdict is decided once, when
+the stages end.
 
 Entries above the table degree cap are "unverified": a generator whose degree
 exceeds it, and a pair whose commutator is nonzero and of degree above it,
@@ -39,7 +43,6 @@ commutator whenever those terms prove it nonzero.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -60,7 +63,7 @@ from .linalg import (
 )
 from .qfield import RF_ONE, RatFunc, parse_ratfunc, products_memoized
 from .recipes import GeneratorRecipe, RecipeError, builtin_recipe, classical_limit_expr
-from .rootsys import Root, RootSystem, is_admissible
+from .rootsys import RootSystem, is_admissible
 from .uqalg import DegreeOverflowError, NCPoly, UqAlgebraError, UqBorel, render_monomial
 
 # explicit u.R.v certificates are produced below this component degree
@@ -104,58 +107,11 @@ def _ideal_part_certificate(alg, residual: NCPoly):
 # Left-coideal check.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VerificationReport:
-    case: dict
-    admissible: bool | None = None
-    classical: dict | None = None
-    coideal: list | None = None  # per-generator entries
-    flatness: list | None = None  # per-pair entries
-    degrees_used: int = 0
-    timings: dict = field(default_factory=dict)
-    stage_error: str = ""
-
-    @property
-    def verdict(self) -> str:
-        if self.stage_error:
-            return "fail"
-        if self.admissible is False:
-            return "fail"
-        if self.classical is not None and not self.classical.get("coisotropic"):
-            return "fail"
-        outcomes = []
-        if self.coideal is not None:
-            outcomes.extend(g["status"] for g in self.coideal)
-        if self.flatness is not None:
-            outcomes.extend(p["verdict"] for p in self.flatness)
-        if any(v == "fail" for v in outcomes):
-            return "fail"
-        if any(v in ("inconclusive", "unverified") for v in outcomes):
-            return "inconclusive"
-        return "pass"
-
-    def to_json(self, include_timings=True):
-        out = {
-            "case": self.case,
-            "admissible": self.admissible,
-            "classical": self.classical,
-            "coideal": {"per_generator": list(self.coideal or [])},
-            "flatness": {"per_pair": list(self.flatness or [])},
-            "degrees_used": self.degrees_used,
-            "verdict": self.verdict,
-        }
-        if self.stage_error:
-            out["stage_error"] = self.stage_error
-        if include_timings:
-            out["timings"] = {k: round(v, 6) for k, v in sorted(self.timings.items())}
-        return out
-
-
 def check_left_coideal(recipe: GeneratorRecipe, alg: UqBorel) -> list:
     """Per-generator report entries for Delta(g) in B (x) U_q."""
-    gens = [("K", alg.k_monomial(recipe.k_monomial)), *recipe.evaluate(alg)]
+    gens = {"K": alg.k_monomial(recipe.k_monomial), **recipe.evaluate(alg)}
     spans = {}  # the product spans of these generators, for this check only
-    return [_coideal_entry(alg, name, g, gens, spans) for name, g in gens]
+    return [_coideal_entry(alg, name, g, gens, spans) for name, g in gens.items()]
 
 
 def _coideal_entry(alg, name, g, gens, spans):
@@ -231,14 +187,14 @@ def _certify(alg, target, coeffs, gens, formed=None):
     modulo the ideal.
 
     The products with a nonzero coefficient are multiplied out from the
-    generator polynomials, independently of the normal forms the solve used,
-    and the residual target - combination must lie in the ideal.  formed
-    maps labels to products the caller has already multiplied out with
-    `nc_mul`; those are not multiplied again.
+    generators gens, {name: NCPoly}, independently of the normal forms the
+    solve used, and the residual target - combination must lie in the ideal.
+    formed maps labels to products the caller has already multiplied out
+    with `nc_mul`; those are not multiplied again.
     """
-    gen_map, formed = dict(gens), formed or {}
+    formed = formed or {}
     polys = {
-        label: formed[label] if label in formed else alg.label_product(label, gen_map)
+        label: formed[label] if label in formed else alg.label_product(label, gens)
         for label in coeffs
     }
     return _ideal_part_certificate(alg, target - alg.combination(coeffs, polys))
@@ -273,10 +229,13 @@ def check_flatness(recipe: GeneratorRecipe, alg: UqBorel) -> list:
     # multidegree -> the relations among these generators' products, for
     # this check only; the spans' rows are not read here, so none is kept
     relations = {}
-    out = [_flatness_entry(alg, a, b, egens, relations) for a, b in combinations(egens, 2)]
+    out = [
+        _flatness_entry(alg, a, b, egens, relations)
+        for a, b in combinations(egens.items(), 2)
+    ]
     # the K-monomial against each generator, via the closed crossing form
     kmono = alg.k_monomial(recipe.k_monomial)
-    for name, g in egens:
+    for name, g in egens.items():
         entry = {"i": "K", "j": name}
         l = alg.rs.inner(recipe.k_monomial, g.multidegree()[1])
         kg = alg.nc_mul(kmono, g)
@@ -557,47 +516,72 @@ def _word_str(word):
 
 def run_full_verification(
     rs: RootSystem,
-    beta: Root,
+    beta: tuple,
     recipe: GeneratorRecipe | None = None,
     degree_cap: int = 14,
     cache_path=None,
-) -> VerificationReport:
-    report = VerificationReport(
-        case={"type": rs.type.series, "rank": rs.rank, "beta": rs.render_root(beta)}
-    )
+) -> dict:
+    """The report of one case, the dict `verify --format json` prints: the
+    case, each stage's result, the verdict, a stage_error when a stage
+    stopped the run, and the stages' timings in seconds."""
+    report = {
+        "case": {"type": rs.type.series, "rank": rs.rank, "beta": rs.render_root(beta)},
+        "admissible": None,
+        "classical": None,
+        "coideal": {"per_generator": []},
+        "flatness": {"per_pair": []},
+        "degrees_used": 0,
+    }
+    timings = {}
+    stage_error = _run_stages(report, timings, rs, beta, recipe, degree_cap, cache_path)
+    if stage_error:
+        report["stage_error"] = stage_error
+    report["verdict"] = _verdict(report)
+    report["timings"] = {k: round(v, 6) for k, v in sorted(timings.items())}
+    return report
+
+
+def _verdict(report) -> str:
+    if "stage_error" in report or not report["classical"]["coisotropic"]:
+        return "fail"
+    outcomes = {g["status"] for g in report["coideal"]["per_generator"]}
+    outcomes.update(p["verdict"] for p in report["flatness"]["per_pair"])
+    if "fail" in outcomes:
+        return "fail"
+    if outcomes & {"inconclusive", "unverified"}:
+        return "inconclusive"
+    return "pass"
+
+
+def _run_stages(report, timings, rs, beta, recipe, degree_cap, cache_path):
+    """Fill the report's stages in order; the error that stops them, if any."""
     t0 = time.monotonic()
-    report.admissible = is_admissible(rs, beta)
-    report.timings["admissibility"] = time.monotonic() - t0
-    if not report.admissible:
-        report.stage_error = "beta fails the root-string condition"
-        return report
+    report["admissible"] = is_admissible(rs, beta)
+    timings["admissibility"] = time.monotonic() - t0
+    if not report["admissible"]:
+        return "beta fails the root-string condition"
 
     t0 = time.monotonic()
     try:
         cb = build_realization(rs)
     except RealizationError as exc:
-        report.stage_error = f"classical realization: {exc}"
-        return report
+        return f"classical realization: {exc}"
     pi = build_r_matrix(cb)
     delta_beta = ad_bivector(cb, cb.e(beta), pi)
     gens = coisotropic_generators(cb, delta_beta)
     checks = check_coisotropic(cb, pi, gens)
     master = check_master_equation(cb, cb.e(beta), pi)
-    report.classical = {
-        "coisotropic": all(checks.values()) and master,
-        "dim": len(gens),
-    }
-    report.timings["classical"] = time.monotonic() - t0
-    if not report.classical["coisotropic"]:
-        return report
+    report["classical"] = {"coisotropic": all(checks.values()) and master, "dim": len(gens)}
+    timings["classical"] = time.monotonic() - t0
+    if not report["classical"]["coisotropic"]:
+        return None
 
     t0 = time.monotonic()
     if recipe is None:
         try:
             recipe = builtin_recipe(rs, beta)
         except RecipeError as exc:
-            report.stage_error = f"recipe: {exc}"
-            return report
+            return f"recipe: {exc}"
     # classical-limit consistency, generators first, in recipe order
     span = FractionSpan()
     for g in gens:
@@ -605,17 +589,14 @@ def run_full_verification(
     limits = classical_limits(recipe, cb)
     for name, lim in limits.items():
         if name != "K" and (not lim or not span.contains(lim)):
-            report.stage_error = f"classical limit of {name} is outside the span"
-            return report
+            return f"classical limit of {name} is outside the span"
     if not span.contains(limits["K"]):
-        report.stage_error = "K-monomial semiclassical element is outside the span"
-        return report
+        return "K-monomial semiclassical element is outside the span"
     # and they must generate all of it, not a proper subalgebra
     generated = generated_dim(cb, limits.values(), len(gens))
     if generated < len(gens):
-        report.stage_error = f"classical limits generate {generated} of {len(gens)} dimensions"
-        return report
-    report.timings["classical_limit"] = time.monotonic() - t0
+        return f"classical limits generate {generated} of {len(gens)} dimensions"
+    timings["classical_limit"] = time.monotonic() - t0
 
     # coideal components have degree at most d and commutators at most 2d
     d = recipe.max_degree()
@@ -623,31 +604,31 @@ def run_full_verification(
     alg = UqBorel(rs, max_degree=table_cap)
     if cache_path:
         alg.load_tables(cache_path)
-    report.degrees_used = table_cap
+    report["degrees_used"] = table_cap
 
     # the UqBorel stages multiply the same few hundred pairs of Q(q) values
     # over and over; the memo lives for these stages only
+    stage_error = None
     with products_memoized():
         t0 = time.monotonic()
         try:
-            report.coideal = check_left_coideal(recipe, alg)
+            report["coideal"]["per_generator"] = check_left_coideal(recipe, alg)
         except DegreeOverflowError as exc:
-            report.stage_error = f"coideal: {exc}"
-            return report
-        report.timings["coideal"] = time.monotonic() - t0
+            return f"coideal: {exc}"
+        timings["coideal"] = time.monotonic() - t0
 
         t0 = time.monotonic()
-        report.flatness = check_flatness(recipe, alg)
-        report.timings["flatness"] = time.monotonic() - t0
+        flatness = report["flatness"]["per_pair"] = check_flatness(recipe, alg)
+        timings["flatness"] = time.monotonic() - t0
 
         t0 = time.monotonic()
-        if all(p["verdict"] == "pass" for p in report.flatness):
-            if not check_semiclassical(limits, report.flatness, cb):
-                report.stage_error = "semiclassical specialization mismatch"
-        report.timings["semiclassical"] = time.monotonic() - t0
+        if all(p["verdict"] == "pass" for p in flatness):
+            if not check_semiclassical(limits, flatness, cb):
+                stage_error = "semiclassical specialization mismatch"
+        timings["semiclassical"] = time.monotonic() - t0
     if cache_path:
         alg.save_tables(cache_path)
-    return report
+    return stage_error
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +714,11 @@ def builtin_identity(name: str):
         alg = UqBorel(rs, max_degree=8)
         recipe = _br(rs, parse_root(rs, "3a1+2a2"))
         gens = recipe.evaluate(alg)
-        by_name = dict(gens)
-        target = alg.q_bracket(by_name["E2"], by_name["T"], 0)
+        target = alg.q_bracket(gens["E2"], gens["T"], 0)
         mu = target.multidegree()[1]
         # the products of two or more generators
         templates = [
-            (label, alg.label_product(label, by_name))
+            (label, alg.label_product(label, gens))
             for label in alg.generator_products(gens, (0, 0), mu)
             if "*" in label
         ]

@@ -19,7 +19,7 @@ from qcoiso.classical import (
 )
 from qcoiso.linalg import accumulate, vec_add_scaled
 from qcoiso.qfield import RF_ONE, peval_one
-from qcoiso.rootsys import RootSystemError
+from qcoiso.rootsys import RootSystemError, render_simple_form
 from qcoiso.uqalg import NCPoly, UqBorel
 
 STRING_SCAN_BOUND = 4
@@ -28,23 +28,22 @@ STRING_SCAN_BOUND = 4
 def root_string(rs, alpha, beta) -> set:
     """The exact set {k in Z : alpha + k*beta in R}, by bounded scan."""
     for r in (alpha, beta):
-        if not rs.is_root(r.decomp):
-            raise RootSystemError(f"{r} is not a root of {rs.type}")
+        if not rs.is_root(r):
+            raise RootSystemError(f"{render_simple_form(r)} is not a root of {rs.type}")
     hits = set()
     n = rs.rank
-    a, b = alpha.decomp, beta.decomp
     for k in range(-STRING_SCAN_BOUND, STRING_SCAN_BOUND + 1):
-        if rs.is_root(tuple(a[i] + k * b[i] for i in range(n))):
+        if rs.is_root(tuple(alpha[i] + k * beta[i] for i in range(n))):
             hits.add(k)
     # finite-type strings fit well inside the scan window
     for k in (-(STRING_SCAN_BOUND + 1), STRING_SCAN_BOUND + 1):
-        if rs.is_root(tuple(a[i] + k * b[i] for i in range(n))):
+        if rs.is_root(tuple(alpha[i] + k * beta[i] for i in range(n))):
             raise RootSystemError("root string not saturated within scan bound")
     return hits
 
 
 def root_length_sq(rs, root) -> int:
-    return rs.inner(root.decomp, root.decomp)
+    return rs.inner(root, root)
 
 
 def coxeter_number(rs) -> int:
@@ -167,14 +166,13 @@ def check_coisotropic_direct(cb, pi: dict, gens: list) -> dict:
 
 
 def good_lyndon_words(rs, pick=max):
-    """{positive root decomposition: its good Lyndon word} over 0-based
+    """{positive root: its good Lyndon word} over 0-based
     letters (Lalonde-Ram 1995; Leclerc 2004, section 4): a simple root's word
     is its letter; any other root's is the lexicographic maximum of
     l(g1) l(g2) over splittings into positive roots g1 + g2 with
     l(g1) < l(g2).  pick=min is a control that must disagree with the tables."""
     words = {}
-    for root in sorted(rs.positive_roots, key=lambda r: sum(r.decomp)):
-        d = root.decomp
+    for d in sorted(rs.positive_roots, key=sum):
         if sum(d) == 1:
             words[d] = (d.index(1),)
             continue
@@ -231,7 +229,7 @@ def root_matrices(rs) -> dict:
             mat = {(pos[0], n + pos[0]): 1}
         else:  # L_i, type B
             mat = {(pos[0], 2 * n): 1, (2 * n, n + pos[0]): -1}
-        out[r.decomp] = mat
+        out[r] = mat
     return out
 
 
@@ -273,12 +271,12 @@ def oracle_realization(rs):
     if rs.type.series == "G":
         return _closed_form_basis(rs, G2_POS_CONSTANTS)
     mats = root_matrices(rs)
-    positives = [r.decomp for r in rs.positive_roots]
+    positives = rs.positive_roots
     es = [{k: Fraction(v) for k, v in mats[a].items()} for a in positives]
     fs = [{(c, r): v for (r, c), v in e.items()} for e in es]
     hs = []
     for simple in rs.simple_roots:
-        j = positives.index(simple.decomp)
+        j = positives.index(simple)
         e, t = es[j], mat_bracket(es[j], fs[j])
         cell = next(iter(e))
         weight = mat_bracket(t, e)[cell] / e[cell]

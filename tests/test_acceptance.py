@@ -85,19 +85,19 @@ def test_criterion_1_admissibility_tables():
     for n in range(2, 7):
         rs = rs_of("C", n)
         adm = admissible_positive_roots(rs)
-        expected = {parse_root(rs, f"2L{i}").decomp for i in range(1, n + 1)}
-        assert {r.decomp for r in adm} == expected
+        expected = {parse_root(rs, f"2L{i}") for i in range(1, n + 1)}
+        assert set(adm) == expected
     for n in range(2, 7):
         rs = rs_of("B", n)
         adm = admissible_positive_roots(rs)
         expected = set()
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                expected.add(parse_root(rs, f"L{i}-L{j}").decomp)
-                expected.add(parse_root(rs, f"L{i}+L{j}").decomp)
-        assert {r.decomp for r in adm} == expected
+                expected.add(parse_root(rs, f"L{i}-L{j}"))
+                expected.add(parse_root(rs, f"L{i}+L{j}"))
+        assert set(adm) == expected
     rs = rs_of("G", 2)
-    assert {r.decomp for r in admissible_positive_roots(rs)} == {
+    assert set(admissible_positive_roots(rs)) == {
         (0, 1),
         (3, 1),
         (3, 2),
@@ -253,8 +253,8 @@ def test_criterion_4_coideal_verification():
     for series, rank, lit in VERIFICATION_CASES:
         report, elapsed = report_of(series, rank, lit)
         worst = max(worst, elapsed)
-        assert report.coideal is not None, (series, rank, lit, report.stage_error)
-        for outcome in report.coideal:
+        assert report["coideal"]["per_generator"], (series, rank, lit, report.get("stage_error"))
+        for outcome in report["coideal"]["per_generator"]:
             assert outcome["pass"], (series, rank, lit, outcome["name"], outcome.get("witness"))
     # deliberate mutation: plain bracket in the special-linear recipe fails
     rs = rs_of("A", 3)
@@ -288,12 +288,12 @@ def test_criterion_5_flatness_verification():
     for series, rank, lit in VERIFICATION_CASES:
         report, elapsed = report_of(series, rank, lit)
         worst = max(worst, elapsed)
-        assert report.flatness is not None, (series, rank, lit, report.stage_error)
-        for entry in report.flatness:
+        assert report["flatness"]["per_pair"], (series, rank, lit, report.get("stage_error"))
+        for entry in report["flatness"]["per_pair"]:
             assert entry["verdict"] == "pass", (series, rank, lit, entry)
         # semiclassical consistency ran inside the pipeline
-        assert not report.stage_error, (series, rank, lit, report.stage_error)
-        assert report.verdict == "pass"
+        assert "stage_error" not in report, (series, rank, lit, report["stage_error"])
+        assert report["verdict"] == "pass"
     _line("criterion-5 (flatness verification)", True, f"worst case {worst:.2f}s")
     assert worst < 600
 
@@ -328,7 +328,7 @@ def test_criterion_7_e6_smoke():
     from qcoiso.classical import FractionSpan
     from qcoiso.linalg import vec_add_scaled
 
-    rows = sorted(table.values(), key=lambda r: (sum(r.beta.decomp), r.beta.decomp))
+    rows = sorted(table.values(), key=lambda r: (sum(r.beta), r.beta))
     for recipe in rows[:9]:
         gens = coisotropic_generators(cb, ad_bivector(cb, cb.e(recipe.beta), pi))
         span = FractionSpan()
@@ -346,22 +346,23 @@ def test_criterion_7_e6_smoke():
     # where the generator degrees exceed the cap
     big = parse_root(rs, "a1+2a2+2a3+3a4+2a5+a6")
     report = run_full_verification(rs, big, degree_cap=6)
-    assert report.verdict == "inconclusive"
-    assert report.degrees_used == 6
-    degree = {name: g.degree() for name, g in builtin_recipe(rs, big).evaluate(alg)}
-    unverified = {(p["i"], p["j"]) for p in report.flatness if p["verdict"] == "unverified"}
-    assert (len(report.flatness), len(unverified)) == (231, 195)
+    assert report["verdict"] == "inconclusive"
+    assert report["degrees_used"] == 6
+    degree = {name: g.degree() for name, g in builtin_recipe(rs, big).evaluate(alg).items()}
+    pairs = report["flatness"]["per_pair"]
+    unverified = {(p["i"], p["j"]) for p in pairs if p["verdict"] == "unverified"}
+    assert (len(pairs), len(unverified)) == (231, 195)
     assert unverified == {
         (p["i"], p["j"])
-        for p in report.flatness
+        for p in pairs
         if p["i"] != "K" and degree[p["i"]] + degree[p["j"]] > 6
     }
-    statuses = [g["status"] for g in report.coideal]
+    statuses = [g["status"] for g in report["coideal"]["per_generator"]]
     assert (len(statuses), statuses.count("unverified")) == (22, 8)
     # short rows verify fully end to end, including a diagram-flipped variant
     for lit in ["a1", "a1+a3", "a5+a6", "a2+a4", "a1+a3+a4"]:
         report = run_full_verification(rs, parse_root(rs, lit))
-        assert report.verdict == "pass", (lit, report.stage_error)
+        assert report["verdict"] == "pass", (lit, report.get("stage_error"))
     _line("criterion-7 (E6 smoke)", True, f"{time.monotonic() - t0:.2f}s")
 
 
@@ -371,7 +372,7 @@ def test_criterion_8_fixed_rank_substitution():
     verdicts = {}
     for series, rank, lit in VERIFICATION_CASES:
         report, _ = report_of(series, rank, lit)
-        verdicts[f"{series}{rank}:{lit}"] = report.verdict
+        verdicts[f"{series}{rank}:{lit}"] = report["verdict"]
     ok = all(v == "pass" for v in verdicts.values())
     _line(
         "criterion-8 (fixed-rank substitution for the general statements)",

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -53,19 +54,19 @@ def realization(series, rank):
 def test_sl_matrix_golden():
     rs = build_root_system(CartanType("A", 2))
     r = parse_root(rs, "L1-L2")
-    assert root_matrices(rs)[r.decomp] == {(0, 1): F1}
+    assert root_matrices(rs)[r] == {(0, 1): F1}
 
 
 def test_sp_matrix_golden():
     rs = build_root_system(CartanType("C", 2))
     r = parse_root(rs, "2L1")
-    assert root_matrices(rs)[r.decomp] == {(0, 2): F1}
+    assert root_matrices(rs)[r] == {(0, 2): F1}
 
 
 def test_so_odd_matrix_golden():
     rs = build_root_system(CartanType("B", 2))
     r = parse_root(rs, "L1")
-    assert root_matrices(rs)[r.decomp] == {(0, 4): F1, (4, 2): -F1}
+    assert root_matrices(rs)[r] == {(0, 4): F1, (4, 2): -F1}
 
 
 def test_traceless_and_form_antisymmetry():
@@ -129,7 +130,7 @@ def test_e7_e8_realizations_are_lie_algebras(rank):
     # [e_a, f_a] is the coroot, sum c_i h_i for a = sum c_i a_i (simply laced)
     roots = rs.positive_roots if rank == 7 else random.Random(3).sample(rs.positive_roots, 30)
     for r in roots:
-        expected = {cb.h_index(i): Fraction(c) for i, c in enumerate(r.decomp) if c}
+        expected = {cb.h_index(i): Fraction(c) for i, c in enumerate(r) if c}
         assert cb.bracket(cb.e(r), cb.f(r)) == expected, r
 
 
@@ -202,6 +203,12 @@ def test_killing_lambda_g2():
             assert lam == Fraction(1, 24)
         else:
             assert lam == Fraction(1, 8)
+    # with [e_r, f_r] taken out of a copy of the table, r has no pairing
+    r = rs.positive_roots[-1]
+    rows = [dict(row) for row in cb.rows]
+    del rows[cb.e_index(r)][cb.f_index(r)]
+    with pytest.raises(RealizationError, match=r"^degenerate Killing pairing at 3a1\+2a2$"):
+        killing_lambda(dataclasses.replace(cb, rows=rows), r)
 
 
 def test_killing_lambda_e6():
@@ -423,7 +430,7 @@ def test_abstract_ef_brackets_are_coroots():
             d = rs.symmetrizers
             lensq = root_length_sq(rs, r)
             expected = {}
-            for i, c in enumerate(r.decomp):
+            for i, c in enumerate(r):
                 if c:
                     expected[cb.h_index(i)] = Fraction(2 * c * d[i], lensq)
             assert t == expected, (series, r)
@@ -626,7 +633,7 @@ def _classical_outputs(capsys, rs):
 
 def _positive_constants(cb):
     """{(a, b): N(a, b)} over positive a < b with a + b a root."""
-    roots = [r.decomp for r in cb.rs.positive_roots]
+    roots = cb.rs.positive_roots
     out = {}
     for a, b in combinations(roots, 2):
         s = tuple(map(sum, zip(a, b)))
@@ -648,7 +655,7 @@ def test_folded_realization_gives_the_same_classical_output(capsys, monkeypatch,
     # simple roots: N(a, b) c_{a+b} = c_a c_b N'(a, b)
     oracle = _positive_constants(oracle_realization(rs))
     folded = _positive_constants(build_realization(rs))
-    c = {r.decomp: F1 for r in rs.simple_roots}
+    c = {r: F1 for r in rs.simple_roots}
     # by the height of a + b, so that c_a and c_b are known
     for (a, b), n in sorted(oracle.items(), key=lambda item: sum(map(sum, item[0]))):
         s = tuple(map(sum, zip(a, b)))
@@ -665,11 +672,13 @@ def test_folded_f4_classical_pattern_is_pinned(capsys):
         assert not jacobi_defect(cb, {i: F1}, {j: F1}, {k: F1}), (i, j, k)
     # the 12 admissible (long) roots pass, and so do three short ones; the
     # other 9 short roots fail closure and the master equation
-    passing = {str(b) for b in admissible_positive_roots(rs)} | {"a3", "a4", "a3+a4"}
+    passing = set(admissible_positive_roots(rs)) | {
+        parse_root(rs, lit) for lit in ("a3", "a4", "a3+a4")
+    }
     assert len(passing) == 15
     for beta, (code, out) in zip(rs.positive_roots, _classical_outputs(capsys, rs)):
         checks = json.loads(out)["checks"]
-        if str(beta) in passing:
+        if beta in passing:
             assert (code, checks) == (0, dict.fromkeys(checks, True)), beta
         else:
             assert (code, checks) == (

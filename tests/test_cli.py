@@ -9,7 +9,7 @@ from qcoiso import classical, qfield, rootsys, verify
 from qcoiso.classical import build_r_matrix, build_realization
 from qcoiso.cli import main
 from qcoiso.recipes import builtin_recipe, serialize_recipe
-from qcoiso.rootsys import CartanType, build_root_system, parse_root
+from qcoiso.rootsys import CartanType, build_root_system, parse_root, render_simple_form
 from qcoiso.uqalg import UqBorel, _NFTable
 
 
@@ -265,7 +265,7 @@ def test_verify_g2_trivial_case(capsys):
 
 def test_verify_report_file_and_recipe(capsys, tmp_path):
     from qcoiso.recipes import builtin_recipe, serialize_recipe
-    from qcoiso.rootsys import CartanType, build_root_system, parse_root
+    from qcoiso.rootsys import CartanType, build_root_system, parse_root, render_simple_form
 
     rs = build_root_system(CartanType("A", 2))
     recipe = serialize_recipe(builtin_recipe(rs, parse_root(rs, "L1-L3")))
@@ -422,7 +422,7 @@ def test_solve_unknown(capsys):
 
 def test_recipe_validate(capsys, tmp_path):
     from qcoiso.recipes import builtin_recipe, serialize_recipe
-    from qcoiso.rootsys import CartanType, build_root_system, parse_root
+    from qcoiso.rootsys import CartanType, build_root_system, parse_root, render_simple_form
 
     rs = build_root_system(CartanType("C", 2))
     doc = serialize_recipe(builtin_recipe(rs, parse_root(rs, "2L1")))
@@ -431,6 +431,9 @@ def test_recipe_validate(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "recipe", "validate", str(path), "--format", "json")
     assert code == 0
     assert json.loads(out)["valid"] is True
+    assert json.loads(out)["case"] == {"type": "C", "rank": 2, "beta": "2a1+a2"}
+    code, out, _ = run_cli(capsys, "recipe", "validate", str(path))
+    assert (code, out) == (0, "valid recipe for C2 beta=2a1+a2: 3 generators, max degree 3\n")
     bad = dict(doc)
     bad["generators"] = [{"name": "X", "expr": {"gen": 7}}]
     path.write_text(json.dumps(bad))
@@ -441,7 +444,7 @@ def test_recipe_validate(capsys, tmp_path):
 
 def _a2_recipe_doc():
     from qcoiso.recipes import builtin_recipe, serialize_recipe
-    from qcoiso.rootsys import CartanType, build_root_system, parse_root
+    from qcoiso.rootsys import CartanType, build_root_system, parse_root, render_simple_form
 
     rs = build_root_system(CartanType("A", 2))
     return serialize_recipe(builtin_recipe(rs, parse_root(rs, "L1-L3")))
@@ -595,6 +598,14 @@ def test_verify_rank_zero_is_an_invalid_rank(capsys):
     assert run_cli(capsys, "verify", *argv, "--beta", "L1-L2") == want
 
 
+def test_unknown_series_is_an_input_error(capsys):
+    # "AB" is a substring of "ABCDEFG", not a series
+    argv = ("--type", "AB", "--rank", "3")
+    want = (64, "", "error: unknown series 'AB'\n")
+    assert run_cli(capsys, "roots", *argv) == want
+    assert run_cli(capsys, "verify", *argv, "--beta", "a1") == want
+
+
 def test_verify_recipe_conflicts_with_case_flags(capsys, tmp_path):
     rs = build_root_system(CartanType("A", 2))
     path = tmp_path / "recipe.json"
@@ -646,8 +657,10 @@ def _memo_commands():
         rs = build_root_system(CartanType(series, rank))
         case = ["--type", series, "--rank", str(rank)]
         argvs.append(["roots", *case, "--format", "json"])
-        argvs += [["classical", *case, "--beta", str(r), "--force", "--format", "json"]
-                  for r in rs.positive_roots]
+        argvs += [
+            ["classical", *case, "--beta", render_simple_form(r), "--force", "--format", "json"]
+            for r in rs.positive_roots
+        ]
         argvs.append(["verify", *case, "--beta", beta, "--format", "json", "--no-timings"])
     return argvs
 
@@ -690,7 +703,8 @@ def test_commands_on_one_type_build_it_once(capsys, monkeypatch, tmp_path, fresh
     case = ["--type", "A", "--rank", "3"]
     argvs = [
         ["roots", *case],
-        *(["classical", *case, "--beta", str(r), "--force"] for r in rs.positive_roots),
+        *(["classical", *case, "--beta", render_simple_form(r), "--force"]
+          for r in rs.positive_roots),
         ["verify", *case, "--beta", "L1-L4", "--no-timings"],
         ["recipe", "validate", str(path)],
         ["verify", "--recipe", str(path), "--no-timings"],

@@ -32,8 +32,7 @@ def test_product_span_contract():
     rs = build_root_system(CartanType("A", 3))
     alg = UqBorel(rs, max_degree=8)
     recipe = builtin_recipe(rs, parse_root(rs, "L1-L4"))
-    gens = [("K", alg.k_monomial(recipe.k_monomial))] + recipe.evaluate(alg)
-    by = dict(gens)
+    gens = {"K": alg.k_monomial(recipe.k_monomial), **recipe.evaluate(alg)}
     spans, built = {}, []
     span_of = alg.product_span
 
@@ -48,10 +47,11 @@ def test_product_span_contract():
         return _span_coefficients(alg, x, gens, spans)
 
     def residual(x, coeffs):
-        return x - alg.combination(coeffs, {label: alg.label_product(label, by) for label in coeffs})
+        polys = {label: alg.label_product(label, gens) for label in coeffs}
+        return x - alg.combination(coeffs, polys)
 
     # a product of generators carries the trivial certificate
-    x = alg.nc_mul(by["X1"], by["X2"])
+    x = alg.nc_mul(gens["X1"], gens["X2"])
     coeffs = solve(x)
     assert coeffs == {"X1*X2": parse_ratfunc("1")}
     assert not residual(x, coeffs)
@@ -102,13 +102,12 @@ def test_even_orthogonal_degenerate_j():
 
     assert by_name["B4"] == Gen(3)
     report = run_full_verification(rs, parse_root(rs, "L1+L3"))
-    assert report.verdict == "pass"
+    assert report["verdict"] == "pass"
 
 
 def test_report_schema_fields():
     rs = build_root_system(CartanType("A", 2))
-    report = run_full_verification(rs, parse_root(rs, "L1-L3"))
-    js = report.to_json()
+    js = run_full_verification(rs, parse_root(rs, "L1-L3"))
     assert set(js) >= {
         "case",
         "admissible",

@@ -87,7 +87,7 @@ def test_quotient_dimensions_vs_pbw_counts_degree_5():
     for series, rank in [("A", 1), ("A", 2), ("A", 3), ("B", 2)]:
         rs = build_root_system(CartanType(series, rank))
         alg = alg_of(series, rank, max_degree=5)
-        roots = [r.decomp for r in rs.positive_roots]
+        roots = rs.positive_roots
 
         def pbw_count(mu):
             def count(idx, rem):

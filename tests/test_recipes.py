@@ -93,6 +93,8 @@ def test_builtin_unsupported():
         builtin_recipe(rs, parse_root(rs, "2L2"))
     with pytest.raises(RecipeError):
         builtin_recipe(rs, parse_root(rs, "L1-L2"))
+    with pytest.raises(RecipeError, match=r"^-2a1-a2 is not a positive root of C2$"):
+        builtin_recipe(rs, (-2, -1))
 
 
 ACCEPTANCE_CASES = [
@@ -114,8 +116,7 @@ def test_builtin_recipes_evaluate_nonzero(series, rank, lit):
     rs = rs_of(series, rank)
     recipe = builtin_recipe(rs, parse_root(rs, lit))
     alg = UqBorel(rs, max_degree=recipe.max_degree() + 2)
-    values = recipe.evaluate(alg)
-    assert all(v for _, v in values)
+    assert all(recipe.evaluate(alg).values())
 
 
 @pytest.mark.parametrize("series,rank,lit", ACCEPTANCE_CASES)
@@ -289,7 +290,7 @@ def test_e6_tables_load_and_expand():
     assert len(heuristic) == 36
     # the typo-flagged final row keeps the decomposition exponent vector
     big = parse_root(rs, "a1+2a2+2a3+3a4+2a5+a6")
-    assert table[big.decomp].k_monomial == big.decomp
+    assert table[big].k_monomial == big
 
 
 def test_e6_recipes_evaluate_nonzero():
@@ -307,7 +308,7 @@ def test_e6_shortest_recipes_lift_classically():
     cb = build_realization(rs)
     pi = build_r_matrix(cb)
     table = load_e6_recipes(rs)
-    rows = sorted(table.values(), key=lambda r: (sum(r.beta.decomp), r.beta.decomp))
+    rows = sorted(table.values(), key=lambda r: (sum(r.beta), r.beta))
     for recipe in rows[:9]:  # the six simple-root rows plus three doubles
         gens = coisotropic_generators(cb, ad_bivector(cb, cb.e(recipe.beta), pi))
         span = FractionSpan()

@@ -7,13 +7,13 @@ from algebra_helpers import coxeter_number, root_length_sq, root_string
 from qcoiso.rootsys import (
     _cartan_from_euclid,
     CartanType,
-    Root,
     RootSystem,
     RootSystemError,
     admissible_positive_roots,
     build_root_system,
     is_admissible,
     parse_root,
+    render_simple_form,
 )
 
 
@@ -22,7 +22,8 @@ def rs_of(series, rank):
 
 
 def test_invalid_ranks():
-    for series, rank in [("D", 2), ("E", 5), ("F", 3), ("G", 3), ("A", 0)]:
+    # a series is one of the seven letters, not a substring of "ABCDEFG"
+    for series, rank in [("D", 2), ("E", 5), ("F", 3), ("G", 3), ("A", 0), ("AB", 3), ("", 3)]:
         with pytest.raises(RootSystemError):
             CartanType(series, rank)
 
@@ -47,7 +48,7 @@ def test_counts_up_to_rank_6():
 
 def test_g2_positive_roots_golden():
     rs = rs_of("G", 2)
-    got = {r.decomp for r in rs.positive_roots}
+    got = set(rs.positive_roots)
     assert got == {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
 
 
@@ -142,9 +143,9 @@ def _rootsys_digest(series, rank):
         coords = rs.euclid_coords(r)
         rendered = rs.render_root(r)
         # both literal forms parse back to the root
-        assert parse_root(rs, rendered) == r and parse_root(rs, str(r)) == r
+        assert parse_root(rs, rendered) == r and parse_root(rs, render_simple_form(r)) == r
         lines.append(" ".join([
-            repr(r.decomp),
+            repr(r),
             "-" if coords is None else ",".join(map(str, coords)),
             rendered,
             str(is_admissible(rs, r)),
@@ -204,7 +205,9 @@ def test_root_string_examples():
 def test_root_string_rejects_non_roots():
     rs = rs_of("A", 2)
     with pytest.raises(RootSystemError):
-        root_string(rs, Root((2, 0)), rs.simple_roots[0])
+        root_string(rs, (2, 0), rs.simple_roots[0])
+    with pytest.raises(RootSystemError, match=r"^2a1 is not a root of A2$"):
+        is_admissible(rs, (2, 0))
 
 
 def test_admissibility_tables():
@@ -243,7 +246,7 @@ def test_is_admissible_matches_the_root_string_definition():
     for series, rank in types:
         rs = rs_of(series, rank)
         for beta in rs.positive_roots:
-            strings = [root_string(rs, Root(d), beta) for d in rs._root_set]
+            strings = [root_string(rs, d, beta) for d in rs._root_set]
             by_strings = not any(k + 1 in ks and k + 2 in ks for ks in strings for k in ks)
             assert is_admissible(rs, beta) == by_strings, (series, rank, beta)
             checked += 1
@@ -303,7 +306,7 @@ def _f4_euclid_admissible_count():
 def test_g2_admissible_are_long():
     rs = rs_of("G", 2)
     adm = admissible_positive_roots(rs)
-    assert {r.decomp for r in adm} == {(0, 1), (3, 1), (3, 2)}
+    assert set(adm) == {(0, 1), (3, 1), (3, 2)}
     for b in adm:
         assert root_length_sq(rs, b) == 6
 
@@ -323,7 +326,7 @@ def test_e_series_follows_bourbaki(rank, count, highest, coxeter):
     # node order; in a simply-laced type no root string holds three roots
     rs = rs_of("E", rank)
     assert len(rs.positive_roots) == count
-    assert max(rs.positive_roots, key=lambda r: sum(r.decomp)).decomp == highest
+    assert max(rs.positive_roots, key=sum) == highest
     assert coxeter_number(rs) == coxeter
     assert len(admissible_positive_roots(rs)) == count
 
@@ -334,34 +337,38 @@ def test_admissibility_weyl_invariance():
         rs = rs_of(series, rank)
         A = rs.cartan_matrix
         for beta in rs.positive_roots:
-            v = list(beta.decomp)
+            v = list(beta)
             for _ in range(rng.randint(1, 4)):
                 i = rng.randrange(rank)
                 pairing = sum(A[i][j] * v[j] for j in range(rank))
                 v[i] -= pairing
-            image = Root(tuple(v)) if any(c > 0 for c in v) else Root(tuple(-c for c in v))
+            image = tuple(v) if any(c > 0 for c in v) else tuple(-c for c in v)
             assert is_admissible(rs, image) == is_admissible(rs, beta)
 
 
 def test_parse_and_render():
     a3 = rs_of("A", 3)
     r = parse_root(a3, "L1-L4")
-    assert r.decomp == (1, 1, 1)
+    assert r == (1, 1, 1)
     assert a3.render_root(r) == "L1-L4"
     c2 = rs_of("C", 2)
-    assert parse_root(c2, "2L1").decomp == (2, 1)
+    assert parse_root(c2, "2L1") == (2, 1)
     g2 = rs_of("G", 2)
-    assert parse_root(g2, "3a1+2a2").decomp == (3, 2)
-    assert parse_root(g2, "a2").decomp == (0, 1)
+    assert parse_root(g2, "3a1+2a2") == (3, 2)
+    assert parse_root(g2, "a2") == (0, 1)
     d4 = rs_of("D", 4)
-    assert parse_root(d4, "L1+L2").decomp == (1, 2, 1, 1)
-    assert parse_root(d4, "L1+L4").decomp == (1, 1, 0, 1)
+    assert parse_root(d4, "L1+L2") == (1, 2, 1, 1)
+    assert parse_root(d4, "L1+L4") == (1, 1, 0, 1)
     with pytest.raises(RootSystemError):
         parse_root(a3, "L1-L9")
     with pytest.raises(RootSystemError):
         parse_root(a3, "L1+L2")  # not a root of A3
     with pytest.raises(RootSystemError):
         parse_root(a3, "")
+    # every term after the first needs its sign
+    for text in ("a1a2", "a1 a2"):
+        with pytest.raises(RootSystemError, match="cannot parse root literal"):
+            parse_root(a3, text)
 
 
 def test_parse_root_rejects_negative_roots():
@@ -400,12 +407,12 @@ def test_literals_are_looked_up_among_the_roots():
     for series, rank in types:
         rs = rs_of(series, rank)
         for root in rs.positive_roots:
-            texts = [rs.render_root(root), str(root), _l_literal(rs, root)]
+            texts = [rs.render_root(root), render_simple_form(root), _l_literal(rs, root)]
             for text in filter(None, texts):
                 assert parse_root(rs, text) == root, (series, rank, text)
             literals += texts[2] is not None
-            negative = Root(tuple(-c for c in root.decomp))
-            for text in filter(None, [str(negative), _l_literal(rs, negative)]):
+            negative = tuple(-c for c in root)
+            for text in filter(None, [render_simple_form(negative), _l_literal(rs, negative)]):
                 with pytest.raises(RootSystemError, match="is the negative root"):
                     parse_root(rs, text)
     # every positive root of A-D (374) has one, and of G2 the two with
@@ -424,7 +431,7 @@ def test_literals_outside_the_roots_are_named_in_the_error():
 
 def test_deterministic_order_is_lexicographic():
     rs = rs_of("B", 2)
-    decomps = [r.decomp for r in rs.positive_roots]
+    decomps = rs.positive_roots
     assert decomps == sorted(decomps)
 
 

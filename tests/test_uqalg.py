@@ -196,7 +196,7 @@ def _all_contents(rank, maxdeg):
 
 
 def _pbw_count(rs, mu):
-    roots = [r.decomp for r in rs.positive_roots]
+    roots = rs.positive_roots
 
     def count(idx, rem):
         if all(c == 0 for c in rem):
@@ -593,15 +593,15 @@ def _generator_sets(draw):
     alg = alg_of(draw(st.sampled_from(["A", "B", "G"])), 2)
     nonneg = st.tuples(st.integers(0, 1), st.integers(0, 1))
     kmono = draw(nonneg.filter(any))
-    gens = [("K", alg.k_monomial(kmono))]
+    gens = {"K": alg.k_monomial(kmono)}
     for n in range(draw(st.integers(1, 3))):
         kexp = draw(nonneg)
         letters = draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=2))
         words = draw(st.lists(st.permutations(letters).map(tuple), min_size=1, max_size=2, unique=True))
         coeffs = [RatFunc.q_power(draw(st.integers(-1, 1))) for _ in words]
-        gens.append((f"G{n}", from_terms(alg, ((kexp, w, c) for w, c in zip(words, coeffs)))))
+        gens[f"G{n}"] = from_terms(alg, ((kexp, w, c) for w, c in zip(words, coeffs)))
     # the target is the degree of a random sequence, so it is usually reached
-    picks = draw(st.lists(st.sampled_from([poly for _, poly in gens]), max_size=3))
+    picks = draw(st.lists(st.sampled_from(list(gens.values())), max_size=3))
     kexp, content = [0, 0], [0, 0]
     for poly in picks:
         (gk, gw), = poly.components()
@@ -616,19 +616,19 @@ def _generator_sets(draw):
 def test_generator_products_match_brute_force(case):
     alg, gens, (kexp, content) = case
     # (kexp, content) of each generator, flattened into one tuple
-    degree = {name: sum(next(iter(poly.components())), ()) for name, poly in gens}
+    degree = {name: sum(next(iter(poly.components())), ()) for name, poly in gens.items()}
     goal = kexp + content
     # every generator adds at least 1 to sum(goal)
     expected = sorted(
         "*".join(seq) if seq else "1"
         for n in range(sum(goal) + 1)
-        for seq in product([name for name, _ in gens], repeat=n)
+        for seq in product(gens, repeat=n)
         if tuple(sum(degree[name][i] for name in seq) for i in range(len(goal))) == goal
     )
     got = alg.generator_products(gens, kexp, content)
     assert got == expected
     for label in got:
-        poly = alg.label_product(label, dict(gens))
+        poly = alg.label_product(label, gens)
         assert set(poly.components()) == {(kexp, content)}
 
 
@@ -636,9 +636,9 @@ def test_generator_products_reject_mixed_generators():
     alg = alg_of("A", 2)
     mixed = alg.gen(0) + alg.gen(1)
     with pytest.raises(UqAlgebraError, match="not multihomogeneous"):
-        alg.generator_products([("M", mixed)], (0, 0), (1, 1))
+        alg.generator_products({"M": mixed}, (0, 0), (1, 1))
     # single-term generators are multihomogeneous
-    gens = [("E1", alg.gen(0)), ("E2", alg.gen(1))]
+    gens = {"E1": alg.gen(0), "E2": alg.gen(1)}
     assert alg.generator_products(gens, (0, 0), (1, 1)) == ["E1*E2", "E2*E1"]
     assert alg.generator_products(gens, (0, 0), (2, 0)) == ["E1*E1"]
 
@@ -682,12 +682,12 @@ def test_product_normal_forms_match_expansion(case):
     cold, reference = UqBorel(alg.rs), UqBorel(alg.rs)
     warm_nfs, cold_nfs = {}, {}
     for label in alg.generator_products(gens, kexp, content):
-        poly = alg.label_product(label, dict(gens))
+        poly = alg.label_product(label, gens)
         expected = reference.nf_components(poly)
         assert set(expected) <= {(kexp, content)}
         expected = expected.get((kexp, content), {})
-        assert alg._product_nf(label, dict(gens), warm_nfs) == expected, label
-        assert cold._product_nf(label, dict(gens), cold_nfs) == expected, label
+        assert alg._product_nf(label, gens, warm_nfs) == expected, label
+        assert cold._product_nf(label, gens, cold_nfs) == expected, label
         # the warm tables agree with the reference's
         for _, word in poly.terms:
             assert alg.nf_word(word) == reference.nf_word(word)
@@ -697,10 +697,10 @@ def test_product_normal_form_with_a_vanishing_factor_is_empty():
     # a generator in the ideal has the empty normal form, and so has every
     # product it is a factor of, on either side
     alg = alg_of("A", 2)
-    gen_map = {"E1": alg.gen(0), "R": alg.serre_relations()[(0, 1)]}
+    gens = {"E1": alg.gen(0), "R": alg.serre_relations()[(0, 1)]}
     for label in ("R", "E1*R", "R*E1", "E1*R*E1"):
-        assert alg._product_nf(label, gen_map, {}) == {}, label
-    assert alg._product_nf("E1*E1", gen_map, {}) == alg.nf_word((0, 0))
+        assert alg._product_nf(label, gens, {}) == {}, label
+    assert alg._product_nf("E1*E1", gens, {}) == alg.nf_word((0, 0))
 
 
 # (type, rank, degree): every multidegree of total degree 1..degree is checked
